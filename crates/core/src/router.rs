@@ -180,12 +180,9 @@ impl DipRouter {
 
     /// Wires this router to a telemetry [`Registry`]: verdict counters,
     /// execute-latency histogram, per-FN invocation counters, the PIT's
-    /// expired-eviction counter, and — when a content store is enabled —
-    /// its LRU-eviction counter, all under `labels`.
-    ///
-    /// Call [`RouterState::enable_content_store`] *before* this if you
-    /// want `dip_cs_evictions_total` exported; a store enabled later
-    /// keeps its private counter.
+    /// expired-eviction counter and the content store's LRU-eviction
+    /// counter (for the store enabled now or at any later time), all under
+    /// `labels`.
     ///
     /// Until called, processing records nothing and takes no `Instant`
     /// samples.
@@ -195,13 +192,11 @@ impl DipRouter {
             "PIT entries removed because their lifetime elapsed",
             labels,
         ));
-        if let Some(cs) = self.state.content_store.as_mut() {
-            cs.set_eviction_counter(registry.counter(
-                "dip_cs_evictions_total",
-                "Content-store entries displaced by LRU to hold the capacity bound",
-                labels,
-            ));
-        }
+        self.state.set_cs_eviction_counter(registry.counter(
+            "dip_cs_evictions_total",
+            "Content-store entries displaced by LRU to hold the capacity bound",
+            labels,
+        ));
         self.metrics = Some(RouterMetrics::new(registry, labels));
     }
 
@@ -695,6 +690,35 @@ mod tests {
             2,
             "each packet gets exactly one verdict"
         );
+    }
+
+    #[test]
+    fn cs_evictions_are_exported_whichever_way_round_the_store_is_enabled() {
+        for enable_first in [true, false] {
+            let registry = dip_telemetry::Registry::new();
+            let mut r = DipRouter::new(1, [1; 16]);
+            if enable_first {
+                r.state_mut().enable_content_store(1);
+                r.attach_metrics(&registry, &[]);
+            } else {
+                r.attach_metrics(&registry, &[]);
+                r.state_mut().enable_content_store(1);
+            }
+            let cs = r.state_mut().content_store.as_mut().unwrap();
+            cs.insert(1, vec![1], 0);
+            assert_eq!(cs.insert(2, vec![2], 0), Some(1));
+            assert_eq!(
+                registry.snapshot().get("dip_cs_evictions_total"),
+                1,
+                "enable_first = {enable_first}"
+            );
+            // Re-enabling (a resize) keeps the wiring too.
+            r.state_mut().enable_content_store(1);
+            let cs = r.state_mut().content_store.as_mut().unwrap();
+            cs.insert(3, vec![3], 0);
+            cs.insert(4, vec![4], 0);
+            assert_eq!(registry.snapshot().get("dip_cs_evictions_total"), 2);
+        }
     }
 
     #[test]

@@ -41,48 +41,81 @@ use dip_telemetry::{Counter, Gauge, Histogram, OutcomeCounters, Registry, Snapsh
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-/// Bounded-spin budget before a waiting thread parks: both the blocked
-/// dispatcher (full ring) and an idle worker (empty ring) yield this many
-/// times first, so the common sub-microsecond wait never pays a park.
-const SPIN_YIELDS: u32 = 64;
-/// First park interval once the spin budget is exhausted.
-const PARK_MIN: std::time::Duration = std::time::Duration::from_micros(5);
+/// How long a waiting thread keeps yielding after its last progress before
+/// it parks: both the blocked dispatcher (full ring) and an idle worker
+/// (empty ring). Bounded by the clock, not by a number of yields: how fast
+/// `yield_now` returns depends on the host and on what else is runnable
+/// (64 of them fit inside one 28.6 µs arrival gap on the reference host),
+/// while a window says directly which gaps are served without a park
+/// wake-up — every rate above 10 k pps — at a bounded cost per idle period.
+const SPIN_WINDOW: Duration = Duration::from_micros(100);
+/// First park interval once the spin window has passed.
+const PARK_MIN: Duration = Duration::from_micros(5);
 /// Park backoff cap: bounds both wasted CPU on long idles and the added
 /// latency when work arrives while the thread is parked.
-const PARK_MAX: std::time::Duration = std::time::Duration::from_micros(200);
+const PARK_MAX: Duration = Duration::from_micros(200);
+
+/// One step of waiting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WaitStep {
+    /// Yield the core and look again.
+    Spin,
+    /// Park for at most this long.
+    Park(Duration),
+}
+
+/// The waiting policy: spin (yielding) while less than [`SPIN_WINDOW`] has
+/// passed since the last progress, then park with exponential backoff
+/// from [`PARK_MIN`] to [`PARK_MAX`]. `idle` is the time since the wait
+/// began, `parks` the parks already taken in it.
+fn wait_step(idle: Duration, parks: u32) -> WaitStep {
+    if idle < SPIN_WINDOW {
+        WaitStep::Spin
+    } else {
+        // 2^6 × PARK_MIN is already past the cap.
+        WaitStep::Park((PARK_MIN * (1 << parks.min(6))).min(PARK_MAX))
+    }
+}
 
 /// Spin-then-park wait state shared by the dispatcher's lossless submit
 /// and the workers' idle loop. Call [`Waiter::wait`] each time progress
-/// is impossible and [`Waiter::reset`] when it is made; the waiter yields
-/// through its spin budget, then parks with exponential backoff — so a
-/// starved peer gets the core back instead of competing with a spin loop
-/// (the pre-fix behavior that cost the 1-vs-2-worker sweep a full core).
+/// is impossible and [`Waiter::reset`] when it is made; the waiter takes
+/// the steps [`wait_step`] decides. Spinning yields, so a starved peer
+/// gets the core back instead of competing with a spin loop (the pre-fix
+/// behavior that cost the 1-vs-2-worker sweep a full core).
 struct Waiter {
-    spins: u32,
-    park: std::time::Duration,
-    parks: u64,
+    /// When the current wait began; `None` while progress is being made,
+    /// so a thread that never waits never reads the clock.
+    since: Option<Instant>,
+    /// Parks taken in the current wait (the backoff exponent).
+    parks: u32,
 }
 
 impl Waiter {
     fn new() -> Self {
-        Waiter { spins: 0, park: PARK_MIN, parks: 0 }
+        Waiter { since: None, parks: 0 }
     }
 
-    fn wait(&mut self) {
-        if self.spins < SPIN_YIELDS {
-            self.spins += 1;
-            std::thread::yield_now();
-        } else {
-            self.parks += 1;
-            std::thread::park_timeout(self.park);
-            self.park = (self.park * 2).min(PARK_MAX);
+    /// Waits one step; returns `true` when the step was a park.
+    fn wait(&mut self) -> bool {
+        let idle = self.since.get_or_insert_with(Instant::now).elapsed();
+        match wait_step(idle, self.parks) {
+            WaitStep::Spin => {
+                std::thread::yield_now();
+                false
+            }
+            WaitStep::Park(timeout) => {
+                self.parks += 1;
+                std::thread::park_timeout(timeout);
+                true
+            }
         }
     }
 
     fn reset(&mut self) {
-        self.spins = 0;
-        self.park = PARK_MIN;
+        *self = Waiter::new();
     }
 }
 
@@ -568,7 +601,7 @@ struct WorkerTelemetry {
     /// Live packets-executed counter, also read by the dispatcher through
     /// [`Dataplane::worker_processed`] for windowed rate measurement.
     processed: Arc<Counter>,
-    /// Times the idle loop exhausted its spin budget and parked.
+    /// Times the idle loop outlasted its spin window and parked.
     idle_parks: Arc<Counter>,
     batches: Arc<Counter>,
     batch_fill: Arc<Histogram>,
@@ -596,7 +629,7 @@ impl WorkerTelemetry {
             ),
             idle_parks: registry.counter(
                 "dip_worker_idle_parks_total",
-                "Idle-loop parks after the spin budget was exhausted",
+                "Idle-loop parks after the spin window passed",
                 labels,
             ),
             batches: registry.counter("dip_worker_batches_total", "Batches executed", labels),
@@ -715,9 +748,7 @@ fn worker_loop(
             if stop.load(Ordering::Acquire) && ring.is_empty() {
                 break;
             }
-            let before = idle.parks;
-            idle.wait();
-            if idle.parks > before {
+            if idle.wait() {
                 telemetry.idle_parks.inc();
             }
             continue;
@@ -813,6 +844,34 @@ mod tests {
     }
 
     #[test]
+    fn wait_step_spins_through_the_window_then_backs_off_to_the_cap() {
+        let us = Duration::from_micros;
+        // Inside the window nothing parks, however often the thread looked.
+        for idle in [us(0), us(28), us(99)] {
+            assert_eq!(wait_step(idle, 0), WaitStep::Spin);
+        }
+        // Past it, parks double from 5 µs and stay at 200 µs.
+        let parks: Vec<WaitStep> = (0..9).map(|n| wait_step(SPIN_WINDOW, n)).collect();
+        let expected = [5, 10, 20, 40, 80, 160, 200, 200, 200].map(|t| WaitStep::Park(us(t)));
+        assert_eq!(parks, expected);
+        assert_eq!(wait_step(us(1_000_000), u32::MAX), WaitStep::Park(PARK_MAX));
+    }
+
+    #[test]
+    fn waiter_reset_restores_window_and_backoff() {
+        // A wait that began long ago and has parked its way up the backoff.
+        let long_ago = Instant::now().checked_sub(10 * SPIN_WINDOW).expect("clock past start-up");
+        let mut w = Waiter { since: Some(long_ago), parks: 6 };
+        assert_eq!(wait_step(long_ago.elapsed(), w.parks), WaitStep::Park(PARK_MAX));
+        w.reset();
+        assert_eq!((w.since, w.parks), (None, 0));
+        // The next wait starts a fresh window: its first step is a yield,
+        // and the clock is read only now.
+        assert!(!w.wait(), "first step after progress must not park");
+        assert!(w.since.is_some_and(|t| t > long_ago) && w.parks == 0);
+    }
+
+    #[test]
     fn counts_add_up_across_workers_and_batches() {
         let config = DataplaneConfig { workers: 4, batch_size: 8, ..Default::default() };
         let mut dp = Dataplane::start(config, factory);
@@ -902,6 +961,32 @@ mod tests {
         assert_eq!(merged[0].verdict, Verdict::Drop(DropReason::NoRoute));
         assert_eq!(merged[1].verdict, Verdict::Forward(vec![7]), "epoch swap took effect");
         assert!(report.workers.iter().any(|w| w.stats.epoch_refreshes > 0));
+    }
+
+    #[test]
+    fn routes_published_once_right_after_start_are_applied() {
+        // Regression (ROADMAP 1d): a publication that landed before the
+        // worker thread created its epoch reader was cached there and
+        // never applied. One publish, no retry: the worker must pick it up.
+        let config = DataplaneConfig { record_outcomes: true, ..Default::default() };
+        let mut dp = Dataplane::start(config, |i| DipRouter::new(i as u64, [1; 16]));
+        let mut snap = RouteSnapshot::default();
+        snap.ipv4_fib.add_route(Ipv4Addr::new(99, 0, 0, 0), 8, NextHop::port(7));
+        dp.publish_routes(snap);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while dp.metrics_snapshot().get("dip_worker_epoch_refreshes_total") == 0 {
+            assert!(Instant::now() < deadline, "the only publication was never picked up");
+            std::thread::yield_now();
+        }
+        let pkt = dip_protocols::ip::dip32_packet(
+            Ipv4Addr::new(99, 0, 0, 1),
+            Ipv4Addr::new(1, 1, 1, 1),
+            64,
+        );
+        dp.submit(pkt.to_bytes(&[]).unwrap(), 0, 0);
+        let report = dp.shutdown();
+        assert_eq!(report.sorted_outcomes()[0].verdict, Verdict::Forward(vec![7]));
+        assert_eq!(report.workers[0].stats.epoch_refreshes, 1);
     }
 
     #[test]

@@ -120,11 +120,14 @@ impl RouteSnapshot {
         state.name_fib = self.name_fib.clone();
         state.xia = self.xia.clone();
         state.compiled = self.tables.clone();
+        // Replacement tables keep counting where the worker's own did: a
+        // clone left on the snapshot's counters would go quiet in the
+        // registry the worker was wired to.
         if let Some(cs) = &self.content_store {
-            state.content_store = Some(cs.clone());
+            state.install_content_store(cs.clone());
         }
         if let Some(pit) = &self.pit {
-            state.pit = pit.clone();
+            state.install_pit(pit.clone());
         }
     }
 }
@@ -157,11 +160,16 @@ impl<T> EpochCell<T> {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// A reader primed with the current value.
+    /// A reader holding the current value but owing its first
+    /// [`EpochReader::refresh`]: `seen` starts at epoch 0, not at the
+    /// current epoch, so a publication that landed *before* the reader
+    /// existed is still reported once — a worker that applies snapshots on
+    /// `refresh() == true` cannot miss the one published while its thread
+    /// was starting. A cell nobody published into is at epoch 0 and
+    /// reports nothing.
     pub fn reader(self: &Arc<Self>) -> EpochReader<T> {
-        let seen = self.epoch();
         let cached = Arc::clone(&self.slot.lock().expect("epoch cell poisoned"));
-        EpochReader { cell: Arc::clone(self), seen, cached }
+        EpochReader { cell: Arc::clone(self), seen: 0, cached }
     }
 }
 
@@ -213,6 +221,17 @@ mod tests {
     }
 
     #[test]
+    fn reader_created_after_a_publication_still_reports_it_once() {
+        let cell = Arc::new(EpochCell::new(1u32));
+        cell.publish(2);
+        let mut late = cell.reader();
+        assert_eq!(*late.get(), 2, "a reader always holds the current value");
+        assert!(late.refresh(), "the publication it never saw applied is reported");
+        assert_eq!(*late.get(), 2);
+        assert!(!late.refresh(), "and only once");
+    }
+
+    #[test]
     fn publish_while_reader_holds_value_does_not_block() {
         let cell = Arc::new(EpochCell::new(vec![0u8; 8]));
         let reader = cell.reader();
@@ -235,6 +254,33 @@ mod tests {
         snap.pit = Some(Pit::new(16, 100));
         snap.apply(&mut state);
         assert!(!state.pit.contains(&42, 10));
+    }
+
+    #[test]
+    fn preloaded_flow_state_keeps_counting_into_the_workers_registry() {
+        let registry = dip_telemetry::Registry::new();
+        let mut router = dip_core::DipRouter::new(7, [1; 16]);
+        router.state_mut().enable_content_store(4);
+        router.attach_metrics(&registry, &[]);
+
+        // A cache preload and a PIT reset, both with private counters.
+        let mut preload = ContentStore::new(1);
+        preload.insert(1, b"one".to_vec(), 0);
+        let snap = RouteSnapshot {
+            content_store: Some(preload),
+            pit: Some(Pit::new(16, 100)),
+            ..RouteSnapshot::default()
+        };
+        snap.apply(router.state_mut());
+
+        let state = router.state_mut();
+        assert_eq!(state.content_store.as_mut().unwrap().insert(2, b"two".to_vec(), 0), Some(1));
+        state.pit.record_interest(42, 3, 9, 0).unwrap();
+        assert_eq!(state.pit.expire(1_000), 1);
+        let counted = registry.snapshot();
+        assert_eq!(counted.get("dip_cs_evictions_total"), 1, "the preloaded store is wired");
+        assert_eq!(counted.get("dip_pit_expired_evictions_total"), 1, "the reset PIT is wired");
+        assert_eq!(snap.content_store.as_ref().unwrap().lru_evictions(), 0);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! * conservation at quiescence: `pushed = delivered + drops + occupancy`
 //!   — the drop/delivery/occupancy balance the telemetry ledger pins;
 //! * epoch-swap visibility: a reader that observes epoch `k` and then
-//!   refreshes never receives a value older than publication `k`.
+//!   refreshes never receives a value older than publication `k`;
+//! * epoch-swap liveness: wherever the reader's creation falls among the
+//!   publications, the last published value is *applied* (reported by a
+//!   `refresh`) once both sides are quiet — never merely cached.
 //!
 //! The search explores sequentially consistent interleavings. The real
 //! code uses Release/Acquire, which is sufficient here because each
@@ -309,6 +312,19 @@ enum CellVariant {
     BumpBeforeSwap,
 }
 
+/// How `EpochCell::reader` initialises the reader's `seen` epoch.
+#[derive(Clone, Copy, PartialEq)]
+enum ReaderStart {
+    /// `seen = 0`: the real constructor. Whatever was published before the
+    /// reader existed is reported by its first refresh.
+    OwesFirstRefresh,
+    /// `seen` = the epoch loaded at creation: the constructor before the
+    /// fix. A publication that precedes the creation is cached but never
+    /// reported, so a worker that applies on `refresh() == true` never
+    /// applies it. The checker must catch it.
+    PrimedAtCreation,
+}
+
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct CellState {
     // Shared: the published value (slot, mutex-guarded in the real code,
@@ -318,16 +334,21 @@ struct CellState {
     // Publisher: pc 0 = first store, 1 = second store, 2 = done.
     published: u8,
     ppc: u8,
-    // Reader: pc 0 = epoch load, 1 = conditional slot clone, 2 = done.
+    // Reader: pc 3 = creation's epoch load (`PrimedAtCreation` only),
+    // 4 = creation's slot clone, 0 = epoch load, 1 = conditional slot
+    // clone, 2 = done.
     seen: u8,
     cached: u8,
+    /// The value the reader's owner last acted on: set only when a refresh
+    /// reports a change, as `worker_loop` applies a snapshot.
+    applied: u8,
     loaded_epoch: u8,
     attempts: u8,
     rpc: u8,
 }
 
 impl CellState {
-    fn initial() -> Self {
+    fn initial(start: ReaderStart) -> Self {
         CellState {
             slot: 0,
             epoch: 0,
@@ -335,9 +356,13 @@ impl CellState {
             ppc: 0,
             seen: 0,
             cached: 0,
+            applied: 0,
             loaded_epoch: 0,
             attempts: 0,
-            rpc: 0,
+            rpc: match start {
+                ReaderStart::OwesFirstRefresh => 4,
+                ReaderStart::PrimedAtCreation => 3,
+            },
         }
     }
 
@@ -367,6 +392,18 @@ impl CellState {
     fn step_reader(&self) -> Result<CellState, String> {
         let mut s = self.clone();
         match self.rpc {
+            3 => {
+                // The old `EpochCell::reader`: prime `seen` from the cell.
+                s.seen = s.epoch;
+                s.rpc = 4;
+                Ok(s)
+            }
+            4 => {
+                // `EpochCell::reader`: the locked clone of the current value.
+                s.cached = s.slot;
+                s.rpc = 0;
+                Ok(s)
+            }
             0 => {
                 // `EpochReader::refresh`: the Acquire epoch load.
                 s.loaded_epoch = s.epoch;
@@ -374,20 +411,7 @@ impl CellState {
                 Ok(s)
             }
             1 => {
-                if s.loaded_epoch != s.seen {
-                    // The locked slot clone. Visibility invariant: having
-                    // observed epoch k, the value must be from
-                    // publication k or newer (the publisher may have
-                    // advanced in between — never regressed).
-                    s.cached = s.slot;
-                    if s.cached < s.loaded_epoch {
-                        return Err(format!(
-                            "snapshot visibility violated: epoch {} delivered value {}",
-                            s.loaded_epoch, s.cached
-                        ));
-                    }
-                    s.seen = s.loaded_epoch;
-                }
+                s.refresh_tail()?;
                 s.attempts += 1;
                 s.rpc = if s.attempts == REFRESHES { 2 } else { 0 };
                 Ok(s)
@@ -395,13 +419,52 @@ impl CellState {
             _ => unreachable!("reader stepped after done"),
         }
     }
+
+    /// The second half of `refresh`: the conditional locked slot clone.
+    /// Visibility invariant: having observed epoch k, the value must be
+    /// from publication k or newer (the publisher may have advanced in
+    /// between — never regressed).
+    fn refresh_tail(&mut self) -> Result<(), String> {
+        if self.loaded_epoch != self.seen {
+            self.cached = self.slot;
+            if self.cached < self.loaded_epoch {
+                return Err(format!(
+                    "snapshot visibility violated: epoch {} delivered value {}",
+                    self.loaded_epoch, self.cached
+                ));
+            }
+            self.seen = self.loaded_epoch;
+            self.applied = self.cached;
+        }
+        Ok(())
+    }
+
+    /// Liveness at quiescence: with the publisher finished, one more
+    /// refresh (a worker's next batch boundary) must leave the last
+    /// publication applied.
+    fn check_quiescent(&self) -> Result<(), String> {
+        let mut s = self.clone();
+        s.loaded_epoch = s.epoch;
+        s.refresh_tail()?;
+        if s.applied != s.slot {
+            return Err(format!(
+                "publication lost: value {} is cached ({}) but the last applied is {}",
+                s.slot, s.cached, s.applied
+            ));
+        }
+        Ok(())
+    }
 }
 
-fn explore_cell(variant: CellVariant) -> Result<usize, String> {
+fn explore_cell(variant: CellVariant, start: ReaderStart) -> Result<usize, String> {
     let mut seen: HashSet<CellState> = HashSet::new();
-    let mut stack = vec![CellState::initial()];
+    let mut stack = vec![CellState::initial(start)];
     seen.insert(stack[0].clone());
     while let Some(state) = stack.pop() {
+        if state.ppc == 2 && state.rpc == 2 {
+            state.check_quiescent()?;
+            continue;
+        }
         if state.ppc != 2 {
             let next = state.step_publisher(variant);
             if seen.insert(next.clone()) {
@@ -420,13 +483,24 @@ fn explore_cell(variant: CellVariant) -> Result<usize, String> {
 
 #[test]
 fn epoch_swap_visibility_holds_under_every_interleaving() {
-    let states = explore_cell(CellVariant::Correct).expect("epoch-cell invariant violated");
+    let states = explore_cell(CellVariant::Correct, ReaderStart::OwesFirstRefresh)
+        .expect("epoch-cell invariant violated");
     assert!(states > 100, "suspiciously small state space: {states}");
 }
 
 #[test]
 fn epoch_checker_catches_bump_before_swap() {
-    let err = explore_cell(CellVariant::BumpBeforeSwap)
+    let err = explore_cell(CellVariant::BumpBeforeSwap, ReaderStart::OwesFirstRefresh)
         .expect_err("reordered publication must violate visibility");
     assert!(err.contains("visibility violated"), "unexpected violation: {err}");
+}
+
+#[test]
+fn epoch_checker_catches_publish_before_reader_creation() {
+    // Teeth for the liveness invariant: a reader primed with the epoch it
+    // was created at never reports the publications that preceded it (the
+    // `publish_routes`-right-after-`Dataplane::start` race).
+    let err = explore_cell(CellVariant::Correct, ReaderStart::PrimedAtCreation)
+        .expect_err("a publication before reader creation must be lost");
+    assert!(err.contains("publication lost"), "unexpected violation: {err}");
 }

@@ -6,10 +6,12 @@ use dip_tables::fib::NextHop;
 use dip_tables::{
     ContentStore, Ipv4Fib, Ipv6Fib, NameFib, Pit, Port, Ticks, XiaNextHop, XiaRouteTable,
 };
+use dip_telemetry::Counter;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
 use dip_wire::ndn::Name;
 use dip_wire::xia::{Dag, Xid, XidType};
+use std::sync::Arc;
 
 /// Which block cipher backs `F_MAC` / `F_mark` (§4.1: the prototype uses
 /// 2EM because AES would need a packet resubmission on Tofino).
@@ -59,6 +61,10 @@ pub struct RouterState {
     /// can support new services by only upgrading FNs"). An out-of-tree
     /// `FieldOp` keeps its tables here without touching this struct.
     pub ext: Extensions,
+    /// Where this router's content store counts LRU evictions, whichever
+    /// store is installed and whenever: the counter belongs to the router,
+    /// so enabling, replacing or preloading a store never unhooks it.
+    cs_evictions: Arc<Counter>,
 }
 
 /// A typed, heterogeneous map holding the private state of custom
@@ -119,12 +125,37 @@ impl RouterState {
             mac_choice: MacChoice::TwoRoundEm,
             require_pass_for_cache: false,
             ext: Extensions::default(),
+            cs_evictions: Arc::new(Counter::new()),
         }
     }
 
     /// Enables a content store of `capacity` entries.
     pub fn enable_content_store(&mut self, capacity: usize) {
-        self.content_store = Some(ContentStore::new(capacity));
+        self.install_content_store(ContentStore::new(capacity));
+    }
+
+    /// Installs `store` (a preload or a post-poisoning reset) as this
+    /// router's content store, counting evictions where the router counts
+    /// them rather than where `store` did.
+    pub fn install_content_store(&mut self, mut store: ContentStore<u32, Vec<u8>>) {
+        store.set_eviction_counter(Arc::clone(&self.cs_evictions));
+        self.content_store = Some(store);
+    }
+
+    /// Replaces the PIT (an explicit reset; in-flight interests are
+    /// discarded), counting evictions where the old one did.
+    pub fn install_pit(&mut self, mut pit: Pit<u32>) {
+        pit.set_eviction_counter(self.pit.eviction_counter());
+        self.pit = pit;
+    }
+
+    /// Routes content-store LRU evictions into `counter` — for the store
+    /// enabled now and for any enabled or installed later.
+    pub fn set_cs_eviction_counter(&mut self, counter: Arc<Counter>) {
+        if let Some(cs) = self.content_store.as_mut() {
+            cs.set_eviction_counter(Arc::clone(&counter));
+        }
+        self.cs_evictions = counter;
     }
 
     /// IPv4 LPM: compiled tables when installed, else the legacy FIB.

@@ -57,11 +57,121 @@ pub enum PitConsume {
     Miss,
 }
 
+/// Faces and nonces an entry keeps inside its map slot before it spills
+/// to the heap. An interest aggregated from up to four faces — the
+/// ordinary case; the repo's workloads use one or two — then allocates
+/// nothing, where it used to allocate a `Vec` and a `HashSet`. Four is
+/// what the spill variants pay for anyway: four nonces fill exactly the
+/// 48 bytes a `HashSet` header occupies, and four faces make the entry
+/// 88 bytes against the 80 of the two headers alone.
+const INLINE: usize = 4;
+
+/// The faces waiting on one name, in arrival order, without duplicates.
+#[derive(Debug, Clone)]
+enum Faces {
+    Inline { len: u8, buf: [Port; INLINE] },
+    Spilled(Vec<Port>),
+}
+
+impl Faces {
+    fn one(face: Port) -> Self {
+        let mut buf = [0; INLINE];
+        buf[0] = face;
+        Faces::Inline { len: 1, buf }
+    }
+
+    fn as_slice(&self) -> &[Port] {
+        match self {
+            Faces::Inline { len, buf } => &buf[..usize::from(*len)],
+            Faces::Spilled(v) => v,
+        }
+    }
+
+    fn add(&mut self, face: Port) {
+        if self.as_slice().contains(&face) {
+            return;
+        }
+        match self {
+            Faces::Inline { len, buf } if usize::from(*len) < INLINE => {
+                buf[usize::from(*len)] = face;
+                *len += 1;
+            }
+            Faces::Inline { buf, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(buf);
+                v.push(face);
+                *self = Faces::Spilled(v);
+            }
+            Faces::Spilled(v) => v.push(face),
+        }
+    }
+
+    fn into_vec(self) -> Vec<Port> {
+        match self {
+            Faces::Inline { .. } => self.as_slice().to_vec(),
+            Faces::Spilled(v) => v,
+        }
+    }
+}
+
+/// The interest nonces seen for one name. Past the inline width it is a
+/// hash set, so an entry flooded with nonces still answers in O(1).
+#[derive(Debug, Clone)]
+enum Nonces {
+    Inline { len: u8, buf: [u64; INLINE] },
+    Spilled(HashSet<u64>),
+}
+
+impl Nonces {
+    fn one(nonce: u64) -> Self {
+        let mut buf = [0; INLINE];
+        buf[0] = nonce;
+        Nonces::Inline { len: 1, buf }
+    }
+
+    /// Adds `nonce`; `false` when it was already present.
+    fn insert(&mut self, nonce: u64) -> bool {
+        match self {
+            Nonces::Inline { len, buf } => {
+                let n = usize::from(*len);
+                if buf[..n].contains(&nonce) {
+                    return false;
+                }
+                if n < INLINE {
+                    buf[n] = nonce;
+                    *len += 1;
+                } else {
+                    let mut set: HashSet<u64> = buf.iter().copied().collect();
+                    set.insert(nonce);
+                    *self = Nonces::Spilled(set);
+                }
+                true
+            }
+            Nonces::Spilled(set) => set.insert(nonce),
+        }
+    }
+
+    fn sorted(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = match self {
+            Nonces::Inline { len, buf } => buf[..usize::from(*len)].to_vec(),
+            Nonces::Spilled(set) => set.iter().copied().collect(),
+        };
+        v.sort_unstable();
+        v
+    }
+}
+
 #[derive(Debug, Clone)]
 struct PitEntry {
-    faces: Vec<Port>,
-    nonces: HashSet<u64>,
+    faces: Faces,
+    nonces: Nonces,
     expires_at: Ticks,
+}
+
+impl PitEntry {
+    fn fresh(face: Port, nonce: u64, expires_at: Ticks) -> Self {
+        PitEntry { faces: Faces::one(face), nonces: Nonces::one(nonce), expires_at }
+    }
 }
 
 /// A pending interest table keyed by `K` (full [`dip_wire::ndn::Name`]s in
@@ -89,6 +199,11 @@ impl<K: std::hash::Hash + Eq + Clone> Pit<K> {
     /// registry) instead of the private default counter.
     pub fn set_eviction_counter(&mut self, counter: Arc<Counter>) {
         self.evictions = counter;
+    }
+
+    /// The counter evictions go to, for handing to a replacement table.
+    pub fn eviction_counter(&self) -> Arc<Counter> {
+        Arc::clone(&self.evictions)
     }
 
     /// Expired entries evicted so far (any path: lookup, revival,
@@ -120,20 +235,14 @@ impl<K: std::hash::Hash + Eq + Clone> Pit<K> {
             if entry.expires_at <= now {
                 // Stale entry: evict (counted) and treat as fresh.
                 self.evictions.inc();
-                *entry = PitEntry {
-                    faces: vec![face],
-                    nonces: HashSet::from([nonce]),
-                    expires_at: now + self.ttl,
-                };
+                *entry = PitEntry::fresh(face, nonce, now + self.ttl);
                 return Ok(PitOutcome::Forward);
             }
             if !entry.nonces.insert(nonce) {
                 return Ok(PitOutcome::DuplicateNonce);
             }
             entry.expires_at = now + self.ttl;
-            if !entry.faces.contains(&face) {
-                entry.faces.push(face);
-            }
+            entry.faces.add(face);
             return Ok(PitOutcome::Aggregated);
         }
         if self.entries.len() >= self.capacity {
@@ -145,14 +254,7 @@ impl<K: std::hash::Hash + Eq + Clone> Pit<K> {
                 return Err(PitError::CapacityExhausted);
             }
         }
-        self.entries.insert(
-            name,
-            PitEntry {
-                faces: vec![face],
-                nonces: HashSet::from([nonce]),
-                expires_at: now + self.ttl,
-            },
-        );
+        self.entries.insert(name, PitEntry::fresh(face, nonce, now + self.ttl));
         Ok(PitOutcome::Forward)
     }
 
@@ -174,7 +276,7 @@ impl<K: std::hash::Hash + Eq + Clone> Pit<K> {
     /// evicted eagerly and counted.
     pub fn consume_classified(&mut self, name: &K, now: Ticks) -> PitConsume {
         match self.entries.remove(name) {
-            Some(e) if e.expires_at > now => PitConsume::Hit(e.faces),
+            Some(e) if e.expires_at > now => PitConsume::Hit(e.faces.into_vec()),
             Some(_) => {
                 // Expired: evicted on lookup, reported distinctly.
                 self.evictions.inc();
@@ -206,7 +308,7 @@ impl<K: std::hash::Hash + Eq + Clone> Pit<K> {
     pub fn iter(&self) -> impl Iterator<Item = PitEntryView<'_, K>> {
         self.entries.iter().map(|(name, e)| PitEntryView {
             name,
-            faces: &e.faces,
+            faces: e.faces.as_slice(),
             expires_at: e.expires_at,
             nonces: &e.nonces,
         })
@@ -222,15 +324,13 @@ pub struct PitEntryView<'a, K> {
     pub faces: &'a [Port],
     /// Virtual time at which the entry lapses.
     pub expires_at: Ticks,
-    nonces: &'a HashSet<u64>,
+    nonces: &'a Nonces,
 }
 
 impl<K> PitEntryView<'_, K> {
     /// The entry's recorded interest nonces, sorted (canonical form).
     pub fn sorted_nonces(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.nonces.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.nonces.sorted()
     }
 }
 
@@ -392,5 +492,177 @@ mod tests {
         let n = Name::parse("/hotnets/org");
         p.record_interest(n.clone(), 4, 7, 0).unwrap();
         assert_eq!(p.consume(&n, 10), Some(vec![4]));
+    }
+}
+
+/// The heap-backed PIT this module shipped before faces and nonces moved
+/// inline — a `Vec` of faces and a `HashSet` of nonces per entry — kept as
+/// the reference the differential test drives the real table against.
+#[cfg(test)]
+mod model {
+    use super::*;
+    use dip_crypto::DetRng;
+
+    struct ModelEntry {
+        faces: Vec<Port>,
+        nonces: HashSet<u64>,
+        expires_at: Ticks,
+    }
+
+    struct ModelPit {
+        entries: HashMap<u32, ModelEntry>,
+        capacity: usize,
+        ttl: Ticks,
+        evictions: u64,
+    }
+
+    impl ModelPit {
+        fn fresh(&self, face: Port, nonce: u64, now: Ticks) -> ModelEntry {
+            ModelEntry {
+                faces: vec![face],
+                nonces: HashSet::from([nonce]),
+                expires_at: now + self.ttl,
+            }
+        }
+
+        fn record_interest(
+            &mut self,
+            name: u32,
+            face: Port,
+            nonce: u64,
+            now: Ticks,
+        ) -> Result<PitOutcome, PitError> {
+            let fresh = self.fresh(face, nonce, now);
+            if let Some(entry) = self.entries.get_mut(&name) {
+                if entry.expires_at <= now {
+                    self.evictions += 1;
+                    *entry = fresh;
+                    return Ok(PitOutcome::Forward);
+                }
+                if !entry.nonces.insert(nonce) {
+                    return Ok(PitOutcome::DuplicateNonce);
+                }
+                entry.expires_at = now + self.ttl;
+                if !entry.faces.contains(&face) {
+                    entry.faces.push(face);
+                }
+                return Ok(PitOutcome::Aggregated);
+            }
+            if self.entries.len() >= self.capacity && self.expire(now) == 0 {
+                return Err(PitError::CapacityExhausted);
+            }
+            self.entries.insert(name, fresh);
+            Ok(PitOutcome::Forward)
+        }
+
+        fn consume_classified(&mut self, name: &u32, now: Ticks) -> PitConsume {
+            match self.entries.remove(name) {
+                Some(e) if e.expires_at > now => PitConsume::Hit(e.faces),
+                Some(_) => {
+                    self.evictions += 1;
+                    PitConsume::Expired
+                }
+                None => PitConsume::Miss,
+            }
+        }
+
+        fn contains(&self, name: &u32, now: Ticks) -> bool {
+            self.entries.get(name).is_some_and(|e| e.expires_at > now)
+        }
+
+        fn expire(&mut self, now: Ticks) -> usize {
+            let before = self.entries.len();
+            self.entries.retain(|_, e| e.expires_at > now);
+            self.evictions += (before - self.entries.len()) as u64;
+            before - self.entries.len()
+        }
+
+        fn view(&self) -> Vec<(u32, Vec<Port>, Ticks, Vec<u64>)> {
+            let mut all: Vec<_> = self
+                .entries
+                .iter()
+                .map(|(name, e)| {
+                    let mut nonces: Vec<u64> = e.nonces.iter().copied().collect();
+                    nonces.sort_unstable();
+                    (*name, e.faces.clone(), e.expires_at, nonces)
+                })
+                .collect();
+            all.sort_unstable();
+            all
+        }
+    }
+
+    fn view(pit: &Pit<u32>) -> Vec<(u32, Vec<Port>, Ticks, Vec<u64>)> {
+        let mut all: Vec<_> = pit
+            .iter()
+            .map(|e| (*e.name, e.faces.to_vec(), e.expires_at, e.sorted_nonces()))
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// Returns how many hits carried more than [`INLINE`] faces, how many
+    /// interests were replays, and how many the budget refused.
+    fn drive(capacity: usize, steps: usize, seed: u64) -> [usize; 3] {
+        let mut rng = DetRng::seed_from_u64(seed);
+        // More names than slots (the budget refuses and sweeps), more faces
+        // and nonces than the inline width (entries spill), few enough
+        // nonces that replays occur, and a lifetime of a few visits per
+        // name (some entries lapse, some aggregate first).
+        let names = capacity + capacity / 2 + 2;
+        let ttl = 4 * names as Ticks;
+        let mut fast: Pit<u32> = Pit::new(capacity, ttl);
+        let mut model = ModelPit { entries: HashMap::new(), capacity, ttl, evictions: 0 };
+        let mut now: Ticks = 0;
+        let (mut spilled, mut replays, mut refused) = (0, 0, 0);
+        for step in 0..steps {
+            now += rng.gen_index(6) as u64;
+            let name = rng.gen_index(names) as u32;
+            let ctx = || format!("capacity {capacity} seed {seed} step {step}");
+            match rng.gen_index(100) {
+                0..=64 => {
+                    let face = rng.gen_index(2 * INLINE) as Port;
+                    let nonce = rng.gen_index(3 * INLINE) as u64;
+                    let got = fast.record_interest(name, face, nonce, now);
+                    replays += usize::from(got == Ok(PitOutcome::DuplicateNonce));
+                    refused += usize::from(got.is_err());
+                    assert_eq!(got, model.record_interest(name, face, nonce, now), "{}", ctx());
+                }
+                65..=84 => {
+                    let got = fast.consume_classified(&name, now);
+                    if matches!(&got, PitConsume::Hit(faces) if faces.len() > INLINE) {
+                        spilled += 1;
+                    }
+                    assert_eq!(got, model.consume_classified(&name, now), "{}", ctx());
+                }
+                85..=94 => {
+                    assert_eq!(fast.contains(&name, now), model.contains(&name, now), "{}", ctx())
+                }
+                95..=96 => assert_eq!(fast.expire(now), model.expire(now), "{}", ctx()),
+                // A clone carries the inline and the spilled entries alike.
+                _ => fast = fast.clone(),
+            }
+            assert_eq!(fast.len(), model.entries.len(), "{}", ctx());
+            assert_eq!(fast.expired_evictions(), model.evictions, "{}", ctx());
+            assert_eq!(view(&fast), model.view(), "{}", ctx());
+        }
+        assert!(capacity == 0 || model.evictions > steps as u64 / 100, "the run exercised expiry");
+        [spilled, replays, refused]
+    }
+
+    #[test]
+    fn inline_pit_matches_the_heap_model_step_by_step() {
+        // 100 000 operations; capacity 0 refuses everything, 1 and 2 live
+        // at the budget, 16 holds a spread of inline and spilled entries.
+        let mut seen = [0; 3];
+        for (capacity, steps) in [(0, 2_000), (1, 30_000), (2, 38_000), (16, 30_000)] {
+            let counts = drive(capacity, steps, 0x917 + capacity as u64);
+            seen = [seen[0] + counts[0], seen[1] + counts[1], seen[2] + counts[2]];
+        }
+        let [spilled, replays, refused] = seen;
+        assert!(
+            spilled > 100 && replays > 1_000 && refused > 1_000,
+            "spills {spilled}, replays {replays}, refusals {refused}: each must be exercised"
+        );
     }
 }
