@@ -21,6 +21,7 @@
 use dip_bench::JsonLine;
 use dip_core::DipRouter;
 use dip_dataplane::{Backpressure, Dataplane, DataplaneConfig};
+use dip_fnops::RouteStore;
 use dip_protocols::ip;
 use dip_tables::fib::NextHop;
 use dip_telemetry::Snapshot;
@@ -31,7 +32,9 @@ const WORKERS: [usize; 3] = [1, 2, 4];
 
 fn factory(i: usize) -> DipRouter {
     let mut r = DipRouter::new(i as u64, [0x42; 16]);
-    r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+    let mut routes = RouteStore::new();
+    routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+    r.state_mut().routes = routes.rebuild();
     r
 }
 

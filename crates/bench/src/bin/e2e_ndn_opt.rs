@@ -6,6 +6,7 @@
 //! repeats the NDN+OPT run with an on-path tamperer to show detection.
 
 use dip_bench::summarize;
+use dip_fnops::RouteStore;
 use dip_protocols::opt::OptSession;
 use dip_sim::engine::{Host, Network};
 use dip_sim::topology::chain;
@@ -59,11 +60,14 @@ fn run(secure: bool, tamper: bool) -> RunResult {
     let secrets = router_secrets.clone();
     let (consumer_id, routers, _producer_id) =
         chain(&mut net, N_ROUTERS, consumer, producer, |i| secrets[i], LINK_NS);
+    let mut routes = RouteStore::new();
+    for i in 0..N_ITEMS {
+        routes.insert_name(&content_name(i), NextHop::port(1));
+    }
+    let tables = routes.rebuild();
     for (idx, &r) in routers.iter().enumerate() {
         let rt = net.router_mut(r).expect("router node");
-        for i in 0..N_ITEMS {
-            rt.state_mut().name_fib.add_route(&content_name(i), NextHop::port(1));
-        }
+        rt.state_mut().routes = tables.clone();
         // Optional tamperer: the middle router flips payload bytes by
         // corrupting its producer-side link.
         let _ = idx;

@@ -16,7 +16,7 @@
 
 use dip_core::{DipRouter, Verdict};
 use dip_fnops::ops::pass::{issue_label, PASS_FIELD_BITS};
-use dip_fnops::DropReason;
+use dip_fnops::{DropReason, RouteStore};
 use dip_tables::fib::NextHop;
 use dip_wire::ndn::Name;
 use dip_wire::packet::DipRepr;
@@ -79,9 +79,11 @@ fn fresh_router(defended: bool) -> DipRouter {
     let mut r = DipRouter::new(1, [0x11; 16]);
     r.state_mut().enable_content_store(256);
     r.state_mut().require_pass_for_cache = defended;
+    let mut routes = RouteStore::new();
     for i in 0..N_NAMES {
-        r.state_mut().name_fib.add_route(&victim_name(i), NextHop::port(9));
+        routes.insert_name(&victim_name(i), NextHop::port(9));
     }
+    r.state_mut().routes = routes.rebuild();
     r
 }
 

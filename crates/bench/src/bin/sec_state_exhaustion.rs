@@ -11,7 +11,7 @@
 
 use dip_core::budget::ProcessingBudget;
 use dip_core::{DipRouter, Verdict};
-use dip_fnops::DropReason;
+use dip_fnops::{DropReason, RouteStore};
 use dip_tables::fib::NextHop;
 use dip_wire::ndn::Name;
 use dip_wire::packet::DipRepr;
@@ -31,8 +31,10 @@ fn interest_flood() {
     println!("E9a — interest flood vs PIT budget (capacity {PIT_CAPACITY}, ttl {PIT_TTL} ns)\n");
     let mut r = DipRouter::new(1, [1; 16]);
     r.state_mut().pit = dip_tables::Pit::new(PIT_CAPACITY, PIT_TTL);
-    r.state_mut().name_fib.add_route(&Name::parse("/attack"), NextHop::port(9));
-    r.state_mut().name_fib.add_route(&Name::parse("/honest"), NextHop::port(9));
+    let mut routes = RouteStore::new();
+    routes.insert_name(&Name::parse("/attack"), NextHop::port(9));
+    routes.insert_name(&Name::parse("/honest"), NextHop::port(9));
+    r.state_mut().routes = routes.rebuild();
 
     // Attacker: FLOOD distinct full-name interests under /attack.
     let mut accepted = 0;

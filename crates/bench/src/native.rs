@@ -3,9 +3,10 @@
 //! These are the "forwarding times of IPv4 and IPv6 packets" the paper
 //! measures against: parse the legacy header, decrement TTL/hop limit
 //! (updating the IPv4 checksum), and look up the destination — no DIP
-//! machinery involved.
+//! machinery involved. The lookup is the same compiled table a DIP
+//! router uses, so the comparison isolates the DIP pipeline.
 
-use dip_tables::fib::{Ipv4Fib, Ipv6Fib};
+use dip_fnops::RouteTables;
 use dip_tables::Port;
 use dip_wire::checksum;
 use dip_wire::ipv4::{Ipv4Addr, Ipv4Repr, IPV4_HEADER_LEN};
@@ -13,7 +14,7 @@ use dip_wire::ipv6::{Ipv6Addr, Ipv6Repr};
 
 /// One native IPv4 forwarding step. Returns the egress port, or `None` on
 /// drop (bad packet, TTL expiry, no route).
-pub fn native_ipv4_forward(buf: &mut [u8], fib: &Ipv4Fib) -> Option<Port> {
+pub fn native_ipv4_forward(buf: &mut [u8], fib: &RouteTables) -> Option<Port> {
     let repr = Ipv4Repr::parse(buf).ok()?;
     if repr.ttl <= 1 {
         return None;
@@ -23,17 +24,17 @@ pub fn native_ipv4_forward(buf: &mut [u8], fib: &Ipv4Fib) -> Option<Port> {
     buf[10..12].fill(0);
     let ck = checksum::internet_checksum(&buf[..IPV4_HEADER_LEN]);
     buf[10..12].copy_from_slice(&ck.to_be_bytes());
-    fib.lookup(repr.dst).map(|nh| nh.port)
+    fib.lookup_v4(repr.dst).map(|nh| nh.port)
 }
 
 /// One native IPv6 forwarding step.
-pub fn native_ipv6_forward(buf: &mut [u8], fib: &Ipv6Fib) -> Option<Port> {
+pub fn native_ipv6_forward(buf: &mut [u8], fib: &RouteTables) -> Option<Port> {
     let repr = Ipv6Repr::parse(buf).ok()?;
     if repr.hop_limit <= 1 {
         return None;
     }
     buf[7] = repr.hop_limit - 1;
-    fib.lookup(repr.dst).map(|nh| nh.port)
+    fib.lookup_v6(repr.dst).map(|nh| nh.port)
 }
 
 /// Builds a native IPv4 packet of exactly `total_len` bytes to `dst`.
@@ -57,12 +58,14 @@ pub fn ipv6_packet(dst: Ipv6Addr, src: Ipv6Addr, total_len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dip_fnops::RouteStore;
     use dip_tables::fib::NextHop;
 
     #[test]
     fn v4_forwarding_decrements_ttl_and_fixes_checksum() {
-        let mut fib = Ipv4Fib::new();
-        fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        let fib = routes.rebuild();
         let mut pkt = ipv4_packet(Ipv4Addr::new(10, 1, 1, 1), Ipv4Addr::new(1, 1, 1, 1), 128);
         assert_eq!(native_ipv4_forward(&mut pkt, &fib), Some(3));
         assert_eq!(pkt[8], 63);
@@ -72,7 +75,7 @@ mod tests {
 
     #[test]
     fn v4_ttl_expiry_drops() {
-        let fib = Ipv4Fib::new();
+        let fib = RouteTables::default();
         let mut pkt = ipv4_packet(Ipv4Addr::new(10, 1, 1, 1), Ipv4Addr::new(1, 1, 1, 1), 64);
         pkt[8] = 1;
         // Fix checksum for the modified TTL.
@@ -84,9 +87,9 @@ mod tests {
 
     #[test]
     fn v6_forwarding() {
-        let mut fib = Ipv6Fib::new();
-        let prefix = Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]);
-        fib.add_route(prefix, 16, NextHop::port(9));
+        let mut routes = RouteStore::new();
+        routes.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(9));
+        let fib = routes.rebuild();
         let mut pkt = ipv6_packet(
             Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 7]),
             Ipv6Addr::new([0xfd00, 0, 0, 0, 0, 0, 0, 1]),
@@ -98,7 +101,7 @@ mod tests {
 
     #[test]
     fn no_route_drops() {
-        let fib = Ipv4Fib::new();
+        let fib = RouteTables::default();
         let mut pkt = ipv4_packet(Ipv4Addr::new(10, 1, 1, 1), Ipv4Addr::new(1, 1, 1, 1), 64);
         assert_eq!(native_ipv4_forward(&mut pkt, &fib), None);
     }

@@ -9,10 +9,10 @@
 
 use dip_core::{DipRouter, ProcessStats, Verdict};
 use dip_fnops::context::MacChoice;
-use dip_fnops::OpCost;
+use dip_fnops::{OpCost, RouteStore, RouteTables};
 use dip_protocols::opt::OptSession;
 use dip_protocols::{ip, ndn, ndn_opt};
-use dip_tables::fib::{Ipv4Fib, Ipv6Fib, NextHop};
+use dip_tables::fib::NextHop;
 use dip_tables::Ticks;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
@@ -88,8 +88,8 @@ pub fn native_stats() -> ProcessStats {
 
 enum Engine {
     Dip(Box<DipRouter>),
-    V4(Ipv4Fib),
-    V6(Ipv6Fib),
+    V4(RouteTables),
+    V6(RouteTables),
 }
 
 /// A ready-to-run Figure-2 measurement series.
@@ -118,29 +118,27 @@ impl Workload {
         let src6 = Ipv6Addr::new([0xfd00, 0, 0, 0, 0, 0, 0, 1]);
         let session = OptSession::establish([0x5a; 16], &[7; 16], &[ROUTER_SECRET]);
 
+        // One table for every series: the native baselines look up in the
+        // same compiled LPM the DIP router does.
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+        routes.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(1));
+        routes.insert_name(&name, NextHop::port(1));
+        let tables = routes.rebuild();
+
         let mut router = DipRouter::new(1, ROUTER_SECRET);
         router.config_mut().default_port = Some(1);
-        router.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-        router.state_mut().ipv6_fib.add_route(
-            Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]),
-            16,
-            NextHop::port(1),
-        );
-        router.state_mut().name_fib.add_route(&name, NextHop::port(1));
+        router.state_mut().routes = tables.clone();
         // Short-TTL PIT: each benchmark round sees a fresh (expired) slot,
         // so every interest measures the full insert + FIB path.
         router.state_mut().pit = dip_tables::Pit::new(1 << 20, 1);
 
         let (engine, template) = match protocol {
             Protocol::Ipv4Native => {
-                let mut fib = Ipv4Fib::new();
-                fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-                (Engine::V4(fib), crate::native::ipv4_packet(dst4, src4, size))
+                (Engine::V4(tables), crate::native::ipv4_packet(dst4, src4, size))
             }
             Protocol::Ipv6Native => {
-                let mut fib = Ipv6Fib::new();
-                fib.add_route(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(1));
-                (Engine::V6(fib), crate::native::ipv6_packet(dst6, src6, size))
+                (Engine::V6(tables), crate::native::ipv6_packet(dst6, src6, size))
             }
             Protocol::Dip32 => (
                 Engine::Dip(Box::new(router)),

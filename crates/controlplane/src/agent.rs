@@ -730,7 +730,7 @@ mod tests {
         let tick = a.tick(100_000);
         let snap = tick.snapshot.expect("dirty after adjacency change");
         assert_eq!(
-            snap.lookup_v4(Ipv4Addr::new(10, 9, 9, 9)),
+            snap.tables.lookup_v4(Ipv4Addr::new(10, 9, 9, 9)),
             Some(NextHop::port(0)),
             "remote prefix routes out the adjacency port"
         );
@@ -742,7 +742,7 @@ mod tests {
         a.announce_v4(Ipv4Addr::new(192, 168, 0, 0), 16, 7);
         let tick = a.tick(1);
         let snap = tick.snapshot.expect("initially dirty");
-        assert_eq!(snap.lookup_v4(Ipv4Addr::new(192, 168, 1, 1)), Some(NextHop::port(7)));
+        assert_eq!(snap.tables.lookup_v4(Ipv4Addr::new(192, 168, 1, 1)), Some(NextHop::port(7)));
     }
 
     #[test]
@@ -759,8 +759,10 @@ mod tests {
             a.announce_v4(Ipv4Addr::new(172, 16 + i, 0, 0), 16, 2);
             let tick = a.tick(50_000 * (u64::from(i) + 1) + 1);
             let snap = tick.snapshot.expect("announcement dirties the view");
-            assert_eq!(snap.lookup_v4(Ipv4Addr::new(172, 16 + i, 1, 1)), Some(NextHop::port(2)));
-            assert!(snap.ipv4_fib.is_empty(), "compiled snapshots leave legacy FIBs empty");
+            assert_eq!(
+                snap.tables.lookup_v4(Ipv4Addr::new(172, 16 + i, 1, 1)),
+                Some(NextHop::port(2))
+            );
         }
         let stats = a.route_stats();
         assert_eq!(stats.full_rebuilds, 1, "no recompile fell back to a rebuild");

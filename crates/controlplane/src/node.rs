@@ -296,7 +296,7 @@ mod tests {
             "snapshot installed into the wrapped router"
         );
         assert_eq!(mirror.epoch(), 1, "mirror cell published");
-        assert!(mirror.reader().get().lookup_v4(Ipv4Addr::new(10, 1, 1, 1)).is_some());
+        assert!(mirror.reader().get().tables.lookup_v4(Ipv4Addr::new(10, 1, 1, 1)).is_some());
     }
 
     #[test]

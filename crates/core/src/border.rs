@@ -92,6 +92,7 @@ pub fn decap_ipv4(dip_packet: &[u8]) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dip_fnops::RouteStore;
     use dip_wire::ipv4::Ipv4Addr;
     use dip_wire::ipv6::Ipv6Addr;
 
@@ -121,11 +122,9 @@ mod tests {
         let dip = encap_ipv6(&v6_packet()).unwrap();
         let mut router =
             crate::router::DipRouter::new(1, [0; 16]).with_registry(FnRegistry::standard());
-        router.state_mut().ipv6_fib.add_route(
-            Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]),
-            16,
-            NextHop::port(5),
-        );
+        let mut routes = RouteStore::new();
+        routes.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(5));
+        router.state_mut().routes = routes.rebuild();
         let mut buf = dip.clone();
         let (verdict, _) = router.process(&mut buf, 0, 0);
         assert_eq!(verdict, crate::router::Verdict::Forward(vec![5]));

@@ -138,13 +138,17 @@ pub struct ProcessStats {
 ///
 /// ```
 /// use dip_core::{DipRouter, Verdict};
+/// use dip_fnops::RouteStore;
 /// use dip_tables::fib::NextHop;
 /// use dip_wire::ipv4::Ipv4Addr;
 /// use dip_wire::packet::DipRepr;
 /// use dip_wire::triple::{FnKey, FnTriple};
 ///
+/// // Routes go into a store, which compiles the tables the router reads.
+/// let mut routes = RouteStore::new();
+/// routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
 /// let mut router = DipRouter::new(1, [7; 16]);
-/// router.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+/// router.state_mut().routes = routes.rebuild();
 ///
 /// // The §3 DIP-32 header: dst || src in the locations, two FN triples.
 /// let repr = DipRepr {
@@ -505,6 +509,7 @@ impl std::fmt::Debug for DipRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dip_fnops::RouteStore;
     use dip_tables::fib::NextHop;
     use dip_wire::ipv4::Ipv4Addr;
     use dip_wire::packet::DipRepr;
@@ -528,7 +533,9 @@ mod tests {
     #[test]
     fn dip32_forwarding_end_to_end() {
         let mut r = DipRouter::new(1, [1; 16]);
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        r.state_mut().routes = routes.rebuild();
         let mut pkt = dip32_packet([10, 1, 2, 3], [192, 168, 0, 1]);
         let (verdict, stats) = r.process(&mut pkt, 0, 0);
         assert_eq!(verdict, Verdict::Forward(vec![3]));
@@ -626,7 +633,9 @@ mod tests {
     #[test]
     fn budget_exceeded_drops() {
         let mut r = DipRouter::new(1, [1; 16]);
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        r.state_mut().routes = routes.rebuild();
         r.config_mut().budget = ProcessingBudget { max_fns: 1, ..ProcessingBudget::unlimited() };
         let mut pkt = dip32_packet([10, 1, 2, 3], [0; 4]);
         let (verdict, _) = r.process(&mut pkt, 0, 0);
@@ -637,8 +646,10 @@ mod tests {
     fn first_decision_is_sticky() {
         // Two match FNs pointing at different FIB entries: the first wins.
         let mut r = DipRouter::new(1, [1; 16]);
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(20, 0, 0, 0), 8, NextHop::port(2));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+        routes.insert_v4(Ipv4Addr::new(20, 0, 0, 0), 8, NextHop::port(2));
+        r.state_mut().routes = routes.rebuild();
         let mut locations = vec![10, 0, 0, 1];
         locations.extend_from_slice(&[20, 0, 0, 1]);
         let repr = DipRepr {
@@ -669,7 +680,9 @@ mod tests {
         let registry = dip_telemetry::Registry::new();
         let mut r = DipRouter::new(1, [1; 16]);
         r.attach_metrics(&registry, &[("node", "1")]);
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        r.state_mut().routes = routes.rebuild();
 
         let mut routed = dip32_packet([10, 1, 2, 3], [192, 168, 0, 1]);
         assert_eq!(r.process(&mut routed, 0, 0).0, Verdict::Forward(vec![3]));
@@ -755,11 +768,9 @@ mod tests {
         let build = |optimize: bool| {
             let mut r = DipRouter::new(1, [1; 16]);
             r.config_mut().optimize = optimize;
-            r.state_mut().xia.add_route(
-                XidType::Cid,
-                Xid::derive(b"the-content"),
-                XiaNextHop::Port(4),
-            );
+            let mut routes = RouteStore::new();
+            routes.insert_xia(XidType::Cid, Xid::derive(b"the-content"), XiaNextHop::Port(4));
+            r.state_mut().routes = routes.rebuild();
             r
         };
         let mut plain_buf = repr.to_bytes(&[]).unwrap();
@@ -787,7 +798,9 @@ mod tests {
         for case in dip_verify::optimization_corpus() {
             let make = || {
                 let mut r = DipRouter::new(9, [0x5a; 16]);
-                r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+                let mut routes = RouteStore::new();
+                routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+                r.state_mut().routes = routes.rebuild();
                 r
             };
             let report = crate::equiv::differential_smoke(
@@ -806,7 +819,9 @@ mod tests {
     #[test]
     fn plan_depth_reported_for_parallel_packets() {
         let mut r = DipRouter::new(1, [1; 16]);
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+        r.state_mut().routes = routes.rebuild();
         let mut locations = vec![10, 0, 0, 1];
         locations.extend_from_slice(&[1, 2, 3, 4]);
         let mut repr = DipRepr {

@@ -135,13 +135,16 @@ impl RouterNode for DataplaneRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dip_routes::RouteStore;
     use dip_tables::fib::NextHop;
     use dip_wire::ipv4::Ipv4Addr;
 
     fn factory(i: usize) -> DipRouter {
         let mut r = DipRouter::new(0, [7; 16]); // identical identity per shard
         let _ = i;
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        r.state_mut().routes = routes.rebuild();
         r
     }
 
@@ -175,9 +178,12 @@ mod tests {
 
         let name = Name::parse("/dataplane/demo");
         let mut net = Network::new(42);
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(1));
+        let tables = routes.rebuild();
         let node = DataplaneRouter::new(4, Admission::Lint, |_| {
             let mut r = DipRouter::new(0, [9; 16]);
-            r.state_mut().name_fib.add_route(&name, NextHop::port(1));
+            r.state_mut().routes = tables.clone();
             r
         });
         let r0 = net.add_router_node(Box::new(node));

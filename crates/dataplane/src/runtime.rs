@@ -824,12 +824,20 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dip_routes::RouteStore;
     use dip_tables::fib::NextHop;
     use dip_wire::ipv4::Ipv4Addr;
 
+    /// Tables with the one route `addr/8 -> port`.
+    fn slash8(addr: Ipv4Addr, port: u32) -> dip_routes::RouteTables {
+        let mut store = RouteStore::new();
+        store.insert_v4(addr, 8, NextHop::port(port));
+        store.rebuild()
+    }
+
     fn factory(i: usize) -> DipRouter {
         let mut r = DipRouter::new(i as u64, [0x42; 16]);
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+        r.state_mut().routes = slash8(Ipv4Addr::new(10, 0, 0, 0), 1);
         r
     }
 
@@ -951,9 +959,7 @@ mod tests {
             std::thread::yield_now();
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let mut snap = RouteSnapshot::default();
-        snap.ipv4_fib.add_route(Ipv4Addr::new(99, 0, 0, 0), 8, NextHop::port(7));
-        dp.publish_routes(snap);
+        dp.publish_routes(RouteSnapshot::from_tables(slash8(Ipv4Addr::new(99, 0, 0, 0), 7)));
         dp.submit(unrouted, 0, 1);
         let report = dp.shutdown();
         let merged = report.sorted_outcomes();
@@ -970,9 +976,7 @@ mod tests {
         // never applied. One publish, no retry: the worker must pick it up.
         let config = DataplaneConfig { record_outcomes: true, ..Default::default() };
         let mut dp = Dataplane::start(config, |i| DipRouter::new(i as u64, [1; 16]));
-        let mut snap = RouteSnapshot::default();
-        snap.ipv4_fib.add_route(Ipv4Addr::new(99, 0, 0, 0), 8, NextHop::port(7));
-        dp.publish_routes(snap);
+        dp.publish_routes(RouteSnapshot::from_tables(slash8(Ipv4Addr::new(99, 0, 0, 0), 7)));
         let deadline = Instant::now() + Duration::from_secs(10);
         while dp.metrics_snapshot().get("dip_worker_epoch_refreshes_total") == 0 {
             assert!(Instant::now() < deadline, "the only publication was never picked up");

@@ -13,7 +13,7 @@
 use dip_wire::DipPacket;
 
 /// How many locations bytes participate in the hash (covers every paper
-/// protocol's flow identity; matches the `ShardedRouter` precedent).
+/// protocol's flow identity — an IPv6 destination + source is 32 bytes).
 const HASH_PREFIX: usize = 64;
 
 /// FNV-1a over the flow-identifying prefix of the FN locations area.

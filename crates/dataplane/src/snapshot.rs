@@ -21,105 +21,36 @@
 use dip_fnops::RouterState;
 use dip_routes::RouteTables;
 use dip_tables::content_store::ContentStore;
-use dip_tables::fib::{Ipv4Fib, Ipv6Fib, NameFib};
 use dip_tables::pit::Pit;
-use dip_tables::xia_table::XiaRouteTable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A complete control-plane view of one router's tables.
 #[derive(Debug, Clone, Default)]
 pub struct RouteSnapshot {
-    /// 32-bit address FIB.
-    pub ipv4_fib: Ipv4Fib,
-    /// 128-bit address FIB.
-    pub ipv6_fib: Ipv6Fib,
-    /// Name FIB (the NDN name trie).
-    pub name_fib: NameFib,
-    /// XIA per-principal routing tables.
-    pub xia: XiaRouteTable,
+    /// The forwarding tables (`dip-routes`), installed whole. Cloning is
+    /// `Arc` bumps, so delta-produced snapshots share every untouched
+    /// chunk with their predecessor.
+    pub tables: RouteTables,
     /// When set, *replaces* the worker's content store (cache preload or
     /// post-poisoning reset). `None` preserves the worker's cache.
     pub content_store: Option<ContentStore<u32, Vec<u8>>>,
     /// When set, *replaces* the worker's PIT (explicit reset only —
     /// discards in-flight interests). `None` preserves flow state.
     pub pit: Option<Pit<u32>>,
-    /// Compiled forwarding tables (`dip-routes`). `Some` installs them
-    /// (lookup ops then prefer the compiled tables over the legacy FIBs
-    /// above); `None` uninstalls, falling back to the legacy FIBs.
-    /// Cloning is `Arc` bumps, so delta-produced snapshots share every
-    /// untouched chunk with their predecessor.
-    pub tables: Option<RouteTables>,
 }
 
 impl RouteSnapshot {
-    /// Captures the route tables of `state` (flow state left out).
-    pub fn capture(state: &RouterState) -> Self {
-        RouteSnapshot {
-            ipv4_fib: state.ipv4_fib.clone(),
-            ipv6_fib: state.ipv6_fib.clone(),
-            name_fib: state.name_fib.clone(),
-            xia: state.xia.clone(),
-            content_store: None,
-            pit: None,
-            tables: state.compiled.clone(),
-        }
-    }
-
-    /// A snapshot carrying *only* compiled tables: the legacy FIB fields
-    /// stay empty (lookups never reach them while compiled tables are
-    /// installed), so publication cost is a handful of `Arc` bumps no
-    /// matter how many routes the tables hold.
+    /// A snapshot carrying only route tables: publication cost is a
+    /// handful of `Arc` bumps no matter how many routes they hold.
     pub fn from_tables(tables: RouteTables) -> Self {
-        RouteSnapshot { tables: Some(tables), ..RouteSnapshot::default() }
-    }
-
-    /// IPv4 LPM over whichever view this snapshot carries (compiled
-    /// tables win; legacy FIB otherwise) — mirrors what a worker state
-    /// answers after [`RouteSnapshot::apply`].
-    pub fn lookup_v4(&self, addr: dip_wire::ipv4::Ipv4Addr) -> Option<dip_tables::fib::NextHop> {
-        match &self.tables {
-            Some(t) => t.lookup_v4(addr),
-            None => self.ipv4_fib.lookup(addr),
-        }
-    }
-
-    /// IPv6 LPM (compiled tables win; legacy FIB otherwise).
-    pub fn lookup_v6(&self, addr: dip_wire::ipv6::Ipv6Addr) -> Option<dip_tables::fib::NextHop> {
-        match &self.tables {
-            Some(t) => t.lookup_v6(addr),
-            None => self.ipv6_fib.lookup(addr),
-        }
-    }
-
-    /// Name LPM (compiled tables win; legacy FIB otherwise).
-    pub fn lookup_name(&self, name: &dip_wire::ndn::Name) -> Option<dip_tables::fib::NextHop> {
-        match &self.tables {
-            Some(t) => t.lookup_name(name),
-            None => self.name_fib.lookup(name),
-        }
-    }
-
-    /// XIA lookup (compiled tables win; legacy tables otherwise).
-    pub fn lookup_xia(
-        &self,
-        ty: dip_wire::xia::XidType,
-        xid: &dip_wire::xia::Xid,
-    ) -> Option<dip_tables::xia_table::XiaNextHop> {
-        match &self.tables {
-            Some(t) => t.lookup_xia(ty, xid),
-            None => self.xia.lookup(ty, xid),
-        }
+        RouteSnapshot { tables, ..RouteSnapshot::default() }
     }
 
     /// Installs this snapshot into a worker's state: route tables are
     /// replaced; PIT/content-store only when explicitly carried.
     pub fn apply(&self, state: &mut RouterState) {
-        state.ipv4_fib = self.ipv4_fib.clone();
-        state.ipv6_fib = self.ipv6_fib.clone();
-        state.name_fib = self.name_fib.clone();
-        state.xia = self.xia.clone();
-        state.compiled = self.tables.clone();
+        state.routes = self.tables.clone();
         // Replacement tables keep counting where the worker's own did: a
         // clone left on the snapshot's counters would go quiet in the
         // registry the worker was wired to.
@@ -244,10 +175,11 @@ mod tests {
     fn snapshot_apply_preserves_flow_state_by_default() {
         let mut state = RouterState::new(7, [1; 16]);
         state.pit.record_interest(42, 3, 9, 0).unwrap();
-        let mut snap = RouteSnapshot::default();
-        snap.ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(5));
+        let mut store = dip_routes::RouteStore::new();
+        store.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(5));
+        let mut snap = RouteSnapshot::from_tables(store.rebuild());
         snap.apply(&mut state);
-        assert_eq!(state.ipv4_fib.lookup(Ipv4Addr::new(10, 1, 2, 3)), Some(NextHop::port(5)));
+        assert_eq!(state.lookup_v4(Ipv4Addr::new(10, 1, 2, 3)), Some(NextHop::port(5)));
         assert!(state.pit.contains(&42, 10), "route swap must not drop in-flight interests");
 
         // An explicit PIT reset does replace flow state.
@@ -284,31 +216,20 @@ mod tests {
     }
 
     #[test]
-    fn tables_only_snapshot_installs_and_uninstalls() {
+    fn each_snapshot_replaces_the_whole_table() {
         let mut store = dip_routes::RouteStore::new();
         store.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(7));
-        let snap = RouteSnapshot::from_tables(store.rebuild());
-        assert!(snap.ipv4_fib.is_empty(), "tables-only snapshots leave legacy FIBs empty");
-
+        let first = RouteSnapshot::from_tables(store.rebuild());
         let mut state = RouterState::new(3, [0; 16]);
-        state.ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-        snap.apply(&mut state);
+        first.apply(&mut state);
         assert_eq!(state.lookup_v4(Ipv4Addr::new(10, 1, 2, 3)), Some(NextHop::port(7)));
 
-        // A legacy (tables: None) snapshot uninstalls the compiled view.
-        let mut legacy = RouteSnapshot::default();
-        legacy.ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(2));
-        legacy.apply(&mut state);
+        // The next version routes elsewhere; an empty one routes nothing.
+        let mut delta = dip_routes::RouteDelta::new();
+        delta.announce_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(2));
+        RouteSnapshot::from_tables(store.commit(&delta)).apply(&mut state);
         assert_eq!(state.lookup_v4(Ipv4Addr::new(10, 1, 2, 3)), Some(NextHop::port(2)));
-    }
-
-    #[test]
-    fn capture_round_trips_route_tables() {
-        let mut state = RouterState::new(1, [2; 16]);
-        state.ipv4_fib.add_route(Ipv4Addr::new(192, 168, 0, 0), 16, NextHop::port(2));
-        let snap = RouteSnapshot::capture(&state);
-        let mut fresh = RouterState::new(2, [3; 16]);
-        snap.apply(&mut fresh);
-        assert_eq!(fresh.ipv4_fib.lookup(Ipv4Addr::new(192, 168, 9, 9)), Some(NextHop::port(2)));
+        RouteSnapshot::default().apply(&mut state);
+        assert_eq!(state.lookup_v4(Ipv4Addr::new(10, 1, 2, 3)), None);
     }
 }

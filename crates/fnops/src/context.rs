@@ -3,9 +3,7 @@
 use dip_crypto::Block;
 use dip_routes::RouteTables;
 use dip_tables::fib::NextHop;
-use dip_tables::{
-    ContentStore, Ipv4Fib, Ipv6Fib, NameFib, Pit, Port, Ticks, XiaNextHop, XiaRouteTable,
-};
+use dip_tables::{ContentStore, Pit, Port, Ticks, XiaNextHop};
 use dip_telemetry::Counter;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
@@ -33,25 +31,19 @@ pub struct RouterState {
     pub local_secret: Block,
     /// The AS-level secret used by `F_pass` source labels.
     pub as_secret: Block,
-    /// 32-bit address FIB (`F_32_match`).
-    pub ipv4_fib: Ipv4Fib,
-    /// 128-bit address FIB (`F_128_match`).
-    pub ipv6_fib: Ipv6Fib,
-    /// Name FIB (`F_FIB`).
-    pub name_fib: NameFib,
+    /// The forwarding tables every lookup op answers from: IPv4/IPv6 LPM
+    /// (`F_32_match`/`F_128_match`), the name FIB (`F_FIB`) and the XIA
+    /// per-principal tables (`F_DAG`/`F_intent`). Built by a
+    /// [`RouteStore`](dip_routes::RouteStore) and installed whole —
+    /// `state.routes = store.rebuild()` — or swapped in by a route
+    /// snapshot at an epoch boundary. Empty tables answer `None`.
+    pub routes: RouteTables,
     /// Pending interest table (`F_PIT`), keyed by compact 32-bit names as in
     /// the prototype dataplane.
     pub pit: Pit<u32>,
     /// Optional content store (footnote 2); `None` reproduces the paper's
     /// prototype ("the router has no cached data").
     pub content_store: Option<ContentStore<u32, Vec<u8>>>,
-    /// XIA per-principal routing tables (`F_DAG`/`F_intent`).
-    pub xia: XiaRouteTable,
-    /// Compiled forwarding tables (`dip-routes`). When present, every
-    /// lookup op prefers these over the per-family FIBs above — this is
-    /// how the dataplane swaps a million-route table in one epoch
-    /// without rebuilding the legacy structures.
-    pub compiled: Option<RouteTables>,
     /// Cipher backing the authentication operations.
     pub mac_choice: MacChoice,
     /// When `true`, `F_PIT` refuses to cache data that does not carry a
@@ -115,13 +107,9 @@ impl RouterState {
             node_id,
             local_secret,
             as_secret: local_secret,
-            ipv4_fib: Ipv4Fib::new(),
-            ipv6_fib: Ipv6Fib::new(),
-            name_fib: NameFib::new(),
+            routes: RouteTables::default(),
             pit: Pit::new(65_536, 4_000_000_000), // 4s at ns ticks
             content_store: None,
-            xia: XiaRouteTable::new(),
-            compiled: None,
             mac_choice: MacChoice::TwoRoundEm,
             require_pass_for_cache: false,
             ext: Extensions::default(),
@@ -158,47 +146,29 @@ impl RouterState {
         self.cs_evictions = counter;
     }
 
-    /// IPv4 LPM: compiled tables when installed, else the legacy FIB.
+    /// IPv4 LPM (`F_32_match`).
     pub fn lookup_v4(&self, addr: Ipv4Addr) -> Option<NextHop> {
-        match &self.compiled {
-            Some(t) => t.lookup_v4(addr),
-            None => self.ipv4_fib.lookup(addr),
-        }
+        self.routes.lookup_v4(addr)
     }
 
-    /// IPv6 LPM: compiled tables when installed, else the legacy FIB.
+    /// IPv6 LPM (`F_128_match`).
     pub fn lookup_v6(&self, addr: Ipv6Addr) -> Option<NextHop> {
-        match &self.compiled {
-            Some(t) => t.lookup_v6(addr),
-            None => self.ipv6_fib.lookup(addr),
-        }
+        self.routes.lookup_v6(addr)
     }
 
-    /// Hierarchical name LPM: compiled tables when installed, else the
-    /// legacy name FIB.
+    /// Hierarchical name LPM.
     pub fn lookup_name(&self, name: &Name) -> Option<NextHop> {
-        match &self.compiled {
-            Some(t) => t.lookup_name(name),
-            None => self.name_fib.lookup(name),
-        }
+        self.routes.lookup_name(name)
     }
 
-    /// Compact 32-bit name match: compiled tables when installed, else
-    /// the legacy name FIB.
+    /// Compact 32-bit name match (`F_FIB` on the prototype's wire form).
     pub fn lookup_name_compact(&self, compact: u32) -> Option<NextHop> {
-        match &self.compiled {
-            Some(t) => t.lookup_name_compact(compact),
-            None => self.name_fib.lookup_compact(compact),
-        }
+        self.routes.lookup_name_compact(compact)
     }
 
-    /// XIA per-principal lookup: compiled tables when installed, else
-    /// the legacy route table.
+    /// XIA per-principal lookup (`F_intent`).
     pub fn lookup_xia(&self, ty: XidType, xid: &Xid) -> Option<XiaNextHop> {
-        match &self.compiled {
-            Some(t) => t.lookup_xia(ty, xid),
-            None => self.xia.lookup(ty, xid),
-        }
+        self.routes.lookup_xia(ty, xid)
     }
 }
 
@@ -206,11 +176,9 @@ impl std::fmt::Debug for RouterState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterState")
             .field("node_id", &self.node_id)
-            .field("ipv4_routes", &self.ipv4_fib.len())
-            .field("ipv6_routes", &self.ipv6_fib.len())
-            .field("name_routes", &self.name_fib.len())
+            .field("routes", &self.routes.route_count())
+            .field("routes_version", &self.routes.version)
             .field("pit_entries", &self.pit.len())
-            .field("compiled_version", &self.compiled.as_ref().map(|t| t.version))
             .field("mac_choice", &self.mac_choice)
             .finish_non_exhaustive()
     }
@@ -379,21 +347,21 @@ mod tests {
     }
 
     #[test]
-    fn compiled_tables_override_legacy_fibs() {
+    fn lookups_answer_from_the_installed_tables() {
         let mut s = RouterState::new(1, [0u8; 16]);
         let dst = Ipv4Addr::new(10, 1, 2, 3);
-        s.ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-        assert_eq!(s.lookup_v4(dst), Some(NextHop::port(1)));
+        assert_eq!(s.lookup_v4(dst), None, "a new router has no routes");
 
-        // Install a compiled table that routes the same prefix elsewhere:
-        // it must win, and uninstalling must fall back.
         let mut store = dip_routes::RouteStore::new();
         store.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(7));
-        s.compiled = Some(store.rebuild());
+        s.routes = store.rebuild();
         assert_eq!(s.lookup_v4(dst), Some(NextHop::port(7)));
-        // An empty compiled family means "no route", not "ask legacy".
+        // An empty family means "no route".
         assert_eq!(s.lookup_name_compact(42), None);
-        s.compiled = None;
-        assert_eq!(s.lookup_v4(dst), Some(NextHop::port(1)));
+        assert_eq!(s.lookup_xia(XidType::Cid, &Xid::derive(b"c")), None);
+
+        // Installing the next version replaces the whole table.
+        s.routes = dip_routes::RouteStore::new().rebuild();
+        assert_eq!(s.lookup_v4(dst), None);
     }
 }

@@ -44,6 +44,10 @@ pub mod registry;
 
 pub use context::{Action, DropReason, PacketCtx, RouterState};
 pub use cost::OpCost;
+/// `RouterState::routes` is a `RouteTables`; re-exported with the store
+/// that builds it so crates above this one install routes without their
+/// own dependency on `dip-routes`.
+pub use dip_routes::{RouteStore, RouteTables};
 pub use registry::FnRegistry;
 
 use dip_wire::triple::FnTriple;

@@ -101,7 +101,7 @@ impl FieldOp for FibOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::testutil::{ctx, state};
+    use crate::ops::testutil::{ctx, state, state_with};
     use dip_tables::fib::NextHop;
 
     fn interest_locs(name: &Name) -> Vec<u8> {
@@ -110,9 +110,8 @@ mod tests {
 
     #[test]
     fn interest_records_pit_and_forwards() {
-        let mut st = state();
         let name = Name::parse("hotnets.org");
-        st.name_fib.add_route(&name, NextHop::port(5));
+        let mut st = state_with(|r| r.insert_name(&name, NextHop::port(5)));
         let mut locs = interest_locs(&name);
         let mut c = ctx(&mut locs, &[]);
         let t = FnTriple::router(0, 32, FnKey::Fib);
@@ -133,9 +132,8 @@ mod tests {
 
     #[test]
     fn second_interest_aggregates() {
-        let mut st = state();
         let name = Name::parse("/a");
-        st.name_fib.add_route(&name, NextHop::port(5));
+        let mut st = state_with(|r| r.insert_name(&name, NextHop::port(5)));
         let t = FnTriple::router(0, 32, FnKey::Fib);
         let mut locs1 = interest_locs(&name);
         let mut c1 = ctx(&mut locs1, b"req1");
@@ -149,9 +147,8 @@ mod tests {
 
     #[test]
     fn looped_interest_dropped_as_duplicate() {
-        let mut st = state();
         let name = Name::parse("/a");
-        st.name_fib.add_route(&name, NextHop::port(5));
+        let mut st = state_with(|r| r.insert_name(&name, NextHop::port(5)));
         let t = FnTriple::router(0, 32, FnKey::Fib);
         let mut locs1 = interest_locs(&name);
         let mut c1 = ctx(&mut locs1, b"same");
@@ -181,8 +178,7 @@ mod tests {
 
     #[test]
     fn hierarchical_name_lpm() {
-        let mut st = state();
-        st.name_fib.add_route(&Name::parse("/hotnets"), NextHop::port(3));
+        let mut st = state_with(|r| r.insert_name(&Name::parse("/hotnets"), NextHop::port(3)));
         let full = Name::parse("/hotnets/org/paper7");
         let tlv = full.encode_tlv().unwrap();
         let bits = (tlv.len() * 8) as u16;
@@ -194,10 +190,11 @@ mod tests {
 
     #[test]
     fn pit_exhaustion_is_reported() {
-        let mut st = state();
+        let mut st = state_with(|r| {
+            r.insert_name(&Name::parse("/a"), NextHop::port(1));
+            r.insert_name(&Name::parse("/b"), NextHop::port(1));
+        });
         st.pit = dip_tables::Pit::new(1, 1_000_000);
-        st.name_fib.add_route(&Name::parse("/a"), NextHop::port(1));
-        st.name_fib.add_route(&Name::parse("/b"), NextHop::port(1));
         let t = FnTriple::router(0, 32, FnKey::Fib);
         let mut l1 = interest_locs(&Name::parse("/a"));
         let mut c1 = ctx(&mut l1, &[]);

@@ -108,7 +108,7 @@ impl FieldOp for IntentOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::testutil::{ctx, state};
+    use crate::ops::testutil::{ctx, state, state_with};
     use dip_wire::xia::{DagNode, Xid, XidType, NO_EDGE};
 
     fn xid(s: &str) -> Xid {
@@ -138,9 +138,10 @@ mod tests {
 
     #[test]
     fn intent_route_wins_over_fallback() {
-        let mut st = state();
-        st.xia.add_route(XidType::Cid, xid("content"), XiaNextHop::Port(5));
-        st.xia.add_route(XidType::Ad, xid("ad"), XiaNextHop::Port(9));
+        let mut st = state_with(|r| {
+            r.insert_xia(XidType::Cid, xid("content"), XiaNextHop::Port(5));
+            r.insert_xia(XidType::Ad, xid("ad"), XiaNextHop::Port(9));
+        });
         let (action, d) = run(&mut st, &dag());
         assert_eq!(action, Action::Forward(5));
         assert_eq!(d.last_visited, NO_EDGE); // no local advance happened
@@ -148,18 +149,18 @@ mod tests {
 
     #[test]
     fn falls_back_to_ad_when_intent_unknown() {
-        let mut st = state();
-        st.xia.add_route(XidType::Ad, xid("ad"), XiaNextHop::Port(9));
+        let mut st = state_with(|r| r.insert_xia(XidType::Ad, xid("ad"), XiaNextHop::Port(9)));
         let (action, _) = run(&mut st, &dag());
         assert_eq!(action, Action::Forward(9));
     }
 
     #[test]
     fn local_ad_advances_and_persists() {
-        let mut st = state();
         // We are the AD; the HID is reachable via port 2.
-        st.xia.add_route(XidType::Ad, xid("ad"), XiaNextHop::Local);
-        st.xia.add_route(XidType::Hid, xid("hid"), XiaNextHop::Port(2));
+        let mut st = state_with(|r| {
+            r.insert_xia(XidType::Ad, xid("ad"), XiaNextHop::Local);
+            r.insert_xia(XidType::Hid, xid("hid"), XiaNextHop::Port(2));
+        });
         let (action, d) = run(&mut st, &dag());
         assert_eq!(action, Action::Forward(2));
         // last_visited advanced to the AD node (index 1) and was persisted.
@@ -168,8 +169,7 @@ mod tests {
 
     #[test]
     fn local_sink_delivers() {
-        let mut st = state();
-        st.xia.add_route(XidType::Cid, xid("content"), XiaNextHop::Local);
+        let mut st = state_with(|r| r.insert_xia(XidType::Cid, xid("content"), XiaNextHop::Local));
         let (action, d) = run(&mut st, &dag());
         assert_eq!(action, Action::Deliver);
         assert_eq!(d.last_visited, 0);
@@ -177,12 +177,13 @@ mod tests {
 
     #[test]
     fn multi_step_local_walk() {
-        let mut st = state();
         // We are both the AD and the HID; content is local too: the whole
         // walk happens here and the packet is delivered.
-        st.xia.add_route(XidType::Ad, xid("ad"), XiaNextHop::Local);
-        st.xia.add_route(XidType::Hid, xid("hid"), XiaNextHop::Local);
-        st.xia.add_route(XidType::Cid, xid("content"), XiaNextHop::Local);
+        let mut st = state_with(|r| {
+            r.insert_xia(XidType::Ad, xid("ad"), XiaNextHop::Local);
+            r.insert_xia(XidType::Hid, xid("hid"), XiaNextHop::Local);
+            r.insert_xia(XidType::Cid, xid("content"), XiaNextHop::Local);
+        });
         let (action, d) = run(&mut st, &dag());
         assert_eq!(action, Action::Deliver);
         assert_eq!(d.last_visited, 0); // ended at the intent node
@@ -197,8 +198,7 @@ mod tests {
 
     #[test]
     fn resumes_from_last_visited() {
-        let mut st = state();
-        st.xia.add_route(XidType::Hid, xid("hid"), XiaNextHop::Port(4));
+        let mut st = state_with(|r| r.insert_xia(XidType::Hid, xid("hid"), XiaNextHop::Port(4)));
         let mut d = dag();
         d.last_visited = 1; // already at the AD
         let (action, _) = run(&mut st, &d);
@@ -207,8 +207,8 @@ mod tests {
 
     #[test]
     fn uses_ctx_dag_when_present() {
-        let mut st = state();
-        st.xia.add_route(XidType::Cid, xid("content"), XiaNextHop::Port(1));
+        let mut st =
+            state_with(|r| r.insert_xia(XidType::Cid, xid("content"), XiaNextHop::Port(1)));
         let d = dag();
         let mut locs = d.encode();
         let bits = (locs.len() * 8) as u16;

@@ -84,13 +84,12 @@ impl FieldOp for Match128Op {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::testutil::{ctx, state};
+    use crate::ops::testutil::{ctx, state, state_with};
     use dip_tables::fib::NextHop;
 
     #[test]
     fn match32_forwards_on_lpm_hit() {
-        let mut st = state();
-        st.ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(4));
+        let mut st = state_with(|r| r.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(4)));
         let mut locs = vec![10, 1, 2, 3, 0, 0, 0, 0];
         let mut c = ctx(&mut locs, &[]);
         let t = FnTriple::router(0, 32, FnKey::Match32);
@@ -132,9 +131,9 @@ mod tests {
 
     #[test]
     fn match128_forwards() {
-        let mut st = state();
+        let prefix = Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]);
+        let mut st = state_with(|r| r.insert_v6(prefix, 16, NextHop::port(9)));
         let dst = Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0x100]);
-        st.ipv6_fib.add_route(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(9));
         let mut locs = dst.0.to_vec();
         locs.extend_from_slice(&[0u8; 16]);
         let mut c = ctx(&mut locs, &[]);
@@ -146,8 +145,8 @@ mod tests {
     fn paper_triples_for_ip_forwarding() {
         // §3: DIP-32 = (loc:0,len:32,key F_32_match) with dst in the low 32
         // bits of the locations; DIP-128 = (loc:0,len:128,key F_128_match).
-        let mut st = state();
-        st.ipv4_fib.add_route(Ipv4Addr::new(192, 168, 69, 0), 24, NextHop::port(2));
+        let mut st =
+            state_with(|r| r.insert_v4(Ipv4Addr::new(192, 168, 69, 0), 24, NextHop::port(2)));
         // locations = dst(4B) || src(4B)
         let mut locs = vec![192, 168, 69, 100, 10, 0, 0, 1];
         let mut c = ctx(&mut locs, &[]);

@@ -28,9 +28,19 @@ pub use ver::VerOp;
 pub(crate) mod testutil {
     //! Shared fixtures for op tests.
     use crate::context::{PacketCtx, RouterState};
+    use dip_routes::RouteStore;
 
     pub fn state() -> RouterState {
         RouterState::new(1, [0x11u8; 16])
+    }
+
+    /// [`state`] with the routes `seed` puts into a store installed.
+    pub fn state_with(seed: impl FnOnce(&mut RouteStore)) -> RouterState {
+        let mut store = RouteStore::new();
+        seed(&mut store);
+        let mut st = state();
+        st.routes = store.rebuild();
+        st
     }
 
     pub fn ctx<'a>(locations: &'a mut [u8], payload: &'a [u8]) -> PacketCtx<'a> {

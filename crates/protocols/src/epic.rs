@@ -175,6 +175,7 @@ impl FieldOp for EpicOp {
 mod tests {
     use super::*;
     use dip_core::{DipRouter, Verdict};
+    use dip_fnops::RouteStore;
     use std::sync::Arc;
 
     fn epic_router(secret: Block) -> DipRouter {
@@ -288,7 +289,9 @@ mod tests {
         };
 
         let mut r = epic_router(SECRETS[0]);
-        r.state_mut().name_fib.add_route(&name, NextHop::port(4));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(4));
+        r.state_mut().routes = routes.rebuild();
         // Pending interest so the data has a face to follow.
         let mut ibuf = crate::ndn::interest(&name, 64).to_bytes(&[]).unwrap();
         r.process(&mut ibuf, 6, 0);

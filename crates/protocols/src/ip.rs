@@ -59,6 +59,7 @@ mod tests {
     use super::*;
     use crate::header_sizes;
     use dip_core::{DipRouter, Verdict};
+    use dip_fnops::RouteStore;
     use dip_tables::fib::NextHop;
 
     #[test]
@@ -80,7 +81,9 @@ mod tests {
     #[test]
     fn dip32_forwards_through_a_router() {
         let mut r = DipRouter::new(1, [0; 16]);
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(2));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(2));
+        r.state_mut().routes = routes.rebuild();
         let repr = dip32_packet(Ipv4Addr::new(10, 9, 8, 7), Ipv4Addr::new(1, 1, 1, 1), 64);
         let mut buf = repr.to_bytes(b"hello").unwrap();
         let (verdict, stats) = r.process(&mut buf, 0, 0);
@@ -92,7 +95,9 @@ mod tests {
     fn dip128_forwards_through_a_router() {
         let mut r = DipRouter::new(1, [0; 16]);
         let prefix = Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]);
-        r.state_mut().ipv6_fib.add_route(prefix, 16, NextHop::port(5));
+        let mut routes = RouteStore::new();
+        routes.insert_v6(prefix, 16, NextHop::port(5));
+        r.state_mut().routes = routes.rebuild();
         let repr = dip128_packet(
             Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 9]),
             Ipv6Addr::new([0xfd00, 0, 0, 0, 0, 0, 0, 1]),

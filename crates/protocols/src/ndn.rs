@@ -86,6 +86,7 @@ mod tests {
     use crate::header_sizes;
     use dip_core::{DipRouter, Verdict};
     use dip_fnops::DropReason;
+    use dip_fnops::RouteStore;
     use dip_tables::fib::NextHop;
 
     fn name() -> Name {
@@ -101,7 +102,9 @@ mod tests {
     #[test]
     fn interest_then_data_through_one_router() {
         let mut r = DipRouter::new(1, [0; 16]);
-        r.state_mut().name_fib.add_route(&name(), NextHop::port(8));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name(), NextHop::port(8));
+        r.state_mut().routes = routes.rebuild();
 
         // Interest from consumer on port 3.
         let mut ibuf = interest(&name(), 64).to_bytes(&[]).unwrap();
@@ -122,7 +125,9 @@ mod tests {
     #[test]
     fn full_name_interest_uses_lpm() {
         let mut r = DipRouter::new(1, [0; 16]);
-        r.state_mut().name_fib.add_route(&Name::parse("/hotnets"), NextHop::port(2));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&Name::parse("/hotnets"), NextHop::port(2));
+        r.state_mut().routes = routes.rebuild();
         let full = Name::parse("/hotnets/org/papers/dip");
         let mut buf = interest_full(&full, 64).unwrap().to_bytes(&[]).unwrap();
         let (v, _) = r.process(&mut buf, 1, 0);
@@ -135,7 +140,9 @@ mod tests {
         // compact32 in both paths.
         let mut r = DipRouter::new(1, [0; 16]);
         let n = Name::parse("/a/b");
-        r.state_mut().name_fib.add_route(&n, NextHop::port(2));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&n, NextHop::port(2));
+        r.state_mut().routes = routes.rebuild();
         let mut ibuf = interest_full(&n, 64).unwrap().to_bytes(&[]).unwrap();
         r.process(&mut ibuf, 5, 0);
         let mut dbuf = data(&n, 64).to_bytes(b"x").unwrap();

@@ -89,6 +89,7 @@ mod tests {
     use dip_core::host::deliver;
     use dip_core::{DipRouter, Verdict};
     use dip_crypto::Block;
+    use dip_fnops::RouteStore;
     use dip_fnops::{DropReason, FnRegistry, RouterState};
     use dip_tables::fib::NextHop;
 
@@ -97,7 +98,9 @@ mod tests {
         let session = OptSession::establish([0x77; 16], &[3; 16], &[router_secret]);
         let mut router = DipRouter::new(0, router_secret);
         let name = Name::parse("hotnets.org");
-        router.state_mut().name_fib.add_route(&name, NextHop::port(8));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(8));
+        router.state_mut().routes = routes.rebuild();
         (session, router, name)
     }
 

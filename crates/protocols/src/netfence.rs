@@ -249,6 +249,7 @@ pub fn parse_field(field: &[u8]) -> Option<(u64, u8)> {
 mod tests {
     use super::*;
     use dip_core::{DipRouter, Verdict};
+    use dip_fnops::RouteStore;
     use std::sync::Arc;
 
     fn router(police: bool, congested: bool) -> DipRouter {
@@ -374,7 +375,9 @@ mod tests {
         use dip_wire::ipv4::Ipv4Addr;
         // DIP-32 + F_cong in one header: match32 decides, cong polices.
         let mut r = router(true, false);
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(9));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(9));
+        r.state_mut().routes = routes.rebuild();
         let mut locations = vec![10, 0, 0, 1, 1, 1, 1, 1];
         let cong_off = (locations.len() * 8) as u16;
         locations.extend_from_slice(&cong_field(5));

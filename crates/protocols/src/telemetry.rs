@@ -150,6 +150,7 @@ pub fn parse_records(field: &[u8]) -> Option<(Vec<TelemetryRecord>, bool)> {
 mod tests {
     use super::*;
     use dip_core::{DipRouter, Verdict};
+    use dip_fnops::RouteStore;
     use dip_wire::DipPacket;
     use std::sync::Arc;
 
@@ -233,7 +234,9 @@ mod tests {
         let session = OptSession::establish([1; 16], &[2; 16], &[[9; 16]]);
         let mut router = DipRouter::new(5, [9; 16]);
         router.registry_mut().install(Arc::new(TelemetryOp));
-        router.state_mut().name_fib.add_route(&name, NextHop::port(3));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(3));
+        router.state_mut().routes = routes.rebuild();
 
         // Interest first so the PIT has a face.
         let mut ibuf = crate::ndn::interest(&name, 64).to_bytes(&[]).unwrap();

@@ -33,6 +33,7 @@ mod tests {
     use super::*;
     use dip_core::{DipRouter, Verdict};
     use dip_fnops::DropReason;
+    use dip_fnops::RouteStore;
     use dip_tables::XiaNextHop;
     use dip_wire::xia::{DagNode, Xid, XidType};
 
@@ -59,7 +60,9 @@ mod tests {
     #[test]
     fn cid_aware_router_forwards_on_intent() {
         let mut r = DipRouter::new(1, [0; 16]);
-        r.state_mut().xia.add_route(XidType::Cid, xid("the-content"), XiaNextHop::Port(4));
+        let mut routes = RouteStore::new();
+        routes.insert_xia(XidType::Cid, xid("the-content"), XiaNextHop::Port(4));
+        r.state_mut().routes = routes.rebuild();
         let mut buf = packet(&content_dag(), 64).to_bytes(&[]).unwrap();
         let (v, stats) = r.process(&mut buf, 0, 0);
         assert_eq!(v, Verdict::Forward(vec![4]));
@@ -70,7 +73,9 @@ mod tests {
     fn legacy_router_falls_back_to_ad_path() {
         // A router with no CID table at all — XIA's evolvability case.
         let mut r = DipRouter::new(1, [0; 16]);
-        r.state_mut().xia.add_route(XidType::Ad, xid("ad-1"), XiaNextHop::Port(9));
+        let mut routes = RouteStore::new();
+        routes.insert_xia(XidType::Ad, xid("ad-1"), XiaNextHop::Port(9));
+        r.state_mut().routes = routes.rebuild();
         let mut buf = packet(&content_dag(), 64).to_bytes(&[]).unwrap();
         let (v, _) = r.process(&mut buf, 0, 0);
         assert_eq!(v, Verdict::Forward(vec![9]));
@@ -80,8 +85,10 @@ mod tests {
     fn navigation_progress_travels_in_the_packet() {
         // Hop 1 is the AD: it advances last_visited and forwards to the HID.
         let mut ad_router = DipRouter::new(1, [0; 16]);
-        ad_router.state_mut().xia.add_route(XidType::Ad, xid("ad-1"), XiaNextHop::Local);
-        ad_router.state_mut().xia.add_route(XidType::Hid, xid("host-1"), XiaNextHop::Port(2));
+        let mut routes = RouteStore::new();
+        routes.insert_xia(XidType::Ad, xid("ad-1"), XiaNextHop::Local);
+        routes.insert_xia(XidType::Hid, xid("host-1"), XiaNextHop::Port(2));
+        ad_router.state_mut().routes = routes.rebuild();
         let mut buf = packet(&content_dag(), 64).to_bytes(&[]).unwrap();
         let (v, _) = ad_router.process(&mut buf, 0, 0);
         assert_eq!(v, Verdict::Forward(vec![2]));
@@ -93,8 +100,10 @@ mod tests {
 
         // Hop 2 is the HID and owns the content: deliver.
         let mut host = DipRouter::new(2, [0; 16]);
-        host.state_mut().xia.add_route(XidType::Hid, xid("host-1"), XiaNextHop::Local);
-        host.state_mut().xia.add_route(XidType::Cid, xid("the-content"), XiaNextHop::Local);
+        let mut routes = RouteStore::new();
+        routes.insert_xia(XidType::Hid, xid("host-1"), XiaNextHop::Local);
+        routes.insert_xia(XidType::Cid, xid("the-content"), XiaNextHop::Local);
+        host.state_mut().routes = routes.rebuild();
         let (v, _) = host.process(&mut buf, 0, 0);
         assert_eq!(v, Verdict::Deliver);
     }

@@ -8,8 +8,8 @@
 //!
 //! * [`lpm`] — a compressed multibit/poptrie-style LPM (direct 2^16
 //!   root, stride-8 popcount-navigated chunks, run-compressed leaves)
-//!   holding ≥1M IPv4 and ≥500k IPv6 routes, verified against the
-//!   linear-scan oracle;
+//!   holding ≥1M IPv4 and ≥500k IPv6 routes; an empty table allocates
+//!   nothing;
 //! * [`name_fib`] / [`xia_fib`] — a hash-compacted NDN name FIB
 //!   (rolling per-depth prefix hashes, deepest-first probes) and a
 //!   flattened XIA route table that preserves the declared-type
@@ -22,6 +22,13 @@
 //!   `Arc`-shared), plus the `dip_routes_*` telemetry family;
 //! * [`synth`] — deterministic distinct-route generators for the scale
 //!   tests and benches.
+//!
+//! These are the only forwarding tables in the workspace: every router
+//! answers `F_32_match`, `F_128_match`, `F_FIB` and `F_intent` from one
+//! [`RouteTables`], built by a [`RouteStore`] — by hand-configured
+//! routers, the control plane and the benchmark alike. The witnesses
+//! are linear-scan oracles (`tests/million_oracle.rs`,
+//! `tests/name_xia_oracle.rs`) and `tests/delta_equivalence.rs`.
 //!
 //! Everything published to a dataplane is immutable: workers swap
 //! whole [`RouteTables`] values at epoch boundaries and never observe

@@ -113,8 +113,7 @@ impl PrefixStore {
         self.long.clear();
     }
 
-    /// Every route, as `(bits, len, next_hop)` (test oracle).
-    #[cfg(test)]
+    /// Every route, as `(bits, len, next_hop)`: short routes, then long.
     pub(crate) fn routes(&self) -> impl Iterator<Item = (u128, u8, NextHop)> + '_ {
         self.short.iter().chain(self.long.iter()).map(|(&(bits, len), &nh)| (bits, len, nh))
     }
@@ -261,20 +260,24 @@ impl Chunk {
 /// A compiled, immutable, cheaply-clonable LPM table for one address
 /// family (`Clone` is two `Arc` bumps — this is what rides inside a
 /// route snapshot through the epoch cell).
-#[derive(Clone, Debug)]
+///
+/// The empty table's arrays are zero-length, meaning "no slot holds
+/// anything": every router starts with one, and it allocates nothing.
+/// The first delta materialises the full arrays.
+#[derive(Clone, Debug, Default)]
 pub struct CompressedLpm {
     chunks: Arc<Vec<Option<Arc<Chunk>>>>,
     root_leaf: Arc<Vec<Option<NextHop>>>,
     len: usize,
 }
 
-impl Default for CompressedLpm {
-    fn default() -> Self {
-        CompressedLpm {
-            chunks: Arc::new(vec![None; SLOTS]),
-            root_leaf: Arc::new(vec![None; SLOTS]),
-            len: 0,
-        }
+/// `v` copied for writing, materialised to its full [`SLOTS`] first if it
+/// is the zero-length "all empty" form.
+fn slots_for_write<T: Clone>(v: &[Option<T>]) -> Vec<Option<T>> {
+    if v.is_empty() {
+        vec![None; SLOTS]
+    } else {
+        v.to_vec()
     }
 }
 
@@ -282,6 +285,9 @@ impl CompressedLpm {
     /// Compiles the whole table from the authoritative store (the
     /// full-rebuild path — the delta path is [`CompressedLpm::apply_delta`]).
     pub(crate) fn build_from(store: &PrefixStore) -> CompressedLpm {
+        if store.len() == 0 {
+            return CompressedLpm::default();
+        }
         let mut chunks: Vec<Option<Arc<Chunk>>> = vec![None; SLOTS];
         let mut acc: Vec<(u128, u8, NextHop)> = Vec::new();
         let mut cur: Option<u16> = None;
@@ -328,7 +334,7 @@ impl CompressedLpm {
         let chunks = if slots.is_empty() {
             Arc::clone(&self.chunks)
         } else {
-            let mut v = (*self.chunks).clone();
+            let mut v = slots_for_write(&self.chunks);
             for &slot in slots {
                 let routes = store.slot_routes(slot);
                 v[slot as usize] =
@@ -339,7 +345,7 @@ impl CompressedLpm {
         let root_leaf = if shorts.is_empty() {
             Arc::clone(&self.root_leaf)
         } else {
-            let mut rl = (*self.root_leaf).clone();
+            let mut rl = slots_for_write(&self.root_leaf);
             for &(bits, len) in shorts {
                 let start = (bits >> 112) as usize;
                 let span = 1usize << (16 - len);
@@ -359,12 +365,12 @@ impl CompressedLpm {
     #[inline]
     pub fn lookup_bits(&self, bits: u128) -> Option<NextHop> {
         let slot = (bits >> 112) as usize;
-        if let Some(chunk) = &self.chunks[slot] {
+        if let Some(Some(chunk)) = self.chunks.get(slot) {
             if let Some(nh) = chunk.lookup(bits) {
                 return Some(nh);
             }
         }
-        self.root_leaf[slot]
+        self.root_leaf.get(slot).copied().flatten()
     }
 
     /// Number of routes compiled into this table.
@@ -461,6 +467,31 @@ mod tests {
         assert_eq!(lpm.lookup_bits(key), Some(NextHop::port(9)));
         assert_eq!(lpm.lookup_bits(key ^ 1), None);
         assert_eq!(lpm.lookup_bits(key ^ (1 << 127)), None);
+    }
+
+    /// Every router and every published snapshot starts from an empty
+    /// table, so it must cost no slot arrays — until a delta gives it a
+    /// route, and then answer like a rebuild.
+    #[test]
+    fn empty_tables_allocate_no_slot_arrays_until_a_delta() {
+        let tables = crate::RouteTables::default();
+        for lpm in [&tables.v4, &tables.v6, &CompressedLpm::build_from(&PrefixStore::default())] {
+            assert!(lpm.chunks.is_empty() && lpm.root_leaf.is_empty());
+            assert_eq!(lpm.lookup_bits(v4_bits(10, 1, 2, 3)), None);
+        }
+
+        let mut store = PrefixStore::default();
+        for (a, len) in [(v4_bits(10, 0, 0, 0), 8), (v4_bits(10, 1, 2, 0), 24)] {
+            store.insert(a, len, NextHop::port(u32::from(len)));
+        }
+        let mut slots = BTreeSet::new();
+        slots.insert(0x0a01);
+        let lpm = tables.v4.apply_delta(&store, &slots, &[(v4_bits(10, 0, 0, 0), 8)]);
+        assert_eq!((lpm.chunks.len(), lpm.root_leaf.len()), (SLOTS, SLOTS));
+        let rebuilt = CompressedLpm::build_from(&store);
+        for key in [v4_bits(10, 1, 2, 3), v4_bits(10, 9, 9, 9), v4_bits(11, 0, 0, 1)] {
+            assert_eq!(lpm.lookup_bits(key), rebuilt.lookup_bits(key));
+        }
     }
 
     #[test]

@@ -1,21 +1,39 @@
 //! Hash-compacted NDN name FIB.
 //!
-//! The trie-based [`dip_tables::fib::NameFib`] is the oracle; this is
-//! the scale representation: one flat hash map keyed by `(depth,
-//! 64-bit prefix hash)`. A longest-prefix lookup computes the rolling
-//! prefix hashes of the queried name in a single pass (FNV-1a over
-//! length-prefixed components, so `/ab/c` and `/a/bc` never merge) and
-//! probes deepest-first — at most `max_depth` map probes, no pointer
-//! chasing, and the map itself is `Arc`-shared between table versions
-//! so a delta clones it only when a name actually changed.
+//! One flat hash map keyed by `(depth, 64-bit prefix hash)`. A
+//! longest-prefix lookup computes the rolling prefix hashes of the
+//! queried name in a single pass (FNV-1a over length-prefixed
+//! components, so `/ab/c` and `/a/bc` never merge) and probes
+//! deepest-first — at most `max_depth` map probes, no pointer chasing,
+//! and the map itself is `Arc`-shared between table versions so a delta
+//! clones it only when a name actually changed. The witness is the
+//! linear-scan oracle in `tests/name_xia_oracle.rs`.
 //!
 //! The 32-bit compact index (`Name::compact32`, the prototype's wire
-//! fast path) is mirrored next to it, exactly as the oracle mirrors it.
+//! fast path) is mirrored next to it. Distinct names can share a
+//! compact hash; the index then holds the route of the greatest such
+//! name in component order, a function of the live route set alone, so
+//! a delta and a rebuild always agree on it.
 
 use dip_tables::fib::NextHop;
 use dip_wire::ndn::Name;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
+
+/// The authoritative name routes, keyed `(compact32, components)` so the
+/// names sharing one compact hash are adjacent and the greatest is last.
+pub(crate) type NameRoutes = BTreeMap<(u32, Vec<Vec<u8>>), NextHop>;
+
+/// What the compact index holds for `compact`: the route of the greatest
+/// live name hashing to it.
+fn compact_winner(names: &NameRoutes, compact: u32) -> Option<NextHop> {
+    let end = match compact.checked_add(1) {
+        Some(next) => Bound::Excluded((next, Vec::new())),
+        None => Bound::Unbounded,
+    };
+    names.range((Bound::Included((compact, Vec::new())), end)).next_back().map(|(_, &nh)| nh)
+}
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -49,15 +67,17 @@ pub struct CompactNameFib {
 
 impl CompactNameFib {
     /// Compiles the FIB from the authoritative name map (full-rebuild
-    /// path).
-    pub(crate) fn build_from(names: &std::collections::BTreeMap<Vec<Vec<u8>>, NextHop>) -> Self {
+    /// path). Names sharing a compact hash arrive in component order, so
+    /// the last insert — the greatest name — wins, as [`compact_winner`]
+    /// says.
+    pub(crate) fn build_from(names: &NameRoutes) -> Self {
         let mut by_depth = HashMap::with_capacity(names.len());
         let mut compact = HashMap::with_capacity(names.len());
         let mut max_depth = 0u8;
-        for (components, &nh) in names {
+        for ((hash, components), &nh) in names {
             let name = Name::from_components(components.clone());
             by_depth.insert(name_key(&name), nh);
-            compact.insert(name.compact32(), nh);
+            compact.insert(*hash, nh);
             max_depth = max_depth.max(name.len() as u8);
         }
         CompactNameFib {
@@ -69,9 +89,10 @@ impl CompactNameFib {
     }
 
     /// Applies name ops copy-on-write: clones the maps once and edits
-    /// only the changed entries. `new_len` is the authoritative count
-    /// after the ops.
-    pub(crate) fn apply_delta(&self, ops: &[(Name, Option<NextHop>)], new_len: usize) -> Self {
+    /// only the changed entries. `names` is the authoritative map with
+    /// the ops already applied; each touched compact hash is re-derived
+    /// from it, so a withdraw leaves a colliding live name indexed.
+    pub(crate) fn apply_delta(&self, ops: &[(Name, Option<NextHop>)], names: &NameRoutes) -> Self {
         let mut by_depth = (*self.by_depth).clone();
         let mut compact = (*self.compact).clone();
         let mut max_depth = self.max_depth;
@@ -79,22 +100,25 @@ impl CompactNameFib {
             match action {
                 Some(nh) => {
                     by_depth.insert(name_key(name), *nh);
-                    compact.insert(name.compact32(), *nh);
                     // max_depth only grows on withdraws-then-readds; a
                     // stale upper bound costs probes, never correctness.
                     max_depth = max_depth.max(name.len() as u8);
                 }
                 None => {
                     by_depth.remove(&name_key(name));
-                    compact.remove(&name.compact32());
                 }
             }
+            let hash = name.compact32();
+            match compact_winner(names, hash) {
+                Some(nh) => compact.insert(hash, nh),
+                None => compact.remove(&hash),
+            };
         }
         CompactNameFib {
             by_depth: Arc::new(by_depth),
             compact: Arc::new(compact),
             max_depth,
-            len: new_len,
+            len: names.len(),
         }
     }
 
@@ -131,14 +155,18 @@ impl CompactNameFib {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+
+    fn routes(entries: &[(&str, u32)]) -> NameRoutes {
+        let mut names = NameRoutes::new();
+        for &(text, port) in entries {
+            let name = Name::parse(text);
+            names.insert((name.compact32(), name.components().to_vec()), NextHop::port(port));
+        }
+        names
+    }
 
     fn table(entries: &[(&str, u32)]) -> CompactNameFib {
-        let mut names = BTreeMap::new();
-        for &(text, port) in entries {
-            names.insert(Name::parse(text).components().to_vec(), NextHop::port(port));
-        }
-        CompactNameFib::build_from(&names)
+        CompactNameFib::build_from(&routes(entries))
     }
 
     #[test]
@@ -168,13 +196,16 @@ mod tests {
         let fib = table(&[("/a/b", 1), ("/a/b/c", 2)]);
         let ops =
             vec![(Name::parse("/a/b"), None), (Name::parse("/x/y/z/w"), Some(NextHop::port(9)))];
-        let applied = fib.apply_delta(&ops, 2);
-        let mut names = BTreeMap::new();
-        names.insert(Name::parse("/a/b/c").components().to_vec(), NextHop::port(2));
-        names.insert(Name::parse("/x/y/z/w").components().to_vec(), NextHop::port(9));
+        let names = routes(&[("/a/b/c", 2), ("/x/y/z/w", 9)]);
+        let applied = fib.apply_delta(&ops, &names);
         let rebuilt = CompactNameFib::build_from(&names);
         for probe in ["/a/b", "/a/b/c", "/a/b/c/d", "/x/y/z/w", "/x/y"] {
-            assert_eq!(applied.lookup(&Name::parse(probe)), rebuilt.lookup(&Name::parse(probe)));
+            let probe = Name::parse(probe);
+            assert_eq!(applied.lookup(&probe), rebuilt.lookup(&probe));
+            assert_eq!(
+                applied.lookup_compact(probe.compact32()),
+                rebuilt.lookup_compact(probe.compact32())
+            );
         }
         assert_eq!(applied.len(), rebuilt.len());
     }

@@ -11,10 +11,10 @@
 
 use crate::delta::RouteDelta;
 use crate::lpm::{mask_bits, CompressedLpm, PrefixStore};
-use crate::name_fib::CompactNameFib;
+use crate::name_fib::{CompactNameFib, NameRoutes};
 use crate::xia_fib::CompactXia;
-use dip_tables::fib::{Ipv4Fib, Ipv6Fib, NameFib, NextHop};
-use dip_tables::{XiaNextHop, XiaRouteTable};
+use dip_tables::fib::NextHop;
+use dip_tables::XiaNextHop;
 use dip_telemetry::{Counter, Histogram, Registry};
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
@@ -115,7 +115,7 @@ fn apply_bounds() -> Vec<u64> {
 pub struct RouteStore {
     v4: PrefixStore,
     v6: PrefixStore,
-    names: BTreeMap<Vec<Vec<u8>>, NextHop>,
+    names: NameRoutes,
     xia_routes: BTreeMap<(u32, Xid), XiaNextHop>,
     xia_types: BTreeSet<u32>,
     tables: RouteTables,
@@ -199,7 +199,7 @@ impl RouteStore {
 
     /// Inserts an NDN name route into the ground truth.
     pub fn insert_name(&mut self, name: &Name, next_hop: NextHop) {
-        self.names.insert(name.components().to_vec(), next_hop);
+        self.names.insert((name.compact32(), name.components().to_vec()), next_hop);
     }
 
     /// Inserts an XIA route into the ground truth (declares its type).
@@ -211,27 +211,6 @@ impl RouteStore {
     /// Declares an XIA principal type understood even without routes.
     pub fn declare_xia_type(&mut self, ty: XidType) {
         self.xia_types.insert(ty.to_wire());
-    }
-
-    /// Imports every route of the legacy per-protocol tables — the
-    /// bridge from [`dip_tables`]-seeded state (and the guarantee that
-    /// compiled lookups agree with what that state would answer).
-    pub fn import(&mut self, v4: &Ipv4Fib, v6: &Ipv6Fib, names: &NameFib, xia: &XiaRouteTable) {
-        for (addr, len, nh) in v4.routes() {
-            self.insert_v4(addr, len, nh);
-        }
-        for (addr, len, nh) in v6.routes() {
-            self.insert_v6(addr, len, nh);
-        }
-        for (name, nh) in names.routes() {
-            self.insert_name(&name, nh);
-        }
-        for ty in xia.types() {
-            self.xia_types.insert(ty);
-        }
-        for (ty, xid, nh) in xia.routes() {
-            self.xia_routes.insert((ty, xid), nh);
-        }
     }
 
     /// Drops all ground truth (the compiled tables stay until the next
@@ -304,12 +283,13 @@ impl RouteStore {
             }
         }
         for (name, action) in &delta.names {
+            let key = (name.compact32(), name.components().to_vec());
             match action {
                 Some(nh) => {
-                    self.names.insert(name.components().to_vec(), *nh);
+                    self.names.insert(key, *nh);
                 }
                 None => {
-                    self.names.remove(name.components());
+                    self.names.remove(&key);
                 }
             }
         }
@@ -338,7 +318,7 @@ impl RouteStore {
         let names = if delta.names.is_empty() {
             self.tables.names.clone()
         } else {
-            self.tables.names.apply_delta(&delta.names, self.names.len())
+            self.tables.names.apply_delta(&delta.names, &self.names)
         };
         let xia = if delta.xia.is_empty() {
             self.tables.xia.clone()
@@ -370,6 +350,56 @@ impl RouteStore {
     /// The deterministic commit/rebuild counters.
     pub fn stats(&self) -> StoreStats {
         self.stats
+    }
+
+    /// FNV-1a over the ground truth in canonical order: v4 then v6
+    /// routes sorted by prefix, names sorted by components, declared XIA
+    /// types, XIA routes. Equal route sets give equal digests, which is
+    /// how seeded route sets are pinned across refactors.
+    pub fn digest(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (tag, family) in [(4u8, &self.v4), (6, &self.v6)] {
+            fold(&[tag]);
+            let mut routes: Vec<_> = family.routes().collect();
+            routes.sort_unstable_by_key(|&(bits, len, _)| (bits, len));
+            for (bits, len, nh) in routes {
+                fold(&bits.to_be_bytes());
+                fold(&[len]);
+                fold(&nh.port.to_be_bytes());
+            }
+        }
+        fold(b"n");
+        let mut names: Vec<_> = self.names.iter().map(|((_, c), nh)| (c, nh)).collect();
+        names.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for (components, nh) in names {
+            fold(&(components.len() as u32).to_be_bytes());
+            for c in components {
+                fold(&(c.len() as u32).to_be_bytes());
+                fold(c);
+            }
+            fold(&nh.port.to_be_bytes());
+        }
+        fold(b"x");
+        for ty in &self.xia_types {
+            fold(&ty.to_be_bytes());
+        }
+        for (&(ty, xid), nh) in &self.xia_routes {
+            fold(&ty.to_be_bytes());
+            fold(&xid.0);
+            match nh {
+                XiaNextHop::Local => fold(&[0]),
+                XiaNextHop::Port(p) => {
+                    fold(&[1]);
+                    fold(&p.to_be_bytes());
+                }
+            }
+        }
+        h
     }
 }
 

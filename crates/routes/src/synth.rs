@@ -1,7 +1,7 @@
 //! Deterministic *distinct* synthetic route generators.
 //!
-//! `Fib::populate_synthetic` draws with replacement, so a million
-//! draws collide down to ~650 k distinct prefixes — fine for seeding a
+//! Drawing with replacement (as the workload tables do) collides a
+//! million draws down to ~650 k distinct prefixes — fine for seeding a
 //! workload table, useless for proving "this structure holds ≥1M
 //! routes". These generators loop until exactly `n` distinct
 //! `(prefix, len)` pairs exist; identical `(n, seed)` always produce

@@ -1,9 +1,8 @@
 //! Compacted XIA route table.
 //!
-//! [`dip_tables::XiaRouteTable`] keeps one hash map per principal
-//! type; at scale that is one heap allocation and one indirection per
-//! type for no information. The compact form flattens every route into
-//! a single `(type, XID)`-keyed map plus the set of *declared* types —
+//! One hash map per principal type would cost a heap allocation and an
+//! indirection per type for no information, so every route lives in a
+//! single `(type, XID)`-keyed map plus the set of *declared* types —
 //! XIA's evolvability contract distinguishes "I do not understand this
 //! principal type" (no table) from "no route" (empty table), and that
 //! distinction must survive compaction. Both maps are `Arc`-shared
@@ -35,7 +34,7 @@ impl CompactXia {
     }
 
     /// Applies XIA ops copy-on-write. Announcing a route implicitly
-    /// declares its type, exactly like `XiaRouteTable::add_route`.
+    /// declares its type, exactly like `RouteStore::insert_xia`.
     pub(crate) fn apply_delta(&self, ops: &[(XidType, Xid, Option<XiaNextHop>)]) -> Self {
         let mut routes = (*self.routes).clone();
         let mut declared = (*self.declared).clone();

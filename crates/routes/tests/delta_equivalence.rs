@@ -212,3 +212,40 @@ fn snapshot_plus_delta_equals_rebuilt_snapshot() {
     assert_eq!(stats.full_rebuilds, 1, "churn must never trigger a rebuild");
     assert_eq!(stats.deltas_applied, rounds);
 }
+
+/// `/c/1866` and `/c/652400` share the compact hash `0x72862df2`. The
+/// compact index must answer from the live routes whatever order they
+/// came and went in: a delta announcing or withdrawing one of the pair
+/// must leave the index exactly as a rebuild from the same routes does.
+#[test]
+fn compact_hash_collisions_survive_announce_and_withdraw() {
+    let (low, high) = (Name::parse("/c/1866"), Name::parse("/c/652400"));
+    assert_eq!(low.compact32(), high.compact32());
+    assert_eq!(low.compact32(), 0x7286_2df2);
+    let compact = low.compact32();
+
+    let mut store = RouteStore::new();
+    store.insert_name(&high, NextHop::port(2));
+    store.rebuild();
+
+    let mut announce = RouteDelta::new();
+    announce.announce_name(low.clone(), NextHop::port(1));
+    let announced = store.commit(&announce);
+    let mut withdraw = RouteDelta::new();
+    withdraw.withdraw_name(low.clone());
+    let withdrawn = store.commit(&withdraw);
+    assert_eq!(
+        withdrawn.lookup_name_compact(compact),
+        store.rebuild().lookup_name_compact(compact)
+    );
+    assert_eq!(withdrawn.lookup_name_compact(compact), Some(NextHop::port(2)));
+
+    let mut both = RouteStore::new();
+    both.insert_name(&low, NextHop::port(1));
+    both.insert_name(&high, NextHop::port(2));
+    assert_eq!(announced.lookup_name_compact(compact), both.rebuild().lookup_name_compact(compact));
+    let withdrawn = both.commit(&withdraw);
+    assert_eq!(withdrawn.lookup_name_compact(compact), Some(NextHop::port(2)));
+    assert_eq!(withdrawn.lookup_name(&low), None);
+    assert_eq!(withdrawn.lookup_name(&high), Some(NextHop::port(2)));
+}

@@ -302,6 +302,7 @@ impl PartialOrd for QueuedEvent {
 /// ```
 /// use dip_sim::engine::{Host, Network};
 /// use dip_core::DipRouter;
+/// use dip_fnops::RouteStore;
 /// use dip_tables::fib::NextHop;
 /// use dip_wire::ndn::Name;
 /// use std::collections::HashMap;
@@ -309,7 +310,9 @@ impl PartialOrd for QueuedEvent {
 /// let name = Name::parse("/demo");
 /// let mut net = Network::new(42);
 /// let mut r = DipRouter::new(0, [1; 16]);
-/// r.state_mut().name_fib.add_route(&name, NextHop::port(1));
+/// let mut routes = RouteStore::new();
+/// routes.insert_name(&name, NextHop::port(1));
+/// r.state_mut().routes = routes.rebuild();
 /// let router = net.add_router(r);
 /// let consumer = net.add_host(Host::consumer(10));
 /// let producer = net.add_host(Host::producer(
@@ -824,6 +827,7 @@ fn host_receive(host: &mut Host, packet: &mut [u8], now: SimTime) -> HostAction 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dip_fnops::RouteStore;
     use dip_tables::fib::NextHop;
     use dip_wire::ndn::Name;
 
@@ -835,7 +839,9 @@ mod tests {
 
         let mut net = Network::new(42);
         let mut r = DipRouter::new(0, router_secret);
-        r.state_mut().name_fib.add_route(&name, NextHop::port(1));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(1));
+        r.state_mut().routes = routes.rebuild();
         let r0 = net.add_router(r);
 
         let consumer = if secure {
@@ -890,7 +896,9 @@ mod tests {
         let session = OptSession::establish([0xaa; 16], &[1; 16], &[router_secret]);
         let mut net = Network::new(7);
         let mut r = DipRouter::new(0, router_secret);
-        r.state_mut().name_fib.add_route(&name, NextHop::port(1));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(1));
+        r.state_mut().routes = routes.rebuild();
         let r0 = net.add_router(r);
         let h0 = net.add_host(Host::verifying_consumer(10, session.host_context()));
         let mut contents = HashMap::new();
@@ -980,7 +988,9 @@ mod tests {
         let name = Name::parse("/faulty");
         let mut net = Network::new(3);
         let mut r = DipRouter::new(0, [1; 16]);
-        r.state_mut().name_fib.add_route(&name, NextHop::port(1));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(1));
+        r.state_mut().routes = routes.rebuild();
         let r0 = net.add_router(r);
         let h0 = net.add_host(Host::consumer(10));
         net.connect(h0, 0, r0, 0, 1_000);
@@ -1030,7 +1040,9 @@ mod tests {
         let (mut net, _, h0, h1, _, _) = ndn_triangle(false);
         let other = Name::parse("/unknown");
         // Add a route so the interest reaches the producer.
-        net.router_mut(NodeId(0)).unwrap().state_mut().name_fib.add_route(&other, NextHop::port(1));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&other, NextHop::port(1));
+        net.router_mut(NodeId(0)).unwrap().state_mut().routes = routes.rebuild();
         let interest = dip_protocols::ndn::interest(&other, 64).to_bytes(&[]).unwrap();
         net.send(h0, 0, interest, 0);
         net.run();

@@ -17,15 +17,15 @@
 //!   if-else FN dispatch, per-stage costs, and the AES-needs-a-resubmission
 //!   penalty that motivated 2EM;
 //! * [`topology`] — canned topologies (chains, stars, multi-AS) used by
-//!   the experiment harness;
-//! * [`driver::ShardedRouter`] — an RSS-style multi-core software
-//!   dataplane (one `DipRouter` per worker, flow-hashed dispatch over
-//!   std::sync::mpsc channels) backing the throughput benchmark.
+//!   the experiment harness.
+//!
+//! The multi-core software dataplane (flow-sharded workers over SPSC
+//! rings) is `dip-dataplane`; its `DataplaneRouter` plugs into
+//! [`engine::Network`] as a router node.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod driver;
 pub mod engine;
 pub mod faults;
 pub mod pcap;
@@ -33,7 +33,6 @@ pub mod tofino;
 pub mod topology;
 pub mod trace;
 
-pub use driver::{DriverStats, Job, ShardedRouter};
 pub use engine::{Host, Network, NodeId, Producer, RouterNode, SimError};
 pub use faults::FaultConfig;
 pub use tofino::TofinoModel;

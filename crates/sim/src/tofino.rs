@@ -120,6 +120,7 @@ impl Default for TofinoModel {
 mod tests {
     use super::*;
     use dip_core::DipRouter;
+    use dip_fnops::RouteStore;
     use dip_tables::fib::NextHop;
     use dip_wire::ipv4::Ipv4Addr;
     use dip_wire::ndn::Name;
@@ -127,9 +128,10 @@ mod tests {
     fn stats_for(repr: dip_wire::packet::DipRepr, payload: &[u8]) -> (ProcessStats, usize) {
         let mut r = DipRouter::new(0, [1; 16]);
         r.config_mut().default_port = Some(1);
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(0, 0, 0, 0), 0, NextHop::port(1));
-        let name = Name::parse("hotnets.org");
-        r.state_mut().name_fib.add_route(&name, NextHop::port(1));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(0, 0, 0, 0), 0, NextHop::port(1));
+        routes.insert_name(&Name::parse("hotnets.org"), NextHop::port(1));
+        r.state_mut().routes = routes.rebuild();
         let mut buf = repr.to_bytes(payload).unwrap();
         let len = buf.len();
         let (_, stats) = r.process(&mut buf, 0, 0);

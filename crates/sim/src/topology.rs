@@ -54,6 +54,7 @@ pub fn star(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dip_fnops::RouteStore;
     use dip_tables::fib::NextHop;
     use dip_wire::ndn::Name;
     use std::collections::HashMap;
@@ -73,8 +74,11 @@ mod tests {
             500,
         );
         // Every router forwards interests toward the producer (port 1).
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(1));
+        let tables = routes.rebuild();
         for &r in &routers {
-            net.router_mut(r).unwrap().state_mut().name_fib.add_route(&name, NextHop::port(1));
+            net.router_mut(r).unwrap().state_mut().routes = tables.clone();
         }
         let interest = dip_protocols::ndn::interest(&name, 64).to_bytes(&[]).unwrap();
         net.send(consumer, 0, interest, 0);

@@ -1,20 +1,8 @@
-//! Forwarding information bases for the three addressing families DIP
-//! routes on: 32-bit addresses, 128-bit addresses, and content names.
-//!
-//! Each FIB also offers `populate_synthetic(n, seed)` — a deterministic
-//! CRAM-style "large database" generator (random prefixes of realistic
-//! length mixes, seeded from the in-repo [`DetRng`]) so benchmarks and
-//! the workload harness exercise lookup structures at production table
-//! sizes without shipping routing dumps.
+//! The routing decision every FIB lookup returns. The FIBs themselves —
+//! 32/128-bit LPM and the name FIB — are compiled tables in `dip-routes`
+//! (`RouteTables`), built from a `RouteStore`.
 
-use crate::bit_trie::{BitTrie, Prefix};
-use crate::name_trie::NameTrie;
 use crate::Port;
-use dip_crypto::DetRng;
-use dip_wire::ipv4::Ipv4Addr;
-use dip_wire::ipv6::Ipv6Addr;
-use dip_wire::ndn::Name;
-use std::collections::HashMap;
 
 /// A routing decision stored in a FIB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,409 +15,5 @@ impl NextHop {
     /// Shorthand constructor.
     pub fn port(port: Port) -> Self {
         NextHop { port }
-    }
-}
-
-/// FIB over 32-bit addresses (`F_32_match`).
-#[derive(Debug, Clone, Default)]
-pub struct Ipv4Fib {
-    trie: BitTrie<NextHop>,
-}
-
-impl Ipv4Fib {
-    /// An empty FIB.
-    pub fn new() -> Self {
-        Ipv4Fib::default()
-    }
-
-    /// Installs a route for `addr/len`.
-    pub fn add_route(&mut self, addr: Ipv4Addr, len: u8, next_hop: NextHop) {
-        self.trie.insert(Prefix::v4(addr.to_u32(), len), next_hop);
-    }
-
-    /// Removes the route at exactly `addr/len`.
-    pub fn remove_route(&mut self, addr: Ipv4Addr, len: u8) -> Option<NextHop> {
-        self.trie.remove(Prefix::v4(addr.to_u32(), len))
-    }
-
-    /// Longest-prefix match.
-    pub fn lookup(&self, addr: Ipv4Addr) -> Option<NextHop> {
-        self.trie.lookup(Prefix::v4_host(addr.to_u32())).map(|(_, nh)| *nh)
-    }
-
-    /// Number of routes.
-    pub fn len(&self) -> usize {
-        self.trie.len()
-    }
-
-    /// Whether the FIB is empty.
-    pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
-    }
-
-    /// Lists every installed route as `(addr, prefix_len, next_hop)`.
-    pub fn routes(&self) -> Vec<(Ipv4Addr, u8, NextHop)> {
-        self.trie
-            .entries(32)
-            .into_iter()
-            .map(|(p, nh)| (Ipv4Addr::from_u32((p.bits >> 96) as u32), p.len, *nh))
-            .collect()
-    }
-
-    /// Installs `n` deterministic synthetic routes: random prefixes of
-    /// length 8..=28 (the realistic BGP-table band) pointing at ports
-    /// 1..=64. Identical `(n, seed)` always produce the identical table;
-    /// colliding prefixes overwrite, so [`Ipv4Fib::len`] may end slightly
-    /// below `n`.
-    pub fn populate_synthetic(&mut self, n: usize, seed: u64) {
-        let mut rng = DetRng::seed_from_u64(seed ^ 0x5f32_7537_9e01_a4c1);
-        for _ in 0..n {
-            let len = rng.gen_range_inclusive(8, 28) as u8;
-            let addr = (rng.next_u32()) & prefix_mask32(len);
-            let port = rng.gen_range_inclusive(1, 64) as Port;
-            self.add_route(Ipv4Addr::from_u32(addr), len, NextHop::port(port));
-        }
-    }
-}
-
-/// The network mask for a /`len` 32-bit prefix.
-fn prefix_mask32(len: u8) -> u32 {
-    if len == 0 {
-        0
-    } else {
-        u32::MAX << (32 - len)
-    }
-}
-
-/// The network mask for a /`len` 128-bit prefix.
-fn prefix_mask128(len: u8) -> u128 {
-    if len == 0 {
-        0
-    } else {
-        u128::MAX << (128 - len)
-    }
-}
-
-/// FIB over 128-bit addresses (`F_128_match`).
-#[derive(Debug, Clone, Default)]
-pub struct Ipv6Fib {
-    trie: BitTrie<NextHop>,
-}
-
-impl Ipv6Fib {
-    /// An empty FIB.
-    pub fn new() -> Self {
-        Ipv6Fib::default()
-    }
-
-    /// Installs a route for `addr/len`.
-    pub fn add_route(&mut self, addr: Ipv6Addr, len: u8, next_hop: NextHop) {
-        self.trie.insert(Prefix::v6(addr.to_u128(), len), next_hop);
-    }
-
-    /// Removes the route at exactly `addr/len`.
-    pub fn remove_route(&mut self, addr: Ipv6Addr, len: u8) -> Option<NextHop> {
-        self.trie.remove(Prefix::v6(addr.to_u128(), len))
-    }
-
-    /// Longest-prefix match.
-    pub fn lookup(&self, addr: Ipv6Addr) -> Option<NextHop> {
-        self.trie.lookup(Prefix::v6_host(addr.to_u128())).map(|(_, nh)| *nh)
-    }
-
-    /// Number of routes.
-    pub fn len(&self) -> usize {
-        self.trie.len()
-    }
-
-    /// Whether the FIB is empty.
-    pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
-    }
-
-    /// Lists every installed route as `(addr, prefix_len, next_hop)`.
-    pub fn routes(&self) -> Vec<(Ipv6Addr, u8, NextHop)> {
-        self.trie
-            .entries(128)
-            .into_iter()
-            .map(|(p, nh)| (Ipv6Addr::from_u128(p.bits), p.len, *nh))
-            .collect()
-    }
-
-    /// Installs `n` deterministic synthetic routes: random prefixes of
-    /// length 16..=64 (the allocated-space band) pointing at ports 1..=64.
-    /// Identical `(n, seed)` always produce the identical table.
-    pub fn populate_synthetic(&mut self, n: usize, seed: u64) {
-        let mut rng = DetRng::seed_from_u64(seed ^ 0x243f_6a88_85a3_08d3);
-        for _ in 0..n {
-            let len = rng.gen_range_inclusive(16, 64) as u8;
-            let bits = ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128;
-            let addr = bits & prefix_mask128(len);
-            let port = rng.gen_range_inclusive(1, 64) as Port;
-            self.add_route(Ipv6Addr::from_u128(addr), len, NextHop::port(port));
-        }
-    }
-}
-
-/// Name FIB (`F_FIB`): longest-prefix match over hierarchical names plus a
-/// compact 32-bit exact-match table mirroring the DIP prototype's dataplane
-/// (§4.1 "we take the 32-bit content name for the packet forwarding").
-///
-/// Routes registered by full name are *also* indexed by their `compact32`
-/// hash so the dataplane fast path (`lookup_compact`) and the control-plane
-/// path (`lookup`) stay consistent.
-#[derive(Debug, Clone, Default)]
-pub struct NameFib {
-    trie: NameTrie<NextHop>,
-    compact: HashMap<u32, NextHop>,
-}
-
-impl NameFib {
-    /// An empty FIB.
-    pub fn new() -> Self {
-        NameFib::default()
-    }
-
-    /// Installs a route for a name prefix. The compact index stores the
-    /// prefix's own hash (exact-match fast path).
-    pub fn add_route(&mut self, prefix: &Name, next_hop: NextHop) {
-        self.trie.insert(prefix, next_hop);
-        self.compact.insert(prefix.compact32(), next_hop);
-    }
-
-    /// Removes a route.
-    pub fn remove_route(&mut self, prefix: &Name) -> Option<NextHop> {
-        self.compact.remove(&prefix.compact32());
-        self.trie.remove(prefix)
-    }
-
-    /// Longest-prefix match on a full name.
-    pub fn lookup(&self, name: &Name) -> Option<NextHop> {
-        self.trie.lookup(name).map(|(_, nh)| *nh)
-    }
-
-    /// Exact match on a 32-bit compact name (the prototype's dataplane
-    /// path).
-    pub fn lookup_compact(&self, compact: u32) -> Option<NextHop> {
-        self.compact.get(&compact).copied()
-    }
-
-    /// Number of routes.
-    pub fn len(&self) -> usize {
-        self.trie.len()
-    }
-
-    /// Whether the FIB is empty.
-    pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
-    }
-
-    /// Lists every installed route as `(name, next_hop)`.
-    pub fn routes(&self) -> Vec<(Name, NextHop)> {
-        self.trie.entries().into_iter().map(|(n, nh)| (n, *nh)).collect()
-    }
-
-    /// Installs `n` deterministic synthetic name-prefix routes of depth
-    /// 2..=4 under `/syn`, pointing at ports 1..=64. Identical `(n, seed)`
-    /// always produce the identical table (colliding names overwrite).
-    pub fn populate_synthetic(&mut self, n: usize, seed: u64) {
-        let mut rng = DetRng::seed_from_u64(seed ^ 0x1319_8a2e_0370_7344);
-        for _ in 0..n {
-            let depth = rng.gen_range_inclusive(2, 4);
-            let mut text = String::from("/syn");
-            for _ in 0..depth {
-                text.push_str(&format!("/{:04x}", rng.next_u32() & 0xffff));
-            }
-            let port = rng.gen_range_inclusive(1, 64) as Port;
-            self.add_route(&Name::parse(&text), NextHop::port(port));
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn v4_lpm() {
-        let mut fib = Ipv4Fib::new();
-        fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-        fib.add_route(Ipv4Addr::new(10, 1, 0, 0), 16, NextHop::port(2));
-        assert_eq!(fib.lookup(Ipv4Addr::new(10, 1, 2, 3)), Some(NextHop::port(2)));
-        assert_eq!(fib.lookup(Ipv4Addr::new(10, 9, 2, 3)), Some(NextHop::port(1)));
-        assert_eq!(fib.lookup(Ipv4Addr::new(11, 0, 0, 1)), None);
-        assert_eq!(fib.len(), 2);
-        assert_eq!(fib.remove_route(Ipv4Addr::new(10, 1, 0, 0), 16), Some(NextHop::port(2)));
-        assert_eq!(fib.lookup(Ipv4Addr::new(10, 1, 2, 3)), Some(NextHop::port(1)));
-    }
-
-    #[test]
-    fn v6_lpm() {
-        let mut fib = Ipv6Fib::new();
-        let site = Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]);
-        fib.add_route(site, 16, NextHop::port(7));
-        assert_eq!(
-            fib.lookup(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0x100])),
-            Some(NextHop::port(7))
-        );
-        assert_eq!(fib.lookup(Ipv6Addr::new([0xfdab, 0, 0, 0, 0, 0, 0, 1])), None);
-    }
-
-    #[test]
-    fn name_fib_both_paths_agree() {
-        let mut fib = NameFib::new();
-        let name = Name::parse("hotnets.org");
-        fib.add_route(&name, NextHop::port(3));
-        assert_eq!(fib.lookup(&name), Some(NextHop::port(3)));
-        assert_eq!(fib.lookup_compact(name.compact32()), Some(NextHop::port(3)));
-        assert_eq!(fib.lookup_compact(0xdead_beef), None);
-    }
-
-    #[test]
-    fn name_fib_prefix_covers_children() {
-        let mut fib = NameFib::new();
-        fib.add_route(&Name::parse("/hotnets"), NextHop::port(1));
-        assert_eq!(fib.lookup(&Name::parse("/hotnets/org/p1")), Some(NextHop::port(1)));
-        // The compact path is exact-match only — children don't hash-match,
-        // mirroring the prototype's 32-bit dataplane restriction.
-        assert_eq!(fib.lookup_compact(Name::parse("/hotnets/org/p1").compact32()), None);
-    }
-
-    #[test]
-    fn route_dumps() {
-        let mut v4 = Ipv4Fib::new();
-        v4.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-        v4.add_route(Ipv4Addr::new(192, 168, 0, 0), 16, NextHop::port(2));
-        let mut routes = v4.routes();
-        routes.sort_by_key(|(a, l, _)| (a.to_u32(), *l));
-        assert_eq!(
-            routes,
-            vec![
-                (Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1)),
-                (Ipv4Addr::new(192, 168, 0, 0), 16, NextHop::port(2)),
-            ]
-        );
-
-        let mut v6 = Ipv6Fib::new();
-        let site = Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]);
-        v6.add_route(site, 16, NextHop::port(7));
-        assert_eq!(v6.routes(), vec![(site, 16, NextHop::port(7))]);
-
-        let mut names = NameFib::new();
-        names.add_route(&Name::parse("/a"), NextHop::port(3));
-        names.add_route(&Name::parse("/a/b"), NextHop::port(4));
-        let dump = names.routes();
-        assert_eq!(dump.len(), 2);
-        assert!(dump.contains(&(Name::parse("/a/b"), NextHop::port(4))));
-    }
-
-    #[test]
-    fn synthetic_population_is_deterministic() {
-        let mut a = Ipv4Fib::new();
-        let mut b = Ipv4Fib::new();
-        a.populate_synthetic(500, 7);
-        b.populate_synthetic(500, 7);
-        let (mut ra, mut rb) = (a.routes(), b.routes());
-        ra.sort_by_key(|(addr, len, _)| (addr.to_u32(), *len));
-        rb.sort_by_key(|(addr, len, _)| (addr.to_u32(), *len));
-        assert_eq!(ra, rb);
-        assert!(a.len() > 450, "few collisions at n=500: {}", a.len());
-
-        let mut c = Ipv4Fib::new();
-        c.populate_synthetic(500, 8);
-        assert_ne!(a.len(), 0);
-        let mut rc = c.routes();
-        rc.sort_by_key(|(addr, len, _)| (addr.to_u32(), *len));
-        assert_ne!(ra, rc, "different seeds give different tables");
-    }
-
-    /// The CRAM-style gate: at n = 100k synthetic routes, trie LPM must
-    /// agree with a brute-force longest-match scan over the route dump on
-    /// 1k random lookups.
-    #[test]
-    fn v4_lpm_matches_linear_scan_oracle_at_100k() {
-        let mut fib = Ipv4Fib::new();
-        fib.populate_synthetic(100_000, 0xC0FFEE);
-        let routes = fib.routes();
-        let matches = |addr: u32, p: u32, len: u8| len == 0 || (addr ^ p) >> (32 - len) == 0;
-        let mut rng = dip_crypto::DetRng::seed_from_u64(0x10_0c0b);
-        for _ in 0..1_000 {
-            // Half the probes under a synthetic prefix (guaranteed-ish
-            // hits), half uniform (mostly misses).
-            let addr = if rng.gen_bool(0.5) {
-                let (p, len, _) = routes[rng.gen_index(routes.len())];
-                p.to_u32() | (rng.next_u32() & !prefix_mask32(len))
-            } else {
-                rng.next_u32()
-            };
-            let oracle = routes
-                .iter()
-                .filter(|(p, len, _)| matches(addr, p.to_u32(), *len))
-                .max_by_key(|(_, len, _)| *len)
-                .map(|(_, _, nh)| *nh);
-            assert_eq!(fib.lookup(Ipv4Addr::from_u32(addr)), oracle, "addr {addr:#010x}");
-        }
-    }
-
-    #[test]
-    fn v6_lpm_matches_linear_scan_oracle() {
-        let mut fib = Ipv6Fib::new();
-        fib.populate_synthetic(20_000, 0xC0FFEE);
-        let routes = fib.routes();
-        let matches = |addr: u128, p: u128, len: u8| len == 0 || (addr ^ p) >> (128 - len) == 0;
-        let mut rng = dip_crypto::DetRng::seed_from_u64(0x10_0c0c);
-        for _ in 0..500 {
-            let addr = if rng.gen_bool(0.5) {
-                let (p, len, _) = routes[rng.gen_index(routes.len())];
-                let low = ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128;
-                p.to_u128() | (low & !prefix_mask128(len))
-            } else {
-                ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128
-            };
-            let oracle = routes
-                .iter()
-                .filter(|(p, len, _)| matches(addr, p.to_u128(), *len))
-                .max_by_key(|(_, len, _)| *len)
-                .map(|(_, _, nh)| *nh);
-            assert_eq!(fib.lookup(Ipv6Addr::from_u128(addr)), oracle, "addr {addr:#034x}");
-        }
-    }
-
-    #[test]
-    fn name_lpm_matches_linear_scan_oracle() {
-        let mut fib = NameFib::new();
-        fib.populate_synthetic(5_000, 0xC0FFEE);
-        let routes = fib.routes();
-        let mut rng = dip_crypto::DetRng::seed_from_u64(0x10_0c0d);
-        for _ in 0..500 {
-            // Probe a child of an installed prefix, or a random name.
-            let name = if rng.gen_bool(0.5) {
-                let p = &routes[rng.gen_index(routes.len())].0;
-                p.child(format!("{:04x}", rng.next_u32() & 0xffff).as_bytes())
-            } else {
-                Name::parse(&format!(
-                    "/syn/{:04x}/{:04x}",
-                    rng.next_u32() & 0xffff,
-                    rng.next_u32() & 0xffff
-                ))
-            };
-            let oracle = routes
-                .iter()
-                .filter(|(p, _)| p.is_prefix_of(&name))
-                .max_by_key(|(p, _)| p.len())
-                .map(|(_, nh)| *nh);
-            assert_eq!(fib.lookup(&name), oracle, "name {name:?}");
-        }
-    }
-
-    #[test]
-    fn name_fib_removal() {
-        let mut fib = NameFib::new();
-        let n = Name::parse("/a");
-        fib.add_route(&n, NextHop::port(1));
-        assert_eq!(fib.remove_route(&n), Some(NextHop::port(1)));
-        assert!(fib.is_empty());
-        assert_eq!(fib.lookup(&n), None);
-        assert_eq!(fib.lookup_compact(n.compact32()), None);
     }
 }

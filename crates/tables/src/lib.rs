@@ -1,19 +1,15 @@
-//! # dip-tables — forwarding state for DIP routers
+//! # dip-tables — per-router flow state for DIP
 //!
 //! The operation modules of Table 1 consult per-router state:
 //!
-//! * `F_32_match` / `F_128_match` — longest-prefix match over 32/128-bit
-//!   addresses ([`fib::Ipv4Fib`], [`fib::Ipv6Fib`], built on
-//!   [`bit_trie::BitTrie`]);
-//! * `F_FIB` — name-based FIB, longest-prefix match over hierarchical NDN
-//!   names ([`fib::NameFib`] on [`name_trie::NameTrie`]) with a compact
-//!   32-bit fast path matching the DIP prototype (§4.1);
 //! * `F_PIT` — the pending interest table ([`pit::Pit`]) with per-entry
 //!   faces, nonces and expiry, plus the state budget of §2.4;
 //! * the optional NDN content store ([`content_store::ContentStore`],
 //!   footnote 2 of the paper);
-//! * `F_DAG` / `F_intent` — per-principal XIA routing tables
-//!   ([`xia_table::XiaRouteTable`]).
+//! * the routing decisions the lookup FNs return — [`fib::NextHop`] for
+//!   `F_32_match` / `F_128_match` / `F_FIB` and [`XiaNextHop`] for
+//!   `F_intent`. The forwarding tables that hold them are compiled by
+//!   `dip-routes` (`RouteStore` → `RouteTables`).
 //!
 //! All time is *virtual*: methods that expire state take a `now` tick so the
 //! tables work identically under the discrete-event simulator and in
@@ -22,19 +18,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bit_trie;
 pub mod content_store;
 pub mod fib;
-pub mod name_trie;
 pub mod pit;
 pub mod xia_table;
 
-pub use bit_trie::{BitTrie, Prefix};
 pub use content_store::ContentStore;
-pub use fib::{Ipv4Fib, Ipv6Fib, NameFib};
-pub use name_trie::NameTrie;
 pub use pit::{Pit, PitConsume, PitError, PitOutcome};
-pub use xia_table::{XiaNextHop, XiaRouteTable};
+pub use xia_table::XiaNextHop;
 
 /// A router port / face identifier.
 pub type Port = u32;

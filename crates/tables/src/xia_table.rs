@@ -1,15 +1,12 @@
-//! Per-principal XIA routing tables (`F_DAG` / `F_intent`).
+//! The routing decision of an XIA lookup (`F_DAG` / `F_intent`).
 //!
 //! An XIA router keeps one routing table per principal type it understands
-//! (AD, HID, SID, CID, ...). `F_intent` asks, for each candidate node of the
-//! address DAG in priority order: *can I route on this XID?* — a hit on the
-//! intent forwards directly; otherwise fallback edges are tried (§3, XIA
-//! \[12\]). A router that does not understand a principal type simply has no
-//! table for it, which is exactly XIA's evolvability story.
+//! (AD, HID, SID, CID, ...); `F_intent` asks, for each candidate node of the
+//! address DAG in priority order, whether it can route on that XID (§3, XIA
+//! \[12\]). The table is `dip-routes`' `CompactXia`, which keeps the
+//! "unknown type" vs "no route" distinction XIA's evolvability rests on.
 
 use crate::Port;
-use dip_wire::xia::{Xid, XidType};
-use std::collections::HashMap;
 
 /// Routing decision for an XID.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,119 +16,4 @@ pub enum XiaNextHop {
     Local,
     /// Forward on a port.
     Port(Port),
-}
-
-/// Routing state for an XIA-capable router.
-#[derive(Debug, Clone, Default)]
-pub struct XiaRouteTable {
-    tables: HashMap<u32, HashMap<Xid, XiaNextHop>>,
-}
-
-impl XiaRouteTable {
-    /// An empty table set.
-    pub fn new() -> Self {
-        XiaRouteTable::default()
-    }
-
-    /// Installs a route for `xid` of `ty`.
-    pub fn add_route(&mut self, ty: XidType, xid: Xid, next_hop: XiaNextHop) {
-        self.tables.entry(ty.to_wire()).or_default().insert(xid, next_hop);
-    }
-
-    /// Removes a route.
-    pub fn remove_route(&mut self, ty: XidType, xid: &Xid) -> Option<XiaNextHop> {
-        self.tables.get_mut(&ty.to_wire())?.remove(xid)
-    }
-
-    /// Whether this router understands principal type `ty` at all.
-    pub fn supports_type(&self, ty: XidType) -> bool {
-        self.tables.contains_key(&ty.to_wire())
-    }
-
-    /// Declares a principal type supported even before any route exists
-    /// (so lookups distinguish "unknown type" from "no route").
-    pub fn declare_type(&mut self, ty: XidType) {
-        self.tables.entry(ty.to_wire()).or_default();
-    }
-
-    /// Looks up an XID.
-    pub fn lookup(&self, ty: XidType, xid: &Xid) -> Option<XiaNextHop> {
-        self.tables.get(&ty.to_wire())?.get(xid).copied()
-    }
-
-    /// Every installed route as `(wire type, xid, next_hop)`, in
-    /// deterministic order (export path for compiled-table seeding).
-    pub fn routes(&self) -> Vec<(u32, Xid, XiaNextHop)> {
-        let mut out: Vec<_> = self
-            .tables
-            .iter()
-            .flat_map(|(&ty, t)| t.iter().map(move |(&xid, &nh)| (ty, xid, nh)))
-            .collect();
-        out.sort_unstable_by_key(|&(ty, xid, _)| (ty, xid));
-        out
-    }
-
-    /// Every declared principal type (wire form), in deterministic
-    /// order — includes types declared without routes.
-    pub fn types(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self.tables.keys().copied().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Total number of routes across all principal tables.
-    pub fn len(&self) -> usize {
-        self.tables.values().map(|t| t.len()).sum()
-    }
-
-    /// Whether no routes exist.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn xid(s: &str) -> Xid {
-        Xid::derive(s.as_bytes())
-    }
-
-    #[test]
-    fn add_lookup_remove() {
-        let mut t = XiaRouteTable::new();
-        t.add_route(XidType::Ad, xid("ad1"), XiaNextHop::Port(2));
-        assert_eq!(t.lookup(XidType::Ad, &xid("ad1")), Some(XiaNextHop::Port(2)));
-        assert_eq!(t.lookup(XidType::Ad, &xid("ad2")), None);
-        assert_eq!(t.remove_route(XidType::Ad, &xid("ad1")), Some(XiaNextHop::Port(2)));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn principal_types_are_separate_namespaces() {
-        let mut t = XiaRouteTable::new();
-        let same_bits = xid("shared");
-        t.add_route(XidType::Hid, same_bits, XiaNextHop::Local);
-        assert_eq!(t.lookup(XidType::Hid, &same_bits), Some(XiaNextHop::Local));
-        assert_eq!(t.lookup(XidType::Cid, &same_bits), None);
-    }
-
-    #[test]
-    fn supports_type_vs_no_route() {
-        let mut t = XiaRouteTable::new();
-        assert!(!t.supports_type(XidType::Cid));
-        t.declare_type(XidType::Cid);
-        assert!(t.supports_type(XidType::Cid));
-        assert_eq!(t.lookup(XidType::Cid, &xid("c")), None);
-    }
-
-    #[test]
-    fn other_principal_types_roundtrip() {
-        let mut t = XiaRouteTable::new();
-        let ty = XidType::Other(0x77);
-        t.add_route(ty, xid("future"), XiaNextHop::Port(9));
-        assert_eq!(t.lookup(ty, &xid("future")), Some(XiaNextHop::Port(9)));
-        assert_eq!(t.len(), 1);
-    }
 }

@@ -22,7 +22,7 @@ impl Ipv4Addr {
         Ipv4Addr([a, b, c, d])
     }
 
-    /// The address as a big-endian integer (used by the bit-trie FIB).
+    /// The address as a big-endian integer (the LPM key).
     pub fn to_u32(self) -> u32 {
         u32::from_be_bytes(self.0)
     }

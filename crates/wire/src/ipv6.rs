@@ -24,7 +24,7 @@ impl Ipv6Addr {
         Ipv6Addr(b)
     }
 
-    /// The address as a big-endian u128 (for the bit-trie FIB).
+    /// The address as a big-endian u128 (the LPM key).
     pub fn to_u128(self) -> u128 {
         u128::from_be_bytes(self.0)
     }

@@ -19,6 +19,7 @@ use crate::trace::WorkloadSpec;
 use dip_core::DipRouter;
 use dip_crypto::DetRng;
 use dip_protocols::{ndn, opt::OptSession};
+use dip_routes::RouteStore;
 use dip_sim::engine::{Host, Network, NodeId};
 use dip_sim::FaultConfig;
 use dip_tables::fib::NextHop;
@@ -151,11 +152,13 @@ pub fn run_closed_loop(spec: &WorkloadSpec, cfg: &ClosedLoopConfig) -> ClosedLoo
         10_000_000_000,
         cfg.faults.clone(),
     );
+    let mut routes = RouteStore::new();
+    for i in 0..spec.catalog_size.max(1) {
+        routes.insert_name(&catalog_name(i), NextHop::port(1));
+    }
+    let tables = routes.rebuild();
     for &r in &router_ids {
-        let router = net.router_mut(r).expect("chain node is a router");
-        for i in 0..spec.catalog_size.max(1) {
-            router.state_mut().name_fib.add_route(&catalog_name(i), NextHop::port(1));
-        }
+        net.router_mut(r).expect("chain node is a router").state_mut().routes = tables.clone();
     }
 
     let mut rng = DetRng::seed_from_u64(spec.seed ^ CLOSED_STREAM);

@@ -318,8 +318,9 @@ fn run_dataplane(
         (0..dp.workers()).map(|w| ModelQueue::new(dp.ring_capacity(w))).collect();
     let mut churn = cfg.churn.as_ref().map(|c| ChurnGen::new(spec, c));
     if let Some(gen) = &mut churn {
-        // Workers pick the compiled tables up at their next batch
-        // boundary; until then the legacy FIBs answer identically.
+        // Workers pick the storm's tables up at their next batch
+        // boundary; until then their own (pool-free) tables answer
+        // every trace packet identically.
         dp.publish_routes(gen.initial_snapshot());
         gen.note_epoch_swap();
     }

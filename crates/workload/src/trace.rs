@@ -18,6 +18,7 @@ use dip_crypto::DetRng;
 use dip_fnops::context::MacChoice;
 use dip_protocols::opt::OptSession;
 use dip_protocols::{ip, ndn, ndn_opt, xia};
+use dip_routes::RouteStore;
 use dip_tables::fib::NextHop;
 use dip_tables::{Pit, XiaNextHop};
 use dip_wire::ipv4::Ipv4Addr;
@@ -439,11 +440,53 @@ impl WorkloadSpec {
         Trace { packets, rate_pps }
     }
 
-    /// A router pre-seeded with everything this spec's traces assume:
-    /// covering routes for every class, `table_size` synthetic routes per
-    /// FIB (the CRAM-style "large database"), the content-catalog name
-    /// and CID routes (CIDs only for even indices — odd ones exercise the
-    /// XIA AD fallback), and `pit_preseed` pending NDN+OPT exchanges.
+    /// Every route this spec's routers hold: covering routes for every
+    /// class, `table_size` synthetic IPv4 and IPv6 prefixes and a quarter
+    /// as many synthetic names (the CRAM-style "large database", drawn
+    /// with replacement, so a repeated draw replaces its predecessor),
+    /// and the content-catalog name and CID routes (CIDs only for even
+    /// indices — odd ones exercise the XIA AD fallback). The routers of
+    /// [`WorkloadSpec::build_router`] compile exactly this; a
+    /// [`ChurnGen`](crate::ChurnGen) adds its flap pools to it.
+    pub(crate) fn route_store(&self) -> RouteStore {
+        let port = |rng: &mut DetRng| NextHop::port(rng.gen_range_inclusive(1, 64) as u32);
+        let mut store = RouteStore::new();
+        // The store masks each prefix to its length.
+        store.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+        let mut rng = DetRng::seed_from_u64(self.seed ^ 0x7634 ^ 0x5f32_7537_9e01_a4c1);
+        for _ in 0..self.table_size {
+            let len = rng.gen_range_inclusive(8, 28) as u8;
+            let addr = Ipv4Addr::from_u32(rng.next_u32());
+            store.insert_v4(addr, len, port(&mut rng));
+        }
+        store.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(2));
+        let mut rng = DetRng::seed_from_u64(self.seed ^ 0x7636 ^ 0x243f_6a88_85a3_08d3);
+        for _ in 0..self.table_size {
+            let len = rng.gen_range_inclusive(16, 64) as u8;
+            let bits = (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64());
+            store.insert_v6(Ipv6Addr::from_u128(bits), len, port(&mut rng));
+        }
+        for i in 0..self.catalog_size {
+            store.insert_name(&catalog_name(i), NextHop::port(3));
+        }
+        let mut rng = DetRng::seed_from_u64(self.seed ^ 0x766e ^ 0x1319_8a2e_0370_7344);
+        for _ in 0..self.table_size / 4 {
+            let mut text = String::from("/syn");
+            for _ in 0..rng.gen_range_inclusive(2, 4) {
+                text.push_str(&format!("/{:04x}", rng.next_u32() & 0xffff));
+            }
+            store.insert_name(&Name::parse(&text), port(&mut rng));
+        }
+        store.insert_xia(XidType::Ad, wl_ad(), XiaNextHop::Port(4));
+        for i in (0..self.catalog_size).step_by(2) {
+            store.insert_xia(XidType::Cid, catalog_cid(i), XiaNextHop::Port(5));
+        }
+        store
+    }
+
+    /// A router pre-seeded with everything this spec's traces assume: the
+    /// routes of [`WorkloadSpec::route_store`] and `pit_preseed` pending
+    /// NDN+OPT exchanges.
     ///
     /// Open-loop engines call this once per worker; every worker gets the
     /// identical state, so flow sharding alone decides who owns a flow.
@@ -455,18 +498,7 @@ impl WorkloadSpec {
         r.config_mut().optimize = true;
         let st = r.state_mut();
         st.mac_choice = self.mac_choice;
-        st.ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-        st.ipv4_fib.populate_synthetic(self.table_size, self.seed ^ 0x7634);
-        st.ipv6_fib.add_route(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(2));
-        st.ipv6_fib.populate_synthetic(self.table_size, self.seed ^ 0x7636);
-        for i in 0..self.catalog_size {
-            st.name_fib.add_route(&catalog_name(i), NextHop::port(3));
-        }
-        st.name_fib.populate_synthetic(self.table_size / 4, self.seed ^ 0x766e);
-        st.xia.add_route(XidType::Ad, wl_ad(), XiaNextHop::Port(4));
-        for i in (0..self.catalog_size).step_by(2) {
-            st.xia.add_route(XidType::Cid, catalog_cid(i), XiaNextHop::Port(5));
-        }
+        st.routes = self.route_store().rebuild();
         st.pit = Pit::new(self.pit_preseed + self.catalog_size + 1024, PIT_TTL);
         for i in 0..self.pit_preseed {
             let _ = st.pit.record_interest(
@@ -494,6 +526,16 @@ mod tests {
         assert_ne!(slow.hash(), fast.hash(), "timestamps differ across rates");
         let again = spec.generate(10_000, 200);
         assert_eq!(slow.hash(), again.hash(), "full reproducibility at equal rate");
+    }
+
+    /// The default spec's route set, pinned by a digest taken from the
+    /// route dumps of the trie FIBs this constructor replaced: the same
+    /// 9,332 IPv4, 10,000 IPv6, 3,012 name and 257 XIA routes, to the bit.
+    #[test]
+    fn default_route_set_is_pinned() {
+        let store = WorkloadSpec::default().route_store();
+        assert_eq!(store.route_count(), 9_332 + 10_000 + 3_012 + 257);
+        assert_eq!(store.digest(), 0x256b_c753_91b5_1e72);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use dip::fnops::ops::pass::{issue_label, PASS_FIELD_BITS};
 use dip::prelude::*;
+use dip_routes::RouteStore;
 
 fn attack_packet(name: &Name) -> Vec<u8> {
     // "An attacker can use both F_FIB and F_PIT in one packet and carry
@@ -25,7 +26,9 @@ fn main() {
 
     let mut router = DipRouter::new(1, [0x11; 16]);
     router.state_mut().enable_content_store(64);
-    router.state_mut().name_fib.add_route(&name, NextHop::port(9));
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(9));
+    router.state_mut().routes = routes.rebuild();
 
     // --- Phase 1: the attack works against an undefended cache. ----------
     println!("phase 1: no defense");

@@ -15,6 +15,7 @@ use dip::sim::engine::{Host, Network};
 use dip::sim::pcap;
 use dip::sim::topology::chain;
 use dip::wire::pretty::dissect;
+use dip_routes::RouteStore;
 use std::collections::HashMap;
 
 fn main() {
@@ -43,7 +44,9 @@ fn main() {
         |_| router_secret,
         15_000,
     );
-    net.router_mut(routers[0]).unwrap().state_mut().name_fib.add_route(&name, NextHop::port(1));
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(1));
+    net.router_mut(routers[0]).unwrap().state_mut().routes = routes.rebuild();
 
     net.send(consumer, 0, dip::protocols::ndn_opt::interest(&name, 64).to_bytes(&[]).unwrap(), 0);
     net.run();

@@ -10,6 +10,7 @@ use dip::core::border;
 use dip::core::control::ControlMessage;
 use dip::core::tunnel;
 use dip::prelude::*;
+use dip_routes::RouteStore;
 use dip_wire::ipv6::{Ipv6Addr, Ipv6Repr};
 
 fn main() {
@@ -98,11 +99,9 @@ fn main() {
 
     // DIP routers forward it with F_128_match on the embedded header.
     let mut core_router = DipRouter::new(2, [2; 16]);
-    core_router.state_mut().ipv6_fib.add_route(
-        Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]),
-        16,
-        NextHop::port(3),
-    );
+    let mut routes = RouteStore::new();
+    routes.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(3));
+    core_router.state_mut().routes = routes.rebuild();
     let (verdict, _) = core_router.process(&mut dip_form, 0, 0);
     println!("   DIP core forwards it: {verdict:?}");
     assert_eq!(verdict, Verdict::Forward(vec![3]));

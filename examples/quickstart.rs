@@ -8,6 +8,7 @@
 
 use dip::prelude::*;
 use dip::protocols::{ip, ndn, ndn_opt, opt::OptSession, xia};
+use dip_routes::RouteStore;
 use dip_tables::XiaNextHop;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
@@ -36,12 +37,13 @@ fn main() {
     // --- One DIP-capable router with state for every protocol. ----------
     let router_secret = [0x42u8; 16];
     let mut router = DipRouter::new(1, router_secret);
-    let st = router.state_mut();
-    st.ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-    st.ipv6_fib.add_route(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(2));
     let name = Name::parse("hotnets.org");
-    st.name_fib.add_route(&name, NextHop::port(3));
-    st.xia.add_route(XidType::Cid, Xid::derive(b"a-movie"), XiaNextHop::Port(4));
+    let mut routes = RouteStore::new();
+    routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+    routes.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(2));
+    routes.insert_name(&name, NextHop::port(3));
+    routes.insert_xia(XidType::Cid, Xid::derive(b"a-movie"), XiaNextHop::Port(4));
+    router.state_mut().routes = routes.rebuild();
     router.config_mut().default_port = Some(5); // for chains with no addressing FN
 
     println!("=== DIP quickstart: five L3 protocols through one router ===\n");

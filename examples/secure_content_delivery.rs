@@ -8,6 +8,7 @@
 use dip::prelude::*;
 use dip::sim::engine::{Host, Network};
 use dip::sim::topology::chain;
+use dip_routes::RouteStore;
 use std::collections::HashMap;
 
 fn main() {
@@ -37,10 +38,13 @@ fn main() {
         |i| router_secrets[i],
         20_000, // 20 µs links
     );
+    let mut routes = RouteStore::new();
+    for n in &names {
+        routes.insert_name(n, NextHop::port(1));
+    }
+    let tables = routes.rebuild();
     for &r in &routers {
-        for n in &names {
-            net.router_mut(r).unwrap().state_mut().name_fib.add_route(n, NextHop::port(1));
-        }
+        net.router_mut(r).unwrap().state_mut().routes = tables.clone();
     }
 
     // The consumer requests every paper.

@@ -103,11 +103,11 @@ fn main() {
 
     let trace = churn_spec.generate(200_000, 4_000);
     let pit_cap = 65_536; // RouterState's PIT bound
-    let route_bound = gen.initial_snapshot().tables.as_ref().map_or(0, |t| t.route_count());
+    let route_bound = gen.initial_snapshot().tables.route_count();
     let (mut max_cs, mut max_pit, mut max_routes) = (0usize, 0usize, 0usize);
     for p in &trace.packets {
         if let Some(snap) = gen.poll(p.at_ns) {
-            max_routes = max_routes.max(snap.tables.as_ref().map_or(0, |t| t.route_count()));
+            max_routes = max_routes.max(snap.tables.route_count());
             snap.apply(router.state_mut());
             gen.note_epoch_swap();
         }

@@ -9,6 +9,7 @@
 
 use dip::prelude::*;
 use dip::protocols::xia;
+use dip_routes::RouteStore;
 use dip_tables::XiaNextHop;
 
 fn route(router: &mut DipRouter, buf: &mut [u8]) -> Verdict {
@@ -30,8 +31,10 @@ fn main() {
 
     // --- Router A: modern, content-aware. --------------------------------
     let mut modern = DipRouter::new(1, [1; 16]);
-    modern.state_mut().xia.add_route(XidType::Cid, movie, XiaNextHop::Port(7));
-    modern.state_mut().xia.add_route(XidType::Ad, ad, XiaNextHop::Port(1));
+    let mut routes = RouteStore::new();
+    routes.insert_xia(XidType::Cid, movie, XiaNextHop::Port(7));
+    routes.insert_xia(XidType::Ad, ad, XiaNextHop::Port(1));
+    modern.state_mut().routes = routes.rebuild();
     let mut buf = xia::packet(&dag, 64).to_bytes(b"bits").unwrap();
     let v = route(&mut modern, &mut buf);
     println!("content-aware router : {v:?}   (routed on the CID intent directly)");
@@ -39,7 +42,9 @@ fn main() {
 
     // --- Router B: legacy, only understands ADs. --------------------------
     let mut legacy = DipRouter::new(2, [2; 16]);
-    legacy.state_mut().xia.add_route(XidType::Ad, ad, XiaNextHop::Port(2));
+    let mut routes = RouteStore::new();
+    routes.insert_xia(XidType::Ad, ad, XiaNextHop::Port(2));
+    legacy.state_mut().routes = routes.rebuild();
     let mut buf = xia::packet(&dag, 64).to_bytes(b"bits").unwrap();
     let v = route(&mut legacy, &mut buf);
     println!("legacy (AD-only)     : {v:?}   (CID unknown -> AD fallback)");
@@ -47,8 +52,10 @@ fn main() {
 
     // --- The AD's border router: advances the DAG and hands to the HID. ---
     let mut border = DipRouter::new(3, [3; 16]);
-    border.state_mut().xia.add_route(XidType::Ad, ad, XiaNextHop::Local);
-    border.state_mut().xia.add_route(XidType::Hid, server, XiaNextHop::Port(4));
+    let mut routes = RouteStore::new();
+    routes.insert_xia(XidType::Ad, ad, XiaNextHop::Local);
+    routes.insert_xia(XidType::Hid, server, XiaNextHop::Port(4));
+    border.state_mut().routes = routes.rebuild();
     let mut buf = xia::packet(&dag, 64).to_bytes(b"bits").unwrap();
     let v = route(&mut border, &mut buf);
     let updated = xia::parse_dag(DipPacket::new_checked(&buf[..]).unwrap().locations()).unwrap();
@@ -61,8 +68,10 @@ fn main() {
 
     // --- The media server: owns the HID and the content. ------------------
     let mut host = DipRouter::new(4, [4; 16]);
-    host.state_mut().xia.add_route(XidType::Hid, server, XiaNextHop::Local);
-    host.state_mut().xia.add_route(XidType::Cid, movie, XiaNextHop::Local);
+    let mut routes = RouteStore::new();
+    routes.insert_xia(XidType::Hid, server, XiaNextHop::Local);
+    routes.insert_xia(XidType::Cid, movie, XiaNextHop::Local);
+    host.state_mut().routes = routes.rebuild();
     let v = route(&mut host, &mut buf); // continue with the updated packet
     println!("media server         : {v:?}    (walked HID -> CID locally)");
     assert_eq!(v, Verdict::Deliver);

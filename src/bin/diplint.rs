@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 // patterns.
 const ROUTE_SNAPSHOT_NEEDLES: [&str; 3] = [
     concat!("RouteSnapshot", "::default()"),
-    concat!("RouteSnapshot", "::capture"),
+    concat!("RouteSnapshot", "::from_tables"),
     concat!("RouteSnapshot", " {"),
 ];
 const ROUTE_DELTA_NEEDLES: [&str; 6] = [

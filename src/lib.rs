@@ -14,11 +14,14 @@
 //!
 //! ```
 //! use dip::prelude::*;
+//! use dip::fnops::RouteStore;
 //!
 //! // A router with a name route (the paper's §2.3 walkthrough).
-//! let mut router = DipRouter::new(1, [7; 16]);
 //! let name = Name::parse("hotnets.org");
-//! router.state_mut().name_fib.add_route(&name, NextHop::port(8));
+//! let mut routes = RouteStore::new();
+//! routes.insert_name(&name, NextHop::port(8));
+//! let mut router = DipRouter::new(1, [7; 16]);
+//! router.state_mut().routes = routes.rebuild();
 //!
 //! // A consumer builds an NDN interest — one FN triple, 16-byte header.
 //! let interest = dip::protocols::ndn::interest(&name, 64);
@@ -36,7 +39,7 @@
 //! |---|---|---|
 //! | [`wire`] | `dip-wire` | DIP header codec, FN triples, IPv4/IPv6/NDN/OPT/XIA layouts |
 //! | [`crypto`] | `dip-crypto` | AES-128, 2EM, CBC-MAC, KDF, MMO hash |
-//! | [`tables`] | `dip-tables` | LPM FIBs, PIT, content store, XIA tables |
+//! | [`tables`] | `dip-tables` | PIT, content store, next-hop types |
 //! | [`fnops`] | `dip-fnops` | the `FieldOp` trait, registry, the 12 operation modules |
 //! | [`core`] | `dip-core` | Algorithm-1 router, host delivery, budgets, border/tunnel/bootstrap |
 //! | [`verify`] | `dip-verify` | `dipcheck`: static FN-program verification (structure, registries, data flow, resources) |

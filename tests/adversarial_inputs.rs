@@ -19,22 +19,19 @@ use dip::tables::XiaNextHop;
 use dip::telemetry::Registry;
 use dip::wire::ipv4::Ipv4Addr;
 use dip::wire::ipv6::Ipv6Addr;
+use dip_routes::RouteStore;
 
 /// A router with routes in every table, so mangled packets reach deep
 /// into each op before failing.
 fn loaded_router(node: u64) -> DipRouter {
     let mut r = DipRouter::new(node, [0x5a; 16]);
-    r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-    r.state_mut().ipv6_fib.add_route(
-        Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]),
-        16,
-        NextHop::port(2),
-    );
+    let mut routes = RouteStore::new();
+    routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+    routes.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(2));
+    routes.insert_name(&Name::parse("/adv/content"), NextHop::port(3));
+    routes.insert_xia(XidType::Ad, Xid::derive(b"adv-ad"), XiaNextHop::Port(4));
+    r.state_mut().routes = routes.rebuild();
     r.state_mut().enable_content_store(64);
-    let name = Name::parse("/adv/content");
-    r.state_mut().name_fib.add_route(&name, NextHop::port(3));
-    let ad = Xid::derive(b"adv-ad");
-    r.state_mut().xia.add_route(XidType::Ad, ad, XiaNextHop::Port(4));
     r
 }
 

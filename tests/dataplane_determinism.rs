@@ -26,6 +26,7 @@ use dip::protocols::{ip, ndn, xia};
 use dip::tables::{Port, Ticks, XiaNextHop};
 use dip::wire::ipv4::Ipv4Addr;
 use dip::wire::ipv6::Ipv6Addr;
+use dip_routes::RouteStore;
 
 /// One packet of workload: bytes as submitted, ingress port, arrival time.
 type Packet = (Vec<u8>, Port, Ticks);
@@ -133,8 +134,10 @@ fn assert_deterministic(proto: &str, factory: impl Fn(usize) -> DipRouter, packe
 fn dip32_sharded_equals_sequential() {
     let factory = |_| {
         let mut r = DipRouter::new(0, [7; 16]);
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 9, 0, 0), 16, NextHop::port(2));
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+        routes.insert_v4(Ipv4Addr::new(10, 9, 0, 0), 16, NextHop::port(2));
+        r.state_mut().routes = routes.rebuild();
         r
     };
     let mut rng = DetRng::seed_from_u64(0xd1001);
@@ -158,11 +161,9 @@ fn dip32_sharded_equals_sequential() {
 fn dip128_sharded_equals_sequential() {
     let factory = |_| {
         let mut r = DipRouter::new(0, [8; 16]);
-        r.state_mut().ipv6_fib.add_route(
-            Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]),
-            16,
-            NextHop::port(4),
-        );
+        let mut routes = RouteStore::new();
+        routes.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(4));
+        r.state_mut().routes = routes.rebuild();
         r
     };
     let mut rng = DetRng::seed_from_u64(0xd1002);
@@ -190,9 +191,11 @@ fn ndn_sharded_equals_sequential() {
         // Capacity far above the distinct-name count: no LRU eviction, so
         // the merged per-shard stores must equal the reference store.
         r.state_mut().enable_content_store(1024);
+        let mut routes = RouteStore::new();
         for name in &names_for_factory {
-            r.state_mut().name_fib.add_route(name, NextHop::port(1));
+            routes.insert_name(name, NextHop::port(1));
         }
+        r.state_mut().routes = routes.rebuild();
         r
     };
     let mut rng = DetRng::seed_from_u64(0xd1003);
@@ -242,8 +245,10 @@ fn xia_sharded_equals_sequential() {
     let local_cid = Xid::derive(b"cid-7");
     let factory = move |_| {
         let mut r = DipRouter::new(0, [3; 16]);
-        r.state_mut().xia.add_route(XidType::Ad, ad, XiaNextHop::Port(1));
-        r.state_mut().xia.add_route(XidType::Cid, local_cid, XiaNextHop::Local);
+        let mut routes = RouteStore::new();
+        routes.insert_xia(XidType::Ad, ad, XiaNextHop::Port(1));
+        routes.insert_xia(XidType::Cid, local_cid, XiaNextHop::Local);
+        r.state_mut().routes = routes.rebuild();
         r
     };
     let mut rng = DetRng::seed_from_u64(0xd1005);

@@ -13,6 +13,7 @@
 use dip::prelude::*;
 use dip::verify::{invalid_corpus, DiagCode};
 use dip_crypto::DetRng;
+use dip_routes::RouteStore;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
 
@@ -174,11 +175,9 @@ fn accepted_chains_execute_without_out_of_bounds() {
         //    contract is about construction, not table contents).
         let mut router = DipRouter::new(1, [7; 16]);
         router.config_mut().default_port = Some(1);
-        router.state_mut().ipv4_fib.add_route(
-            Ipv4Addr::new(0, 0, 0, 0),
-            0,
-            dip::tables::fib::NextHop::port(1),
-        );
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(0, 0, 0, 0), 0, dip::tables::fib::NextHop::port(1));
+        router.state_mut().routes = routes.rebuild();
         let mut buf = bytes.clone();
         let (verdict, _) = router.process(&mut buf, 0, 0);
         assert_ne!(

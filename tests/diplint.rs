@@ -79,17 +79,17 @@ fn route_snapshot_outside_controlplane_is_flagged() {
 }
 
 #[test]
-fn route_snapshot_literal_and_capture_forms_are_flagged() {
+fn route_snapshot_literal_and_from_tables_forms_are_flagged() {
     let s = Scratch::new("snapshot-forms");
     s.file("src/main.rs", &format!("let s = {} routes }};\n", "RouteSnapshot {"));
     expect_violation(&s, "route-snapshot");
 
-    let c = Scratch::new("snapshot-capture");
-    c.file(
+    let t = Scratch::new("snapshot-from-tables");
+    t.file(
         "crates/workload/src/gen.rs",
-        &format!("let s = {}(&state);\n", "RouteSnapshot::capture"),
+        &format!("let s = {}(store.rebuild());\n", "RouteSnapshot::from_tables"),
     );
-    expect_violation(&c, "route-snapshot");
+    expect_violation(&t, "route-snapshot");
 }
 
 #[test]

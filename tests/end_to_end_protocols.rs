@@ -3,6 +3,7 @@
 
 use dip::prelude::*;
 use dip::protocols::{ip, ndn, ndn_opt, xia};
+use dip_routes::RouteStore;
 use dip_tables::XiaNextHop;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
@@ -14,8 +15,11 @@ fn chain_of(n: usize) -> Vec<DipRouter> {
 #[test]
 fn dip32_across_five_hops() {
     let mut routers = chain_of(5);
+    let mut routes = RouteStore::new();
+    routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+    let tables = routes.rebuild();
     for r in routers.iter_mut() {
-        r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+        r.state_mut().routes = tables.clone();
     }
     let mut buf = ip::dip32_packet(Ipv4Addr::new(10, 1, 1, 1), Ipv4Addr::new(172, 16, 0, 1), 64)
         .to_bytes(b"p")
@@ -31,11 +35,9 @@ fn dip32_across_five_hops() {
 #[test]
 fn dip128_and_source_recording() {
     let mut r = DipRouter::new(0, [1; 16]);
-    r.state_mut().ipv6_fib.add_route(
-        Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]),
-        16,
-        NextHop::port(4),
-    );
+    let mut routes = RouteStore::new();
+    routes.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(4));
+    r.state_mut().routes = routes.rebuild();
     let repr = ip::dip128_packet(
         Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 2]),
         Ipv6Addr::new([0xfdbb, 0, 0, 0, 0, 0, 0, 1]),
@@ -52,8 +54,11 @@ fn dip128_and_source_recording() {
 fn ndn_interest_data_across_three_hops() {
     let name = Name::parse("/conf/hotnets/dip");
     let mut routers = chain_of(3);
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(1));
+    let tables = routes.rebuild();
     for r in routers.iter_mut() {
-        r.state_mut().name_fib.add_route(&name, NextHop::port(1));
+        r.state_mut().routes = tables.clone();
     }
     // Interest travels consumer -> producer, arriving on port 0 everywhere.
     let mut ibuf = ndn::interest(&name, 64).to_bytes(&[]).unwrap();
@@ -114,7 +119,9 @@ fn ndn_opt_composition_runs_both_protocol_halves() {
     let name = Name::parse("hotnets.org");
     let session = OptSession::establish([0xAB; 16], &[5; 16], &[[10; 16]]);
     let mut router = DipRouter::new(0, [10; 16]);
-    router.state_mut().name_fib.add_route(&name, NextHop::port(8));
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(8));
+    router.state_mut().routes = routes.rebuild();
 
     let mut ibuf = ndn_opt::interest(&name, 64).to_bytes(&[]).unwrap();
     let (v, _) = router.process(&mut ibuf, 3, 0);
@@ -144,13 +151,19 @@ fn xia_multi_domain_walk() {
 
     // Hop 1 only knows the AD; hop 2 is the AD; hop 3 owns everything.
     let mut r1 = DipRouter::new(1, [1; 16]);
-    r1.state_mut().xia.add_route(XidType::Ad, ad1, XiaNextHop::Port(1));
+    let mut routes = RouteStore::new();
+    routes.insert_xia(XidType::Ad, ad1, XiaNextHop::Port(1));
+    r1.state_mut().routes = routes.rebuild();
     let mut r2 = DipRouter::new(2, [2; 16]);
-    r2.state_mut().xia.add_route(XidType::Ad, ad1, XiaNextHop::Local);
-    r2.state_mut().xia.add_route(XidType::Hid, hid, XiaNextHop::Port(2));
+    let mut routes = RouteStore::new();
+    routes.insert_xia(XidType::Ad, ad1, XiaNextHop::Local);
+    routes.insert_xia(XidType::Hid, hid, XiaNextHop::Port(2));
+    r2.state_mut().routes = routes.rebuild();
     let mut r3 = DipRouter::new(3, [3; 16]);
-    r3.state_mut().xia.add_route(XidType::Hid, hid, XiaNextHop::Local);
-    r3.state_mut().xia.add_route(XidType::Cid, movie, XiaNextHop::Local);
+    let mut routes = RouteStore::new();
+    routes.insert_xia(XidType::Hid, hid, XiaNextHop::Local);
+    routes.insert_xia(XidType::Cid, movie, XiaNextHop::Local);
+    r3.state_mut().routes = routes.rebuild();
 
     let mut buf = xia::packet(&dag, 64).to_bytes(b"stream").unwrap();
     let (v, _) = r1.process(&mut buf, 0, 0);
@@ -169,10 +182,12 @@ fn mixed_traffic_one_router() {
     let session = OptSession::establish([1; 16], &[2; 16], &[[9; 16]]);
     let mut r = DipRouter::new(0, [9; 16]);
     r.config_mut().default_port = Some(5);
-    r.state_mut().ipv4_fib.add_route(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-    r.state_mut().ipv6_fib.add_route(Ipv6Addr::new([1, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(2));
-    r.state_mut().name_fib.add_route(&name, NextHop::port(3));
-    r.state_mut().xia.add_route(XidType::Cid, Xid::derive(b"c"), XiaNextHop::Port(4));
+    let mut routes = RouteStore::new();
+    routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+    routes.insert_v6(Ipv6Addr::new([1, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(2));
+    routes.insert_name(&name, NextHop::port(3));
+    routes.insert_xia(XidType::Cid, Xid::derive(b"c"), XiaNextHop::Port(4));
+    r.state_mut().routes = routes.rebuild();
 
     for round in 0..50u64 {
         let mut a =

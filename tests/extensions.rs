@@ -4,6 +4,7 @@
 use dip::prelude::*;
 use dip::protocols::{netfence, scion_path, telemetry};
 use dip::sim::engine::{Host, Network};
+use dip_routes::RouteStore;
 use dip_tables::fib::NextHop;
 use std::sync::Arc;
 
@@ -55,9 +56,12 @@ fn telemetry_reconstructs_the_path_in_the_simulator() {
         |i| [i as u8 + 1; 16],
         30_000, // 30 µs per link
     );
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(1));
+    let tables = routes.rebuild();
     for &r in &routers {
         let rt = net.router_mut(r).unwrap();
-        rt.state_mut().name_fib.add_route(&name, NextHop::port(1));
+        rt.state_mut().routes = tables.clone();
         rt.registry_mut().install(Arc::new(telemetry::TelemetryOp));
     }
 

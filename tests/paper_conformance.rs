@@ -6,6 +6,7 @@
 
 use dip::prelude::*;
 use dip::protocols::{header_sizes, ip, ndn, ndn_opt, opt::opt_triples, opt::OptSession};
+use dip_routes::RouteStore;
 
 /// Table 1: "Field operations in the DIP prototype" — notation, key.
 #[test]
@@ -215,7 +216,9 @@ fn algorithm1_skips_host_tagged_fns() {
 fn ndn_data_hit_and_miss_behaviour() {
     let name = Name::parse("/n");
     let mut r = DipRouter::new(1, [1; 16]);
-    r.state_mut().name_fib.add_route(&name, NextHop::port(9));
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(9));
+    r.state_mut().routes = routes.rebuild();
     // Miss first.
     let mut miss = ndn::data(&name, 64).to_bytes(b"d").unwrap();
     assert_eq!(r.process(&mut miss, 9, 0).0, Verdict::Drop(DropReason::PitMiss));
@@ -267,14 +270,16 @@ fn five_protocols_one_registry() {
     router.config_mut().default_port = Some(7);
     let name = Name::parse("hotnets.org");
     let st = router.state_mut();
-    st.ipv4_fib.add_route(dip::wire::ipv4::Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
-    st.ipv6_fib.add_route(
+    let mut routes = RouteStore::new();
+    routes.insert_v4(dip::wire::ipv4::Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+    routes.insert_v6(
         dip::wire::ipv6::Ipv6Addr::new([0xfd00, 0, 0, 0, 0, 0, 0, 0]),
         8,
         NextHop::port(2),
     );
-    st.name_fib.add_route(&name, NextHop::port(3));
-    st.xia.add_route(XidType::Cid, Xid::derive(b"c"), XiaNextHop::Port(4));
+    routes.insert_name(&name, NextHop::port(3));
+    routes.insert_xia(XidType::Cid, Xid::derive(b"c"), XiaNextHop::Port(4));
+    st.routes = routes.rebuild();
 
     let session = OptSession::establish([9; 16], &[8; 16], &[secret]);
     let dag = Dag::direct_with_fallback(

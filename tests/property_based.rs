@@ -8,7 +8,6 @@
 
 use dip::prelude::*;
 use dip_crypto::DetRng;
-use dip_tables::bit_trie::{BitTrie, Prefix};
 use dip_wire::bits;
 
 fn rng(seed: u64) -> DetRng {
@@ -138,69 +137,6 @@ fn triple_wire_roundtrip() {
         let mut buf = [0u8; 6];
         t.emit(&mut buf).unwrap();
         assert_eq!(FnTriple::parse(&buf).unwrap(), t, "case {case}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tables: LPM against a naive model
-// ---------------------------------------------------------------------
-
-#[test]
-fn bit_trie_matches_naive_lpm() {
-    let mut r = rng(0x06);
-    for case in 0..128 {
-        let routes: Vec<(u32, u8)> =
-            (0..1 + r.gen_index(39)).map(|_| (r.next_u32(), (r.next_u32() % 33) as u8)).collect();
-        let probes: Vec<u32> = (0..1 + r.gen_index(39)).map(|_| r.next_u32()).collect();
-        let mut trie = BitTrie::new();
-        for (i, (addr, len)) in routes.iter().enumerate() {
-            // Mask the address to its prefix so duplicates collapse the
-            // same way in both models.
-            let masked = if *len == 0 { 0 } else { addr & (u32::MAX << (32 - len)) };
-            trie.insert(Prefix::v4(masked, *len), i);
-        }
-        for probe in probes {
-            let expected = routes
-                .iter()
-                .enumerate()
-                .filter(|(_, (addr, len))| {
-                    let mask = if *len == 0 { 0 } else { u32::MAX << (32 - len) };
-                    probe & mask == addr & mask
-                })
-                .max_by(|a, b| {
-                    // Longest prefix wins; later insertion wins ties.
-                    (a.1 .1, a.0).cmp(&(b.1 .1, b.0))
-                })
-                .map(|(i, (_, len))| (*len, i));
-            let got = trie.lookup(Prefix::v4_host(probe)).map(|(l, v)| (l, *v));
-            assert_eq!(got, expected, "case {case}, probe {probe:08x}");
-        }
-    }
-}
-
-#[test]
-fn name_trie_matches_naive_lpm() {
-    use dip_tables::NameTrie;
-    let mut r = rng(0x07);
-    for case in 0..256 {
-        let routes: Vec<Vec<u8>> = (0..1 + r.gen_index(19))
-            .map(|_| (0..r.gen_index(4)).map(|_| (r.next_u32() % 4) as u8).collect())
-            .collect();
-        let probe: Vec<u8> = (0..r.gen_index(6)).map(|_| (r.next_u32() % 4) as u8).collect();
-        let to_name = |v: &Vec<u8>| Name::from_components(v.iter().map(|c| vec![*c]).collect());
-        let mut trie = NameTrie::new();
-        for (i, route) in routes.iter().enumerate() {
-            trie.insert(&to_name(route), i);
-        }
-        let probe_name = to_name(&probe);
-        let expected = routes
-            .iter()
-            .enumerate()
-            .filter(|(_, route)| to_name(route).is_prefix_of(&probe_name))
-            .max_by_key(|(i, route)| (route.len(), *i))
-            .map(|(i, route)| (route.len(), i));
-        let got = trie.lookup(&probe_name).map(|(d, v)| (d, *v));
-        assert_eq!(got, expected, "case {case}");
     }
 }
 

@@ -4,6 +4,7 @@
 use dip::fnops::ops::pass::{issue_label, PASS_FIELD_BITS};
 use dip::prelude::*;
 use dip::protocols::ndn;
+use dip_routes::RouteStore;
 
 fn one_hop(session: &OptSession, secret: [u8; 16], payload: &[u8]) -> Vec<u8> {
     let mut router = DipRouter::new(0, secret);
@@ -95,7 +96,9 @@ fn cache_poisoning_blocked_by_dynamic_policy() {
 
     let mut r = DipRouter::new(1, [7; 16]);
     r.state_mut().enable_content_store(16);
-    r.state_mut().name_fib.add_route(&name, NextHop::port(9));
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(9));
+    r.state_mut().routes = routes.rebuild();
 
     // Undefended: poisoned.
     let mut pkt = combo.to_bytes(b"EVIL").unwrap();
@@ -116,7 +119,9 @@ fn pass_labels_gate_caching_per_source() {
     let mut r = DipRouter::new(1, [7; 16]);
     r.state_mut().enable_content_store(16);
     r.state_mut().require_pass_for_cache = true;
-    r.state_mut().name_fib.add_route(&name, NextHop::port(9));
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(9));
+    r.state_mut().routes = routes.rebuild();
     let as_secret = r.state().as_secret;
 
     let make_data = |label: [u8; 16]| {
@@ -157,16 +162,10 @@ fn hop_limit_prevents_forwarding_loops() {
     let name = Name::parse("/loop");
     let mut a = DipRouter::new(1, [1; 16]);
     let mut b = DipRouter::new(2, [2; 16]);
-    a.state_mut().ipv4_fib.add_route(
-        dip_wire::ipv4::Ipv4Addr::new(10, 0, 0, 0),
-        8,
-        NextHop::port(1),
-    );
-    b.state_mut().ipv4_fib.add_route(
-        dip_wire::ipv4::Ipv4Addr::new(10, 0, 0, 0),
-        8,
-        NextHop::port(1),
-    );
+    let mut routes = RouteStore::new();
+    routes.insert_v4(dip_wire::ipv4::Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+    a.state_mut().routes = routes.rebuild();
+    b.state_mut().routes = a.state().routes.clone();
     let _ = name;
     let mut buf = dip::protocols::ip::dip32_packet(
         dip_wire::ipv4::Ipv4Addr::new(10, 0, 0, 1),
@@ -195,7 +194,9 @@ fn interest_loop_suppressed_by_nonce() {
     // loop) are dropped the second time.
     let name = Name::parse("/n");
     let mut r = DipRouter::new(1, [1; 16]);
-    r.state_mut().name_fib.add_route(&name, NextHop::port(1));
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(1));
+    r.state_mut().routes = routes.rebuild();
     let template = ndn::interest(&name, 64).to_bytes(b"same-request").unwrap();
     let mut first = template.clone();
     assert!(matches!(r.process(&mut first, 0, 0).0, Verdict::Forward(_)));

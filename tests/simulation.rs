@@ -5,6 +5,7 @@ use dip::prelude::*;
 use dip::sim::engine::{Host, Network};
 use dip::sim::topology::{chain, star};
 use dip::sim::FaultConfig;
+use dip_routes::RouteStore;
 use std::collections::HashMap;
 
 fn catalog(names: &[Name]) -> HashMap<u32, Vec<u8>> {
@@ -27,8 +28,11 @@ fn five_hop_chain_retrieval() {
         |i| [i as u8 + 1; 16],
         10_000,
     );
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(1));
+    let tables = routes.rebuild();
     for &r in &routers {
-        net.router_mut(r).unwrap().state_mut().name_fib.add_route(&name, NextHop::port(1));
+        net.router_mut(r).unwrap().state_mut().routes = tables.clone();
     }
     net.send(consumer, 0, dip::protocols::ndn::interest(&name, 64).to_bytes(&[]).unwrap(), 0);
     net.run();
@@ -50,9 +54,12 @@ fn router_content_store_shortcuts_the_path() {
         |i| [i as u8 + 1; 16],
         10_000,
     );
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(1));
+    let tables = routes.rebuild();
     for &r in &routers {
         let rt = net.router_mut(r).unwrap();
-        rt.state_mut().name_fib.add_route(&name, NextHop::port(1));
+        rt.state_mut().routes = tables.clone();
         rt.state_mut().enable_content_store(8);
     }
     // First retrieval populates caches on the way back.
@@ -76,7 +83,9 @@ fn lossy_link_drops_show_in_trace() {
     let mut net = Network::new(3);
     let r = net.add_router({
         let mut r = DipRouter::new(1, [1; 16]);
-        r.state_mut().name_fib.add_route(&name, NextHop::port(1));
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(1));
+        r.state_mut().routes = routes.rebuild();
         r
     });
     let consumer = net.add_host(Host::consumer(100));
@@ -125,11 +134,9 @@ fn star_many_consumers_share_one_producer() {
     hosts.push(Host::producer(99, catalog(std::slice::from_ref(&name))));
     let (core, ids) = star(&mut net, [1; 16], hosts, 2_000);
     let producer_port = (ids.len() - 1) as u32;
-    net.router_mut(core)
-        .unwrap()
-        .state_mut()
-        .name_fib
-        .add_route(&name, NextHop::port(producer_port));
+    let mut routes = RouteStore::new();
+    routes.insert_name(&name, NextHop::port(producer_port));
+    net.router_mut(core).unwrap().state_mut().routes = routes.rebuild();
 
     for (i, id) in ids[..4].iter().enumerate() {
         let interest = dip::protocols::ndn::interest(&name, 64).to_bytes(&[i as u8]).unwrap();
@@ -162,8 +169,11 @@ fn deterministic_given_a_seed() {
             |i| [i as u8 + 1; 16],
             7_000,
         );
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(1));
+        let tables = routes.rebuild();
         for &r in &routers {
-            net.router_mut(r).unwrap().state_mut().name_fib.add_route(&name, NextHop::port(1));
+            net.router_mut(r).unwrap().state_mut().routes = tables.clone();
         }
         for i in 0..10u8 {
             net.send(
