@@ -1,8 +1,8 @@
 //! A tiny JSON-lines emitter for machine-readable benchmark output.
 //!
 //! The workspace builds fully offline, so instead of `serde_json` the
-//! harnesses that need structured output (the `dataplane_scale` sweep)
-//! use this hand-rolled builder: one [`JsonLine`] per measurement,
+//! tools that need structured output (`dipload`'s MST lines, the
+//! `reconvergence` and `scenarios` benches) use this hand-rolled builder: one [`JsonLine`] per measurement,
 //! fields appended in insertion order, printed as a single line on
 //! stdout so results can be collected with `cargo bench ... | grep '^{'`
 //! and parsed by any JSON tool.

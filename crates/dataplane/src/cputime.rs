@@ -1,18 +1,12 @@
 //! Per-thread CPU-time sampling for honest throughput accounting.
 //!
-//! The wall-clock scaling bench wants to distinguish two very different
-//! quantities on oversubscribed hosts (more workers than cores):
+//! Packets per second of wall time measure the host as much as the
+//! software: on a box with fewer cores than threads, or one shared with
+//! other load, a worker waits for a core. Packets per second a worker
+//! actually spends *on a CPU* is the statistic that tracks the software
+//! (the repo benchmark reports it as `cpu_ns_per_pkt`).
 //!
-//! * **wall throughput** — packets delivered per second of wall time.
-//!   On a box with fewer cores than workers this is bounded by the
-//!   hardware, not the software, and adding workers cannot raise it;
-//! * **per-worker capacity** — packets a worker processes per second it
-//!   actually spends *on a CPU*. Summed over workers this is the rate
-//!   the same binary would sustain given one core per worker, and it is
-//!   the statistic that exposes software bottlenecks (lock contention,
-//!   shared cache lines, allocation storms) as sub-linear scaling.
-//!
-//! Capacity needs per-thread CPU time, which `std` does not expose. On
+//! This needs per-thread CPU time, which `std` does not expose. On
 //! Linux every thread can learn its own stat directory by resolving the
 //! `/proc/thread-self` symlink once at startup; any *other* thread of
 //! the same process may then sample its CPU time from
@@ -24,9 +18,7 @@
 //! path pays nothing.
 //!
 //! On non-Linux targets (or a /proc-less Linux) every sample returns
-//! `None` and callers fall back to wall-clock busy accounting — the
-//! capacity statistic then degrades to wall throughput, which the bench
-//! reports honestly via its `cpu_time` field.
+//! `None` and callers must fall back to wall time.
 
 use std::path::PathBuf;
 

@@ -27,7 +27,8 @@
 //!
 //! * [`runtime::Dataplane`] — real worker threads fed over lock-free SPSC
 //!   rings with explicit backpressure ([`runtime::Backpressure`]) and
-//!   per-ring drop/occupancy counters (the `dataplane_scale` benchmark);
+//!   per-ring drop/occupancy counters (what `python3 benchmark/run.py`
+//!   measures);
 //! * [`router::DataplaneRouter`] — the same sharding and program caches
 //!   driven synchronously behind [`dip_sim::engine::RouterNode`], so all
 //!   five paper protocols run unchanged inside the simulator.

@@ -347,8 +347,7 @@ mod tests {
     #[test]
     fn optimizing_cache_attaches_plans_and_counts_rewrites() {
         use dip_wire::xia::{Dag, DagNode, Xid, XidType};
-        let mut config = RouterConfig::default();
-        config.optimize = true;
+        let config = RouterConfig { optimize: true, ..Default::default() };
         let mut c = ProgramCache::new(FnRegistry::standard(), config, Admission::Lint);
 
         // IPv4 chain: Match32 + Source fuse into one stage group.

@@ -1,7 +1,7 @@
 //! The multi-worker dataplane: dispatcher, worker threads, reports.
 //!
 //! The NIC→worker pipeline in software: a single dispatcher thread (the
-//! caller of [`Dataplane::submit`]) stamps each packet with a global
+//! caller of [`Dataplane::submit_bytes`]) stamps each packet with a global
 //! admission sequence number, flow-hashes it to a worker, and pushes it
 //! onto that worker's SPSC ring. Each worker runs to completion over its
 //! own [`DipRouter`] — per-flow state (PIT, content store) lives only on
@@ -31,7 +31,7 @@
 use crate::batch::PacketBatch;
 use crate::cputime::ThreadCpuProbe;
 use crate::program::{Admission, CacheStats, ProgramCache};
-use crate::ring::{spsc, spsc_counted, PushOutcome, RingConsumer, RingProducer};
+use crate::ring::{spsc, spsc_counted, RingConsumer, RingProducer};
 use crate::shard::FlowShard;
 use crate::snapshot::{EpochCell, RouteSnapshot};
 use dip_core::{parse_packet, DipRouter, ParsedPacket, Verdict};
@@ -132,7 +132,7 @@ pub struct Job {
     pub now: Ticks,
 }
 
-/// What `submit` does when the owning worker's ring is full.
+/// What `submit_bytes` does when the owning worker's ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backpressure {
     /// Wait until the worker frees a slot (lossless; the determinism
@@ -142,8 +142,8 @@ pub enum Backpressure {
     /// blocked-on worker needs to free the slot.
     #[default]
     Block,
-    /// Count a ring drop and discard the packet (NIC semantics; the
-    /// wall-clock open-loop driver uses this so injection never stalls).
+    /// Count a ring drop and discard the packet (NIC semantics: injection
+    /// never stalls on the device).
     Drop,
 }
 
@@ -238,7 +238,7 @@ pub struct DataplaneReport {
     pub workers: Vec<WorkerReport>,
     /// Packets discarded at each ring under [`Backpressure::Drop`].
     pub ring_drops: Vec<u64>,
-    /// Packets accepted by `submit`.
+    /// Packets accepted by `submit_bytes`.
     pub submitted: u64,
     /// The telemetry registry the run reported into; snapshot it to check
     /// the accounting identity (forwarded + consumed + drops == injected).
@@ -391,25 +391,10 @@ impl Dataplane {
         self.workers.len()
     }
 
-    /// The worker shard `packet` would be dispatched to — exposed so
-    /// load-generation drivers (the `dip-workload` open-loop queue model)
-    /// can mirror the dispatcher's flow placement without re-implementing
-    /// the hash.
-    pub fn shard_of(&self, packet: &[u8]) -> usize {
-        self.shard.shard_of(packet)
-    }
-
-    /// Capacity of worker `worker`'s ring after power-of-two rounding —
-    /// the bound a driver-side queue model must apply to count
-    /// injection-side `queue_full` drops the way the real ring would.
-    pub fn ring_capacity(&self, worker: usize) -> usize {
-        self.workers[worker].producer.capacity()
-    }
-
     /// Cumulative CPU nanoseconds worker `worker`'s thread has spent
     /// on-CPU, or `None` when the host exposes no per-thread clock (or
     /// the worker has not yet published its probe). Sampled at window
-    /// boundaries by the wall-clock driver; costs one small /proc read.
+    /// boundaries by the repo benchmark; costs one small /proc read.
     pub fn worker_cpu_ns(&self, worker: usize) -> Option<u64> {
         self.workers[worker].cpu.get()?.cpu_ns()
     }
@@ -426,56 +411,16 @@ impl Dataplane {
         self.pool_misses.get()
     }
 
-    /// Flow-hashes `packet` to its worker and enqueues it. Returns the
-    /// assigned sequence number, or `None` when the ring was full under
-    /// [`Backpressure::Drop`].
-    pub fn submit(&mut self, packet: Vec<u8>, in_port: Port, now: Ticks) -> Option<u64> {
-        let shard = self.shard.shard_of(&packet);
-        let seq = self.seq;
-        self.seq += 1;
-        let mut job = Job { packet, seq, in_port, now };
-        let w = &mut self.workers[shard];
-        let producer = &mut w.producer;
-        match self.backpressure {
-            // One call both enqueues-or-discards and keeps the drop
-            // counter consistent with what actually happened to the job.
-            Backpressure::Drop => match producer.push_or_drop(job) {
-                PushOutcome::Queued => {
-                    self.submitted += 1;
-                    Some(seq)
-                }
-                PushOutcome::Dropped => None,
-            },
-            Backpressure::Block => {
-                let mut waiter = Waiter::new();
-                loop {
-                    match producer.try_push(job) {
-                        Ok(()) => {
-                            self.submitted += 1;
-                            return Some(seq);
-                        }
-                        Err(back) => {
-                            job = back;
-                            // On oversubscribed hosts the blocked-on worker
-                            // needs this core to free a slot: park instead
-                            // of spinning (satellite 3), and make sure the
-                            // worker is not itself parked idle.
-                            w.thread.unpark();
-                            waiter.wait();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Like [`Dataplane::submit`], but copies `bytes` into a recycled
-    /// buffer instead of taking ownership of a caller allocation — the
-    /// steady-state hot path of the wall-clock driver. Buffers displaced
-    /// from worker batch slots come back over the per-worker recycle ring;
-    /// once every in-flight buffer exists, this path performs no
-    /// allocation at all (`dip_submit_pool_misses_total` stays bounded by
-    /// buffers in flight, which the allocation-free test pins).
+    /// Flow-hashes `bytes` to its worker and enqueues a copy of them.
+    /// Returns the assigned sequence number, or `None` when the ring was
+    /// full under [`Backpressure::Drop`].
+    ///
+    /// The copy goes into a recycled buffer rather than a fresh
+    /// allocation: buffers displaced from worker batch slots come back
+    /// over the per-worker recycle ring, so once every in-flight buffer
+    /// exists this path performs no allocation at all
+    /// (`dip_submit_pool_misses_total` stays bounded by buffers in flight,
+    /// which the allocation-free test pins).
     pub fn submit_bytes(&mut self, bytes: &[u8], in_port: Port, now: Ticks) -> Option<u64> {
         let shard = self.shard.shard_of(bytes);
         let mut buf = {
@@ -884,7 +829,7 @@ mod tests {
         let config = DataplaneConfig { workers: 4, batch_size: 8, ..Default::default() };
         let mut dp = Dataplane::start(config, factory);
         for i in 0..400 {
-            assert!(dp.submit(dip32(i), 0, u64::from(i)).is_some());
+            assert!(dp.submit_bytes(&dip32(i), 0, u64::from(i)).is_some());
         }
         let report = dp.shutdown();
         assert_eq!(report.total_processed(), 400);
@@ -910,7 +855,7 @@ mod tests {
         let mut dp = Dataplane::start(config, factory);
         let mut accepted = 0u64;
         for i in 0..5_000 {
-            if dp.submit(dip32(i), 0, 0).is_some() {
+            if dp.submit_bytes(&dip32(i), 0, 0).is_some() {
                 accepted += 1;
             }
         }
@@ -930,7 +875,7 @@ mod tests {
         };
         let mut dp = Dataplane::start(config, factory);
         for i in 0..60 {
-            dp.submit(dip32(i), 0, 0);
+            dp.submit_bytes(&dip32(i), 0, 0);
         }
         let report = dp.shutdown();
         let merged = report.sorted_outcomes();
@@ -952,7 +897,7 @@ mod tests {
         )
         .to_bytes(&[])
         .unwrap();
-        dp.submit(unrouted.clone(), 0, 0);
+        dp.submit_bytes(&unrouted, 0, 0);
         // Let the first packet drain before publishing the new table, so
         // the drop-then-forward order is deterministic.
         while dp.ring_occupancy().iter().sum::<usize>() > 0 {
@@ -960,7 +905,7 @@ mod tests {
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
         dp.publish_routes(RouteSnapshot::from_tables(slash8(Ipv4Addr::new(99, 0, 0, 0), 7)));
-        dp.submit(unrouted, 0, 1);
+        dp.submit_bytes(&unrouted, 0, 1);
         let report = dp.shutdown();
         let merged = report.sorted_outcomes();
         assert_eq!(merged.len(), 2);
@@ -987,7 +932,7 @@ mod tests {
             Ipv4Addr::new(1, 1, 1, 1),
             64,
         );
-        dp.submit(pkt.to_bytes(&[]).unwrap(), 0, 0);
+        dp.submit_bytes(&pkt.to_bytes(&[]).unwrap(), 0, 0);
         let report = dp.shutdown();
         assert_eq!(report.sorted_outcomes()[0].verdict, Verdict::Forward(vec![7]));
         assert_eq!(report.workers[0].stats.epoch_refreshes, 1);
@@ -1019,7 +964,7 @@ mod tests {
                 .unwrap(),
                 _ => vec![0xff; 6],
             };
-            dp.submit(pkt, 0, 0);
+            dp.submit_bytes(&pkt, 0, 0);
             injected += 1;
         }
         // A live snapshot must not panic or tear (counters are monotonic).
@@ -1059,7 +1004,7 @@ mod tests {
             let config = DataplaneConfig { workers: 2, batch_size: 8, ..Default::default() };
             let mut dp = Dataplane::start(config, make);
             for i in 0..200 {
-                assert!(dp.submit(dip32(i), 0, u64::from(i)).is_some());
+                assert!(dp.submit_bytes(&dip32(i), 0, u64::from(i)).is_some());
             }
             dp.shutdown()
         };
@@ -1090,7 +1035,7 @@ mod tests {
         let config =
             DataplaneConfig { workers: 1, batch_size: 8, ring_capacity: 64, ..Default::default() };
         let mut dp = Dataplane::start(config, factory);
-        let in_flight_bound = (dp.ring_capacity(0) + 8 + 1) as u64;
+        let in_flight_bound = (dp.workers[0].producer.capacity() + 8 + 1) as u64;
         for i in 0..20_000 {
             assert!(dp.submit_bytes(&dip32(i), 0, u64::from(i)).is_some());
         }
@@ -1117,7 +1062,7 @@ mod tests {
             ..Default::default()
         };
         let mut dp = Dataplane::start(config, factory);
-        let in_flight_bound = (dp.ring_capacity(0) + 4 + 1) as u64;
+        let in_flight_bound = (dp.workers[0].producer.capacity() + 4 + 1) as u64;
         let mut accepted = 0u64;
         for i in 0..10_000 {
             if dp.submit_bytes(&dip32(i), 0, 0).is_some() {
@@ -1176,7 +1121,7 @@ mod tests {
             DataplaneConfig { record_outcomes: true, ..Default::default() },
             factory,
         );
-        dp.submit(vec![0xff; 3], 9, 0);
+        dp.submit_bytes(&[0xff; 3], 9, 0);
         let report = dp.shutdown();
         assert_eq!(report.sorted_outcomes()[0].verdict, Verdict::Drop(DropReason::MalformedField));
     }

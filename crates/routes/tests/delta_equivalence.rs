@@ -41,9 +41,12 @@ fn universe(seed: u64) -> Universe {
         .collect();
     let xia: Vec<_> = (0..200)
         .map(|i: usize| {
-            let ty = if i % 3 == 0 { XidType::Ad } else { XidType::Cid };
-            let nh =
-                if i % 7 == 0 { XiaNextHop::Local } else { XiaNextHop::Port((i % 16) as u32 + 1) };
+            let ty = if i.is_multiple_of(3) { XidType::Ad } else { XidType::Cid };
+            let nh = if i.is_multiple_of(7) {
+                XiaNextHop::Local
+            } else {
+                XiaNextHop::Port((i % 16) as u32 + 1)
+            };
             (ty, Xid::derive(format!("eq-{i}").as_bytes()), nh)
         })
         .collect();

@@ -5,9 +5,10 @@
 //! a [`WorkloadSpec`]'s routers are built with (one shared constructor),
 //! plus a synthetic flap pool per family. Every elapsed
 //! churn interval it draws a batch of updates — withdrawals,
-//! re-announcements, and next-hop replaces, concentrated on a hot set
-//! with configurable locality — commits them as one [`RouteDelta`], and
-//! hands back a tables-only [`RouteSnapshot`] for publication.
+//! re-announcements, and next-hop replaces, most of them on a small hot
+//! set — commits them as one [`RouteDelta`], and hands back a
+//! tables-only [`RouteSnapshot`] for publication. A storm's only knob is
+//! its rate; seed, batch, locality and pool size are fixed below.
 //!
 //! The flap pools deliberately cover **no trace traffic**: the v4 pool
 //! lives under 172.16/12 (traces send to 10/8), the v6 pool under
@@ -30,36 +31,24 @@ use dip_wire::ipv6::Ipv6Addr;
 use dip_wire::ndn::Name;
 use dip_wire::xia::{Xid, XidType};
 
-/// The shape of one update storm.
+/// One update storm.
 #[derive(Debug, Clone)]
 pub struct ChurnSpec {
-    /// Storm seed (independent of the workload seed).
-    pub seed: u64,
     /// Route updates per virtual second.
     pub rate_ups: u64,
-    /// Updates batched into one delta (one BGP UPDATE burst).
-    pub batch: usize,
-    /// Fraction of updates hitting the hot set (flap locality: real
-    /// storms hammer few prefixes).
-    pub locality: f64,
-    /// Pool entries per family counted as hot.
-    pub hot_set: usize,
-    /// Synthetic flap-pool size per family.
-    pub pool: usize,
 }
 
-impl Default for ChurnSpec {
-    fn default() -> Self {
-        ChurnSpec {
-            seed: 0xc0_4a11,
-            rate_ups: 10_000,
-            batch: 32,
-            locality: 0.8,
-            hot_set: 64,
-            pool: 1024,
-        }
-    }
-}
+/// Storm seed (independent of the workload seed).
+const SEED: u64 = 0xc0_4a11;
+/// Updates batched into one delta (one BGP UPDATE burst).
+const BATCH: usize = 32;
+/// Fraction of updates hitting the hot set (flap locality: real storms
+/// hammer few prefixes).
+const LOCALITY: f64 = 0.8;
+/// Pool entries per family counted as hot.
+const HOT_SET: usize = 64;
+/// Synthetic flap-pool size per family.
+const POOL: usize = 1024;
 
 /// Per-entry flap state of one pool family.
 struct Pool {
@@ -74,7 +63,6 @@ impl Pool {
 
 /// The stateful storm: owns the compiled store and the flap pools.
 pub struct ChurnGen {
-    spec: ChurnSpec,
     rng: DetRng,
     store: RouteStore,
     v4: Pool,
@@ -115,8 +103,7 @@ impl ChurnGen {
     /// pool, compiled into the initial tables (the one full rebuild).
     pub fn new(spec: &WorkloadSpec, churn: &ChurnSpec) -> ChurnGen {
         let mut store = spec.route_store();
-        let n = churn.pool.max(1);
-        for i in 0..n {
+        for i in 0..POOL {
             let (a, l) = pool_v4(i);
             store.insert_v4(a, l, NextHop::port(9));
             let (a, l) = pool_v6(i);
@@ -125,16 +112,14 @@ impl ChurnGen {
             store.insert_xia(XidType::Cid, pool_cid(i), XiaNextHop::Port(9));
         }
         store.rebuild();
-        let interval_ns =
-            (churn.batch.max(1) as u64).saturating_mul(1_000_000_000) / churn.rate_ups.max(1);
+        let interval_ns = (BATCH as u64).saturating_mul(1_000_000_000) / churn.rate_ups.max(1);
         ChurnGen {
-            spec: ChurnSpec { pool: n, ..churn.clone() },
-            rng: DetRng::seed_from_u64(churn.seed ^ 0x5_70c4),
+            rng: DetRng::seed_from_u64(SEED ^ 0x5_70c4),
             store,
-            v4: Pool::new(n),
-            v6: Pool::new(n),
-            names: Pool::new(n),
-            xia: Pool::new(n),
+            v4: Pool::new(POOL),
+            v6: Pool::new(POOL),
+            names: Pool::new(POOL),
+            xia: Pool::new(POOL),
             interval_ns: interval_ns.max(1),
             next_ns: interval_ns.max(1),
             updates: 0,
@@ -147,13 +132,12 @@ impl ChurnGen {
         RouteSnapshot::from_tables(self.store.tables())
     }
 
-    /// A pool index, hot with probability `locality`.
+    /// A pool index, hot with probability [`LOCALITY`].
     fn index(&mut self) -> usize {
-        let hot = self.spec.hot_set.clamp(1, self.spec.pool);
-        if self.rng.gen_bool(self.spec.locality) {
-            self.rng.gen_index(hot)
+        if self.rng.gen_bool(LOCALITY) {
+            self.rng.gen_index(HOT_SET)
         } else {
-            self.rng.gen_index(self.spec.pool)
+            self.rng.gen_index(POOL)
         }
     }
 
@@ -218,7 +202,7 @@ impl ChurnGen {
         while self.next_ns <= now_ns {
             self.next_ns += self.interval_ns;
             let mut delta = RouteDelta::new();
-            for _ in 0..self.spec.batch.max(1) {
+            for _ in 0..BATCH {
                 self.update(&mut delta);
             }
             self.store.commit(&delta);
@@ -271,8 +255,7 @@ mod tests {
     #[test]
     fn a_storm_changes_no_verdict_and_no_byte() {
         let spec = small_spec(21);
-        let mut gen =
-            ChurnGen::new(&spec, &ChurnSpec { rate_ups: 1_000_000, ..Default::default() });
+        let mut gen = ChurnGen::new(&spec, &ChurnSpec { rate_ups: 1_000_000 });
 
         let mut quiescent = spec.build_router(0);
         let mut storm = spec.build_router(0);
@@ -306,7 +289,7 @@ mod tests {
     #[test]
     fn storm_is_deterministic_and_paced() {
         let spec = small_spec(5);
-        let churn = ChurnSpec { rate_ups: 10_000, batch: 32, ..Default::default() };
+        let churn = ChurnSpec { rate_ups: 10_000 };
         let mut a = ChurnGen::new(&spec, &churn);
         let mut b = ChurnGen::new(&spec, &churn);
         // 32 updates per batch at 10k ups = one delta per 3.2 virtual ms.

@@ -18,16 +18,13 @@
 //! * [`churn`] — seeded BGP-style route-update storms (flap pools,
 //!   hot-set locality) committed as `dip-routes` deltas and published as
 //!   tables-only snapshots while traffic runs;
-//! * [`openloop`] — offers a trace at a fixed rate to the threaded
-//!   [`dip_dataplane::Dataplane`] or a single-router baseline, recording
-//!   per-packet latency (from a deterministic virtual-time queue model
-//!   over the [`dip_sim::TofinoModel`] service times) and counting
-//!   injection-side overload through the shared drop taxonomy;
-//! * [`wallclock`] — the *measuring* counterpart to [`openloop`]'s
-//!   model (DESIGN.md §15): real-time paced injection into the threaded
-//!   dataplane, warmup-then-window registry deltas, per-worker capacity
-//!   against thread CPU time, and [`wallclock::find_mst_wallclock`]
-//!   bisecting on the measured drop fraction;
+//! * [`openloop`] — offers a trace at a fixed rate to one
+//!   [`dip_core::DipRouter`] behind a deterministic virtual-time queue
+//!   model over the [`dip_sim::TofinoModel`] service times, counting
+//!   injection-side overload through the shared drop taxonomy. Its
+//!   latencies are PISA-model numbers, a behaviour pin, not software
+//!   speed: the repo benchmark (`python3 benchmark/run.py`) is the one
+//!   measurement of the threaded dataplane;
 //! * [`closedloop`] — request/response rounds over [`dip_sim`]'s
 //!   discrete-event network for NDN interest/data and NDN+OPT sessions;
 //! * [`slo`] — the SLO evaluator and the max-sustainable-throughput
@@ -36,8 +33,8 @@
 //!   accounting identity (forwarded + consumed + drops == injected) on
 //!   every trial.
 //!
-//! The `dipload` CLI (workspace root) and `bench/benches/workload_slo.rs`
-//! print the results as `dip_bench` JSON lines.
+//! The `dipload` CLI (workspace root) prints the results as `dip_bench`
+//! JSON lines.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -48,15 +45,10 @@ pub mod models;
 pub mod openloop;
 pub mod slo;
 pub mod trace;
-pub mod wallclock;
 
 pub use churn::{ChurnGen, ChurnSpec};
 pub use closedloop::{run_closed_loop, ClosedLoopConfig, ClosedLoopReport, ExchangeKind};
 pub use models::{ArrivalGen, ArrivalModel, BoundedPareto, Zipf};
-pub use openloop::{run_open_loop, EngineKind, OpenLoopConfig, OpenLoopReport};
+pub use openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 pub use slo::{find_mst, MstConfig, MstResult, Slo, Trial};
 pub use trace::{Mix, Trace, TracePacket, TrafficClass, WorkloadSpec};
-pub use wallclock::{
-    find_mst_wallclock, host_cpus, measure_capacity, run_wallclock_finite, run_wallclock_paced,
-    WallClockConfig, WallClockReport, WallMstConfig, WallMstResult, WallTrial, WorkerWindow,
-};

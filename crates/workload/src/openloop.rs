@@ -1,67 +1,42 @@
-//! Open-loop driving: offer a trace at a fixed rate, measure latency and
-//! loss, and never let the device's behaviour slow the offered load.
+//! Open-loop driving: offer a trace at a fixed rate to one router,
+//! measure modeled latency and loss, and never let the device's behaviour
+//! slow the offered load.
 //!
 //! Latency under overload comes from a **virtual-time queue model**, not
-//! wall clocks: each (modeled) worker is an M/G/1-style server whose
-//! service times are the deterministic [`TofinoModel`] pipeline costs.
-//! Arrivals walk the trace timestamps; a packet that finds its worker's
+//! clocks: the router is an M/G/1-style server whose service times are
+//! the deterministic [`TofinoModel`] pipeline costs of each packet's own
+//! FN walk. Arrivals walk the trace timestamps; a packet that finds the
 //! queue at capacity is an injection-side `queue_full` drop, counted
 //! through the shared drop taxonomy so the accounting identity
 //! (`forwarded + consumed + drops == injected`) holds on every run —
-//! overloaded ones included. The packets that *are* admitted still run
-//! through the real engine (single [`DipRouter`] or the threaded
-//! [`Dataplane`]), so verdict counts are real, while latency and drop
-//! decisions replay identically for one seed: that is what makes the MST
-//! search reproducible.
+//! overloaded ones included. The packets that *are* admitted run through
+//! a real [`DipRouter`](dip_core::DipRouter), so verdict counts are real,
+//! while latency and drop decisions replay identically for one seed: that
+//! is what makes the MST search reproducible. The latencies describe the
+//! PISA model, not this software's speed; `python3 benchmark/run.py`
+//! measures that.
 
 use std::collections::VecDeque;
 
 use crate::churn::{ChurnGen, ChurnSpec};
-use crate::trace::{Trace, TrafficClass, WorkloadSpec, INGRESS_PORT};
-use dip_dataplane::{Backpressure, Dataplane, DataplaneConfig};
+use crate::trace::{WorkloadSpec, INGRESS_PORT};
 use dip_sim::TofinoModel;
-use dip_telemetry::{DropReason, Histogram, OutcomeCounters, PacketOutcome, Registry, Snapshot};
-
-/// Which engine executes the admitted packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// One [`dip_core::DipRouter`] behind one modeled queue — the
-    /// deterministic baseline.
-    Router,
-    /// The threaded [`Dataplane`]: flow-sharded workers, each behind its
-    /// own modeled queue sized to its real ring.
-    Dataplane {
-        /// Worker threads.
-        workers: usize,
-        /// Packets per execution batch.
-        batch_size: usize,
-    },
-}
+use dip_telemetry::{DropReason, OutcomeCounters, PacketOutcome, Registry};
 
 /// Open-loop driver knobs.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
-    /// The engine under test.
-    pub engine: EngineKind,
-    /// Modeled per-worker queue depth (and, for the dataplane, the real
-    /// ring capacity — rounded up to a power of two by the ring).
+    /// Modeled queue depth in front of the router.
     pub queue_capacity: usize,
-    /// The service-time model.
-    pub model: TofinoModel,
-    /// When set, a route-update storm runs alongside the trace: deltas
-    /// commit on the trace's virtual clock and publish as tables-only
-    /// epoch swaps the engine picks up mid-run.
+    /// When set (and its rate is above zero), a route-update storm runs
+    /// alongside the trace: deltas commit on the trace's virtual clock and
+    /// are applied to the router as tables-only epoch swaps mid-run.
     pub churn: Option<ChurnSpec>,
 }
 
 impl Default for OpenLoopConfig {
     fn default() -> Self {
-        OpenLoopConfig {
-            engine: EngineKind::Router,
-            queue_capacity: 1024,
-            model: TofinoModel::tofino(),
-            churn: None,
-        }
+        OpenLoopConfig { queue_capacity: 1024, churn: None }
     }
 }
 
@@ -72,7 +47,7 @@ pub struct OpenLoopReport {
     pub offered_pps: u64,
     /// Packets the trace offered.
     pub injected: u64,
-    /// Packets forwarded (from the engine's registry).
+    /// Packets forwarded.
     pub forwarded: u64,
     /// Packets consumed locally (delivered, aggregated, cache-answered).
     pub consumed: u64,
@@ -94,7 +69,7 @@ pub struct OpenLoopReport {
     pub churn_deltas: u64,
     /// Route updates inside those deltas.
     pub churn_updates: u64,
-    /// Snapshot publications the engine picked up.
+    /// Route snapshots the router picked up.
     pub churn_epoch_swaps: u64,
 }
 
@@ -112,7 +87,7 @@ impl OpenLoopReport {
 /// Log-spaced latency bucket bounds, 64 ns to ~4 s at ratio 2^(1/4) —
 /// ≤ ~19% relative quantile error by construction (see the pinned bound
 /// in `dip-telemetry`'s quantile tests).
-pub(crate) fn latency_bounds() -> Vec<u64> {
+fn latency_bounds() -> Vec<u64> {
     let ratio = 2f64.powf(0.25);
     let mut bounds = Vec::new();
     let mut b = 64.0f64;
@@ -139,58 +114,26 @@ impl ModelQueue {
         ModelQueue { completions: VecDeque::new(), busy_until: 0.0, capacity: capacity.max(1) }
     }
 
-    /// Drains completions at `arrival`, then either admits (returning the
-    /// modeled sojourn time) or refuses (`None` = queue full).
-    fn offer(&mut self, arrival: f64, service_ns: f64) -> Option<f64> {
+    /// Retires the packets completed by `arrival`, then says whether a
+    /// packet arriving at `arrival` finds room.
+    fn has_room(&mut self, arrival: f64) -> bool {
         while self.completions.front().is_some_and(|&c| c <= arrival) {
             self.completions.pop_front();
         }
-        if self.completions.len() >= self.capacity {
-            return None;
-        }
+        self.completions.len() < self.capacity
+    }
+
+    /// Queues a packet behind the work in flight and returns its modeled
+    /// sojourn time.
+    fn admit(&mut self, arrival: f64, service_ns: f64) -> f64 {
         self.busy_until = self.busy_until.max(arrival) + service_ns;
         self.completions.push_back(self.busy_until);
-        Some(self.busy_until - arrival)
+        self.busy_until - arrival
     }
 }
 
-/// Pulls the identity terms out of a registry snapshot.
-fn account(snap: &Snapshot) -> (u64, u64, u64, u64) {
-    let forwarded = snap.sum_where("dip_packets_total", &[("outcome", "forwarded")]);
-    let consumed = snap.sum_where("dip_packets_total", &[("outcome", "consumed")]);
-    let dropped = snap.get("dip_drops_total");
-    let queue_full = snap.sum_where("dip_drops_total", &[("reason", "queue_full")]);
-    (forwarded, consumed, dropped, queue_full)
-}
-
-fn finish(
-    trace: &Trace,
-    snap: &Snapshot,
-    hist: &Histogram,
-    churn: Option<&ChurnGen>,
-) -> OpenLoopReport {
-    let (forwarded, consumed, dropped, queue_full) = account(snap);
-    let injected = trace.len() as u64;
-    OpenLoopReport {
-        offered_pps: trace.rate_pps,
-        injected,
-        forwarded,
-        consumed,
-        dropped,
-        queue_full,
-        p50_ns: hist.quantile(0.50),
-        p99_ns: hist.quantile(0.99),
-        identity_holds: forwarded + consumed + dropped == injected,
-        trace_hash: trace.hash(),
-        content_hash: trace.content_hash(),
-        churn_deltas: churn.map_or(0, |g| g.deltas()),
-        churn_updates: churn.map_or(0, |g| g.updates()),
-        churn_epoch_swaps: churn.map_or(0, |g| g.stats().epoch_swaps),
-    }
-}
-
-/// Offers `count` packets of `spec` at `rate_pps` and reports what the
-/// engine did with them.
+/// Offers `count` packets of `spec` at `rate_pps` to one router and
+/// reports what it did with them.
 pub fn run_open_loop(
     spec: &WorkloadSpec,
     rate_pps: u64,
@@ -198,15 +141,6 @@ pub fn run_open_loop(
     cfg: &OpenLoopConfig,
 ) -> OpenLoopReport {
     let trace = spec.generate(rate_pps, count);
-    match cfg.engine {
-        EngineKind::Router => run_router(spec, &trace, cfg),
-        EngineKind::Dataplane { workers, batch_size } => {
-            run_dataplane(spec, &trace, cfg, workers, batch_size)
-        }
-    }
-}
-
-fn run_router(spec: &WorkloadSpec, trace: &Trace, cfg: &OpenLoopConfig) -> OpenLoopReport {
     let registry = Registry::new();
     let counters = OutcomeCounters::register(&registry, &[("node", "openloop")]);
     let hist = registry.histogram(
@@ -215,8 +149,11 @@ fn run_router(spec: &WorkloadSpec, trace: &Trace, cfg: &OpenLoopConfig) -> OpenL
         &[],
         &latency_bounds(),
     );
+    let model = TofinoModel::tofino();
     let mut router = spec.build_router(1);
-    let mut churn = cfg.churn.as_ref().map(|c| ChurnGen::new(spec, c));
+    // A storm of zero updates per second is no storm: building one would
+    // still install its flap pools and count an epoch swap.
+    let mut churn = cfg.churn.as_ref().filter(|c| c.rate_ups > 0).map(|c| ChurnGen::new(spec, c));
     if let Some(gen) = &mut churn {
         gen.initial_snapshot().apply(router.state_mut());
         gen.note_epoch_swap();
@@ -229,15 +166,12 @@ fn run_router(spec: &WorkloadSpec, trace: &Trace, cfg: &OpenLoopConfig) -> OpenL
                 gen.note_epoch_swap();
             }
         }
-        // Per-packet exact service: process first (the real pipeline
-        // stats price the service time), but only if there is room.
         // Admission is decided on queue state alone, so refused packets
-        // never touch the engine — exactly like a full NIC ring.
+        // never touch the router — exactly like a full NIC ring. Admitted
+        // ones are processed first: their pipeline stats price the
+        // service time.
         let arrival = p.at_ns as f64;
-        while queue.completions.front().is_some_and(|&c| c <= arrival) {
-            queue.completions.pop_front();
-        }
-        if queue.completions.len() >= queue.capacity {
+        if !queue.has_room(arrival) {
             counters.record(PacketOutcome::Dropped(DropReason::QueueFull));
             continue;
         }
@@ -246,114 +180,37 @@ fn run_router(spec: &WorkloadSpec, trace: &Trace, cfg: &OpenLoopConfig) -> OpenL
         // Price the service with the MAC the router actually runs (set by
         // the spec), not a hardcoded implementation.
         let mac = router.state().mac_choice;
-        let service = cfg.model.process_ns(&stats, p.bytes.len(), mac);
-        let sojourn =
-            queue.offer(arrival, service).expect("capacity was checked before processing");
+        let sojourn = queue.admit(arrival, model.process_ns(&stats, p.bytes.len(), mac));
         hist.observe(sojourn as u64);
         counters.record(verdict.outcome());
     }
-    finish(trace, &registry.snapshot(), &hist, churn.as_ref())
-}
-
-/// Calibrates one modeled service time per traffic class by running a
-/// representative packet of each class through a scratch router and
-/// pricing the resulting pipeline stats.
-///
-/// The MAC implementation is read off the built router
-/// (`RouterState::mac_choice`, set by [`WorkloadSpec::mac_choice`]) — the
-/// old code hardcoded 2EM here, which silently priced an AES-configured
-/// experiment as if the resubmit pass were free. With the fix, an AES
-/// spec raises the service time of MAC-verifying classes (OPT, NDN+OPT)
-/// while plain forwarding classes are unaffected (pinned by test).
-pub(crate) fn calibrate_service(
-    spec: &WorkloadSpec,
-    model: &TofinoModel,
-) -> std::collections::HashMap<TrafficClass, f64> {
-    let mut scratch = spec.build_router(u64::MAX);
-    let mac = scratch.state().mac_choice;
-    let mut gen = crate::trace::TraceGen::new(spec);
-    let mut service = std::collections::HashMap::new();
-    for class in spec.mix.classes() {
-        let bytes = gen.packet_for(class);
-        let mut buf = bytes.clone();
-        let (_, stats) = scratch.process(&mut buf, INGRESS_PORT, 0);
-        service.insert(class, model.process_ns(&stats, bytes.len(), mac));
+    let snap = registry.snapshot();
+    let forwarded = snap.sum_where("dip_packets_total", &[("outcome", "forwarded")]);
+    let consumed = snap.sum_where("dip_packets_total", &[("outcome", "consumed")]);
+    let dropped = snap.get("dip_drops_total");
+    let injected = trace.len() as u64;
+    OpenLoopReport {
+        offered_pps: trace.rate_pps,
+        injected,
+        forwarded,
+        consumed,
+        dropped,
+        queue_full: snap.sum_where("dip_drops_total", &[("reason", "queue_full")]),
+        p50_ns: hist.quantile(0.50),
+        p99_ns: hist.quantile(0.99),
+        identity_holds: forwarded + consumed + dropped == injected,
+        trace_hash: trace.hash(),
+        content_hash: trace.content_hash(),
+        churn_deltas: churn.as_ref().map_or(0, |g| g.deltas()),
+        churn_updates: churn.as_ref().map_or(0, |g| g.updates()),
+        churn_epoch_swaps: churn.as_ref().map_or(0, |g| g.stats().epoch_swaps),
     }
-    service
-}
-
-fn run_dataplane(
-    spec: &WorkloadSpec,
-    trace: &Trace,
-    cfg: &OpenLoopConfig,
-    workers: usize,
-    batch_size: usize,
-) -> OpenLoopReport {
-    // Calibrate one service time per traffic class on a scratch router:
-    // the threaded workers cannot report per-packet pipeline stats
-    // synchronously, and within a class the FN chain (hence the cost) is
-    // shape-stable.
-    let service = calibrate_service(spec, &cfg.model);
-
-    let mut dp = Dataplane::start(
-        DataplaneConfig {
-            workers: workers.max(1),
-            batch_size: batch_size.max(1),
-            ring_capacity: cfg.queue_capacity,
-            backpressure: Backpressure::Block,
-            ..Default::default()
-        },
-        |i| spec.build_router(i as u64),
-    );
-    // Modeled injection drops land in the same registry the workers
-    // report into, under the counted overload reason.
-    let injector = OutcomeCounters::register(dp.registry(), &[("worker", "injector")]);
-    let hist = dp.registry().histogram(
-        "dip_workload_latency_ns",
-        "Modeled per-packet sojourn time",
-        &[],
-        &latency_bounds(),
-    );
-    let mut queues: Vec<ModelQueue> =
-        (0..dp.workers()).map(|w| ModelQueue::new(dp.ring_capacity(w))).collect();
-    let mut churn = cfg.churn.as_ref().map(|c| ChurnGen::new(spec, c));
-    if let Some(gen) = &mut churn {
-        // Workers pick the storm's tables up at their next batch
-        // boundary; until then their own (pool-free) tables answer
-        // every trace packet identically.
-        dp.publish_routes(gen.initial_snapshot());
-        gen.note_epoch_swap();
-    }
-    for p in &trace.packets {
-        if let Some(gen) = &mut churn {
-            if let Some(snap) = gen.poll(p.at_ns) {
-                dp.publish_routes(snap);
-                gen.note_epoch_swap();
-            }
-        }
-        let w = dp.shard_of(&p.bytes);
-        let svc = service.get(&p.class).copied().unwrap_or(0.0);
-        match queues[w].offer(p.at_ns as f64, svc) {
-            None => injector.record(PacketOutcome::Dropped(DropReason::QueueFull)),
-            Some(sojourn) => {
-                hist.observe(sojourn as u64);
-                // Block backpressure: the real ring may briefly lag the
-                // model, but never drops — every admitted packet is
-                // processed and counted by its worker. `submit_bytes`
-                // refills a recycled buffer instead of cloning the trace
-                // packet (the satellite-2 allocation fix).
-                dp.submit_bytes(&p.bytes, INGRESS_PORT, p.at_ns);
-            }
-        }
-    }
-    let report = dp.shutdown();
-    finish(trace, &report.registry.snapshot(), &hist, churn.as_ref())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Mix;
+    use crate::trace::{Mix, TrafficClass};
 
     fn small_spec(seed: u64) -> WorkloadSpec {
         WorkloadSpec {
@@ -383,87 +240,69 @@ mod tests {
         assert!(r.drop_frac() > 0.0);
     }
 
-    #[test]
-    fn dataplane_engine_holds_identity() {
-        let cfg = OpenLoopConfig {
-            engine: EngineKind::Dataplane { workers: 2, batch_size: 16 },
-            ..Default::default()
-        };
-        let r = run_open_loop(&small_spec(9), 200_000, 300, &cfg);
-        assert!(r.identity_holds, "identity: {r:?}");
-        assert_eq!(r.injected, 300);
-    }
-
     /// The churn-identity smoke: a 1M-ups storm alongside the trace must
-    /// not break the accounting identity or reproducibility, on either
-    /// engine — epoch pickup timing may vary, outcomes may not.
+    /// not break the accounting identity or reproducibility.
     #[test]
     fn churn_storm_preserves_identity_and_determinism() {
-        for engine in [EngineKind::Router, EngineKind::Dataplane { workers: 2, batch_size: 16 }] {
-            let cfg = OpenLoopConfig {
-                engine,
-                churn: Some(crate::churn::ChurnSpec { rate_ups: 1_000_000, ..Default::default() }),
-                ..Default::default()
-            };
-            let a = run_open_loop(&small_spec(7), 200_000, 300, &cfg);
-            let b = run_open_loop(&small_spec(7), 200_000, 300, &cfg);
-            assert!(a.identity_holds, "{engine:?} identity under churn: {a:?}");
-            assert!(a.churn_deltas > 0, "the storm fired: {a:?}");
-            assert!(a.churn_updates >= a.churn_deltas);
-            assert!(a.churn_epoch_swaps > 0);
-            assert_eq!(
-                (a.forwarded, a.consumed, a.dropped, a.p50_ns, a.p99_ns, a.churn_deltas),
-                (b.forwarded, b.consumed, b.dropped, b.p50_ns, b.p99_ns, b.churn_deltas),
-                "{engine:?} must reproduce exactly under churn"
-            );
-        }
+        let cfg =
+            OpenLoopConfig { churn: Some(ChurnSpec { rate_ups: 1_000_000 }), ..Default::default() };
+        let a = run_open_loop(&small_spec(7), 200_000, 300, &cfg);
+        let b = run_open_loop(&small_spec(7), 200_000, 300, &cfg);
+        assert!(a.identity_holds, "identity under churn: {a:?}");
+        assert!(a.churn_deltas > 0, "the storm fired: {a:?}");
+        assert!(a.churn_updates >= a.churn_deltas);
+        assert!(a.churn_epoch_swaps > 0);
+        assert_eq!(
+            (a.forwarded, a.consumed, a.dropped, a.p50_ns, a.p99_ns, a.churn_deltas),
+            (b.forwarded, b.consumed, b.dropped, b.p50_ns, b.p99_ns, b.churn_deltas),
+            "must reproduce exactly under churn"
+        );
     }
 
     #[test]
-    fn calibration_prices_each_class_with_its_actual_mac() {
-        use dip_fnops::context::MacChoice;
-        let model = TofinoModel::tofino();
-        let spec = WorkloadSpec {
-            mix: Mix::new(vec![(TrafficClass::Ipv4, 1), (TrafficClass::Opt, 1)]),
-            ..small_spec(5)
-        };
-        let em = calibrate_service(&spec, &model);
-        assert_ne!(
-            em[&TrafficClass::Ipv4],
-            em[&TrafficClass::Opt],
-            "ipv4 and opt run different FN chains; their calibrated services must differ"
-        );
-        // An AES-configured spec pays the resubmit pass — but only on the
-        // MAC-verifying class. The old hardcoded-2EM calibration priced
-        // both specs identically.
-        let aes = WorkloadSpec { mac_choice: MacChoice::Aes, ..spec.clone() };
-        let aes = calibrate_service(&aes, &model);
+    fn a_zero_rate_storm_is_no_storm() {
+        let quiet = run_open_loop(&small_spec(7), 200_000, 300, &OpenLoopConfig::default());
+        let cfg = OpenLoopConfig { churn: Some(ChurnSpec { rate_ups: 0 }), ..Default::default() };
+        let zero = run_open_loop(&small_spec(7), 200_000, 300, &cfg);
         assert_eq!(
-            aes[&TrafficClass::Ipv4],
-            em[&TrafficClass::Ipv4],
-            "ipv4 runs no MAC; the cipher choice must not move its price"
+            (zero.churn_deltas, zero.churn_updates, zero.churn_epoch_swaps),
+            (0, 0, 0),
+            "no flap pools installed, no epoch swapped: {zero:?}"
         );
-        assert!(
-            aes[&TrafficClass::Opt] > em[&TrafficClass::Opt],
-            "AES must price OPT above 2EM (resubmit pass): {} vs {}",
-            aes[&TrafficClass::Opt],
-            em[&TrafficClass::Opt]
+        assert_eq!(
+            (zero.forwarded, zero.consumed, zero.dropped, zero.p50_ns, zero.p99_ns),
+            (quiet.forwarded, quiet.consumed, quiet.dropped, quiet.p50_ns, quiet.p99_ns)
+        );
+    }
+
+    #[test]
+    fn each_packet_is_priced_with_the_mac_its_router_runs() {
+        use dip_fnops::context::MacChoice;
+        let p50 = |class, mac_choice| {
+            let spec = WorkloadSpec { mix: Mix::single(class), mac_choice, ..small_spec(5) };
+            run_open_loop(&spec, 100_000, 200, &OpenLoopConfig::default()).p50_ns
+        };
+        // AES pays the resubmit pass, but only on the MAC-verifying class.
+        let (opt_em, opt_aes) =
+            (p50(TrafficClass::Opt, MacChoice::TwoRoundEm), p50(TrafficClass::Opt, MacChoice::Aes));
+        assert!(opt_aes > opt_em, "AES must price OPT above 2EM: {opt_aes} vs {opt_em}");
+        assert_eq!(
+            p50(TrafficClass::Ipv4, MacChoice::Aes),
+            p50(TrafficClass::Ipv4, MacChoice::TwoRoundEm),
+            "ipv4 runs no MAC; the cipher choice must not move its price"
         );
     }
 
     #[test]
     fn reports_are_reproducible_per_seed() {
-        for engine in [EngineKind::Router, EngineKind::Dataplane { workers: 2, batch_size: 8 }] {
-            let cfg = OpenLoopConfig { engine, ..Default::default() };
-            let spec = WorkloadSpec { mix: Mix::all(), ..small_spec(11) };
-            let a = run_open_loop(&spec, 500_000, 250, &cfg);
-            let b = run_open_loop(&spec, 500_000, 250, &cfg);
-            assert_eq!(a.trace_hash, b.trace_hash);
-            assert_eq!(
-                (a.forwarded, a.consumed, a.dropped, a.p50_ns, a.p99_ns),
-                (b.forwarded, b.consumed, b.dropped, b.p50_ns, b.p99_ns),
-                "{engine:?} must reproduce exactly"
-            );
-        }
+        let cfg = OpenLoopConfig::default();
+        let spec = WorkloadSpec { mix: Mix::all(), ..small_spec(11) };
+        let a = run_open_loop(&spec, 500_000, 250, &cfg);
+        let b = run_open_loop(&spec, 500_000, 250, &cfg);
+        assert_eq!(a.trace_hash, b.trace_hash);
+        assert_eq!(
+            (a.forwarded, a.consumed, a.dropped, a.p50_ns, a.p99_ns),
+            (b.forwarded, b.consumed, b.dropped, b.p50_ns, b.p99_ns),
+        );
     }
 }

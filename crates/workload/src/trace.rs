@@ -183,7 +183,7 @@ pub struct WorkloadSpec {
     /// so keep it above the per-trial packet count).
     pub pit_preseed: usize,
     /// Which block cipher backs `F_MAC`/`F_mark` on generated routers.
-    /// Service-time calibration reads this off the built router, so an
+    /// The open-loop driver reads this off the built router, so an
     /// AES-configured spec prices MAC-verifying classes with the resubmit
     /// pass while plain forwarding classes stay untouched.
     pub mac_choice: MacChoice,
@@ -282,10 +282,8 @@ struct FlowSlot {
     remaining: u64,
 }
 
-/// The stateful generator behind [`WorkloadSpec::generate`]. Public so
-/// the open-loop driver can calibrate per-class service times with
-/// [`TraceGen::packet_for`] on the identical packet shapes.
-pub(crate) struct TraceGen {
+/// The stateful generator behind [`WorkloadSpec::generate`].
+struct TraceGen {
     spec: WorkloadSpec,
     rng: DetRng,
     zipf: Zipf,
@@ -297,7 +295,7 @@ pub(crate) struct TraceGen {
 }
 
 impl TraceGen {
-    pub(crate) fn new(spec: &WorkloadSpec) -> TraceGen {
+    fn new(spec: &WorkloadSpec) -> TraceGen {
         TraceGen {
             spec: spec.clone(),
             rng: DetRng::seed_from_u64(spec.seed ^ CONTENT_STREAM),
@@ -323,7 +321,7 @@ impl TraceGen {
     }
 
     /// The next packet of `class`.
-    pub(crate) fn packet_for(&mut self, class: TrafficClass) -> Vec<u8> {
+    fn packet_for(&mut self, class: TrafficClass) -> Vec<u8> {
         let payload = self.payload();
         match class {
             TrafficClass::Ipv4 => {
@@ -488,7 +486,7 @@ impl WorkloadSpec {
     /// routes of [`WorkloadSpec::route_store`] and `pit_preseed` pending
     /// NDN+OPT exchanges.
     ///
-    /// Open-loop engines call this once per worker; every worker gets the
+    /// A threaded run calls this once per worker; every worker gets the
     /// identical state, so flow sharding alone decides who owns a flow.
     pub fn build_router(&self, node_id: u64) -> DipRouter {
         let mut r = DipRouter::new(node_id, ROUTER_SECRET);

@@ -92,8 +92,7 @@ fn main() {
     // purpose — the point is that eviction, not growth, absorbs pressure.
     const CS_CAP: usize = 32;
     let churn_spec = WorkloadSpec { seed: 42, mix: Mix::all(), ..Default::default() };
-    let mut gen =
-        ChurnGen::new(&churn_spec, &ChurnSpec { rate_ups: 500_000, ..Default::default() });
+    let mut gen = ChurnGen::new(&churn_spec, &ChurnSpec { rate_ups: 500_000 });
     let mut router = churn_spec.build_router(0);
     router.state_mut().enable_content_store(CS_CAP);
     let registry = Registry::new();

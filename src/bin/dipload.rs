@@ -10,27 +10,23 @@
 //!  "drop_frac":...,"content_hash":"..."}
 //! ```
 //!
-//! Everything on the modeled engines is seeded: re-running with the same
-//! arguments reproduces the identical MST, trial sequence, and trace
-//! hashes. The `wallclock` engine instead *measures* — real-time paced
-//! injection into the threaded dataplane, MST bisected on the measured
-//! drop fraction, capacity read against per-thread CPU time — so its
-//! numbers are host-dependent by design; every emitted line carries a
-//! `measurement` field (`"modeled"` or `"wallclock"`) saying which regime
-//! produced it.
+//! Everything is seeded: re-running with the same arguments reproduces
+//! the identical MST, trial sequence, and trace hashes. The search runs
+//! one router behind a virtual-time queue priced by the PISA pipeline
+//! model, so the MST is a behaviour pin of that model, not a measure of
+//! this software's speed (`"measurement":"modeled"` on every line says
+//! so); `python3 benchmark/run.py` measures the threaded dataplane.
 //!
 //! ```text
 //! usage: dipload [--protocol all|ipv4,ndn,...] [--seed N]
-//!                [--engine router|dataplane|wallclock]
-//!                [--workers N] [--batch N] [--packets N] [--iters N]
+//!                [--packets N] [--iters N]
 //!                [--lo PPS] [--hi PPS] [--queue N] [--p99-ns N] [--drop-frac F]
-//!                [--warmup-ms N] [--measure-ms N]
 //!                [--arrival uniform|poisson|onoff] [--churn UPS]
 //! ```
 //!
 //! `--churn UPS` runs every trial under a seeded route-update storm of
-//! `UPS` updates per virtual second (see `dip_workload::churn`); the
-//! emitted line then carries `churn_ups`, `churn_deltas`, and
+//! `UPS` updates per virtual second (see `dip_workload::churn`; 0 means
+//! no storm); the emitted line carries `churn_ups`, `churn_deltas`, and
 //! `churn_epoch_swaps` from the MST trial.
 //!
 //! `--scenario SPEC` switches to the scenario engine instead: SPEC is the
@@ -41,21 +37,13 @@
 //! times. Fully deterministic: same SPEC, same bytes.
 
 use dip::workload::{
-    find_mst, find_mst_wallclock, host_cpus, measure_capacity, ArrivalModel, ChurnSpec, EngineKind,
-    Mix, MstConfig, OpenLoopConfig, TrafficClass, WallClockConfig, WallMstConfig, WorkloadSpec,
+    find_mst, ArrivalModel, ChurnSpec, Mix, MstConfig, OpenLoopConfig, TrafficClass, WorkloadSpec,
 };
 use dip_bench::JsonLine;
-
-/// The modeled engines plus the measuring one.
-enum CliEngine {
-    Modeled(EngineKind),
-    Wallclock { workers: usize, batch_size: usize },
-}
 
 struct Args {
     protocols: Vec<TrafficClass>,
     seed: u64,
-    engine: CliEngine,
     packets: usize,
     iters: usize,
     lo: u64,
@@ -63,8 +51,6 @@ struct Args {
     queue: usize,
     p99_ns: u64,
     drop_frac: f64,
-    warmup_ms: u64,
-    measure_ms: u64,
     arrival: ArrivalModel,
     churn_ups: Option<u64>,
     scenario: Option<String>,
@@ -74,9 +60,8 @@ fn usage(err: &str) -> ! {
     eprintln!("dipload: {err}");
     eprintln!(
         "usage: dipload [--protocol all|ipv4,ipv6,ndn,opt,xia,ndn_opt] [--seed N]\n\
-         \u{20}              [--engine router|dataplane|wallclock] [--workers N] [--batch N]\n\
          \u{20}              [--packets N] [--iters N] [--lo PPS] [--hi PPS] [--queue N]\n\
-         \u{20}              [--p99-ns N] [--drop-frac F] [--warmup-ms N] [--measure-ms N]\n\
+         \u{20}              [--p99-ns N] [--drop-frac F]\n\
          \u{20}              [--arrival uniform|poisson|onoff] [--churn UPS]\n\
          \u{20}              [--scenario family:key=value,...]"
     );
@@ -87,7 +72,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         protocols: TrafficClass::ALL.to_vec(),
         seed: 7,
-        engine: CliEngine::Modeled(EngineKind::Router),
         packets: 2048,
         iters: 18,
         lo: 1_000,
@@ -95,14 +79,10 @@ fn parse_args() -> Args {
         queue: 1024,
         p99_ns: 1_000_000,
         drop_frac: 0.001,
-        warmup_ms: 50,
-        measure_ms: 200,
         arrival: ArrivalModel::Poisson,
         churn_ups: None,
         scenario: None,
     };
-    let (mut workers, mut batch) = (2usize, 32usize);
-    let mut engine_name = String::from("router");
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -125,9 +105,6 @@ fn parse_args() -> Args {
                 }
             }
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage("bad --seed")),
-            "--engine" => engine_name = value(),
-            "--workers" => workers = value().parse().unwrap_or_else(|_| usage("bad --workers")),
-            "--batch" => batch = value().parse().unwrap_or_else(|_| usage("bad --batch")),
             "--packets" => {
                 args.packets = value().parse().unwrap_or_else(|_| usage("bad --packets"))
             }
@@ -138,12 +115,6 @@ fn parse_args() -> Args {
             "--p99-ns" => args.p99_ns = value().parse().unwrap_or_else(|_| usage("bad --p99-ns")),
             "--drop-frac" => {
                 args.drop_frac = value().parse().unwrap_or_else(|_| usage("bad --drop-frac"))
-            }
-            "--warmup-ms" => {
-                args.warmup_ms = value().parse().unwrap_or_else(|_| usage("bad --warmup-ms"))
-            }
-            "--measure-ms" => {
-                args.measure_ms = value().parse().unwrap_or_else(|_| usage("bad --measure-ms"))
             }
             "--churn" => {
                 args.churn_ups = Some(value().parse().unwrap_or_else(|_| usage("bad --churn")))
@@ -161,23 +132,14 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
-    args.engine = match engine_name.as_str() {
-        "router" => CliEngine::Modeled(EngineKind::Router),
-        "dataplane" => CliEngine::Modeled(EngineKind::Dataplane { workers, batch_size: batch }),
-        "wallclock" => CliEngine::Wallclock { workers, batch_size: batch },
-        other => usage(&format!("unknown engine {other:?}")),
-    };
     args
 }
 
 fn main() {
     let args = parse_args();
-    if let Some(spec) = &args.scenario {
-        return run_scenario_cli(spec);
-    }
-    match args.engine {
-        CliEngine::Modeled(engine) => run_modeled(&args, engine),
-        CliEngine::Wallclock { workers, batch_size } => run_wallclock(&args, workers, batch_size),
+    match &args.scenario {
+        Some(spec) => run_scenario_cli(spec),
+        None => run_mst(&args),
     }
 }
 
@@ -188,25 +150,19 @@ fn run_scenario_cli(spec: &str) {
     println!("{}", dip::scenario::run_scenario(&spec).to_json());
 }
 
-/// The original virtual-time path: deterministic queue model over the
+/// The MST search per protocol: deterministic queue model over the
 /// Tofino service costs, emitted with `"measurement":"modeled"`.
-fn run_modeled(args: &Args, engine: EngineKind) {
+fn run_mst(args: &Args) {
     let cfg = MstConfig {
         slo: dip::workload::Slo { p99_ns: args.p99_ns, max_drop_frac: args.drop_frac },
         open_loop: OpenLoopConfig {
-            engine,
             queue_capacity: args.queue,
-            churn: args.churn_ups.map(|ups| ChurnSpec { rate_ups: ups, ..Default::default() }),
-            ..Default::default()
+            churn: args.churn_ups.map(|rate_ups| ChurnSpec { rate_ups }),
         },
         packets_per_trial: args.packets,
         lo_pps: args.lo,
         hi_pps: args.hi,
         max_iters: args.iters,
-    };
-    let (engine_label, workers) = match engine {
-        EngineKind::Router => ("router", 1),
-        EngineKind::Dataplane { workers, .. } => ("dataplane", workers),
     };
     for class in &args.protocols {
         let spec = WorkloadSpec {
@@ -219,9 +175,9 @@ fn run_modeled(args: &Args, engine: EngineKind) {
         let mut line = JsonLine::new("workload_mst")
             .str("protocol", class.label())
             .u64("seed", args.seed)
-            .str("engine", engine_label)
+            .str("engine", "router")
             .str("measurement", "modeled")
-            .u64("workers", workers as u64)
+            .u64("workers", 1)
             .u64("trials", result.trials.len() as u64)
             .u64("churn_ups", args.churn_ups.unwrap_or(0))
             .u64("mst_pps", result.mst_pps);
@@ -248,69 +204,5 @@ fn run_modeled(args: &Args, engine: EngineKind) {
             }
         }
         line.str("content_hash", &format!("{:016x}", result.content_hash)).emit();
-    }
-}
-
-/// The measuring path: real-time paced injection into the threaded
-/// dataplane. Per protocol it runs a saturation probe for `capacity_pps`
-/// and a wall MST bisection bracketed around the probe's wall rate; the
-/// committed `mst_pps` is whichever statistic the host can vouch for
-/// (`authority` says which — see DESIGN.md §15). Host-dependent by
-/// design, so the line says `"measurement":"wallclock"` and carries
-/// `host_cpus` for re-judging on other hardware.
-fn run_wallclock(args: &Args, workers: usize, batch_size: usize) {
-    let wallclock = WallClockConfig {
-        workers,
-        batch_size,
-        ring_capacity: args.queue,
-        warmup: std::time::Duration::from_millis(args.warmup_ms),
-        measure: std::time::Duration::from_millis(args.measure_ms),
-        churn: args.churn_ups.map(|ups| ChurnSpec { rate_ups: ups, ..Default::default() }),
-        ..Default::default()
-    };
-    for class in &args.protocols {
-        let spec = WorkloadSpec {
-            seed: args.seed,
-            mix: Mix::single(*class),
-            arrival: args.arrival,
-            ..Default::default()
-        };
-        let cap = measure_capacity(&spec, &wallclock);
-        let lo_pps = ((cap.wall_pps / 16.0) as u64).max(args.lo);
-        let hi_pps = ((cap.wall_pps * 2.5) as u64).max(lo_pps + 1).min(args.hi.max(lo_pps + 1));
-        let mst = find_mst_wallclock(
-            &spec,
-            &WallMstConfig {
-                wallclock: wallclock.clone(),
-                max_drop_frac: args.drop_frac,
-                lo_pps,
-                hi_pps,
-                max_iters: args.iters,
-            },
-        );
-        let mst_trial = mst.trials.iter().rfind(|t| t.offered_pps == mst.mst_pps);
-        let authority = cap.authority();
-        let mst_pps = if authority == "capacity" { cap.capacity_pps as u64 } else { mst.mst_pps };
-        JsonLine::new("workload_mst")
-            .str("protocol", class.label())
-            .u64("seed", args.seed)
-            .str("engine", "wallclock")
-            .str("measurement", "wallclock")
-            .u64("workers", workers as u64)
-            .u64("trials", mst.trials.len() as u64)
-            .u64("churn_ups", args.churn_ups.unwrap_or(0))
-            .u64("mst_pps", mst_pps)
-            .str("authority", authority)
-            .f64p("capacity_pps", cap.capacity_pps, 0)
-            .f64p("wall_pps", cap.wall_pps, 0)
-            .u64("wall_mst_pps", mst.mst_pps)
-            .f64p("drop_frac", mst_trial.map_or(1.0, |t| t.drop_frac()), 6)
-            .u64("queue_full", mst_trial.map_or(0, |t| t.queue_full))
-            .u64("churn_deltas", mst_trial.map_or(0, |t| t.churn_deltas))
-            .u64("churn_epoch_swaps", mst_trial.map_or(0, |t| t.churn_epoch_swaps))
-            .u64("host_cpus", host_cpus() as u64)
-            .str("oversubscribed", if cap.oversubscribed() { "true" } else { "false" })
-            .u64("pool_misses", cap.pool_misses)
-            .emit();
     }
 }

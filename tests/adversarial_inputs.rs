@@ -203,7 +203,7 @@ fn dataplane_survives_and_accounts_for_mangled_packets() {
     let mut dp = Dataplane::start(config, |i| loaded_router(i as u64));
     let corpus = mangled_corpus();
     for pkt in &corpus {
-        assert!(dp.submit(pkt.clone(), 0, 0).is_some());
+        assert!(dp.submit_bytes(pkt, 0, 0).is_some());
     }
     let report = dp.shutdown();
     let snap = report.registry.snapshot();

@@ -18,14 +18,22 @@
 //! state never crosses a flow boundary; the content store is sized so
 //! capacity eviction — a legitimately global-order-dependent behavior —
 //! never triggers.
+//!
+//! A last case runs generated workload traces (IPv4 and NDN) while a
+//! route storm publishes snapshots mid-run: the flap pools cover no
+//! trace route, so however snapshot pick-up races the workers, nothing
+//! observable may change.
 
 use dip::crypto::DetRng;
-use dip::dataplane::{Backpressure, Dataplane, DataplaneConfig};
+use dip::dataplane::{Backpressure, Dataplane, DataplaneConfig, DataplaneReport};
 use dip::prelude::*;
 use dip::protocols::{ip, ndn, xia};
 use dip::tables::{Port, Ticks, XiaNextHop};
+use dip::telemetry::{PacketOutcome, Snapshot};
 use dip::wire::ipv4::Ipv4Addr;
 use dip::wire::ipv6::Ipv6Addr;
+use dip::workload::trace::INGRESS_PORT;
+use dip::workload::{ChurnGen, ChurnSpec, Mix, Trace, TrafficClass, WorkloadSpec};
 use dip_routes::RouteStore;
 
 /// One packet of workload: bytes as submitted, ingress port, arrival time.
@@ -86,7 +94,7 @@ fn assert_deterministic(proto: &str, factory: impl Fn(usize) -> DipRouter, packe
             };
             let mut dp = Dataplane::start(config, &factory);
             for (bytes, in_port, now) in packets {
-                let accepted = dp.submit(bytes.clone(), *in_port, *now);
+                let accepted = dp.submit_bytes(bytes, *in_port, *now);
                 assert!(accepted.is_some(), "lossless submit refused a packet");
             }
             let report = dp.shutdown();
@@ -262,4 +270,108 @@ fn xia_sharded_equals_sequential() {
         })
         .collect();
     assert_deterministic("xia", factory, &packets);
+}
+
+/// (forwarded, consumed, dropped) as the registry counted them.
+fn outcome_counts(snap: &Snapshot) -> (u64, u64, u64) {
+    (
+        snap.sum_where("dip_packets_total", &[("outcome", "forwarded")]),
+        snap.sum_where("dip_packets_total", &[("outcome", "consumed")]),
+        snap.get("dip_drops_total"),
+    )
+}
+
+/// One threaded run of `trace` while a 1 M updates/s route storm commits
+/// deltas on the packets' timestamps and publishes each snapshot before
+/// the packet that triggered it. Returns the report and the deltas
+/// committed.
+fn run_under_storm(spec: &WorkloadSpec, trace: &Trace, workers: usize) -> (DataplaneReport, u64) {
+    let config = DataplaneConfig {
+        workers,
+        ring_capacity: 64,
+        backpressure: Backpressure::Block,
+        record_outcomes: true,
+        ..Default::default()
+    };
+    let mut dp = Dataplane::start(config, |_| spec.build_router(0));
+    let mut storm = ChurnGen::new(spec, &ChurnSpec { rate_ups: 1_000_000 });
+    dp.publish_routes(storm.initial_snapshot());
+    for p in &trace.packets {
+        if let Some(snap) = storm.poll(p.at_ns) {
+            dp.publish_routes(snap);
+        }
+        assert!(dp.submit_bytes(&p.bytes, INGRESS_PORT, p.at_ns).is_some());
+    }
+    (dp.shutdown(), storm.deltas())
+}
+
+/// Generated IPv4 and NDN traces on the dataplane at every worker count
+/// while a route storm swaps epochs under it: the accounting identity is
+/// exact with no ring drop, and outcome counts, verdicts and bytes equal
+/// a sequential router's that never saw the storm, run after run.
+#[test]
+fn workload_traces_under_a_route_storm_equal_sequential() {
+    for class in [TrafficClass::Ipv4, TrafficClass::Ndn] {
+        let spec = WorkloadSpec {
+            seed: 41,
+            mix: Mix::single(class),
+            table_size: 300,
+            pit_preseed: 512,
+            ..Default::default()
+        };
+        let trace = spec.generate(1_000_000, 3_000);
+        let injected = trace.len() as u64;
+
+        // Sequential reference: one router that never sees the storm.
+        let mut reference = spec.build_router(0);
+        let mut expected_counts = (0, 0, 0);
+        let expected: Vec<(Verdict, Vec<u8>)> = trace
+            .packets
+            .iter()
+            .map(|p| {
+                let mut buf = p.bytes.clone();
+                let (verdict, _) = reference.process(&mut buf, INGRESS_PORT, p.at_ns);
+                match verdict.outcome() {
+                    PacketOutcome::Forwarded => expected_counts.0 += 1,
+                    PacketOutcome::Consumed => expected_counts.1 += 1,
+                    PacketOutcome::Dropped(_) => expected_counts.2 += 1,
+                }
+                (verdict, buf)
+            })
+            .collect();
+
+        for workers in WORKERS {
+            let tag = format!("{class:?} workers={workers}");
+            let (first, deltas) = run_under_storm(&spec, &trace, workers);
+            let (second, deltas_again) = run_under_storm(&spec, &trace, workers);
+            assert!(deltas > 0, "{tag}: the storm must commit deltas");
+            assert_eq!(deltas, deltas_again, "{tag}: the storm is a function of the trace");
+            assert!(
+                first.workers.iter().all(|w| w.stats.epoch_refreshes > 0),
+                "{tag}: every worker picked up a storm snapshot"
+            );
+
+            let snap = first.registry.snapshot();
+            let counts = outcome_counts(&snap);
+            assert_eq!(counts.0 + counts.1 + counts.2, injected, "{tag}: accounting identity");
+            assert_eq!(
+                snap.sum_where("dip_drops_total", &[("reason", "queue_full")]),
+                0,
+                "{tag}: lossless backpressure cannot ring-drop"
+            );
+            assert_eq!(counts, expected_counts, "{tag}: outcome counts of the sequential router");
+            assert_eq!(
+                outcome_counts(&second.registry.snapshot()),
+                counts,
+                "{tag}: outcome counts reproduce run to run"
+            );
+
+            let outcomes = first.sorted_outcomes();
+            assert_eq!(outcomes.len(), expected.len(), "{tag}: packet count");
+            for (i, outcome) in outcomes.iter().enumerate() {
+                assert_eq!(outcome.verdict, expected[i].0, "{tag}: verdict of packet {i}");
+                assert_eq!(outcome.bytes, expected[i].1, "{tag}: bytes of packet {i}");
+            }
+        }
+    }
 }
