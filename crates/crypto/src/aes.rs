@@ -1,11 +1,23 @@
 //! AES-128, straight from FIPS-197.
 //!
-//! Table-based, byte-oriented implementation. AES plays two roles here:
-//! it is the MAC baseline the paper compares 2EM against (§4.1: AES needs a
-//! resubmission on Tofino), and its round function — with fixed, public
-//! round keys — supplies the public permutations of the 2EM construction.
+//! Word-oriented T-table implementation. The state is four big-endian
+//! column words ([`State`]), and one round is sixteen loads from four
+//! 1 KiB tables that fold SubBytes, ShiftRows and MixColumns together —
+//! the table lookup a match-action stage performs for a fixed permutation.
+//! Blocks convert to and from words only at the API edge. AES plays two
+//! roles here: it is the MAC baseline the paper compares 2EM against
+//! (§4.1: AES needs a resubmission on Tofino), and its round function —
+//! with fixed, public round keys — supplies the public permutations of the
+//! 2EM construction. Decryption, which only tests use, stays byte-oriented.
 
 use crate::Block;
+
+#[cfg(test)]
+pub(crate) mod model;
+
+/// The AES state as four column words: word `c` holds block bytes
+/// `4c..4c + 4`, row 0 in the most significant byte.
+pub type State = [u32; 4];
 
 /// The AES S-box.
 pub(crate) const SBOX: [u8; 256] = [
@@ -60,11 +72,75 @@ const fn gmul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
-#[inline]
-fn sub_bytes(state: &mut Block) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
+/// The round table for the state byte in row `row` of its column:
+/// `S[x]` times MixColumns' column `(2, 1, 1, 3)`, rotated down `row` rows.
+const fn t_table(row: u32) -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        t[i] = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]).rotate_right(8 * row);
+        i += 1;
     }
+    t
+}
+
+static T0: [u32; 256] = t_table(0);
+static T1: [u32; 256] = t_table(1);
+static T2: [u32; 256] = t_table(2);
+static T3: [u32; 256] = t_table(3);
+
+/// The block as column words.
+#[inline(always)]
+pub(crate) fn load(block: &Block) -> State {
+    core::array::from_fn(|c| {
+        u32::from_be_bytes([block[4 * c], block[4 * c + 1], block[4 * c + 2], block[4 * c + 3]])
+    })
+}
+
+/// The column words as a block.
+#[inline(always)]
+pub(crate) fn store(state: State) -> Block {
+    let mut block = [0u8; 16];
+    for (out, word) in block.chunks_exact_mut(4).zip(state) {
+        out.copy_from_slice(&word.to_be_bytes());
+    }
+    block
+}
+
+/// Word-wise XOR.
+#[inline(always)]
+pub(crate) fn xor(a: State, b: State) -> State {
+    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
+}
+
+/// SubBytes + ShiftRows + MixColumns: output column `c` takes row `r` from
+/// input column `c + r`.
+#[inline(always)]
+pub(crate) fn round(s: State) -> State {
+    let col = |c: usize| {
+        T0[(s[c] >> 24) as u8 as usize]
+            ^ T1[(s[(c + 1) & 3] >> 16) as u8 as usize]
+            ^ T2[(s[(c + 2) & 3] >> 8) as u8 as usize]
+            ^ T3[s[(c + 3) & 3] as u8 as usize]
+    };
+    [col(0), col(1), col(2), col(3)]
+}
+
+/// SubBytes + ShiftRows: the last AES round has no MixColumns.
+#[inline(always)]
+fn final_round(s: State) -> State {
+    let sub = |word: u32, shift: u32| u32::from(SBOX[(word >> shift) as u8 as usize]) << shift;
+    let col = |c: usize| {
+        sub(s[c], 24) | sub(s[(c + 1) & 3], 16) | sub(s[(c + 2) & 3], 8) | sub(s[(c + 3) & 3], 0)
+    };
+    [col(0), col(1), col(2), col(3)]
+}
+
+/// SubWord: the S-box on each byte of a key-schedule word.
+#[inline(always)]
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[usize::from(b)]))
 }
 
 #[inline]
@@ -74,28 +150,8 @@ fn inv_sub_bytes(state: &mut Block) {
     }
 }
 
-// State layout: column-major as in FIPS-197 — state[r + 4c] is row r, col c,
-// i.e. the block bytes are laid down the columns. With the flat `[u8;16]`
+// Byte layout: column-major as in FIPS-197 — with the flat `[u8;16]`
 // representation in block order, row r of column c is byte 4c + r.
-#[inline]
-fn shift_rows(state: &mut Block) {
-    // Row 1: shift left by 1.
-    let t = state[1];
-    state[1] = state[5];
-    state[5] = state[9];
-    state[9] = state[13];
-    state[13] = t;
-    // Row 2: shift left by 2.
-    state.swap(2, 10);
-    state.swap(6, 14);
-    // Row 3: shift left by 3 (= right by 1).
-    let t = state[15];
-    state[15] = state[11];
-    state[11] = state[7];
-    state[7] = state[3];
-    state[3] = t;
-}
-
 #[inline]
 fn inv_shift_rows(state: &mut Block) {
     // Row 1: shift right by 1.
@@ -113,18 +169,6 @@ fn inv_shift_rows(state: &mut Block) {
     state[7] = state[11];
     state[11] = state[15];
     state[15] = t;
-}
-
-#[inline]
-fn mix_columns(state: &mut Block) {
-    for c in 0..4 {
-        let i = 4 * c;
-        let (a0, a1, a2, a3) = (state[i], state[i + 1], state[i + 2], state[i + 3]);
-        state[i] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3;
-        state[i + 1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3;
-        state[i + 2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3);
-        state[i + 3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3);
-    }
 }
 
 #[inline]
@@ -149,65 +193,54 @@ fn add_round_key(state: &mut Block, rk: &Block) {
 /// An expanded AES-128 key (11 round keys).
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [Block; 11],
+    round_keys: [State; 11],
 }
 
 impl Aes128 {
     /// Expands a 128-bit key.
     pub fn new(key: &Block) -> Self {
         const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
-        let mut w = [[0u8; 4]; 44];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
-        }
-        for i in 4..44 {
-            let mut temp = w[i - 1];
-            if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in temp.iter_mut() {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
-        }
-        let mut round_keys = [[0u8; 16]; 11];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
+        let mut round_keys = [[0u32; 4]; 11];
+        round_keys[0] = load(key);
+        for r in 1..11 {
+            let prev = round_keys[r - 1];
+            // RotWord is a one-byte left rotation of the big-endian word.
+            let w0 = prev[0] ^ sub_word(prev[3].rotate_left(8)) ^ (u32::from(RCON[r - 1]) << 24);
+            let w1 = prev[1] ^ w0;
+            let w2 = prev[2] ^ w1;
+            round_keys[r] = [w0, w1, w2, prev[3] ^ w2];
         }
         Aes128 { round_keys }
     }
 
+    /// Encrypts one block held as column words.
+    #[inline]
+    pub(crate) fn encrypt_words(&self, state: State) -> State {
+        let mut s = xor(state, self.round_keys[0]);
+        for rk in &self.round_keys[1..10] {
+            s = xor(round(s), *rk);
+        }
+        xor(final_round(s), self.round_keys[10])
+    }
+
     /// Encrypts one block in place.
     pub fn encrypt_block(&self, block: &mut Block) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
-        }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[10]);
+        *block = store(self.encrypt_words(load(block)));
     }
 
     /// Decrypts one block in place.
     pub fn decrypt_block(&self, block: &mut Block) {
-        add_round_key(block, &self.round_keys[10]);
+        let rk = |round: usize| store(self.round_keys[round]);
+        add_round_key(block, &rk(10));
         inv_shift_rows(block);
         inv_sub_bytes(block);
         for round in (1..10).rev() {
-            add_round_key(block, &self.round_keys[round]);
+            add_round_key(block, &rk(round));
             inv_mix_columns(block);
             inv_shift_rows(block);
             inv_sub_bytes(block);
         }
-        add_round_key(block, &self.round_keys[0]);
+        add_round_key(block, &rk(0));
     }
 
     /// Encrypts and returns a copy.
@@ -221,9 +254,7 @@ impl Aes128 {
 /// One unkeyed AES round (SubBytes + ShiftRows + MixColumns) — the public
 /// permutation building block used by [`crate::even_mansour`].
 pub fn aes_round(block: &mut Block) {
-    sub_bytes(block);
-    shift_rows(block);
-    mix_columns(block);
+    *block = store(round(load(block)));
 }
 
 #[cfg(test)]
@@ -259,6 +290,13 @@ mod tests {
     }
 
     #[test]
+    fn fips197_appendix_a1_last_round_key() {
+        // FIPS-197 Appendix A.1: w[40..44] for the Appendix B key.
+        let aes = Aes128::new(&block("2b7e151628aed2a6abf7158809cf4f3c"));
+        assert_eq!(aes.round_keys[10], [0xd014f9a8, 0xc9ee2589, 0xe13f0cc8, 0xb6630ca6]);
+    }
+
+    #[test]
     fn decrypt_inverts_encrypt() {
         let aes = Aes128::new(&block("000102030405060708090a0b0c0d0e0f"));
         for seed in 0u8..16 {
@@ -289,10 +327,28 @@ mod tests {
     }
 
     #[test]
+    fn t_tables_are_rotations_of_one_column() {
+        for x in 0..256 {
+            assert_eq!(T1[x], T0[x].rotate_right(8));
+            assert_eq!(T2[x], T0[x].rotate_right(16));
+            assert_eq!(T3[x], T0[x].rotate_right(24));
+        }
+        // S(0x00) = 0x63: the column (2, 1, 1, 3) * 0x63.
+        assert_eq!(T0[0], 0xc663_63a5);
+    }
+
+    #[test]
+    fn words_round_trip_blocks() {
+        let b: Block = core::array::from_fn(|i| i as u8);
+        assert_eq!(load(&b), [0x0001_0203, 0x0405_0607, 0x0809_0a0b, 0x0c0d_0e0f]);
+        assert_eq!(store(load(&b)), b);
+    }
+
+    #[test]
     fn shift_rows_inverse() {
         let mut s: Block = core::array::from_fn(|i| i as u8);
         let orig = s;
-        shift_rows(&mut s);
+        model::shift_rows(&mut s);
         assert_ne!(s, orig);
         inv_shift_rows(&mut s);
         assert_eq!(s, orig);
@@ -302,7 +358,7 @@ mod tests {
     fn mix_columns_inverse() {
         let mut s: Block = core::array::from_fn(|i| (i * 7 + 3) as u8);
         let orig = s;
-        mix_columns(&mut s);
+        model::mix_columns(&mut s);
         inv_mix_columns(&mut s);
         assert_eq!(s, orig);
     }

@@ -18,7 +18,7 @@
 //! permutation satisfies the 2EM contract; AES rounds are the standard
 //! choice in the literature.)
 
-use crate::aes::aes_round;
+use crate::aes::{load, round, store, xor, State};
 use crate::{Aes128, Block};
 
 /// Number of unkeyed AES rounds in each public permutation.
@@ -29,35 +29,33 @@ const ROUNDS_PER_PERM: usize = 4;
 const P1_CONST: Block = *b"DIP 2EM perm #1\x01";
 const P2_CONST: Block = *b"DIP 2EM perm #2\x02";
 
-#[inline]
-fn xor_into(dst: &mut Block, src: &Block) {
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d ^= s;
+/// A public permutation on column words: XOR in its constant, then
+/// [`ROUNDS_PER_PERM`] unkeyed AES rounds.
+#[inline(always)]
+fn permute(state: State, constant: &Block) -> State {
+    let mut s = xor(state, load(constant));
+    for _ in 0..ROUNDS_PER_PERM {
+        s = round(s);
     }
+    s
 }
 
 /// The first public permutation.
 pub fn p1(block: &mut Block) {
-    xor_into(block, &P1_CONST);
-    for _ in 0..ROUNDS_PER_PERM {
-        aes_round(block);
-    }
+    *block = store(permute(load(block), &P1_CONST));
 }
 
 /// The second public permutation.
 pub fn p2(block: &mut Block) {
-    xor_into(block, &P2_CONST);
-    for _ in 0..ROUNDS_PER_PERM {
-        aes_round(block);
-    }
+    *block = store(permute(load(block), &P2_CONST));
 }
 
-/// A 2EM instance with its three subkeys.
+/// A 2EM instance with its three subkeys, held as column words.
 #[derive(Clone)]
 pub struct TwoRoundEm {
-    k0: Block,
-    k1: Block,
-    k2: Block,
+    k0: State,
+    k1: State,
+    k2: State,
 }
 
 impl TwoRoundEm {
@@ -69,25 +67,29 @@ impl TwoRoundEm {
     pub fn new(master: &Block) -> Self {
         let aes = Aes128::new(master);
         TwoRoundEm {
-            k0: aes.encrypt(&[0u8; 16]),
-            k1: aes.encrypt(&[1u8; 16]),
-            k2: aes.encrypt(&[2u8; 16]),
+            k0: aes.encrypt_words([0; 4]),
+            k1: aes.encrypt_words([0x0101_0101; 4]),
+            k2: aes.encrypt_words([0x0202_0202; 4]),
         }
     }
 
     /// Builds an instance from explicit subkeys (used by tests and by the
     /// known-answer fixtures).
     pub fn from_subkeys(k0: Block, k1: Block, k2: Block) -> Self {
-        TwoRoundEm { k0, k1, k2 }
+        TwoRoundEm { k0: load(&k0), k1: load(&k1), k2: load(&k2) }
+    }
+
+    /// Encrypts one block held as column words:
+    /// `k2 ⊕ P2(k1 ⊕ P1(k0 ⊕ x))`.
+    #[inline]
+    pub(crate) fn encrypt_words(&self, state: State) -> State {
+        let s = permute(xor(state, self.k0), &P1_CONST);
+        xor(permute(xor(s, self.k1), &P2_CONST), self.k2)
     }
 
     /// Encrypts one block in place: `k2 ⊕ P2(k1 ⊕ P1(k0 ⊕ x))`.
     pub fn encrypt_block(&self, block: &mut Block) {
-        xor_into(block, &self.k0);
-        p1(block);
-        xor_into(block, &self.k1);
-        p2(block);
-        xor_into(block, &self.k2);
+        *block = store(self.encrypt_words(load(block)));
     }
 
     /// Encrypts and returns a copy.

@@ -10,6 +10,7 @@
 //!
 //! `F_parm` (key 6) is exactly this derivation performed per packet.
 
+use crate::aes::{load, store, xor, State};
 use crate::mac::{CbcMac, MacAlgorithm};
 use crate::Block;
 
@@ -45,8 +46,8 @@ pub fn derive_session_key(local_secret: &Block, session_id: &Block) -> Block {
 pub struct SessionKdf {
     cipher: crate::TwoRoundEm,
     /// `E(len_block)` with the constant first 12 message bytes
-    /// (`0x0b || "opt-session"`) already XOR-folded in.
-    prefix: Block,
+    /// (`0x0b || "opt-session"`) already XOR-folded in, as column words.
+    prefix: State,
 }
 
 impl SessionKdf {
@@ -63,25 +64,17 @@ impl SessionKdf {
         for (p, l) in prefix[1..12].iter_mut().zip(label.iter()) {
             *p ^= l;
         }
-        SessionKdf { cipher, prefix }
+        SessionKdf { cipher, prefix: load(&prefix) }
     }
 
     /// Derives the dynamic key for `session_id`; byte-identical to
     /// [`derive_session_key`] with the secret this schedule was built from.
     pub fn derive(&self, session_id: &Block) -> Block {
-        let mut state = self.prefix;
+        let sid = load(session_id);
         // First message block: constant prefix (already folded) + sid[0..4].
-        for (s, d) in state[12..16].iter_mut().zip(session_id[..4].iter()) {
-            *s ^= d;
-        }
-        self.cipher.encrypt_block(&mut state);
+        let state = self.cipher.encrypt_words(xor(self.prefix, [0, 0, 0, sid[0]]));
         // Final partial block: sid[4..16] with 10* padding.
-        for (s, d) in state[..12].iter_mut().zip(session_id[4..].iter()) {
-            *s ^= d;
-        }
-        state[12] ^= 0x80;
-        self.cipher.encrypt_block(&mut state);
-        state
+        store(self.cipher.encrypt_words(xor(state, [sid[1], sid[2], sid[3], 0x8000_0000])))
     }
 }
 

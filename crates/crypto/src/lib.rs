@@ -7,8 +7,9 @@
 //!
 //! This crate implements, from scratch and without unsafe code:
 //!
-//! * [`aes::Aes128`] — FIPS-197 AES-128 (the comparison baseline, and the
-//!   source of the fixed public permutations used by 2EM);
+//! * [`aes::Aes128`] — FIPS-197 AES-128 with a word-oriented T-table round
+//!   (the comparison baseline, and the source of the fixed public
+//!   permutations used by 2EM);
 //! * [`even_mansour::TwoRoundEm`] — the 2EM cipher: `E(x) = P2(P1(x ⊕ k0) ⊕ k1) ⊕ k2`
 //!   with fixed, publicly known AES permutations `P1`, `P2`;
 //! * [`mac`] — length-prefixed CBC-MAC over either block cipher;
@@ -19,7 +20,10 @@
 //!
 //! These primitives are faithful algorithmic reproductions suitable for a
 //! research prototype; they are **not** hardened against side channels
-//! beyond tag comparison and must not guard real traffic.
+//! beyond tag comparison and must not guard real traffic. In particular the
+//! T-table round indexes 4 KiB of tables by secret-dependent bytes, so its
+//! timing varies with the cache, as any table-driven AES (byte S-box
+//! included) does.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -6,23 +6,38 @@
 //! lengths (the standard "prepend length" fix), which is what routers need
 //! since FN triples select variable-width target fields.
 
+use crate::aes::{load, store, xor, State};
 use crate::{Aes128, Block, TwoRoundEm};
 
 /// Anything that can encrypt a 128-bit block with an already-scheduled key.
 pub trait BlockCipher {
     /// Encrypts one block in place.
     fn encrypt_block(&self, block: &mut Block);
+
+    /// Encrypts one block held as column words ([`State`]), the form
+    /// CBC-MAC chains in.
+    fn encrypt_words(&self, words: State) -> State;
 }
 
 impl BlockCipher for Aes128 {
     fn encrypt_block(&self, block: &mut Block) {
         Aes128::encrypt_block(self, block)
     }
+
+    #[inline]
+    fn encrypt_words(&self, words: State) -> State {
+        Aes128::encrypt_words(self, words)
+    }
 }
 
 impl BlockCipher for TwoRoundEm {
     fn encrypt_block(&self, block: &mut Block) {
         TwoRoundEm::encrypt_block(self, block)
+    }
+
+    #[inline]
+    fn encrypt_words(&self, words: State) -> State {
+        TwoRoundEm::encrypt_words(self, words)
     }
 }
 
@@ -78,16 +93,13 @@ impl CbcMac<Aes128> {
 impl<C: BlockCipher> MacAlgorithm for CbcMac<C> {
     fn mac(&self, data: &[u8]) -> Block {
         // First block: the message length in bits, big-endian, padded.
-        let mut state: Block = [0u8; 16];
-        state[8..16].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
-        self.cipher.encrypt_block(&mut state);
+        let bits = data.len() as u64 * 8;
+        let mut state = self.cipher.encrypt_words([0, 0, (bits >> 32) as u32, bits as u32]);
 
         let mut chunks = data.chunks_exact(16);
         for chunk in &mut chunks {
-            for (s, d) in state.iter_mut().zip(chunk.iter()) {
-                *s ^= d;
-            }
-            self.cipher.encrypt_block(&mut state);
+            let block: &Block = chunk.try_into().expect("chunks_exact yields 16 bytes");
+            state = self.cipher.encrypt_words(xor(state, load(block)));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
@@ -95,12 +107,9 @@ impl<C: BlockCipher> MacAlgorithm for CbcMac<C> {
             let mut last = [0u8; 16];
             last[..rem.len()].copy_from_slice(rem);
             last[rem.len()] = 0x80;
-            for (s, d) in state.iter_mut().zip(last.iter()) {
-                *s ^= d;
-            }
-            self.cipher.encrypt_block(&mut state);
+            state = self.cipher.encrypt_words(xor(state, load(&last)));
         }
-        state
+        store(state)
     }
 }
 

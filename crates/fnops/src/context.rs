@@ -1,6 +1,6 @@
 //! Router state, per-packet context, and the action/verdict types.
 
-use dip_crypto::Block;
+use dip_crypto::{Aes128, Block, CbcMac, MacAlgorithm, TwoRoundEm};
 use dip_routes::RouteTables;
 use dip_tables::fib::NextHop;
 use dip_tables::{ContentStore, Pit, Port, Ticks, XiaNextHop};
@@ -20,6 +20,30 @@ pub enum MacChoice {
     TwoRoundEm,
     /// AES-128 (the baseline; costs a resubmission in the pipeline model).
     Aes,
+}
+
+/// A CBC-MAC whose key schedule has been expanded for one [`MacChoice`].
+pub(crate) enum MacSchedule {
+    TwoRoundEm(CbcMac<TwoRoundEm>),
+    Aes(CbcMac<Aes128>),
+}
+
+impl MacSchedule {
+    /// Expands `key` for `choice`.
+    pub(crate) fn new(choice: MacChoice, key: &Block) -> Self {
+        match choice {
+            MacChoice::TwoRoundEm => MacSchedule::TwoRoundEm(CbcMac::new_2em(key)),
+            MacChoice::Aes => MacSchedule::Aes(CbcMac::new_aes(key)),
+        }
+    }
+
+    /// The tag of `data`.
+    pub(crate) fn mac(&self, data: &[u8]) -> Block {
+        match self {
+            MacSchedule::TwoRoundEm(m) => m.mac(data),
+            MacSchedule::Aes(m) => m.mac(data),
+        }
+    }
 }
 
 /// The forwarding state of one DIP-capable node that operation modules act
@@ -215,6 +239,12 @@ pub struct PacketCtx<'a> {
     pub pass_verified: bool,
     /// Source address recorded by `F_source` (32- or 128-bit, left-aligned).
     pub source_addr: Option<Vec<u8>>,
+    /// The last MAC schedule [`PacketCtx::mac`] expanded, with the
+    /// `(choice, key)` it was expanded from.
+    mac_memo: Option<(MacChoice, Block, MacSchedule)>,
+    /// How many times [`PacketCtx::mac`] expanded a key schedule.
+    #[cfg(test)]
+    pub(crate) mac_expansions: u32,
 }
 
 impl<'a> PacketCtx<'a> {
@@ -232,6 +262,9 @@ impl<'a> PacketCtx<'a> {
             source_key: None,
             pass_verified: false,
             source_addr: None,
+            mac_memo: None,
+            #[cfg(test)]
+            mac_expansions: 0,
         }
     }
 
@@ -264,6 +297,41 @@ impl<'a> PacketCtx<'a> {
             usize::from(triple.field_loc),
             usize::from(triple.field_len),
         )
+    }
+
+    /// Reads the target field of `triple` into `out` (left-aligned),
+    /// returning the number of bytes written; `out` must hold the field.
+    pub fn read_field_into(
+        &self,
+        triple: &dip_wire::triple::FnTriple,
+        out: &mut [u8],
+    ) -> Result<usize, dip_wire::WireError> {
+        dip_wire::bits::read_bits_into(
+            self.locations,
+            usize::from(triple.field_loc),
+            usize::from(triple.field_len),
+            out,
+        )
+    }
+
+    /// The `choice` CBC-MAC of `data` under `key`. `F_MAC` and `F_mark`
+    /// both MAC under the packet's dynamic key, so the key schedule is
+    /// expanded once per packet: it is reused while `choice` and `key` equal
+    /// the ones it was expanded from, and re-expanded otherwise.
+    pub(crate) fn mac(&mut self, choice: MacChoice, key: &Block, data: &[u8]) -> Block {
+        match &self.mac_memo {
+            Some((c, k, schedule)) if *c == choice && k == key => schedule.mac(data),
+            _ => {
+                #[cfg(test)]
+                {
+                    self.mac_expansions += 1;
+                }
+                let schedule = MacSchedule::new(choice, key);
+                let tag = schedule.mac(data);
+                self.mac_memo = Some((choice, *key, schedule));
+                tag
+            }
+        }
     }
 
     /// Writes the target field of `triple`.

@@ -7,20 +7,19 @@
 //! 128-bit tag **immediately after the target field** — for OPT's layout
 //! that is exactly the OPV slot.
 
-use crate::context::MacChoice;
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
+use crate::context::{MacChoice, MacSchedule};
 use crate::cost::OpCost;
 use crate::FieldOp;
 use dip_crypto::mac::cbc_mac_blocks;
-use dip_crypto::{Block, CbcMac, MacAlgorithm};
+use dip_crypto::Block;
+use dip_wire::bits::byte_len;
 use dip_wire::triple::{FnKey, FnTriple};
 
-/// Computes a MAC under the router's configured cipher choice.
+/// Computes a MAC under the router's configured cipher choice, expanding
+/// the key schedule afresh (host-side verification walks many keys).
 pub(crate) fn mac_bytes(choice: MacChoice, key: &Block, data: &[u8]) -> Block {
-    match choice {
-        MacChoice::TwoRoundEm => CbcMac::new_2em(key).mac(data),
-        MacChoice::Aes => CbcMac::new_aes(key).mac(data),
-    }
+    MacSchedule::new(choice, key).mac(data)
 }
 
 /// Tag-computation op.
@@ -47,7 +46,7 @@ impl FieldOp for MacOp {
         let Ok(coverage) = ctx.read_field(triple) else {
             return Action::Drop(DropReason::MalformedField);
         };
-        let tag = mac_bytes(state.mac_choice, &key, &coverage);
+        let tag = ctx.mac(state.mac_choice, &key, &coverage);
         // Deposit after the covered field.
         let tag_triple = FnTriple::router(
             triple.field_loc.saturating_add(triple.field_len),
@@ -64,7 +63,8 @@ impl FieldOp for MacOp {
     }
 
     fn cost(&self, field_bits: u16) -> OpCost {
-        let blocks = cbc_mac_blocks(usize::from(field_bits) / 8) as u32;
+        // The coverage is read as whole bytes, pad bits included.
+        let blocks = cbc_mac_blocks(byte_len(usize::from(field_bits))) as u32;
         // Resubmission cost is applied by the pipeline model per the
         // router's cipher choice; report blocks here.
         OpCost::cipher(2, blocks, 0)
@@ -155,5 +155,50 @@ mod tests {
         let small = MacOp.cost(128);
         let large = MacOp.cost(416);
         assert!(large.cipher_blocks > small.cipher_blocks);
+    }
+
+    #[test]
+    fn one_schedule_serves_mac_and_mark_until_key_or_choice_changes() {
+        use crate::ops::{MarkOp, ParmOp};
+        let parm = FnTriple::router(triple_bits::PARM.0, triple_bits::PARM.1, FnKey::Parm);
+        let mac = FnTriple::router(triple_bits::MAC.0, triple_bits::MAC.1, FnKey::Mac);
+        let mark = FnTriple::router(triple_bits::MARK.0, triple_bits::MARK.1, FnKey::Mark);
+        let mut st = state();
+        let mut locs: Vec<u8> = (0..68).collect();
+        let mut c = ctx(&mut locs, &[]);
+        // F_MAC then F_mark, each checked against a fresh expansion of the
+        // same inputs; returns the expansion count afterwards.
+        let mac_then_mark = |st: &mut RouterState, c: &mut PacketCtx<'_>| {
+            let key = c.dynamic_key.expect("F_parm ran");
+            let coverage = c.locations[..52].to_vec();
+            assert_eq!(MacOp.execute(&mac, st, c), Action::Continue);
+            assert_eq!(c.locations[field::OPV], mac_bytes(st.mac_choice, &key, &coverage));
+            let pvf = c.locations[field::PVF].to_vec();
+            assert_eq!(MarkOp.execute(&mark, st, c), Action::Continue);
+            assert_eq!(c.locations[field::PVF], mac_bytes(st.mac_choice, &key, &pvf));
+            c.mac_expansions
+        };
+
+        assert_eq!(ParmOp.execute(&parm, &mut st, &mut c), Action::Continue);
+        assert_eq!(c.mac_expansions, 0, "F_parm derives the key, it does not expand it");
+        assert_eq!(mac_then_mark(&mut st, &mut c), 1, "F_MAC expands, F_mark reuses");
+
+        // A new session id in between: a new dynamic key, a new schedule.
+        c.locations[field::SESSION_ID].fill(0xee);
+        assert_eq!(ParmOp.execute(&parm, &mut st, &mut c), Action::Continue);
+        assert_eq!(mac_then_mark(&mut st, &mut c), 2);
+
+        // The same key under the other cipher, and back: both re-expand.
+        st.mac_choice = MacChoice::Aes;
+        assert_eq!(mac_then_mark(&mut st, &mut c), 3);
+        st.mac_choice = MacChoice::TwoRoundEm;
+        assert_eq!(mac_then_mark(&mut st, &mut c), 4);
+    }
+
+    #[test]
+    fn cost_counts_the_padded_final_byte() {
+        // 129 bits are read as 17 bytes, which CBC-MAC runs as 3 blocks.
+        assert_eq!(MacOp.cost(129).cipher_blocks, cbc_mac_blocks(17) as u32);
+        assert_eq!(MacOp.cost(128).cipher_blocks, cbc_mac_blocks(16) as u32);
     }
 }

@@ -12,7 +12,6 @@
 
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
-use crate::ops::mac_op::mac_bytes;
 use crate::FieldOp;
 use dip_wire::triple::{FnKey, FnTriple};
 
@@ -37,10 +36,11 @@ impl FieldOp for MarkOp {
         if triple.field_len != 128 {
             return Action::Drop(DropReason::MalformedField);
         }
-        let Ok(current) = ctx.read_field(triple) else {
+        let mut current = [0u8; 16];
+        if ctx.read_field_into(triple, &mut current).is_err() {
             return Action::Drop(DropReason::MalformedField);
-        };
-        let next = mac_bytes(state.mac_choice, &key, &current);
+        }
+        let next = ctx.mac(state.mac_choice, &key, &current);
         match ctx.write_field(triple, &next) {
             Ok(()) => Action::Continue,
             Err(_) => Action::Drop(DropReason::MalformedField),
@@ -69,6 +69,7 @@ impl FieldOp for MarkOp {
 mod tests {
     use super::*;
     use crate::context::MacChoice;
+    use crate::ops::mac_op::mac_bytes;
     use crate::ops::testutil::{ctx, state};
     use dip_wire::opt::{field, triple_bits};
 

@@ -29,11 +29,10 @@ impl FieldOp for ParmOp {
         if triple.field_len != 128 {
             return Action::Drop(DropReason::MalformedField);
         }
-        let Ok(bytes) = ctx.read_field(triple) else {
-            return Action::Drop(DropReason::MalformedField);
-        };
         let mut session_id = [0u8; 16];
-        session_id.copy_from_slice(&bytes);
+        if ctx.read_field_into(triple, &mut session_id).is_err() {
+            return Action::Drop(DropReason::MalformedField);
+        }
         ctx.dynamic_key = Some(derive_session_key(&state.local_secret, &session_id));
         Action::Continue
     }
@@ -76,11 +75,10 @@ impl FieldOp for ParmOp {
         if triple.field_len != 128 {
             return Action::Drop(DropReason::MalformedField);
         }
-        let Ok(bytes) = ctx.read_field(triple) else {
-            return Action::Drop(DropReason::MalformedField);
-        };
         let mut session_id = [0u8; 16];
-        session_id.copy_from_slice(&bytes);
+        if ctx.read_field_into(triple, &mut session_id).is_err() {
+            return Action::Drop(DropReason::MalformedField);
+        }
         ctx.dynamic_key = Some(kdf.derive(&session_id));
         Action::Continue
     }

@@ -21,8 +21,8 @@
 #             programs, including the XIA hot-path rewrite
 #   bench   — the stand-alone benchmark (the one measurement of speed)
 #             still builds against the crates, passes its own correctness
-#             pre-check traced and untraced, and nothing under its paths
-#             was edited
+#             pre-check traced and untraced on the NDN tables and on the
+#             OPT crypto path, and nothing under its paths was edited
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,9 +106,11 @@ echo "== bench: stand-alone benchmark builds and passes its pre-check"
 # non-zero when the pre-check, the accounting identity or the generator
 # schedule fails.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-for trace in 0 1; do
-    python3 benchmark/run.py --workload ndn_cache --trace "$trace" --seconds 3 \
-        > "/tmp/dipbench_smoke_$trace.txt"
+for workload in ndn_cache opt_secure; do
+    for trace in 0 1; do
+        python3 benchmark/run.py --workload "$workload" --trace "$trace" --seconds 3 \
+            > "/tmp/dipbench_smoke_${workload}_$trace.txt"
+    done
 done
 if ! git diff --quiet -- benchmark BENCHMARK.json; then
     echo "error: benchmark/ or BENCHMARK.json differs from the index" >&2
