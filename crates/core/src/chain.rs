@@ -5,28 +5,30 @@
 //! (registry lookups, per-op costs, the participation policy, the §2.2
 //! parallel plan — a function of the FN chain alone), and *execution*
 //! (running the resolved operations against this packet's bytes and the
-//! router state). [`DipRouter::process`] folds all three together, which
-//! is the right shape for a single packet but wasteful for a dataplane:
-//! real traffic is a small number of *programs* (one per protocol) carried
-//! by millions of packets.
-//!
-//! This module splits the phases apart so a batching runtime can amortize
-//! resolution across every packet that carries the same program:
+//! router state). Real traffic is a small number of *programs* (one per
+//! protocol) carried by millions of packets, so the phases are split and
+//! a batching runtime amortizes resolution across every packet that
+//! carries the same program:
 //!
 //! * [`parse_packet`] — the per-packet half of lines 1–3 of Algorithm 1;
-//! * [`CompiledChain::compile`] — resolution: registry lookups pinned to
-//!   `Arc<dyn FieldOp>`s, pre-computed [`OpCost`]s, the unknown-FN policy
-//!   decision, and (optionally) the parallel plan depth from
+//! * [`CompiledChain::compile`] — resolution into a *plan*: one step per
+//!   FN triple, with registry lookups pinned to `Arc<dyn FieldOp>`s,
+//!   pre-computed [`OpCost`]s, the unknown-FN policy decision and, for
+//!   parallel-flagged packets, the plan depth from
 //!   [`dip_fnops::parallel::plan`];
-//! * [`DipRouter::process_parsed`] — execution of a compiled chain.
+//! * [`DipRouter::process_parsed`] — the one walk that executes every plan.
 //!
-//! `process` itself is now `parse → compile → execute`, so the two paths
-//! cannot drift: a per-packet `process` and a cached-chain
-//! `process_parsed` run byte-identical semantics by construction.
+//! Every program compiles to the *identity plan* first: each router op
+//! runs as written and its timing-model cost equals its budget charge.
+//! When dipopt is requested, `compile` runs [`analyze`] and applies the
+//! proven rewrites to that plan in place — an eliminated op becomes a
+//! charge-only step, a fused or hoisted op keeps running with a smaller
+//! timing-model cost. `process` is `parse → compile → execute` over the
+//! same walk a cached-chain `process_parsed` uses, so the two cannot drift.
 //!
-//! [`DipRouter::process`]: crate::router::DipRouter::process
 //! [`DipRouter::process_parsed`]: crate::router::DipRouter::process_parsed
 
+use crate::budget::{BudgetMeter, ProcessingBudget};
 use crate::router::{RouterConfig, UnknownFnPolicy};
 use dip_fnops::parallel::plan;
 use dip_fnops::{FieldOp, FnRegistry, HoistState, OpCost};
@@ -88,9 +90,14 @@ pub fn parse_packet(buf: &[u8]) -> Option<ParsedPacket> {
     })
 }
 
-/// One resolved step of a compiled chain, aligned index-for-index with the
-/// packet's FN triples.
-pub(crate) enum ChainEntry {
+/// One step of a compiled plan, aligned index-for-index with the packet's
+/// FN triples.
+///
+/// The steps replay the program's budget-charge sequence exactly: an op
+/// eliminated by dipopt leaves a [`Step::Charge`] residue at its position,
+/// so the budget meter makes identical drop decisions on the identity and
+/// the rewritten plan. Only the timing-model cost (`model`) differs.
+pub(crate) enum Step {
     /// Host-tagged FN: skipped by routers (Algorithm 1 line 5).
     Host,
     /// No module installed for this key.
@@ -100,57 +107,28 @@ pub(crate) enum ChainEntry {
         /// Whether the router must send an FN-unsupported notification
         /// (§2.4) instead of silently skipping.
         notify: bool,
+        /// Chain position (goes into the notification verbatim).
+        index: usize,
     },
-    /// A resolved, costed operation.
-    Op {
+    /// Residue of an eliminated operation: charge the budget, run nothing.
+    Charge {
+        /// The eliminated op's cost.
+        cost: OpCost,
+    },
+    /// An operation that executes.
+    Run {
         /// The selecting triple (target field + key).
         triple: FnTriple,
         /// The operation module, pinned so execution never re-consults the
         /// registry.
         op: Arc<dyn FieldOp>,
-        /// Pre-computed invocation cost (a function of the field length
-        /// only).
-        cost: OpCost,
-    },
-}
-
-/// One unit of a dipopt-optimized execution plan.
-///
-/// The plan replays the *original* budget-charge sequence exactly —
-/// eliminated operations leave a charge-only residue at their original
-/// position — so the budget meter makes identical drop decisions on the
-/// optimized and interpreted paths. Only the timing-model cost (`model`)
-/// reflects the optimization.
-pub(crate) enum OptUnit {
-    /// Host-tagged FN: skipped, counted.
-    Host,
-    /// No module installed; `index` preserves the original chain position
-    /// for the FN-unsupported notification.
-    Unsupported {
-        /// Wire encoding of the missing key.
-        key: u16,
-        /// Whether to notify rather than skip.
-        notify: bool,
-        /// Original chain index (goes into the notification verbatim).
-        index: usize,
-    },
-    /// Residue of an eliminated operation: charge the budget, run nothing.
-    Charge {
-        /// The eliminated op's original cost.
-        cost: OpCost,
-    },
-    /// An operation that still executes.
-    Run {
-        /// The selecting triple.
-        triple: FnTriple,
-        /// The operation module.
-        op: Arc<dyn FieldOp>,
-        /// Original cost, charged against the budget (replayed accounting).
+        /// The op's cost as written, charged against the budget.
         charge: OpCost,
-        /// Optimized timing-model cost: fused/hoisted, zero for non-lead
-        /// members of a fused group (the lead carries the merged cost).
+        /// Timing-model cost: `charge` in the identity plan; fused or
+        /// hoisted under dipopt, zero for non-lead members of a fused group
+        /// (the lead carries the merged cost).
         model: OpCost,
-        /// Index into the plan's hoist slots when setup was hoisted.
+        /// Index into the chain's hoist slots when setup was hoisted.
         hoist: Option<usize>,
     },
 }
@@ -166,194 +144,176 @@ pub struct OptSummary {
     pub hoists: u32,
 }
 
-/// A dipopt-optimized execution plan attached to a compiled chain.
-pub(crate) struct OptimizedPlan {
-    pub(crate) units: Vec<OptUnit>,
-    /// Lazily materialized hoisted state, one slot per hoisted op. Built on
-    /// first execution from the router's state; see the validity note on
-    /// [`CompiledChain`].
-    pub(crate) hoists: Vec<OnceLock<Option<HoistState>>>,
-    pub(crate) summary: OptSummary,
-}
-
-/// A fully resolved FN chain: registry lookups, costs, the unknown-FN
-/// policy, and the parallel plan, computed once for all packets carrying
-/// the same program.
+/// A fully resolved FN program: one plan of [`Step`]s computed once for all
+/// packets carrying the same program.
 ///
 /// A chain is only valid for the `(registry, config)` pair it was compiled
 /// against — callers that mutate either must recompile (the dataplane's
-/// program cache is per-worker for exactly this reason). A chain compiled
-/// with [`CompiledChain::compile_optimized`] additionally caches hoisted
-/// state derived from the executing router's secrets, so it must not be
-/// shared across routers or across secret rotation.
+/// program cache is per-worker for exactly this reason). A chain with
+/// hoisted steps additionally caches state derived from the executing
+/// router's secrets, so it must not be shared across routers or across
+/// secret rotation.
 pub struct CompiledChain {
-    pub(crate) entries: Vec<ChainEntry>,
+    pub(crate) steps: Vec<Step>,
+    /// Lazily materialized hoisted state, one slot per hoisted step, built
+    /// on first execution from the router's state.
+    pub(crate) hoists: Vec<OnceLock<Option<HoistState>>>,
     /// Number of router-executed (non-host) triples.
-    pub(crate) router_fns: usize,
-    /// Plan depth under the §2.2 modular-parallelism planner, when
-    /// requested at compile time.
-    pub(crate) parallel_depth: Option<usize>,
-    /// The dipopt plan, when compiled via `compile_optimized` and at least
-    /// one rewrite was proven safe.
-    pub(crate) optimized: Option<OptimizedPlan>,
+    router_fns: usize,
+    /// Plan depth under the §2.2 modular-parallelism planner, computed for
+    /// parallel-flagged packets only.
+    parallel_depth: Option<usize>,
+    /// What dipopt rewrote; `None` for the identity plan.
+    summary: Option<OptSummary>,
 }
 
 impl CompiledChain {
-    /// Resolves `triples` against `registry` under `config`.
+    /// Resolves `parsed`'s program against `registry` under `config` into
+    /// the identity plan and, when `optimize` is set, applies the rewrites
+    /// dipopt proves safe for it.
     ///
-    /// `compute_plan` controls whether the parallel-execution plan is
-    /// derived (callers pass the packet's parallel flag AND the router's
-    /// `parallel_enabled`; sequential packets never pay for planning).
+    /// Sequential packets never pay for the §2.2 parallel planner.
     pub fn compile(
-        triples: &[FnTriple],
+        parsed: &ParsedPacket,
         registry: &FnRegistry,
         config: &RouterConfig,
-        compute_plan: bool,
+        optimize: bool,
     ) -> Self {
-        let mut entries = Vec::with_capacity(triples.len());
-        for t in triples {
-            if t.host {
-                entries.push(ChainEntry::Host);
-                continue;
-            }
-            match registry.get(t.key) {
-                Some(op) => entries.push(ChainEntry::Op {
-                    triple: *t,
-                    cost: op.cost(t.field_len),
-                    op: Arc::clone(op),
-                }),
-                None => {
-                    let key = t.key.to_wire();
-                    let notify = config.participation_keys.contains(&key)
-                        || config.unknown_fn_policy == UnknownFnPolicy::Notify;
-                    entries.push(ChainEntry::Unsupported { key, notify });
-                }
-            }
-        }
-        let router_triples: Vec<FnTriple> = triples.iter().filter(|t| !t.host).copied().collect();
-        let parallel_depth = compute_plan.then(|| plan(&router_triples, registry).depth());
-        CompiledChain { entries, router_fns: router_triples.len(), parallel_depth, optimized: None }
-    }
-
-    /// Like [`compile`](CompiledChain::compile), then runs the dipopt
-    /// analysis and, when at least one rewrite is proven safe, attaches an
-    /// optimized execution plan. Returns the chain together with the
-    /// analysis facts (for telemetry / introspection).
-    ///
-    /// `loc_len` and `parallel` come from the parsed packet and complete
-    /// the [`FnProgram`] the analysis runs on.
-    pub fn compile_optimized(
-        triples: &[FnTriple],
-        registry: &FnRegistry,
-        config: &RouterConfig,
-        compute_plan: bool,
-        loc_len: usize,
-        parallel: bool,
-    ) -> (Self, ProgramFacts) {
-        let mut chain = Self::compile(triples, registry, config, compute_plan);
-        let facts = analyze(&FnProgram::new(triples.to_vec(), loc_len, parallel), registry);
-        if facts.optimizes() {
-            chain.optimized = Some(Self::build_plan(&chain, &facts));
-        }
-        (chain, facts)
-    }
-
-    fn build_plan(chain: &CompiledChain, facts: &ProgramFacts) -> OptimizedPlan {
-        let n = chain.entries.len();
-        let mut eliminated = vec![false; n];
-        let mut model_override: Vec<Option<OpCost>> = vec![None; n];
-        let mut hoist_slot: Vec<Option<usize>> = vec![None; n];
-        // fused_with[j] = Some(i) links j to the previous member of its group.
-        let mut fused_with: Vec<Option<usize>> = vec![None; n];
-        let mut hoist_count = 0usize;
-        for rw in &facts.rewrites {
-            match rw {
-                Rewrite::EliminateRedundantParse { parse, into, fused_model } => {
-                    eliminated[*parse] = true;
-                    model_override[*into] = Some(*fused_model);
-                }
-                Rewrite::EliminateDeadKeyWrite { index } => eliminated[*index] = true,
-                Rewrite::FuseAdjacent { first, second } => fused_with[*second] = Some(*first),
-                Rewrite::HoistKeySchedule { index, hoisted_model } => {
-                    model_override[*index] = Some(*hoisted_model);
-                    hoist_slot[*index] = Some(hoist_count);
-                    hoist_count += 1;
-                }
-            }
-        }
-        // Resolve fused groups: the lead (a member with no predecessor)
-        // carries the fused cost of the whole group; later members go to
-        // zero in the timing model. Execution order is untouched.
-        let mut model: Vec<OpCost> = (0..n)
-            .map(|i| match &chain.entries[i] {
-                ChainEntry::Op { cost, .. } => model_override[i].unwrap_or(*cost),
-                _ => OpCost::default(),
-            })
-            .collect();
-        for j in 0..n {
-            if let Some(i) = fused_with[j] {
-                // Walk back to the group lead.
-                let mut lead = i;
-                while let Some(prev) = fused_with[lead] {
-                    lead = prev;
-                }
-                model[lead] = model[lead].fuse(model[j]);
-                model[j] = OpCost::default();
-            }
-        }
-        let units = chain
-            .entries
+        let triples = &parsed.triples;
+        let steps = triples
             .iter()
             .enumerate()
-            .map(|(i, entry)| match entry {
-                ChainEntry::Host => OptUnit::Host,
-                ChainEntry::Unsupported { key, notify } => {
-                    OptUnit::Unsupported { key: *key, notify: *notify, index: i }
+            .map(|(index, t)| {
+                if t.host {
+                    return Step::Host;
                 }
-                ChainEntry::Op { triple, op, cost } => {
-                    if eliminated[i] {
-                        OptUnit::Charge { cost: *cost }
-                    } else {
-                        OptUnit::Run {
-                            triple: *triple,
-                            op: Arc::clone(op),
-                            charge: *cost,
-                            model: model[i],
-                            hoist: hoist_slot[i],
-                        }
+                match registry.get(t.key) {
+                    Some(op) => {
+                        let cost = op.cost(t.field_len);
+                        let op = Arc::clone(op);
+                        Step::Run { triple: *t, op, charge: cost, model: cost, hoist: None }
+                    }
+                    None => {
+                        let key = t.key.to_wire();
+                        let notify = config.participation_keys.contains(&key)
+                            || config.unknown_fn_policy == UnknownFnPolicy::Notify;
+                        Step::Unsupported { key, notify, index }
                     }
                 }
             })
             .collect();
-        OptimizedPlan {
-            units,
-            hoists: (0..hoist_count).map(|_| OnceLock::new()).collect(),
-            summary: OptSummary {
-                ops_eliminated: facts.ops_eliminated() as u32,
-                fusions: facts.fusions() as u32,
-                hoists: facts.hoists() as u32,
-            },
+        let router_fns = triples.iter().filter(|t| !t.host).count();
+        let parallel_depth = parsed.parallel.then(|| {
+            let router_triples: Vec<FnTriple> =
+                triples.iter().filter(|t| !t.host).copied().collect();
+            plan(&router_triples, registry).depth()
+        });
+        let mut chain =
+            CompiledChain { steps, hoists: Vec::new(), router_fns, parallel_depth, summary: None };
+        if optimize {
+            let program = FnProgram::new(triples.clone(), parsed.loc_len, parsed.parallel);
+            let facts = analyze(&program, registry);
+            if facts.optimizes() && !chain.budget_stops_at_a_parse_consumer(&facts, &config.budget)
+            {
+                chain.rewrite(&facts);
+            }
+        }
+        chain
+    }
+
+    /// Whether `budget` runs out exactly at the charge of a hop that absorbs
+    /// an eliminated parse (R1). Algorithm 1 would have run that parse
+    /// first, and dropped a malformed DAG as such rather than as over
+    /// budget, so R1 is exact only on walks that get past the consumer's
+    /// charge. Charges are program constants, so the failing step is too.
+    fn budget_stops_at_a_parse_consumer(
+        &self,
+        facts: &ProgramFacts,
+        budget: &ProcessingBudget,
+    ) -> bool {
+        let mut meter = BudgetMeter::new();
+        let stop = self
+            .steps
+            .iter()
+            .position(|s| matches!(s, Step::Run { charge, .. } if !meter.charge(budget, *charge)));
+        facts.rewrites.iter().any(
+            |rw| matches!(*rw, Rewrite::EliminateRedundantParse { into, .. } if Some(into) == stop),
+        )
+    }
+
+    /// Applies dipopt's proven rewrites to the identity plan in place.
+    /// dipopt never fuses or hoists an op it eliminates, so an eliminated
+    /// op can become its charge-only residue at once.
+    fn rewrite(&mut self, facts: &ProgramFacts) {
+        // fused_with[j] = Some(i) links j to the previous member of its
+        // group; groups resolve once every cost override is in.
+        let mut fused_with: Vec<Option<usize>> = vec![None; self.steps.len()];
+        for rw in &facts.rewrites {
+            match *rw {
+                Rewrite::EliminateRedundantParse { parse, into, fused_model } => {
+                    self.eliminate(parse);
+                    if let Some(model) = self.model_mut(into) {
+                        *model = fused_model;
+                    }
+                }
+                Rewrite::EliminateDeadKeyWrite { index } => self.eliminate(index),
+                Rewrite::FuseAdjacent { first, second } => fused_with[second] = Some(first),
+                Rewrite::HoistKeySchedule { index, hoisted_model } => {
+                    if let Step::Run { model, hoist, .. } = &mut self.steps[index] {
+                        *model = hoisted_model;
+                        *hoist = Some(self.hoists.len());
+                        self.hoists.push(OnceLock::new());
+                    }
+                }
+            }
+        }
+        // The group lead (a member with no predecessor) carries the fused
+        // cost of the whole group; later members go to zero in the timing
+        // model. Execution order is untouched.
+        for j in 0..fused_with.len() {
+            let Some(mut lead) = fused_with[j] else { continue };
+            while let Some(prev) = fused_with[lead] {
+                lead = prev;
+            }
+            let member = self.model_mut(j).map(std::mem::take).unwrap_or_default();
+            if let Some(model) = self.model_mut(lead) {
+                *model = model.fuse(member);
+            }
+        }
+        self.summary = Some(OptSummary {
+            ops_eliminated: facts.ops_eliminated() as u32,
+            fusions: facts.fusions() as u32,
+            hoists: facts.hoists() as u32,
+        });
+    }
+
+    fn eliminate(&mut self, index: usize) {
+        if let Step::Run { charge, .. } = self.steps[index] {
+            self.steps[index] = Step::Charge { cost: charge };
         }
     }
 
-    /// Whether a dipopt plan is attached.
-    pub fn is_optimized(&self) -> bool {
-        self.optimized.is_some()
+    fn model_mut(&mut self, index: usize) -> Option<&mut OpCost> {
+        match &mut self.steps[index] {
+            Step::Run { model, .. } => Some(model),
+            _ => None,
+        }
     }
 
-    /// Per-rewrite-kind counts of the attached plan, if any.
+    /// Per-rewrite-kind counts when dipopt rewrote the plan; `None` for the
+    /// identity plan.
     pub fn opt_summary(&self) -> Option<OptSummary> {
-        self.optimized.as_ref().map(|p| p.summary)
+        self.summary
     }
 
     /// Number of chain steps (= number of FN triples, host ones included).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.steps.len()
     }
 
     /// Whether the chain is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.steps.is_empty()
     }
 
     /// Number of router-executed (non-host) steps.
@@ -374,10 +334,10 @@ impl CompiledChain {
 impl std::fmt::Debug for CompiledChain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledChain")
-            .field("len", &self.entries.len())
+            .field("len", &self.steps.len())
             .field("router_fns", &self.router_fns)
             .field("parallel_depth", &self.parallel_depth)
-            .field("optimized", &self.opt_summary())
+            .field("optimized", &self.summary)
             .finish()
     }
 }
@@ -436,51 +396,73 @@ mod tests {
         assert_eq!(pa.program_bytes(&a), pb.program_bytes(&b));
     }
 
-    #[test]
-    fn compile_resolves_costs_and_policy() {
-        let registry = FnRegistry::standard();
-        let config = RouterConfig::default();
-        let triples = vec![
-            FnTriple::router(0, 32, FnKey::Match32),
-            FnTriple::host(0, 32, FnKey::Ver),
-            FnTriple::router(128, 128, FnKey::Parm),
-            FnTriple::router(0, 8, FnKey::Other(0x300)),
-        ];
-        let chain = CompiledChain::compile(&triples, &registry, &config, false);
-        assert_eq!(chain.len(), 4);
-        assert_eq!(chain.router_fns(), 3);
-        assert!(matches!(chain.entries[1], ChainEntry::Host));
-        // 0x300 is not a participation key and the default policy skips.
-        assert!(matches!(chain.entries[3], ChainEntry::Unsupported { notify: false, .. }));
-
-        // A registry lacking Parm (a participation key) must notify.
-        let bare = FnRegistry::with_keys(&[FnKey::Match32]);
-        let chain = CompiledChain::compile(&triples, &bare, &config, false);
-        assert!(matches!(chain.entries[2], ChainEntry::Unsupported { notify: true, .. }));
+    /// The parse result `compile` needs, for a program without a packet.
+    fn program(fns: Vec<FnTriple>, loc_len: usize, parallel: bool) -> ParsedPacket {
+        let loc_start = BASIC_HEADER_LEN + fns.len() * FN_TRIPLE_LEN;
+        ParsedPacket { triples: fns, loc_start, header_len: loc_start + loc_len, parallel, loc_len }
     }
 
     #[test]
-    fn compile_optimized_builds_replayed_charges() {
+    fn compile_builds_the_identity_plan() {
+        let registry = FnRegistry::standard();
+        let config = RouterConfig::default();
+        let p = program(
+            vec![
+                FnTriple::router(0, 32, FnKey::Match32),
+                FnTriple::host(0, 32, FnKey::Ver),
+                FnTriple::router(128, 128, FnKey::Parm),
+                FnTriple::router(0, 8, FnKey::Other(0x300)),
+            ],
+            32,
+            false,
+        );
+        let chain = CompiledChain::compile(&p, &registry, &config, false);
+        assert_eq!(chain.len(), 4);
+        assert_eq!(chain.router_fns(), 3);
+        assert!(chain.opt_summary().is_none());
+        assert!(chain.hoists.is_empty());
+        for i in [0, 2] {
+            match &chain.steps[i] {
+                Step::Run { charge, model, hoist, .. } => {
+                    assert_eq!(charge, model, "the identity plan models what it charges");
+                    assert!(hoist.is_none());
+                }
+                _ => panic!("step {i} must run"),
+            }
+        }
+        assert!(matches!(chain.steps[1], Step::Host));
+        // 0x300 is not a participation key and the default policy skips.
+        assert!(matches!(chain.steps[3], Step::Unsupported { notify: false, index: 3, .. }));
+
+        // A registry lacking Parm (a participation key) must notify.
+        let bare = FnRegistry::with_keys(&[FnKey::Match32]);
+        let chain = CompiledChain::compile(&p, &bare, &config, false);
+        assert!(matches!(chain.steps[2], Step::Unsupported { notify: true, index: 2, .. }));
+    }
+
+    #[test]
+    fn dipopt_leaves_charge_residue_for_eliminated_ops() {
         let registry = FnRegistry::standard();
         let config = RouterConfig::default();
         // XIA program: the F_DAG parse is eliminated but still charged.
-        let triples =
-            vec![FnTriple::router(0, 720, FnKey::Dag), FnTriple::router(0, 720, FnKey::Intent)];
-        let (chain, facts) =
-            CompiledChain::compile_optimized(&triples, &registry, &config, false, 90, false);
-        assert!(facts.optimizes());
-        assert!(chain.is_optimized());
-        let plan = chain.optimized.as_ref().unwrap();
-        assert_eq!(plan.units.len(), 2);
+        let p = program(
+            vec![FnTriple::router(0, 720, FnKey::Dag), FnTriple::router(0, 720, FnKey::Intent)],
+            90,
+            false,
+        );
+        let identity = CompiledChain::compile(&p, &registry, &config, false);
+        assert!(identity.steps.iter().all(|s| matches!(s, Step::Run { .. })));
+        let chain = CompiledChain::compile(&p, &registry, &config, true);
+        assert_eq!(chain.steps.len(), 2);
         let dag_cost = registry.get(FnKey::Dag).unwrap().cost(720);
-        assert!(matches!(&plan.units[0], OptUnit::Charge { cost } if *cost == dag_cost));
-        match &plan.units[1] {
-            OptUnit::Run { charge, model, hoist, .. } => {
+        assert!(matches!(&chain.steps[0], Step::Charge { cost } if *cost == dag_cost));
+        match &chain.steps[1] {
+            Step::Run { charge, model, hoist, .. } => {
                 assert_eq!(*charge, registry.get(FnKey::Intent).unwrap().cost(720));
                 assert_eq!(*model, OpCost::lookup(1, 2));
                 assert!(hoist.is_none());
             }
-            _ => panic!("second unit must run"),
+            _ => panic!("second step must run"),
         }
         assert_eq!(
             chain.opt_summary().unwrap(),
@@ -489,38 +471,62 @@ mod tests {
     }
 
     #[test]
-    fn compile_optimized_fuses_and_hoists() {
+    fn a_budget_that_stops_at_the_parse_consumer_keeps_the_identity_plan() {
+        let registry = FnRegistry::standard();
+        let p = program(
+            vec![FnTriple::router(0, 720, FnKey::Dag), FnTriple::router(0, 720, FnKey::Intent)],
+            90,
+            false,
+        );
+        // One FN fits: F_intent's charge fails, so Algorithm 1 would run
+        // (and possibly drop at) the F_DAG parse the rewrite eliminates.
+        let budget = ProcessingBudget { max_fns: 1, ..ProcessingBudget::default() };
+        let config = RouterConfig { budget, ..RouterConfig::default() };
+        let chain = CompiledChain::compile(&p, &registry, &config, true);
+        assert!(chain.opt_summary().is_none());
+        // Stopping at the eliminated parse's own charge is exact either way.
+        let budget = ProcessingBudget { max_fns: 0, ..ProcessingBudget::default() };
+        let config = RouterConfig { budget, ..RouterConfig::default() };
+        let chain = CompiledChain::compile(&p, &registry, &config, true);
+        assert!(chain.opt_summary().is_some());
+    }
+
+    #[test]
+    fn dipopt_fuses_and_hoists_in_place() {
         let registry = FnRegistry::standard();
         let config = RouterConfig::default();
         // dip32: disjoint readers fuse — the lead carries the merged model.
-        let triples =
-            vec![FnTriple::router(0, 32, FnKey::Match32), FnTriple::router(32, 32, FnKey::Source)];
-        let (chain, _) =
-            CompiledChain::compile_optimized(&triples, &registry, &config, false, 8, false);
-        let plan = chain.optimized.as_ref().unwrap();
-        match (&plan.units[0], &plan.units[1]) {
-            (OptUnit::Run { model: lead, .. }, OptUnit::Run { model: member, .. }) => {
+        let p = program(
+            vec![FnTriple::router(0, 32, FnKey::Match32), FnTriple::router(32, 32, FnKey::Source)],
+            8,
+            false,
+        );
+        let chain = CompiledChain::compile(&p, &registry, &config, true);
+        match (&chain.steps[0], &chain.steps[1]) {
+            (Step::Run { model: lead, .. }, Step::Run { model: member, .. }) => {
                 // lookup(1,1) fused with stages(1): shared stage, one lookup.
                 assert_eq!(*lead, OpCost::lookup(1, 1));
                 assert_eq!(*member, OpCost::default());
             }
-            _ => panic!("both units must run"),
+            _ => panic!("both steps must run"),
         }
 
         // Lone OPT derivation chain with a consumer: parm survives and is
         // hoisted with one lazy slot.
-        let triples = vec![
-            FnTriple::router(128, 128, FnKey::Parm),
-            FnTriple::router(0, 416, FnKey::Mac),
-            FnTriple::router(288, 128, FnKey::Mark),
-        ];
-        let (chain, facts) =
-            CompiledChain::compile_optimized(&triples, &registry, &config, false, 68, false);
-        assert_eq!(facts.hoists(), 1);
-        let plan = chain.optimized.as_ref().unwrap();
-        assert_eq!(plan.hoists.len(), 1);
-        match &plan.units[0] {
-            OptUnit::Run { charge, model, hoist, .. } => {
+        let p = program(
+            vec![
+                FnTriple::router(128, 128, FnKey::Parm),
+                FnTriple::router(0, 416, FnKey::Mac),
+                FnTriple::router(288, 128, FnKey::Mark),
+            ],
+            68,
+            false,
+        );
+        let chain = CompiledChain::compile(&p, &registry, &config, true);
+        assert_eq!(chain.opt_summary().unwrap().hoists, 1);
+        assert_eq!(chain.hoists.len(), 1);
+        match &chain.steps[0] {
+            Step::Run { charge, model, hoist, .. } => {
                 assert_eq!(*charge, OpCost::cipher(1, 3, 0), "budget replays the original");
                 assert_eq!(*model, OpCost::cipher(1, 2, 0), "timing model sees the hoist");
                 assert_eq!(*hoist, Some(0));
@@ -530,33 +536,32 @@ mod tests {
     }
 
     #[test]
-    fn compile_optimized_leaves_unoptimizable_programs_alone() {
+    fn dipopt_leaves_unoptimizable_programs_as_the_identity_plan() {
         let registry = FnRegistry::standard();
         let config = RouterConfig::default();
         for case in dip_verify::optimization_corpus() {
-            let (chain, facts) = CompiledChain::compile_optimized(
-                &case.program.fns,
-                &registry,
-                &config,
-                false,
-                case.program.loc_len,
-                case.program.parallel,
-            );
-            assert!(!facts.optimizes(), "{} must not optimize", case.name);
-            assert!(!chain.is_optimized());
+            let FnProgram { fns, loc_len, parallel } = case.program;
+            let chain =
+                CompiledChain::compile(&program(fns, loc_len, parallel), &registry, &config, true);
+            assert!(chain.opt_summary().is_none(), "{} must not optimize", case.name);
+            assert!(chain.steps.iter().all(|s| match s {
+                Step::Run { charge, model, hoist, .. } => charge == model && hoist.is_none(),
+                _ => true,
+            }));
         }
     }
 
     #[test]
-    fn plan_depth_defaults_to_sequential() {
+    fn plan_depth_is_planned_for_parallel_packets_only() {
         let registry = FnRegistry::standard();
         let config = RouterConfig::default();
-        let triples =
+        let fns =
             vec![FnTriple::router(0, 32, FnKey::Match32), FnTriple::router(32, 32, FnKey::Source)];
-        let seq = CompiledChain::compile(&triples, &registry, &config, false);
+        let seq =
+            CompiledChain::compile(&program(fns.clone(), 8, false), &registry, &config, false);
         assert_eq!(seq.plan_depth(false), 2);
         assert_eq!(seq.plan_depth(true), 2, "no plan computed -> sequential");
-        let par = CompiledChain::compile(&triples, &registry, &config, true);
+        let par = CompiledChain::compile(&program(fns, 8, true), &registry, &config, false);
         assert_eq!(par.plan_depth(true), 1, "disjoint reads share a wave");
         assert_eq!(par.plan_depth(false), 2);
     }

@@ -3,8 +3,8 @@
 //! The contract `dip_verify::opt` promises — every rewrite is
 //! behavior-preserving — is machine-checked here rather than argued: the
 //! same packet sequence runs through two identically constructed routers,
-//! one interpreting chains and one executing optimized plans, and every
-//! observable must match byte-for-byte:
+//! one running every program as its identity plan and one running the
+//! plans dipopt rewrote, and every observable must match byte-for-byte:
 //!
 //! * the verdict (including drop reasons and notification contents),
 //! * the full packet buffer after processing (header rewrites, tags),
@@ -27,8 +27,8 @@ use dip_wire::triple::FnTriple;
 pub struct EquivReport {
     /// Packets compared.
     pub packets: usize,
-    /// How many were processed by an actually-optimized chain (the rest
-    /// ran identical interpreted plans on both sides).
+    /// How many were processed by an actually-rewritten plan (the rest
+    /// ran the identity plan on both sides).
     pub optimized_verdicts: usize,
 }
 
@@ -37,8 +37,8 @@ fn state_fingerprint(router: &DipRouter) -> String {
     format!("{:?} pit={} cs={:?}", st, st.pit.len(), st.content_store.as_ref().map(|c| c.len()))
 }
 
-/// Runs `packets` through `baseline` (interpreted) and `optimized`
-/// (dipopt-compiled) and checks byte-identical behavior per packet.
+/// Runs `packets` through `baseline` (identity plans) and `optimized`
+/// (dipopt-rewritten plans) and checks byte-identical behavior per packet.
 ///
 /// The two routers must be *identically constructed* — same node id,
 /// secrets, tables, registry and config; this function only flips the
@@ -82,11 +82,11 @@ where
 /// Admission-time differential smoke: builds a small seeded corpus of
 /// packets carrying the given program (random locations and payload, so
 /// both malformed-field and live paths are exercised against empty
-/// tables) and checks interpreted-vs-optimized equivalence with fresh
+/// tables) and checks identity-vs-rewritten equivalence with fresh
 /// routers sharing `registry`.
 ///
 /// Used by the dataplane's `ProgramCache` under `debug_assertions` as the
-/// last line of defense before an optimized plan is cached.
+/// last line of defense before a rewritten plan is cached.
 pub fn differential_smoke(
     triples: &[FnTriple],
     loc_len: usize,

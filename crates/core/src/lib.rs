@@ -10,7 +10,11 @@
 //! * [`chain`] — the parse/compile/execute split behind `process`:
 //!   [`chain::ParsedPacket`] (per-packet) and [`chain::CompiledChain`]
 //!   (per-program, cacheable) let a batching dataplane amortize registry
-//!   resolution and the §2.2 parallel plan across packets;
+//!   resolution and the §2.2 parallel plan across packets. Every program
+//!   compiles to one plan — the identity plan, or the plan dipopt
+//!   rewrote — and one walk executes both;
+//! * [`equiv`] — the differential gate proving a dipopt-rewritten plan
+//!   byte-equivalent to the identity plan;
 //! * [`host`] — destination-side execution of host-tagged FNs (`F_ver`)
 //!   and source-side sanity helpers;
 //! * [`budget`] — the §2.4 defense "enforcing a hard limit for packet

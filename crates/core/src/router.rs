@@ -16,7 +16,7 @@
 //! [`Action`]s into a routing [`Verdict`].
 
 use crate::budget::{BudgetMeter, ProcessingBudget};
-use crate::chain::{parse_packet, ChainEntry, CompiledChain, OptUnit, ParsedPacket};
+use crate::chain::{parse_packet, CompiledChain, ParsedPacket, Step};
 use crate::control::ControlMessage;
 use crate::metrics::RouterMetrics;
 use dip_fnops::{Action, DropReason, FnRegistry, OpCost, PacketCtx, RouterState};
@@ -53,18 +53,15 @@ pub struct RouterConfig {
     /// paper's OPT-only experiment forwards on a statically configured
     /// port). `None` delivers locally.
     pub default_port: Option<Port>,
-    /// Whether this node honors the parallel flag (§2.2); affects only the
-    /// reported plan depth / timing model, never observable results.
-    pub parallel_enabled: bool,
-    /// Run the dipopt static optimizer over each packet's program and
-    /// execute the optimized plan when rewrites were proven safe
-    /// (`dip_verify::opt`). Off by default — the interpreted chain is the
-    /// semantic reference. Budget accounting *replays* the unoptimized
-    /// charge sequence either way, so verdicts and packet bytes are
-    /// identical; only the timing-model cost (and the per-FN invocation
-    /// counters, which no longer see eliminated ops) changes. Optimized
-    /// chains cache hoisted state derived from the router's secrets, so
-    /// rotating `local_secret` requires recompiling cached chains.
+    /// Apply the rewrites the dipopt static optimizer proves safe
+    /// (`dip_verify::opt`) to each compiled plan. Off by default, which
+    /// runs every program as its identity plan. Either plan goes through
+    /// the same walk and replays the program's budget-charge sequence, so
+    /// verdicts and packet bytes are identical; only the timing-model cost
+    /// (and the per-FN invocation counters, which no longer see eliminated
+    /// ops) changes. Hoisted steps cache state derived from the router's
+    /// secrets, so rotating `local_secret` requires recompiling cached
+    /// chains.
     pub optimize: bool,
 }
 
@@ -78,7 +75,6 @@ impl Default for RouterConfig {
                 .map(|k| k.to_wire())
                 .collect(),
             default_port: None,
-            parallel_enabled: true,
             optimize: false,
         }
     }
@@ -262,27 +258,23 @@ impl DipRouter {
     ) -> (Verdict, ProcessStats) {
         // Lines 1–3: parse basic header, triples, locations.
         let Some(parsed) = parse_packet(buf) else {
-            let verdict = Verdict::Drop(DropReason::MalformedField);
-            if let Some(metrics) = self.metrics.as_ref() {
-                metrics.count_verdict(&verdict);
-            }
-            return (verdict, ProcessStats::default());
+            return self.refuse(DropReason::MalformedField);
         };
-        let compute_plan = parsed.parallel && self.config.parallel_enabled;
-        if self.config.optimize {
-            let (chain, _) = CompiledChain::compile_optimized(
-                &parsed.triples,
-                &self.registry,
-                &self.config,
-                compute_plan,
-                parsed.loc_len,
-                parsed.parallel,
-            );
-            return self.process_parsed(buf, &parsed, &chain, in_port, now);
-        }
         let chain =
-            CompiledChain::compile(&parsed.triples, &self.registry, &self.config, compute_plan);
+            CompiledChain::compile(&parsed, &self.registry, &self.config, self.config.optimize);
         self.process_parsed(buf, &parsed, &chain, in_port, now)
+    }
+
+    /// Drops a packet that never reaches execution — it does not parse, or
+    /// admission refused its program — and counts the drop verdict like
+    /// any processed packet's. Every front end refuses through here, so
+    /// the verdict counters account for every packet a router was handed.
+    pub fn refuse(&self, reason: DropReason) -> (Verdict, ProcessStats) {
+        let verdict = Verdict::Drop(reason);
+        if let Some(metrics) = self.metrics.as_ref() {
+            metrics.count_verdict(&verdict);
+        }
+        (verdict, ProcessStats::default())
     }
 
     /// Lines 4–18 of Algorithm 1: executes an already parsed packet
@@ -339,133 +331,53 @@ impl DipRouter {
         let mut ctx = PacketCtx::new(locations, payload, in_port, now);
 
         // Plan depth (timing model input; execution stays in order).
-        stats.plan_depth = chain.plan_depth(parsed.parallel && self.config.parallel_enabled);
+        stats.plan_depth = chain.plan_depth(parsed.parallel);
 
         // Lines 4–17: the FN chain.
         let mut meter = BudgetMeter::new();
         let mut decision: Option<Verdict> = None;
-
-        // dipopt plan: same chain walk, but eliminated ops leave
-        // charge-only residue, hoisted setup is reused, and the timing
-        // model sees the fused/hoisted costs.
-        if let Some(plan) = chain.optimized.as_ref() {
-            let mut model_cost = OpCost::default();
-            for unit in &plan.units {
-                let (triple, op, charge, unit_model, hoist) = match unit {
-                    OptUnit::Host => {
-                        stats.skipped_host += 1;
-                        continue;
-                    }
-                    OptUnit::Unsupported { notify: true, key, index } => {
-                        return (
-                            Verdict::Notify(ControlMessage::FnUnsupported {
-                                key: *key,
-                                node_id: self.state.node_id,
-                                fn_index: *index as u8,
-                            }),
-                            stats,
-                        );
-                    }
-                    OptUnit::Unsupported { notify: false, .. } => {
-                        stats.skipped_unsupported += 1;
-                        continue;
-                    }
-                    OptUnit::Charge { cost } => {
-                        // Replay the eliminated op's budget charge so drop
-                        // decisions match the interpreted chain exactly.
-                        if !meter.charge(&self.config.budget, *cost) {
-                            return (Verdict::Drop(DropReason::ProcessingBudgetExceeded), stats);
-                        }
-                        continue;
-                    }
-                    OptUnit::Run { triple, op, charge, model, hoist } => {
-                        (triple, op, *charge, *model, *hoist)
-                    }
-                };
-                if !meter.charge(&self.config.budget, charge) {
-                    return (Verdict::Drop(DropReason::ProcessingBudgetExceeded), stats);
-                }
-                stats.fns_executed += 1;
-                model_cost = model_cost + unit_model;
-                stats.cost = model_cost;
-                if let Some(metrics) = self.metrics.as_mut() {
-                    metrics.count_op(triple.key);
-                }
-                let action = match hoist {
-                    Some(slot) => {
-                        let hoisted = plan.hoists[slot].get_or_init(|| op.hoist(&self.state));
-                        match hoisted {
-                            Some(h) => op.execute_hoisted(triple, &mut self.state, &mut ctx, h),
-                            None => op.execute(triple, &mut self.state, &mut ctx),
-                        }
-                    }
-                    None => op.execute(triple, &mut self.state, &mut ctx),
-                };
-                match action {
-                    Action::Continue => {}
-                    Action::Forward(p) => {
-                        decision.get_or_insert(Verdict::Forward(vec![p]));
-                    }
-                    Action::ForwardMulti(ps) => {
-                        decision.get_or_insert(Verdict::Forward(ps));
-                    }
-                    Action::Deliver => {
-                        decision.get_or_insert(Verdict::Deliver);
-                    }
-                    Action::Consumed => {
-                        decision.get_or_insert(Verdict::Consumed);
-                    }
-                    Action::RespondCached(data) => {
-                        return (Verdict::RespondCached(data), stats);
-                    }
-                    Action::Drop(reason) => {
-                        return (Verdict::Drop(reason), stats);
-                    }
-                }
-            }
-            // The optimized plan executes strictly in order; the eliminated
-            // ops no longer occupy stages, so depth equals what actually ran
-            // (ratio 1 in the timing model — no double discount on top of
-            // the fused stage costs).
-            stats.plan_depth = stats.fns_executed as usize;
-            let verdict = decision.unwrap_or(match self.config.default_port {
-                Some(p) => Verdict::Forward(vec![p]),
-                None => Verdict::Deliver,
-            });
-            return (verdict, stats);
-        }
-
-        for (i, entry) in chain.entries.iter().enumerate() {
-            let (triple, op, cost) = match entry {
-                ChainEntry::Host => {
+        for step in &chain.steps {
+            let (charge, run) = match step {
+                Step::Host => {
                     stats.skipped_host += 1;
                     continue;
                 }
-                ChainEntry::Unsupported { key, notify: true } => {
+                Step::Unsupported { notify: true, key, index } => {
                     return (
                         Verdict::Notify(ControlMessage::FnUnsupported {
                             key: *key,
                             node_id: self.state.node_id,
-                            fn_index: i as u8,
+                            fn_index: *index as u8,
                         }),
                         stats,
                     );
                 }
-                ChainEntry::Unsupported { notify: false, .. } => {
+                Step::Unsupported { notify: false, .. } => {
                     stats.skipped_unsupported += 1;
                     continue;
                 }
-                ChainEntry::Op { triple, op, cost } => (triple, op, *cost),
+                Step::Charge { cost } => (*cost, None),
+                Step::Run { triple, op, charge, model, hoist } => {
+                    (*charge, Some((triple, op, *model, *hoist)))
+                }
             };
-            if !meter.charge(&self.config.budget, cost) {
+            if !meter.charge(&self.config.budget, charge) {
                 return (Verdict::Drop(DropReason::ProcessingBudgetExceeded), stats);
             }
+            // An eliminated op's residue charges the budget and runs nothing.
+            let Some((triple, op, model, hoist)) = run else { continue };
             stats.fns_executed += 1;
-            stats.cost = meter.cost;
+            stats.cost = stats.cost + model;
             if let Some(metrics) = self.metrics.as_mut() {
                 metrics.count_op(triple.key);
             }
-            match op.execute(triple, &mut self.state, &mut ctx) {
+            let hoisted = hoist
+                .and_then(|slot| chain.hoists[slot].get_or_init(|| op.hoist(&self.state)).as_ref());
+            let action = match hoisted {
+                Some(h) => op.execute_hoisted(triple, &mut self.state, &mut ctx, h),
+                None => op.execute(triple, &mut self.state, &mut ctx),
+            };
+            match action {
                 Action::Continue => {}
                 Action::Forward(p) => {
                     decision.get_or_insert(Verdict::Forward(vec![p]));
@@ -486,6 +398,14 @@ impl DipRouter {
                     return (Verdict::Drop(reason), stats);
                 }
             }
+        }
+
+        // A rewritten plan runs strictly in order and its eliminated ops no
+        // longer occupy stages, so its depth is what actually ran (ratio 1
+        // in the timing model — no double discount on top of the fused
+        // stage costs).
+        if chain.opt_summary().is_some() {
+            stats.plan_depth = stats.fns_executed as usize;
         }
 
         // Line 18: end processing.
@@ -580,24 +500,35 @@ mod tests {
 
     #[test]
     fn unsupported_participation_fn_notifies() {
-        // Router lacking the MAC module must notify, not silently skip.
-        let mut r = DipRouter::new(7, [1; 16])
-            .with_registry(FnRegistry::with_keys(&[FnKey::Match32, FnKey::Source]));
-        let repr = DipRepr {
-            fns: vec![FnTriple::router(128, 128, FnKey::Parm)],
-            locations: vec![0u8; 68],
-            ..Default::default()
-        };
-        let mut pkt = repr.to_bytes(&[]).unwrap();
-        let (verdict, _) = r.process(&mut pkt, 0, 0);
-        assert_eq!(
-            verdict,
-            Verdict::Notify(ControlMessage::FnUnsupported {
-                key: FnKey::Parm.to_wire(),
-                node_id: 7,
-                fn_index: 0
-            })
-        );
+        // A router lacking a module cannot ask that module anything, so
+        // notify-or-skip is `participation_keys` alone. The default names
+        // the OPT path-authentication chain (§2.4).
+        for (key, notify) in [
+            (FnKey::Parm, true),
+            (FnKey::Mac, true),
+            (FnKey::Mark, true),
+            (FnKey::Match32, false),
+            (FnKey::Fib, false),
+            (FnKey::Pit, false),
+        ] {
+            let mut r = DipRouter::new(7, [1; 16]).with_registry(FnRegistry::empty());
+            r.config_mut().default_port = Some(2);
+            let repr = DipRepr {
+                fns: vec![FnTriple::host(0, 32, FnKey::Ver), FnTriple::router(128, 128, key)],
+                locations: vec![0u8; 68],
+                ..Default::default()
+            };
+            let mut pkt = repr.to_bytes(&[]).unwrap();
+            let (verdict, stats) = r.process(&mut pkt, 0, 0);
+            if notify {
+                let expected =
+                    ControlMessage::FnUnsupported { key: key.to_wire(), node_id: 7, fn_index: 1 };
+                assert_eq!(verdict, Verdict::Notify(expected), "{key:?}");
+            } else {
+                assert_eq!(verdict, Verdict::Forward(vec![2]), "{key:?}");
+                assert_eq!(stats.skipped_unsupported, 1, "{key:?}");
+            }
+        }
     }
 
     #[test]
@@ -780,14 +711,14 @@ mod tests {
         assert_eq!(pv, Verdict::Forward(vec![4]));
         assert_eq!(ov, pv, "verdicts must match");
         assert_eq!(plain_buf, opt_buf, "packet bytes must match");
-        // Interpreted: parse + intent. Optimized: the parse is eliminated.
+        // Identity plan: parse + intent. Rewritten: the parse is eliminated.
         assert_eq!(ps.fns_executed, 2);
         assert_eq!(os.fns_executed, 1);
         assert_eq!(os.plan_depth, 1);
         // Fused timing model for the 3-node DAG: one stage, two lookups —
-        // vs stages(4) + lookup(2,3) interpreted.
+        // vs stages(4) + lookup(2,3) in the identity plan.
         assert_eq!(os.cost, OpCost::lookup(1, 2));
-        // Budget accounting replays the original charges on both paths.
+        // Budget accounting replays the original charges in both plans.
         assert_eq!(ps.cost, OpCost::stages(4) + OpCost::lookup(2, 3));
     }
 

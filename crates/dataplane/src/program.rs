@@ -17,13 +17,13 @@
 //! with their real footprints) and the software resource budget (a
 //! software dataplane has no PISA stage limits).
 //!
-//! When the worker's [`RouterConfig`] has `optimize` set, admission is
-//! followed by the dipopt pass ([`dip_verify::analyze`] via
-//! [`CompiledChain::compile_optimized`]): admitted programs get an
-//! optimized execution plan attached, [`CacheStats`] counts what was
-//! rewritten, and — in debug builds — the plan must survive a seeded
-//! differential-equivalence smoke ([`dip_core::differential_smoke`])
-//! before it is cached.
+//! Every program compiles through the same [`CompiledChain::compile`] as
+//! a bare `DipRouter`. When the worker's [`RouterConfig`] has `optimize`
+//! set, admitted programs — never refused ones — also get dipopt's
+//! rewrites ([`dip_verify::analyze`]) applied to their plan, [`CacheStats`]
+//! counts what was rewritten, and — in debug builds — the rewritten plan
+//! must match the identity plan on a seeded differential smoke
+//! ([`dip_core::differential_smoke`]) before it is cached.
 
 use dip_core::router::RouterConfig;
 use dip_core::{CompiledChain, ParsedPacket};
@@ -163,44 +163,27 @@ impl ProgramCache {
                 if !admitted {
                     self.stats.rejected += 1;
                 }
-                let compute_plan = parsed.parallel && self.config.parallel_enabled;
-                let chain = if self.config.optimize && admitted {
-                    let (chain, _facts) = CompiledChain::compile_optimized(
+                let optimize = self.config.optimize && admitted;
+                let chain = CompiledChain::compile(parsed, &self.registry, &self.config, optimize);
+                if let Some(summary) = chain.opt_summary() {
+                    self.stats.programs_optimized += 1;
+                    self.stats.ops_eliminated += u64::from(summary.ops_eliminated);
+                    self.stats.fusions += u64::from(summary.fusions);
+                    self.stats.hoists += u64::from(summary.hoists);
+                    // Debug-build admission gate: before a rewritten plan
+                    // enters the cache, prove it byte-equivalent to the
+                    // identity plan on a seeded corpus.
+                    #[cfg(debug_assertions)]
+                    if let Err(e) = dip_core::differential_smoke(
                         &parsed.triples,
-                        &self.registry,
-                        &self.config,
-                        compute_plan,
                         parsed.loc_len,
                         parsed.parallel,
-                    );
-                    if let Some(summary) = chain.opt_summary() {
-                        self.stats.programs_optimized += 1;
-                        self.stats.ops_eliminated += u64::from(summary.ops_eliminated);
-                        self.stats.fusions += u64::from(summary.fusions);
-                        self.stats.hoists += u64::from(summary.hoists);
-                        // Debug-build admission gate: before an optimized
-                        // plan enters the cache, prove it byte-equivalent
-                        // to the interpreted chain on a seeded corpus.
-                        #[cfg(debug_assertions)]
-                        if let Err(e) = dip_core::differential_smoke(
-                            &parsed.triples,
-                            parsed.loc_len,
-                            parsed.parallel,
-                            &self.registry,
-                            0xd1f0 + self.stats.misses,
-                        ) {
-                            panic!("dipopt equivalence smoke failed at admission: {e}");
-                        }
-                    }
-                    chain
-                } else {
-                    CompiledChain::compile(
-                        &parsed.triples,
                         &self.registry,
-                        &self.config,
-                        compute_plan,
-                    )
-                };
+                        0xd1f0 + self.stats.misses,
+                    ) {
+                        panic!("dipopt equivalence smoke failed at admission: {e}");
+                    }
+                }
                 let idx = self.programs.len();
                 self.programs.push(CachedProgram { chain, admitted, key: self.scratch.clone() });
                 self.entries.insert(self.scratch.clone(), idx);
@@ -359,7 +342,7 @@ mod tests {
         .to_bytes(&[])
         .unwrap();
         let prog = c.lookup(&parse_packet(&v4).unwrap(), &v4);
-        assert!(prog.admitted && prog.chain.is_optimized());
+        assert!(prog.admitted && prog.chain.opt_summary().is_some());
 
         // XIA chain: the redundant standalone DAG parse is eliminated.
         let dag = Dag::direct_with_fallback(
@@ -370,7 +353,7 @@ mod tests {
         .unwrap();
         let xia = dip_protocols::xia::packet(&dag, 64).to_bytes(&[]).unwrap();
         let prog = c.lookup(&parse_packet(&xia).unwrap(), &xia);
-        assert!(prog.admitted && prog.chain.is_optimized());
+        assert!(prog.admitted && prog.chain.opt_summary().is_some());
 
         let stats = c.stats();
         assert_eq!(stats.programs_optimized, 2);

@@ -91,11 +91,11 @@ impl DataplaneRouter {
         let idx = self.dispatch.shard_of(buf);
         let shard = &mut self.shards[idx];
         let Some(parsed) = parse_packet(buf) else {
-            return (Verdict::Drop(DropReason::MalformedField), ProcessStats::default());
+            return shard.router.refuse(DropReason::MalformedField);
         };
         let program = shard.cache.lookup(&parsed, buf);
         if !program.admitted {
-            return (Verdict::Drop(DropReason::ProgramRejected), ProcessStats::default());
+            return shard.router.refuse(DropReason::ProgramRejected);
         }
         shard.router.process_parsed(buf, &parsed, &program.chain, in_port, now)
     }

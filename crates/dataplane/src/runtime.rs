@@ -18,7 +18,9 @@
 //!    eternity);
 //! 4. **execute phase** — run [`DipRouter::process_parsed`] over the
 //!    resolved batch back-to-back, the two tight loops keeping parser
-//!    and executor code hot instead of interleaving them per packet;
+//!    and executor code hot instead of interleaving them per packet
+//!    (malformed packets and refused programs go to [`DipRouter::refuse`],
+//!    so the router's verdict counters see every packet);
 //! 5. recycle every slot without freeing buffers.
 //!
 //! Determinism: the global sequence numbers give submission a total
@@ -720,7 +722,7 @@ fn worker_loop(
             let slot_idx = batch.live()[pos];
             let slot = batch.slot_mut(slot_idx);
             let (verdict, pstats) = match res {
-                None => (Verdict::Drop(DropReason::MalformedField), Default::default()),
+                None => router.refuse(DropReason::MalformedField),
                 Some((parsed, idx)) => {
                     let program = cache.get(*idx);
                     if program.admitted {
@@ -732,7 +734,7 @@ fn worker_loop(
                             slot.now,
                         )
                     } else {
-                        (Verdict::Drop(DropReason::ProgramRejected), Default::default())
+                        router.refuse(DropReason::ProgramRejected)
                     }
                 }
             };

@@ -78,14 +78,6 @@ pub trait FieldOp: Send + Sync {
     /// the PISA pipeline timing model (§4.1 / Figure 2).
     fn cost(&self, field_bits: u16) -> OpCost;
 
-    /// Whether this operation, when unsupported by an AS, requires the
-    /// source to be notified rather than silently skipped (§2.4: "if this
-    /// FN requires all on-path ASes to participate ... the router should
-    /// return an FN unsupported message").
-    fn requires_participation(&self) -> bool {
-        false
-    }
-
     /// The bit range this operation *writes* in the locations area, given
     /// its triple, or `None` for read-only operations. Used by the parallel
     /// planner for conflict analysis.

@@ -70,10 +70,6 @@ impl FieldOp for MacOp {
         OpCost::cipher(2, blocks, 0)
     }
 
-    fn requires_participation(&self) -> bool {
-        true
-    }
-
     fn write_range(&self, triple: &FnTriple) -> Option<(usize, usize)> {
         let start = usize::from(triple.field_loc) + usize::from(triple.field_len);
         Some((start, start + usize::from(TAG_BITS)))

@@ -52,10 +52,6 @@ impl FieldOp for MarkOp {
         OpCost::cipher(1, 2, 0)
     }
 
-    fn requires_participation(&self) -> bool {
-        true
-    }
-
     fn write_range(&self, triple: &FnTriple) -> Option<(usize, usize)> {
         Some((usize::from(triple.field_loc), triple.field_end()))
     }

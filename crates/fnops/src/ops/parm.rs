@@ -42,10 +42,6 @@ impl FieldOp for ParmOp {
         OpCost::cipher(1, 3, 0)
     }
 
-    fn requires_participation(&self) -> bool {
-        true // path authentication needs every on-path AS (§2.4)
-    }
-
     fn writes_dynamic_key(&self) -> bool {
         true
     }

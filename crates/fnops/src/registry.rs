@@ -157,15 +157,4 @@ mod tests {
         assert!(!r.supports(FnKey::Other(0x123)));
         assert!(r.get(FnKey::Other(0x123)).is_none());
     }
-
-    #[test]
-    fn participation_flags_cover_path_auth_ops() {
-        let r = FnRegistry::standard();
-        for k in [FnKey::Parm, FnKey::Mac, FnKey::Mark] {
-            assert!(r.get(k).unwrap().requires_participation(), "{k:?}");
-        }
-        for k in [FnKey::Match32, FnKey::Fib, FnKey::Pit] {
-            assert!(!r.get(k).unwrap().requires_participation(), "{k:?}");
-        }
-    }
 }

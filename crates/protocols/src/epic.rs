@@ -165,10 +165,6 @@ impl FieldOp for EpicOp {
     fn write_range(&self, triple: &FnTriple) -> Option<(usize, usize)> {
         Some((usize::from(triple.field_loc), triple.field_end()))
     }
-
-    fn requires_participation(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

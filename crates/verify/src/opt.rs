@@ -4,10 +4,10 @@
 //! artifact: per-hop def/use footprints on header bit ranges plus a small
 //! constant lattice ([`AbstractVal`]) over FN operands, and a list of
 //! [`Rewrite`]s each proven safe by that analysis. The dataplane's
-//! `ProgramCache` consumes the facts to compile an optimized execution
-//! plan; every transformation is also covered by a differential
-//! equivalence gate (optimized vs interpreted chain over a seeded packet
-//! corpus, byte-identical outputs and verdicts).
+//! `CompiledChain::compile` (in `dip-core`) applies the rewrites in place
+//! to a program's identity plan; every transformation is also covered by a
+//! differential equivalence gate (rewritten vs identity plan over a seeded
+//! packet corpus, byte-identical outputs and verdicts).
 //!
 //! ## The lattice
 //!
@@ -43,11 +43,11 @@
 //!
 //! Budget accounting is *replayed*, not optimized: the compiled plan
 //! charges the original cost of every hop (eliminated hops become
-//! charge-only units) so the budget meter's drop decisions are identical
-//! on both paths. Only the timing-model cost shrinks.
+//! charge-only steps) so the budget meter's drop decisions are identical
+//! in both plans. Only the timing-model cost shrinks.
 //!
-//! Programs dipopt refuses to touch get a [`Bail`] with the reason; the
-//! dataplane then runs the plain interpreted chain. The
+//! Programs dipopt refuses to touch get a [`Bail`] with the reason and
+//! run as their identity plan. The
 //! [`optimization_corpus`] pins admissible-but-unoptimizable programs.
 //!
 //! [`FieldOp::writes_parsed_dag`]: dip_fnops::FieldOp::writes_parsed_dag

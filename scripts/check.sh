@@ -7,18 +7,17 @@
 #             so an ordinary test run never builds them)
 #   test    — the full workspace suite, offline, once: determinism,
 #             accounting, model check, control plane, dipopt equivalence,
-#             diplint's own contract, workload, routes and scenarios all
-#             run here and nowhere else
+#             the reference-model differential, diplint's own contract,
+#             workload, routes and scenarios, and the pins on dipstat's
+#             output and BENCH_scenarios.json's fields all run here and
+#             nowhere else
 #   oracle  — the 1M-route oracle in release (debug runs it at 20k)
 #   lint    — the diplint binary over the real repo (RouteSnapshot,
 #             quantile, DropReason, unsafe and link-admin placement)
 #   mst     — dipload's modeled MST for every protocol regenerates
 #             BENCH_workload.json byte-identical (a PISA-model behaviour
 #             pin, not a speed number)
-#   scn     — a release `dipload --scenario` smoke on a small fat-tree and
-#             the committed BENCH_scenarios.json field pins
-#   stat    — dipstat smoke: per-program dipopt facts for all six
-#             programs, including the XIA hot-path rewrite
+#   scn     — a release `dipload --scenario` smoke on a small fat-tree
 #   bench   — the stand-alone benchmark (the one measurement of speed)
 #             still builds against the crates, passes its own correctness
 #             pre-check traced and untraced on the NDN tables and on the
@@ -43,7 +42,7 @@ cargo test -q -p dip-routes --release --offline --test million_oracle \
     million_route_oracle_v4_v6
 
 echo "== diplint (repo invariants)"
-cargo build -q --release --bin diplint --bin dipload --bin dipstat --offline
+cargo build -q --release --bin diplint --bin dipload --offline
 ./target/release/diplint
 
 echo "== dipload MST pin (all protocols -> BENCH_workload.json)"
@@ -76,29 +75,6 @@ require_fields /tmp/dipload_scenario.json '"scenario":"partition_k4_w200000"' \
     '"topology":"fat_tree(k=4)"' '"converged":true' '"name":"outage"' \
     '"partition_window_ns":200000' '"protocol":"ndn"' '"delivery_fraction":' \
     '"reconvergence_ns":' '"identity_ok":true' '"fingerprint":'
-
-echo "== scenarios: BENCH_scenarios.json fields"
-# Regenerated by `cargo bench -p dip-bench --bench scenarios >
-# BENCH_scenarios.json`, which asserts NDN strictly out-delivers IPv4 at
-# every nonzero window.
-require_fields BENCH_scenarios.json '"bench":"scenario_partition"' '"window_ns":0' \
-    '"window_ns":1200000' '"ndn_delivery_fraction":' '"ipv4_delivery_fraction":' \
-    '"reconvergence_ns":' '"bench":"scenario_fat_tree"' '"routers":180' \
-    '"opt_delivery_fraction":' '"legacy_v4_delivery_fraction":' '"identity_ok":1' \
-    '"fingerprint":'
-
-echo "== dipstat smoke (per-program dipopt facts)"
-./target/release/dipstat > /tmp/dipstat_smoke.json
-lines=$(wc -l < /tmp/dipstat_smoke.json)
-if [ "$lines" -ne 6 ]; then
-    echo "error: expected 6 dipstat lines, got $lines" >&2
-    exit 1
-fi
-if ! grep '"program":"xia"' /tmp/dipstat_smoke.json \
-        | grep -q 'eliminate_redundant_parse'; then
-    echo "error: dipstat lost the XIA dag-parse elimination" >&2
-    exit 1
-fi
 
 echo "== bench: stand-alone benchmark builds and passes its pre-check"
 # A renamed crate item, a new public config field or a changed dependency

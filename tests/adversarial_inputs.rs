@@ -4,19 +4,19 @@
 //!
 //! Three mangling families over valid packets of all five protocols:
 //! truncation at every length, deterministic bit flips at every byte, and
-//! pure random noise. Everything goes through both the single
-//! [`DipRouter`] (metrics attached) and the threaded [`Dataplane`] — the
-//! paths satellite 3 hardened (`field_to_names` short-field guard, typed
-//! drops instead of `unwrap`).
+//! pure random noise. Everything goes through the single [`DipRouter`]
+//! (metrics attached), the threaded [`Dataplane`] and the simulator's
+//! [`DataplaneRouter`] — the `field_to_names` short-field guard and the
+//! typed drops instead of `unwrap` are reached on every one of them.
 
 use dip::controlplane::{agent::control_packet, AgentConfig, ControlAgent, ControlNode};
 use dip::core::control::{Announcements, ControlMessage, Lsa, LsaLink};
 use dip::crypto::DetRng;
-use dip::dataplane::{Backpressure, Dataplane, DataplaneConfig};
+use dip::dataplane::{Admission, Backpressure, Dataplane, DataplaneConfig, DataplaneRouter};
 use dip::prelude::*;
 use dip::protocols::{ip, ndn, xia};
 use dip::tables::XiaNextHop;
-use dip::telemetry::Registry;
+use dip::telemetry::{Registry, Snapshot};
 use dip::wire::ipv4::Ipv4Addr;
 use dip::wire::ipv6::Ipv6Addr;
 use dip_routes::RouteStore;
@@ -82,23 +82,85 @@ fn mangled_corpus() -> Vec<Vec<u8>> {
     corpus
 }
 
-#[test]
-fn single_router_survives_and_accounts_for_mangled_packets() {
+/// The corpus through one bare `DipRouter`, which exports router metrics
+/// but no per-hop packet accounting.
+fn through_single_router(corpus: &[Vec<u8>]) -> Snapshot {
     let registry = Registry::new();
     let mut router = loaded_router(0);
     router.attach_metrics(&registry, &[("node", "0")]);
-    let corpus = mangled_corpus();
     for (i, pkt) in corpus.iter().enumerate() {
         let mut buf = pkt.clone();
         // Must not panic, whatever the bytes.
         let _ = router.process(&mut buf, (i % 5) as u32, i as u64);
     }
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.get("dip_router_verdicts_total"),
-        corpus.len() as u64,
-        "every mangled packet gets exactly one verdict"
-    );
+    registry.snapshot()
+}
+
+/// The corpus through the threaded dataplane (two workers, `dipcheck`
+/// admission).
+fn through_dataplane(corpus: &[Vec<u8>]) -> Snapshot {
+    let config = DataplaneConfig {
+        workers: 2,
+        batch_size: 8,
+        ring_capacity: 256,
+        backpressure: Backpressure::Block,
+        ..Default::default()
+    };
+    let mut dp = Dataplane::start(config, |i| loaded_router(i as u64));
+    for pkt in corpus {
+        assert!(dp.submit_bytes(pkt, 0, 0).is_some());
+    }
+    dp.shutdown().registry.snapshot()
+}
+
+/// The corpus through a sharded `DataplaneRouter` inside the simulator,
+/// whose per-hop accounting counts every packet the node is handed.
+fn through_simulated_dataplane(corpus: &[Vec<u8>]) -> Snapshot {
+    let mut net = dip::sim::engine::Network::new(0xadd);
+    let node = DataplaneRouter::new(2, Admission::Lint, |i| loaded_router(i as u64));
+    let r0 = net.add_router_node(Box::new(node));
+    let h = net.add_host(dip::sim::engine::Host::consumer(100));
+    net.connect(h, 0, r0, 0, 1_000);
+    for (i, pkt) in corpus.iter().enumerate() {
+        net.send(h, 0, pkt.clone(), i as u64 * 1_000);
+    }
+    net.run();
+    net.metrics_snapshot()
+}
+
+#[test]
+fn single_router_survives_and_accounts_for_mangled_packets() {
+    let corpus = mangled_corpus();
+    let n = corpus.len() as u64;
+    // Each front end with the labels selecting its router's per-hop packet
+    // accounting (a bare router has none; in the simulator the consumer
+    // host is node 1).
+    let node0: &[(&str, &str)] = &[("node", "0")];
+    for (front_end, snap, packets) in [
+        ("DipRouter", through_single_router(&corpus), None),
+        ("Dataplane", through_dataplane(&corpus), Some(&[][..])),
+        ("DataplaneRouter", through_simulated_dataplane(&corpus), Some(node0)),
+    ] {
+        // Malformed packets and refused programs never reach execution;
+        // they still get exactly one router verdict each.
+        assert_eq!(
+            snap.get("dip_router_verdicts_total"),
+            n,
+            "{front_end}: every mangled packet gets exactly one verdict"
+        );
+        if let Some(labels) = packets {
+            assert_eq!(
+                snap.sum_where("dip_packets_total", labels),
+                n,
+                "{front_end}: router verdicts == dip_packets_total"
+            );
+            let refused = [("reason", "program_rejected")];
+            assert!(
+                snap.sum_where("dip_drops_total", &refused) > 0,
+                "{front_end}: the corpus must reach the admission refusal"
+            );
+        }
+    }
 }
 
 /// One valid wire packet per control-message type, with the LSA carrying

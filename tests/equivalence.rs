@@ -1,10 +1,12 @@
-//! The dipopt equivalence gate: optimized execution must be
-//! byte-indistinguishable from interpreted execution.
+//! The dipopt equivalence gate: a dipopt-rewritten plan must be
+//! byte-indistinguishable from the program's identity plan. Both run
+//! through the one executor (`DipRouter::process_parsed`); only the plan
+//! differs.
 //!
 //! For each of the six protocol programs (DIP-32, DIP-128, NDN, OPT, XIA,
 //! NDN+OPT), a seeded workload trace runs through two identically
-//! provisioned routers — one interpreting chains, one executing the
-//! dipopt-compiled plans — and [`dip::core::differential_check`] compares,
+//! provisioned routers — one running identity plans, one running the
+//! dipopt-rewritten plans — and [`dip::core::differential_check`] compares,
 //! per packet: the verdict, the full post-processing packet bytes, and the
 //! router-state fingerprint (FIB/PIT/content-store effects). A protocol's
 //! gate only counts if at least one packet actually exercised an optimized
@@ -71,7 +73,8 @@ fn all_six_protocol_programs_are_equivalent_under_optimization() {
 #[test]
 fn corpus_programs_run_unoptimized_and_equivalent() {
     // The must-not-optimize corpus: equivalence still holds trivially —
-    // because the optimizer provably bailed and both sides interpret.
+    // because the optimizer provably bailed and both sides run the
+    // identity plan.
     for case in optimization_corpus() {
         let report = dip::core::differential_smoke(
             &case.program.fns,
