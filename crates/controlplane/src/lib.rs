@@ -16,10 +16,10 @@
 //!    ([`spf`]).
 //! 4. **Publication**: SPF output is compiled into one five-protocol
 //!    [`RouteSnapshot`](dip_dataplane::snapshot::RouteSnapshot) and
-//!    published atomically through an
-//!    [`EpochCell`](dip_dataplane::snapshot::EpochCell) into the wrapped
-//!    dataplane — and, via mirroring, into a threaded
-//!    [`Dataplane`](dip_dataplane::runtime::Dataplane) ([`node`]).
+//!    applied to the [`DipRouter`](dip_core::DipRouter) a [`ControlNode`]
+//!    wraps, flow state intact ([`node`]); a threaded
+//!    [`Dataplane`](dip_dataplane::runtime::Dataplane) takes the same
+//!    snapshots through `publish_routes`.
 //!
 //! Telemetry (HELLOs, LSA floods, SPF runs, route epoch, convergence
 //! time) lands in the shared [`Registry`](dip_telemetry::Registry) under
@@ -30,5 +30,5 @@ pub mod node;
 pub mod spf;
 
 pub use agent::{AgentConfig, ControlAgent, ControlOutput, TickOutput};
-pub use node::{ControlNode, SnapshotTarget};
+pub use node::ControlNode;
 pub use spf::{shortest_paths, SpfRoute};

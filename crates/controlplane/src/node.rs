@@ -1,20 +1,18 @@
-//! [`ControlNode`]: a router node with a control plane bolted on.
+//! [`ControlNode`]: a [`DipRouter`] with a control plane bolted on.
 //!
-//! Wraps any dataplane implementation that can install a
-//! [`RouteSnapshot`] (the classic [`DipRouter`], the sharded
-//! [`DataplaneRouter`]) together with a [`ControlAgent`]. Control packets
-//! (`Hello` / LSA / ack under [`CONTROL_NEXT_HEADER`]) are intercepted
-//! and consumed before the wrapped dataplane sees them; everything else
-//! passes straight through. Snapshots the agent compiles are published
-//! atomically through an [`EpochCell`] — the same cell can be mirrored
-//! into a threaded [`Dataplane`](dip_dataplane::runtime::Dataplane) so
-//! its workers pick the routes up at their next batch boundary.
+//! Couples one router with a [`ControlAgent`]. Control packets (`Hello` /
+//! LSA / ack under [`CONTROL_NEXT_HEADER`]) are intercepted and consumed
+//! before the router sees them; everything else passes straight through.
+//! Each snapshot the agent compiles is applied to the router at once
+//! ([`RouteSnapshot::apply`](dip_dataplane::snapshot::RouteSnapshot::apply):
+//! tables replaced, flow state kept), and `dip_ctrl_route_epoch` counts
+//! the publications. A threaded
+//! [`Dataplane`](dip_dataplane::runtime::Dataplane) takes the same
+//! snapshots through its own `publish_routes`.
 
 use crate::agent::{ControlAgent, TickOutput};
 use dip_core::control::{ControlMessage, CONTROL_NEXT_HEADER};
 use dip_core::{DipRouter, ProcessStats, Verdict};
-use dip_dataplane::router::DataplaneRouter;
-use dip_dataplane::snapshot::{EpochCell, EpochReader, RouteSnapshot};
 use dip_fnops::context::MacChoice;
 use dip_fnops::{DropReason, FnRegistry};
 use dip_sim::engine::RouterNode;
@@ -22,27 +20,6 @@ use dip_sim::SimTime;
 use dip_telemetry::{Counter, Gauge, Histogram, Registry};
 use dip_wire::DipPacket;
 use std::sync::Arc;
-
-/// A dataplane that can atomically adopt a published route snapshot.
-pub trait SnapshotTarget: RouterNode {
-    /// Replaces the route tables with `snapshot` (flow state preserved,
-    /// as [`RouteSnapshot::apply`] specifies).
-    fn install(&mut self, snapshot: &RouteSnapshot);
-}
-
-impl SnapshotTarget for DipRouter {
-    fn install(&mut self, snapshot: &RouteSnapshot) {
-        snapshot.apply(self.state_mut());
-    }
-}
-
-impl SnapshotTarget for DataplaneRouter {
-    fn install(&mut self, snapshot: &RouteSnapshot) {
-        for i in 0..self.shards() {
-            snapshot.apply(self.shard_router_mut(i).state_mut());
-        }
-    }
-}
 
 /// Convergence-time histogram bounds (virtual ns).
 const CONVERGENCE_BOUNDS: [u64; 7] =
@@ -57,45 +34,20 @@ struct Metrics {
     retransmit_depth: Arc<Gauge>,
 }
 
-/// A router node running both a dataplane and a control-plane agent.
-pub struct ControlNode<R: SnapshotTarget> {
-    inner: R,
+/// A router running both the dataplane and a control-plane agent.
+pub struct ControlNode {
+    inner: DipRouter,
     agent: ControlAgent,
-    routes: Arc<EpochCell<RouteSnapshot>>,
-    reader: EpochReader<RouteSnapshot>,
-    /// Extra cells the same snapshots are published into (e.g. a
-    /// threaded [`Dataplane`](dip_dataplane::runtime::Dataplane)'s cell).
-    mirrors: Vec<Arc<EpochCell<RouteSnapshot>>>,
+    /// Snapshots published so far (`dip_ctrl_route_epoch`).
+    epoch: u64,
     outbox: Vec<(u32, Vec<u8>)>,
     metrics: Option<Metrics>,
 }
 
-impl<R: SnapshotTarget + 'static> ControlNode<R> {
+impl ControlNode {
     /// Couples `inner` with `agent`.
-    pub fn new(inner: R, agent: ControlAgent) -> Self {
-        let routes = Arc::new(EpochCell::new(RouteSnapshot::default()));
-        let reader = routes.reader();
-        ControlNode {
-            inner,
-            agent,
-            routes,
-            reader,
-            mirrors: Vec::new(),
-            outbox: Vec::new(),
-            metrics: None,
-        }
-    }
-
-    /// The cell this node publishes route snapshots into.
-    pub fn routes(&self) -> Arc<EpochCell<RouteSnapshot>> {
-        Arc::clone(&self.routes)
-    }
-
-    /// Also publish every snapshot into `cell` (e.g. the cell a threaded
-    /// dataplane's workers read — see
-    /// [`Dataplane::routes_cell`](dip_dataplane::runtime::Dataplane::routes_cell)).
-    pub fn mirror_into(&mut self, cell: Arc<EpochCell<RouteSnapshot>>) {
-        self.mirrors.push(cell);
+    pub fn new(inner: DipRouter, agent: ControlAgent) -> Self {
+        ControlNode { inner, agent, epoch: 0, outbox: Vec::new(), metrics: None }
     }
 
     /// The control agent (announcements, adjacency inspection).
@@ -108,35 +60,24 @@ impl<R: SnapshotTarget + 'static> ControlNode<R> {
         &mut self.agent
     }
 
-    /// The wrapped dataplane.
-    pub fn inner(&self) -> &R {
+    /// The wrapped router.
+    pub fn inner(&self) -> &DipRouter {
         &self.inner
     }
 
-    /// Mutable access to the wrapped dataplane.
-    pub fn inner_mut(&mut self) -> &mut R {
+    /// Mutable access to the wrapped router.
+    pub fn inner_mut(&mut self) -> &mut DipRouter {
         &mut self.inner
-    }
-
-    /// Pulls the latest published snapshot into the wrapped dataplane
-    /// (one atomic load on the fast path).
-    fn sync_routes(&mut self) {
-        if self.reader.refresh() {
-            self.inner.install(self.reader.get());
-        }
     }
 
     fn publish(&mut self, tick: &mut TickOutput) {
         let Some(snapshot) = tick.snapshot.take() else { return };
-        for mirror in &self.mirrors {
-            mirror.publish(snapshot.clone());
-        }
-        self.routes.publish(snapshot);
+        snapshot.apply(self.inner.state_mut());
+        self.epoch += 1;
         self.agent.note_epoch_swap();
-        self.sync_routes();
         if let Some(m) = &self.metrics {
             m.spf_runs.inc();
-            m.epoch.set(self.routes.epoch() as i64);
+            m.epoch.set(self.epoch as i64);
             if let Some(ns) = tick.convergence_ns {
                 m.convergence.observe(ns);
             }
@@ -144,14 +85,13 @@ impl<R: SnapshotTarget + 'static> ControlNode<R> {
     }
 }
 
-impl<R: SnapshotTarget + 'static> RouterNode for ControlNode<R> {
+impl RouterNode for ControlNode {
     fn process_packet(
         &mut self,
         buf: &mut [u8],
         in_port: u32,
         now: SimTime,
     ) -> (Verdict, ProcessStats) {
-        self.sync_routes();
         let is_control = DipPacket::new_checked(&buf[..])
             .ok()
             .and_then(|p| p.basic_header().ok())
@@ -172,18 +112,18 @@ impl<R: SnapshotTarget + 'static> RouterNode for ControlNode<R> {
                     (Verdict::Consumed, ProcessStats::default())
                 }
                 // Notification types (FnUnsupported, …) are host-bound:
-                // let the wrapped dataplane forward them.
-                Ok(_) => self.inner.process_packet(buf, in_port, now),
+                // let the wrapped router forward them.
+                Ok(_) => self.inner.process(buf, in_port, now),
                 // A mangled control payload is a counted drop, never a
                 // panic — the adversarial-input suite pins this.
                 Err(_) => (Verdict::Drop(DropReason::MalformedField), ProcessStats::default()),
             };
         }
-        self.inner.process_packet(buf, in_port, now)
+        self.inner.process(buf, in_port, now)
     }
 
     fn mac_choice(&self) -> MacChoice {
-        self.inner.mac_choice()
+        self.inner.state().mac_choice
     }
 
     fn registry(&self) -> &FnRegistry {
@@ -195,9 +135,9 @@ impl<R: SnapshotTarget + 'static> RouterNode for ControlNode<R> {
     }
 
     fn attach_metrics(&mut self, registry: &Registry, node: usize) {
-        self.inner.attach_metrics(registry, node);
         let n = node.to_string();
         let labels = [("node", n.as_str())];
+        self.inner.attach_metrics(registry, &labels);
         self.agent.attach_route_metrics(registry, &labels);
         self.metrics = Some(Metrics {
             hellos: registry.counter("dip_ctrl_hello_total", "HELLO messages sent", &labels),
@@ -255,7 +195,7 @@ mod tests {
     use dip_tables::fib::NextHop;
     use dip_wire::ipv4::Ipv4Addr;
 
-    fn node(id: u64, ports: Vec<u32>) -> ControlNode<DipRouter> {
+    fn node(id: u64, ports: Vec<u32>) -> ControlNode {
         ControlNode::new(
             DipRouter::new(id, [id as u8; 16]),
             ControlAgent::new(id, ports, AgentConfig::default()),
@@ -283,11 +223,11 @@ mod tests {
     }
 
     #[test]
-    fn tick_publishes_into_mirrors_and_installs_into_inner() {
+    fn tick_installs_into_the_router_and_counts_epochs() {
+        let registry = Registry::new();
         let mut n = node(1, vec![0]);
+        n.attach_metrics(&registry, 0);
         n.agent_mut().announce_v4(Ipv4Addr::new(10, 0, 0, 0), 8, 3);
-        let mirror = Arc::new(EpochCell::new(RouteSnapshot::default()));
-        n.mirror_into(Arc::clone(&mirror));
         let emits = n.control_tick(50_000);
         assert!(!emits.is_empty(), "hellos go out");
         assert_eq!(
@@ -295,8 +235,11 @@ mod tests {
             Some(NextHop::port(3)),
             "snapshot installed into the wrapped router"
         );
-        assert_eq!(mirror.epoch(), 1, "mirror cell published");
-        assert!(mirror.reader().get().tables.lookup_v4(Ipv4Addr::new(10, 1, 1, 1)).is_some());
+        assert_eq!(registry.snapshot().get("dip_ctrl_route_epoch"), 1);
+        n.agent_mut().announce_v4(Ipv4Addr::new(11, 0, 0, 0), 8, 4);
+        n.control_tick(100_000);
+        assert_eq!(n.inner().state().lookup_v4(Ipv4Addr::new(11, 1, 1, 1)), Some(NextHop::port(4)));
+        assert_eq!(registry.snapshot().get("dip_ctrl_route_epoch"), 2, "one epoch per publish");
     }
 
     #[test]

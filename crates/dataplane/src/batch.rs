@@ -5,9 +5,10 @@
 //! sharding): a worker drains up to `capacity` packets from its ring,
 //! executes them back-to-back so program compilation, route-snapshot
 //! refresh, and cache-warm table state amortize across the whole batch,
-//! then recycles every slot *without freeing the buffers*. A slot's
-//! `Vec<u8>` keeps its allocation across batches, so the steady state
-//! performs no per-packet allocation at all on the copy path.
+//! then recycles every slot *without freeing the buffers*. Admitting a
+//! packet ([`PacketBatch::adopt`]) hands back the buffer it displaces, so
+//! the caller can refill that allocation and the steady state performs no
+//! per-packet allocation at all.
 
 use dip_tables::{Port, Ticks};
 
@@ -69,26 +70,6 @@ impl PacketBatch {
         self.free.is_empty()
     }
 
-    /// Admits a packet by copying `bytes` into a recycled buffer. Returns
-    /// the slot index, or `None` when the batch is full.
-    pub fn push_bytes(
-        &mut self,
-        bytes: &[u8],
-        seq: u64,
-        in_port: Port,
-        now: Ticks,
-    ) -> Option<usize> {
-        let idx = self.free.pop()?;
-        let slot = &mut self.slots[idx];
-        slot.buf.clear();
-        slot.buf.extend_from_slice(bytes);
-        slot.seq = seq;
-        slot.in_port = in_port;
-        slot.now = now;
-        self.live.push(idx);
-        Some(idx)
-    }
-
     /// Admits an already-owned buffer (zero-copy handoff from a ring job).
     /// The displaced recycled buffer is returned so the caller can reuse
     /// its allocation. `None` when the batch is full.
@@ -118,16 +99,6 @@ impl PacketBatch {
         &mut self.slots[idx]
     }
 
-    /// Runs `f` over every occupied slot in admission order, then recycles
-    /// all of them (buffers keep their allocations).
-    pub fn drain(&mut self, mut f: impl FnMut(&mut PacketSlot)) {
-        for i in 0..self.live.len() {
-            let idx = self.live[i];
-            f(&mut self.slots[idx]);
-        }
-        self.recycle_all();
-    }
-
     /// Recycles every occupied slot without touching the buffers.
     pub fn recycle_all(&mut self) {
         // Reverse keeps pop order equal to ascending slot index, matching
@@ -145,38 +116,36 @@ mod tests {
     #[test]
     fn fills_then_rejects_then_recycles() {
         let mut b = PacketBatch::new(2);
-        assert!(b.push_bytes(b"one", 1, 0, 0).is_some());
-        assert!(b.push_bytes(b"two", 2, 0, 0).is_some());
+        assert!(b.adopt(b"one".to_vec(), 1, 0, 0).is_some());
+        assert!(b.adopt(b"two".to_vec(), 2, 0, 0).is_some());
         assert!(b.is_full());
-        assert!(b.push_bytes(b"three", 3, 0, 0).is_none());
+        assert!(b.adopt(b"three".to_vec(), 3, 0, 0).is_none());
         b.recycle_all();
         assert!(b.is_empty());
-        assert!(b.push_bytes(b"four", 4, 0, 0).is_some());
+        assert!(b.adopt(b"four".to_vec(), 4, 0, 0).is_some());
     }
 
     #[test]
-    fn drain_visits_in_admission_order_and_reuses_buffers() {
+    fn live_is_admission_order_and_recycling_keeps_buffers() {
         let mut b = PacketBatch::new(4);
         for i in 0..4u64 {
-            b.push_bytes(&[i as u8; 8], i, i as u32, i);
+            b.adopt(vec![i as u8; 8], i, i as u32, i);
         }
-        let mut seen = Vec::new();
-        b.drain(|slot| seen.push(slot.seq));
+        let seen: Vec<u64> = b.live().iter().map(|&idx| b.slot(idx).seq).collect();
         assert_eq!(seen, vec![0, 1, 2, 3]);
+        b.recycle_all();
 
-        // Refill: buffers must keep their 8-byte capacity (no realloc).
-        let caps_before: Vec<usize> = (0..4).map(|i| b.slot(i).buf.capacity()).collect();
+        // Refill: the displaced buffers are the recycled 8-byte ones.
         for i in 0..4u64 {
-            b.push_bytes(&[0xff; 4], i + 10, 0, 0);
+            let old = b.adopt(vec![0xff; 4], i + 10, 0, 0).unwrap();
+            assert_eq!(old.capacity(), 8, "recycling must not free allocations");
         }
-        let caps_after: Vec<usize> = (0..4).map(|i| b.slot(i).buf.capacity()).collect();
-        assert_eq!(caps_before, caps_after, "recycling must not shrink allocations");
     }
 
     #[test]
     fn adopt_swaps_buffers() {
         let mut b = PacketBatch::new(1);
-        b.push_bytes(&[1, 2, 3], 0, 0, 0);
+        b.adopt(vec![1, 2, 3], 0, 0, 0);
         b.recycle_all();
         let recycled = b.adopt(vec![9; 16], 1, 2, 3).unwrap();
         assert_eq!(recycled, vec![1, 2, 3], "displaced buffer handed back");

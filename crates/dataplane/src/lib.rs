@@ -23,15 +23,11 @@
 //! picked up by workers at batch boundaries — the hot path never takes a
 //! lock.
 //!
-//! Two front ends share those pieces:
-//!
-//! * [`runtime::Dataplane`] — real worker threads fed over lock-free SPSC
-//!   rings with explicit backpressure ([`runtime::Backpressure`]) and
-//!   per-ring drop/occupancy counters (what `python3 benchmark/run.py`
-//!   measures);
-//! * [`router::DataplaneRouter`] — the same sharding and program caches
-//!   driven synchronously behind [`dip_sim::engine::RouterNode`], so all
-//!   five paper protocols run unchanged inside the simulator.
+//! One front end drives those pieces: [`runtime::Dataplane`], real worker
+//! threads fed over lock-free SPSC rings with explicit backpressure
+//! ([`runtime::Backpressure`]) and one ledger, the telemetry
+//! [`dip_telemetry::Registry`] every worker reports into (what
+//! `python3 benchmark/run.py` measures).
 //!
 //! The determinism property — sharded batched execution produces
 //! byte-identical results and identical PIT/CS state to a sequential
@@ -45,7 +41,6 @@ pub mod batch;
 pub mod cputime;
 pub mod program;
 pub mod ring;
-pub mod router;
 pub mod runtime;
 pub mod shard;
 pub mod snapshot;
@@ -53,10 +48,8 @@ pub mod snapshot;
 pub use batch::{PacketBatch, PacketSlot};
 pub use cputime::ThreadCpuProbe;
 pub use program::{Admission, CacheStats, ProgramCache};
-pub use router::DataplaneRouter;
 pub use runtime::{
     Backpressure, Dataplane, DataplaneConfig, DataplaneReport, PacketRecord, WorkerReport,
-    WorkerStats,
 };
 pub use shard::FlowShard;
 pub use snapshot::{EpochCell, EpochReader, RouteSnapshot};

@@ -199,14 +199,6 @@ impl ProgramCache {
         &self.programs[idx]
     }
 
-    /// Resolves `parsed` (from `buf`) to its compiled program, compiling
-    /// and admission-checking on first sight (single-packet front ends).
-    pub fn lookup(&mut self, parsed: &ParsedPacket, buf: &[u8]) -> &CachedProgram {
-        let mut memo = None;
-        let idx = self.resolve(parsed, buf, &mut memo);
-        &self.programs[idx]
-    }
-
     /// Hit/miss/rejection counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -243,6 +235,12 @@ mod tests {
         ProgramCache::new(FnRegistry::standard(), RouterConfig::default(), admission)
     }
 
+    /// Resolves one packet with a fresh memo (no batch-local shortcut).
+    fn resolve<'c>(c: &'c mut ProgramCache, buf: &[u8]) -> &'c CachedProgram {
+        let idx = c.resolve(&parse_packet(buf).unwrap(), buf, &mut None);
+        c.get(idx)
+    }
+
     #[test]
     fn same_program_compiles_once() {
         let mut c = cache(Admission::Lint);
@@ -254,9 +252,7 @@ mod tests {
             )
             .to_bytes(&[])
             .unwrap();
-            let parsed = parse_packet(&buf).unwrap();
-            let prog = c.lookup(&parsed, &buf);
-            assert!(prog.admitted);
+            assert!(resolve(&mut c, &buf).admitted);
         }
         assert_eq!(c.stats(), CacheStats { hits: 9, misses: 1, ..Default::default() });
         assert_eq!(c.len(), 1, "ten flows, one program");
@@ -276,18 +272,17 @@ mod tests {
             ..Default::default()
         };
         let buf = repr.to_bytes(&[]).unwrap();
-        let parsed = parse_packet(&buf).unwrap();
 
         let mut lint = cache(Admission::Lint);
-        assert!(!lint.lookup(&parsed, &buf).admitted);
-        assert!(!lint.lookup(&parsed, &buf).admitted, "cached refusal");
+        assert!(!resolve(&mut lint, &buf).admitted);
+        assert!(!resolve(&mut lint, &buf).admitted, "cached refusal");
         assert_eq!(
             lint.stats(),
             CacheStats { hits: 1, misses: 1, rejected: 1, ..Default::default() }
         );
 
         let mut open = cache(Admission::Open);
-        assert!(open.lookup(&parsed, &buf).admitted, "open admission accepts");
+        assert!(resolve(&mut open, &buf).admitted, "open admission accepts");
     }
 
     #[test]
@@ -323,8 +318,6 @@ mod tests {
         assert_eq!(c.resolve(&p6, &v6, &mut memo), b);
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats(), CacheStats { hits: 2, misses: 2, ..Default::default() });
-        // The single-packet front end still works against the same store.
-        assert!(c.lookup(&p4, &v4).admitted);
     }
 
     #[test]
@@ -341,7 +334,7 @@ mod tests {
         )
         .to_bytes(&[])
         .unwrap();
-        let prog = c.lookup(&parse_packet(&v4).unwrap(), &v4);
+        let prog = resolve(&mut c, &v4);
         assert!(prog.admitted && prog.chain.opt_summary().is_some());
 
         // XIA chain: the redundant standalone DAG parse is eliminated.
@@ -352,7 +345,7 @@ mod tests {
         )
         .unwrap();
         let xia = dip_protocols::xia::packet(&dag, 64).to_bytes(&[]).unwrap();
-        let prog = c.lookup(&parse_packet(&xia).unwrap(), &xia);
+        let prog = resolve(&mut c, &xia);
         assert!(prog.admitted && prog.chain.opt_summary().is_some());
 
         let stats = c.stats();
@@ -376,8 +369,8 @@ mod tests {
         let seq = base.to_bytes(&[]).unwrap();
         let par = DipRepr { parallel: true, ..base }.to_bytes(&[]).unwrap();
         let mut c = cache(Admission::Lint);
-        c.lookup(&parse_packet(&seq).unwrap(), &seq);
-        c.lookup(&parse_packet(&par).unwrap(), &par);
+        resolve(&mut c, &seq);
+        resolve(&mut c, &par);
         assert_eq!(c.len(), 2, "sequential and parallel variants compile separately");
     }
 }

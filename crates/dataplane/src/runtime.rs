@@ -197,34 +197,10 @@ pub struct PacketRecord {
     pub in_port: Port,
 }
 
-/// Per-worker counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerStats {
-    /// Packets executed.
-    pub processed: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// `Forward` verdicts.
-    pub forwarded: u64,
-    /// Locally terminated packets (deliver/consume/cache-hit).
-    pub local: u64,
-    /// `Notify` verdicts.
-    pub notified: u64,
-    /// `Drop` verdicts (any reason, including admission refusals).
-    pub dropped: u64,
-    /// Router-executed FNs (amortization denominator).
-    pub fns_executed: u64,
-    /// Program-cache counters.
-    pub cache: CacheStats,
-    /// Route-snapshot swaps picked up.
-    pub epoch_refreshes: u64,
-}
-
-/// Everything a worker hands back at shutdown.
+/// Everything a worker hands back at shutdown. Its counters live in the
+/// run's [`Registry`] under its `worker` label.
 #[derive(Debug)]
 pub struct WorkerReport {
-    /// Counters.
-    pub stats: WorkerStats,
     /// Recorded outcomes in this worker's processing order (ascending
     /// `seq` per flow; merge with [`DataplaneReport::sorted_outcomes`]).
     pub outcomes: Vec<PacketRecord>,
@@ -238,12 +214,10 @@ pub struct WorkerReport {
 pub struct DataplaneReport {
     /// One report per worker, indexed by shard.
     pub workers: Vec<WorkerReport>,
-    /// Packets discarded at each ring under [`Backpressure::Drop`].
-    pub ring_drops: Vec<u64>,
-    /// Packets accepted by `submit_bytes`.
-    pub submitted: u64,
-    /// The telemetry registry the run reported into; snapshot it to check
-    /// the accounting identity (forwarded + consumed + drops == injected).
+    /// The telemetry registry the run reported into — the one ledger of
+    /// every count (packets executed, outcomes, ring drops, program-cache
+    /// and epoch counters); snapshot it to check the accounting identity
+    /// (forwarded + consumed + drops == injected).
     pub registry: Registry,
 }
 
@@ -254,16 +228,6 @@ impl DataplaneReport {
             self.workers.iter().flat_map(|w| w.outcomes.iter()).collect();
         all.sort_by_key(|o| o.seq);
         all
-    }
-
-    /// Total packets executed across workers.
-    pub fn total_processed(&self) -> u64 {
-        self.workers.iter().map(|w| w.stats.processed).sum()
-    }
-
-    /// Total ring drops across workers.
-    pub fn total_ring_drops(&self) -> u64 {
-        self.ring_drops.iter().sum()
     }
 }
 
@@ -294,7 +258,6 @@ pub struct Dataplane {
     stop: Arc<AtomicBool>,
     backpressure: Backpressure,
     seq: u64,
-    submitted: u64,
     /// `dip_submit_pool_misses_total`: `submit_bytes` calls that found no
     /// recycled buffer and had to allocate. Bounded by the buffers in
     /// flight (ring + batch), NOT by the packet count — the pin that the
@@ -382,7 +345,6 @@ impl Dataplane {
             stop,
             backpressure: config.backpressure,
             seq: 0,
-            submitted: 0,
             pool_misses,
             registry,
         }
@@ -405,12 +367,6 @@ impl Dataplane {
     /// window deltas are exact even while the dataplane runs.
     pub fn worker_processed(&self, worker: usize) -> u64 {
         self.workers[worker].processed.get()
-    }
-
-    /// `submit_bytes` calls that allocated because no recycled buffer was
-    /// available. Bounded by buffers in flight, not by packets submitted.
-    pub fn pool_misses(&self) -> u64 {
-        self.pool_misses.get()
     }
 
     /// Flow-hashes `bytes` to its worker and enqueues a copy of them.
@@ -445,10 +401,7 @@ impl Dataplane {
         let w = &mut self.workers[shard];
         match self.backpressure {
             Backpressure::Drop => match w.producer.try_push(job) {
-                Ok(()) => {
-                    self.submitted += 1;
-                    Some(seq)
-                }
+                Ok(()) => Some(seq),
                 Err(back) => {
                     // The packet is dropped (and counted), but its buffer
                     // survives into the stash — overload must not turn
@@ -462,10 +415,7 @@ impl Dataplane {
                 let mut waiter = Waiter::new();
                 loop {
                     match w.producer.try_push(job) {
-                        Ok(()) => {
-                            self.submitted += 1;
-                            return Some(seq);
-                        }
+                        Ok(()) => return Some(seq),
                         Err(back) => {
                             job = back;
                             w.thread.unpark();
@@ -481,13 +431,6 @@ impl Dataplane {
     /// next batch boundary without the hot path taking a lock.
     pub fn publish_routes(&self, snapshot: RouteSnapshot) {
         self.routes.publish(snapshot);
-    }
-
-    /// The epoch cell the workers read routes from — hand this to a
-    /// control plane (`ControlNode::mirror_into`) so its published
-    /// snapshots reach the threaded workers directly.
-    pub fn routes_cell(&self) -> Arc<EpochCell<RouteSnapshot>> {
-        Arc::clone(&self.routes)
     }
 
     /// Current occupancy of each worker's ring.
@@ -520,18 +463,11 @@ impl Dataplane {
             w.thread.unpark();
         }
         let mut reports = Vec::with_capacity(self.workers.len());
-        let mut ring_drops = Vec::with_capacity(self.workers.len());
         for w in self.workers {
-            ring_drops.push(w.producer.drops());
             reports.push(w.handle.join().expect("dataplane worker panicked"));
             w.occupancy.set(0);
         }
-        DataplaneReport {
-            workers: reports,
-            ring_drops,
-            submitted: self.submitted,
-            registry: self.registry,
-        }
+        DataplaneReport { workers: reports, registry: self.registry }
     }
 }
 
@@ -663,7 +599,6 @@ fn worker_loop(
 ) -> WorkerReport {
     let mut reader = routes.reader();
     let mut batch = PacketBatch::new(batch_size);
-    let mut stats = WorkerStats::default();
     let mut outcomes = Vec::new();
     let mut idle = Waiter::new();
     // Reused resolve-phase scratch: per-packet parse + program index
@@ -673,7 +608,6 @@ fn worker_loop(
         // Batch boundary: one atomic load unless the control plane moved.
         if reader.refresh() {
             reader.get().apply(router.state_mut());
-            stats.epoch_refreshes += 1;
             telemetry.epoch_refreshes.inc();
         }
         while !batch.is_full() {
@@ -701,7 +635,6 @@ fn worker_loop(
             continue;
         }
         idle.reset();
-        stats.batches += 1;
         telemetry.batches.inc();
         telemetry.batch_fill.observe(batch.len() as u64);
         // Resolve phase: parse + program resolution for the whole batch.
@@ -738,18 +671,8 @@ fn worker_loop(
                     }
                 }
             };
-            stats.processed += 1;
-            stats.fns_executed += u64::from(pstats.fns_executed);
             telemetry.fns_executed.add(u64::from(pstats.fns_executed));
             telemetry.outcomes.record(verdict.outcome());
-            match &verdict {
-                Verdict::Forward(_) => stats.forwarded += 1,
-                Verdict::Deliver | Verdict::Consumed | Verdict::RespondCached(_) => {
-                    stats.local += 1
-                }
-                Verdict::Notify(_) => stats.notified += 1,
-                Verdict::Drop(_) => stats.dropped += 1,
-            }
             if record_outcomes {
                 outcomes.push(PacketRecord {
                     seq: slot.seq,
@@ -763,9 +686,7 @@ fn worker_loop(
         batch.recycle_all();
         telemetry.sync_cache(cache.stats());
     }
-    stats.cache = cache.stats();
-    telemetry.sync_cache(stats.cache);
-    WorkerReport { stats, outcomes, router }
+    WorkerReport { outcomes, router }
 }
 
 #[cfg(test)]
@@ -786,6 +707,26 @@ mod tests {
         let mut r = DipRouter::new(i as u64, [0x42; 16]);
         r.state_mut().routes = slash8(Ipv4Addr::new(10, 0, 0, 0), 1);
         r
+    }
+
+    /// Packets the workers executed, as the registry counted them.
+    fn processed(report: &DataplaneReport) -> u64 {
+        report.registry.snapshot().get("dip_worker_processed_total")
+    }
+
+    /// `Forward` verdicts, as the registry counted them.
+    fn forwarded(report: &DataplaneReport) -> u64 {
+        report.registry.snapshot().sum_where("dip_packets_total", &[("outcome", "forwarded")])
+    }
+
+    /// Packets refused at a full ring (they never reached a worker).
+    fn ring_drops(report: &DataplaneReport) -> u64 {
+        report.registry.snapshot().sum_where("dip_drops_total", &[("reason", "queue_full")])
+    }
+
+    /// `submit_bytes` calls that had to allocate, read mid-run.
+    fn pool_misses(dp: &Dataplane) -> u64 {
+        dp.registry().snapshot().get("dip_submit_pool_misses_total")
     }
 
     fn dip32(i: u32) -> Vec<u8> {
@@ -834,12 +775,11 @@ mod tests {
             assert!(dp.submit_bytes(&dip32(i), 0, u64::from(i)).is_some());
         }
         let report = dp.shutdown();
-        assert_eq!(report.total_processed(), 400);
-        assert_eq!(report.submitted, 400);
-        assert_eq!(report.workers.iter().map(|w| w.stats.forwarded).sum::<u64>(), 400);
-        assert_eq!(report.total_ring_drops(), 0);
+        assert_eq!(processed(&report), 400);
+        assert_eq!(forwarded(&report), 400);
+        assert_eq!(ring_drops(&report), 0);
         // One program, compiled at most once per worker.
-        let misses: u64 = report.workers.iter().map(|w| w.stats.cache.misses).sum();
+        let misses = report.registry.snapshot().get("dip_program_cache_misses_total");
         assert!(misses <= 4, "program compiled more than once per worker: {misses}");
     }
 
@@ -862,9 +802,8 @@ mod tests {
             }
         }
         let report = dp.shutdown();
-        assert_eq!(report.total_processed(), accepted);
-        assert_eq!(report.submitted, accepted);
-        assert_eq!(report.total_ring_drops() + accepted, 5_000);
+        assert_eq!(processed(&report), accepted);
+        assert_eq!(ring_drops(&report) + accepted, 5_000);
     }
 
     #[test]
@@ -913,7 +852,7 @@ mod tests {
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].verdict, Verdict::Drop(DropReason::NoRoute));
         assert_eq!(merged[1].verdict, Verdict::Forward(vec![7]), "epoch swap took effect");
-        assert!(report.workers.iter().any(|w| w.stats.epoch_refreshes > 0));
+        assert!(report.registry.snapshot().get("dip_worker_epoch_refreshes_total") > 0);
     }
 
     #[test]
@@ -937,7 +876,7 @@ mod tests {
         dp.submit_bytes(&pkt.to_bytes(&[]).unwrap(), 0, 0);
         let report = dp.shutdown();
         assert_eq!(report.sorted_outcomes()[0].verdict, Verdict::Forward(vec![7]));
-        assert_eq!(report.workers[0].stats.epoch_refreshes, 1);
+        assert_eq!(report.registry.snapshot().get("dip_worker_epoch_refreshes_total"), 1);
     }
 
     #[test]
@@ -953,7 +892,7 @@ mod tests {
             ..Default::default()
         };
         let mut dp = Dataplane::start(config, factory);
-        let mut injected = 0u64;
+        let (mut injected, mut accepted) = (0u64, 0u64);
         for i in 0..2_000 {
             let pkt = match i % 3 {
                 0 => dip32(i),
@@ -966,7 +905,7 @@ mod tests {
                 .unwrap(),
                 _ => vec![0xff; 6],
             };
-            dp.submit_bytes(&pkt, 0, 0);
+            accepted += u64::from(dp.submit_bytes(&pkt, 0, 0).is_some());
             injected += 1;
         }
         // A live snapshot must not panic or tear (counters are monotonic).
@@ -984,10 +923,7 @@ mod tests {
         );
         // Ring drops live only in the drop taxonomy, never in
         // packets_total (they never reached a worker).
-        assert_eq!(
-            snap.sum_where("dip_drops_total", &[("reason", "queue_full")]),
-            report.total_ring_drops()
-        );
+        assert_eq!(ring_drops(&report), injected - accepted);
         assert_eq!(
             snap.sum_where("dip_packets_total", &[("outcome", "dropped")])
                 + snap.sum_where("dip_drops_total", &[("reason", "queue_full")]),
@@ -1013,10 +949,7 @@ mod tests {
         let plain = run(factory);
         let optimized = run(opt_factory);
         // Same traffic, same verdicts — the optimizer must be invisible.
-        assert_eq!(
-            optimized.workers.iter().map(|w| w.stats.forwarded).sum::<u64>(),
-            plain.workers.iter().map(|w| w.stats.forwarded).sum::<u64>(),
-        );
+        assert_eq!(forwarded(&optimized), forwarded(&plain));
         let snap = optimized.registry.snapshot();
         // One program per worker that saw traffic, each with one fusion
         // (Match32 + Source share a stage).
@@ -1041,14 +974,14 @@ mod tests {
         for i in 0..20_000 {
             assert!(dp.submit_bytes(&dip32(i), 0, u64::from(i)).is_some());
         }
-        let misses = dp.pool_misses();
+        let misses = pool_misses(&dp);
         assert!(
             misses <= in_flight_bound,
             "pool misses {misses} exceed the in-flight buffer bound {in_flight_bound} \
              over 20000 packets — the hot path is allocating per packet"
         );
         let report = dp.shutdown();
-        assert_eq!(report.total_processed(), 20_000);
+        assert_eq!(processed(&report), 20_000);
     }
 
     #[test]
@@ -1071,14 +1004,11 @@ mod tests {
                 accepted += 1;
             }
         }
-        assert!(
-            dp.pool_misses() <= in_flight_bound,
-            "overload allocated per packet: {} misses",
-            dp.pool_misses()
-        );
+        let misses = pool_misses(&dp);
+        assert!(misses <= in_flight_bound, "overload allocated per packet: {misses} misses");
         let report = dp.shutdown();
-        assert_eq!(report.total_processed(), accepted);
-        assert_eq!(report.total_ring_drops() + accepted, 10_000);
+        assert_eq!(processed(&report), accepted);
+        assert_eq!(ring_drops(&report) + accepted, 10_000);
     }
 
     #[test]
@@ -1093,8 +1023,8 @@ mod tests {
             assert!(dp.submit_bytes(&dip32(i), 0, 0).is_some());
         }
         let report = dp.shutdown();
-        assert_eq!(report.total_processed(), 3_000);
-        assert_eq!(report.total_ring_drops(), 0);
+        assert_eq!(processed(&report), 3_000);
+        assert_eq!(ring_drops(&report), 0);
     }
 
     #[test]

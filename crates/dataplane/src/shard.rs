@@ -1,28 +1,47 @@
-//! RSS-style flow sharding over FN locations.
+//! RSS-style flow sharding over FN target fields.
 //!
 //! Hardware RSS hashes the IP 5-tuple; DIP has no fixed 5-tuple — the
-//! flow-identifying bytes are whatever the protocol put in the FN
-//! *locations area* (an IPv4/IPv6 destination+source, an NDN content
-//! name, an XIA DAG). Hashing the locations therefore gives flow affinity
-//! for every paper protocol with one mechanism: packets whose stateful
-//! interactions must meet (an NDN interest and its data share the name
-//! bytes; an XIA flow shares its DAG) land on the same worker, so
-//! per-flow state (PIT entries, content-store lines) never splits or
-//! races across shards.
+//! flow-identifying bytes are whatever field the protocol's first router
+//! operation reads from the FN *locations area*: the IP destination, the
+//! NDN content name, the OPT session id, the XIA DAG. Hashing that field
+//! therefore gives flow affinity for every paper protocol with one
+//! mechanism: packets whose stateful interactions must meet (an NDN
+//! interest and its data share the name, whatever else the data carries;
+//! an XIA flow shares its DAG) land on the same worker, so per-flow state
+//! (PIT entries, content-store lines) never splits or races across shards.
 
 use dip_wire::DipPacket;
 
-/// How many locations bytes participate in the hash (covers every paper
-/// protocol's flow identity — an IPv6 destination + source is 32 bytes).
+/// How many bytes participate in the hash (covers every paper protocol's
+/// flow key — an IPv6 destination is 16 bytes, an XIA DAG a few dozen).
 const HASH_PREFIX: usize = 64;
 
-/// FNV-1a over the flow-identifying prefix of the FN locations area.
-pub fn hash_locations(locations: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in locations.iter().take(HASH_PREFIX) {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// FNV-1a over at most [`HASH_PREFIX`] bytes.
+fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes
+        .take(HASH_PREFIX)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The flow hash of `pkt`: FNV-1a over the target field of its first
+/// router-tagged triple, with the bits outside the field masked off.
+/// Packets without a router triple hash their locations prefix.
+fn flow_hash(pkt: &DipPacket<&[u8]>) -> u64 {
+    let locations = pkt.locations();
+    let router =
+        (0..usize::from(pkt.fn_num())).filter_map(|i| pkt.triple(i).ok()).find(|t| !t.host);
+    let Some(t) = router else { return fnv1a(locations.iter().copied()) };
+    let (start, end) = (usize::from(t.field_loc), t.field_end().min(locations.len() * 8));
+    let field = locations.get(start / 8..end.div_ceil(8)).unwrap_or(&[]);
+    let last = field.len().wrapping_sub(1);
+    fnv1a(field.iter().enumerate().map(|(i, &b)| {
+        let b = if i == 0 { b & (0xff >> (start % 8)) } else { b };
+        if i == last && end % 8 != 0 {
+            b & (0xff << (8 - end % 8))
+        } else {
+            b
+        }
+    }))
 }
 
 /// A fixed worker-count flow-shard function.
@@ -45,8 +64,7 @@ impl FlowShard {
     /// The worker owning `packet`'s flow. Malformed packets all map to
     /// shard 0 (they will be dropped there, deterministically).
     pub fn shard_of(&self, packet: &[u8]) -> usize {
-        let key =
-            DipPacket::new_checked(packet).map(|p| hash_locations(p.locations())).unwrap_or(0);
+        let key = DipPacket::new_checked(packet).map(|p| flow_hash(&p)).unwrap_or(0);
         (key % self.shards as u64) as usize
     }
 }
@@ -89,14 +107,45 @@ mod tests {
     #[test]
     fn interest_and_data_share_a_shard() {
         // The NDN flow invariant the PIT depends on: both packet kinds
-        // carry the name in the locations area, so they hash together.
-        let shard = FlowShard::new(16);
-        for raw in ["/a", "/video/segment/9", "/hotnets/org/deeply/nested/name"] {
-            let name = Name::parse(raw);
-            let interest = dip_protocols::ndn::interest(&name, 64).to_bytes(b"rq").unwrap();
-            let data = dip_protocols::ndn::data(&name, 64).to_bytes(b"content").unwrap();
-            assert_eq!(shard.shard_of(&interest), shard.shard_of(&data), "name {raw}");
+        // route by the name, so they hash together — also when the data
+        // carries an OPT block after the name (NDN+OPT), and at shard
+        // counts that are not powers of two.
+        let session = dip_protocols::opt::OptSession::establish([5; 16], &[6; 16], &[[7; 16]]);
+        for shards in [3, 8, 16] {
+            let shard = FlowShard::new(shards);
+            for i in 0..64 {
+                let name = Name::parse(&format!("/video/segment/{i}"));
+                let interest = dip_protocols::ndn::interest(&name, 64).to_bytes(b"rq").unwrap();
+                let home = shard.shard_of(&interest);
+                let data = dip_protocols::ndn::data(&name, 64).to_bytes(b"content").unwrap();
+                assert_eq!(shard.shard_of(&data), home, "ndn {name:?} at {shards}");
+                let secure = dip_protocols::ndn_opt::data(&session, &name, b"content", i, 64)
+                    .to_bytes(b"content")
+                    .unwrap();
+                assert_eq!(shard.shard_of(&secure), home, "ndn+opt {name:?} at {shards}");
+            }
         }
+    }
+
+    #[test]
+    fn only_the_flow_key_bits_move_a_flow() {
+        use dip_wire::packet::DipRepr;
+        use dip_wire::triple::{FnKey, FnTriple};
+        // The key is bits 4..12: it shares both its bytes with neighbouring
+        // fields that may change hop by hop.
+        let packet = |locations: Vec<u8>| {
+            let fns = vec![FnTriple::router(4, 8, FnKey::Pit)];
+            DipRepr { fns, locations, ..Default::default() }.to_bytes(&[]).unwrap()
+        };
+        let shard = FlowShard::new(16);
+        let mut homes = std::collections::HashSet::new();
+        for key in 0..=255u8 {
+            let home = shard.shard_of(&packet(vec![key >> 4, key << 4, 0]));
+            let noisy = packet(vec![0xf0 | key >> 4, key << 4 | 0x0f, 0xff]);
+            assert_eq!(shard.shard_of(&noisy), home, "key {key:#04x}");
+            homes.insert(home);
+        }
+        assert!(homes.len() > 1, "the key bits must still spread flows");
     }
 
     #[test]

@@ -286,12 +286,12 @@ struct Built {
     links: usize,
 }
 
-fn control_node(net: &mut Network, id: NodeId) -> &mut ControlNode<DipRouter> {
+fn control_node(net: &mut Network, id: NodeId) -> &mut ControlNode {
     net.router_node_mut(id)
         .expect("scenario node is a router")
         .as_any_mut()
-        .downcast_mut::<ControlNode<DipRouter>>()
-        .expect("scenario routers are ControlNode<DipRouter>")
+        .downcast_mut::<ControlNode>()
+        .expect("scenario routers are ControlNodes")
 }
 
 fn catalog_payload(i: usize, payload: usize) -> Vec<u8> {
@@ -676,7 +676,7 @@ fn short_tag(proto: ScenarioProtocol) -> &'static str {
     }
 }
 
-fn sum_routers(built: &mut Built, f: impl Fn(&ControlNode<DipRouter>) -> u64) -> u64 {
+fn sum_routers(built: &mut Built, f: impl Fn(&ControlNode) -> u64) -> u64 {
     let ids = built.routers.clone();
     ids.iter().map(|&r| f(control_node(&mut built.net, r))).sum()
 }

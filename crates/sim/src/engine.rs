@@ -62,8 +62,9 @@ impl std::error::Error for SimError {}
 /// A packet-forwarding node the event loop can drive.
 ///
 /// [`DipRouter`] is the canonical implementation (one packet at a time,
-/// Algorithm 1); the batched multi-worker dataplane plugs in through the
-/// same trait, so every five-protocol experiment runs unchanged on either.
+/// Algorithm 1); `dip-controlplane`'s `ControlNode` wraps one and plugs in
+/// through the same trait, consuming control packets before the router
+/// sees them.
 pub trait RouterNode {
     /// Runs the router pipeline over `buf` in place, returning the verdict
     /// and the architecture stats the PISA timing model consumes.

@@ -20,8 +20,8 @@
 //!   the experiment harness.
 //!
 //! The multi-core software dataplane (flow-sharded workers over SPSC
-//! rings) is `dip-dataplane`; its `DataplaneRouter` plugs into
-//! [`engine::Network`] as a router node.
+//! rings) is `dip-dataplane`; the simulator drives single routers, with
+//! or without `dip-controlplane`'s `ControlNode` wrapped around them.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

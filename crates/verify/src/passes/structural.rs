@@ -8,12 +8,9 @@
 
 use crate::diag::{DiagCode, Diagnostic};
 use crate::program::FnProgram;
+use dip_fnops::ops::mac_op::TAG_BITS as MAC_TAG_BITS;
 use dip_wire::triple::{FnKey, FnTriple};
 use dip_wire::{MAX_FN_LOC_LEN, MAX_FN_NUM};
-
-/// Bits of the tag `F_MAC` deposits immediately after its covered field
-/// (mirrors `dip_fnops::ops::mac_op::TAG_BITS`).
-const MAC_TAG_BITS: usize = 128;
 
 /// Runs the structural pass.
 pub fn check(program: &FnProgram) -> Vec<Diagnostic> {
@@ -68,7 +65,7 @@ fn check_bounds(i: usize, t: &FnTriple, loc_bits: usize, diags: &mut Vec<Diagnos
     // drops the packet at runtime when that slot is missing, and the
     // accepted-programs-execute guarantee needs the slot checked here.
     if t.key == FnKey::Mac && !t.host {
-        let tag = (t.field_end(), t.field_end() + MAC_TAG_BITS);
+        let tag = (t.field_end(), t.field_end() + usize::from(MAC_TAG_BITS));
         if tag.1 > loc_bits {
             diags.push(
                 Diagnostic::error(

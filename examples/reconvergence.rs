@@ -12,7 +12,7 @@ use dip::protocols::ip;
 use dip::sim::engine::{Host, Network};
 use dip::wire::ipv4::Ipv4Addr;
 
-fn router(id: u64, ports: Vec<u32>) -> ControlNode<DipRouter> {
+fn router(id: u64, ports: Vec<u32>) -> ControlNode {
     ControlNode::new(
         DipRouter::new(id, [id as u8; 16]),
         ControlAgent::new(id, ports, AgentConfig::default()),

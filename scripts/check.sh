@@ -9,16 +9,15 @@
 #             accounting, model check, control plane, dipopt equivalence,
 #             the reference-model differential, diplint's own contract,
 #             workload, routes and scenarios, and the pins on dipstat's
-#             output and BENCH_scenarios.json's fields all run here and
-#             nowhere else
+#             output, the small fat-tree scenario report and
+#             BENCH_scenarios.json's fields all run here and nowhere else
 #   oracle  — the 1M-route oracle in release (debug runs it at 20k)
 #   lint    — the diplint binary over the real repo (RouteSnapshot,
 #             quantile, DropReason, unsafe and link-admin placement)
 #   mst     — dipload's modeled MST for every protocol regenerates
 #             BENCH_workload.json byte-identical (a PISA-model behaviour
 #             pin, not a speed number)
-#   scn     — a release `dipload --scenario` smoke on a small fat-tree
-#   bench   — the stand-alone benchmark (the one measurement of speed)
+#   bench  — the stand-alone benchmark (the one measurement of speed)
 #             still builds against the crates, passes its own correctness
 #             pre-check traced and untraced on the NDN tables and on the
 #             OPT crypto path, and nothing under its paths was edited
@@ -55,26 +54,6 @@ if ! git diff --exit-code -- BENCH_workload.json; then
     echo "error: the MST smoke no longer reproduces the committed BENCH_workload.json" >&2
     exit 1
 fi
-
-# Fails unless every field in "$@" occurs in file $1.
-require_fields() {
-    local file=$1
-    shift
-    for field in "$@"; do
-        if ! grep -q "$field" "$file"; then
-            echo "error: $file missing $field" >&2
-            exit 1
-        fi
-    done
-}
-
-echo "== scenarios: dipload --scenario smoke (small fat-tree)"
-./target/release/dipload --scenario partition:k=4,window=200000,requests=12,seed=7 \
-    > /tmp/dipload_scenario.json
-require_fields /tmp/dipload_scenario.json '"scenario":"partition_k4_w200000"' \
-    '"topology":"fat_tree(k=4)"' '"converged":true' '"name":"outage"' \
-    '"partition_window_ns":200000' '"protocol":"ndn"' '"delivery_fraction":' \
-    '"reconvergence_ns":' '"identity_ok":true' '"fingerprint":'
 
 echo "== bench: stand-alone benchmark builds and passes its pre-check"
 # A renamed crate item, a new public config field or a changed dependency

@@ -5,14 +5,14 @@
 //! Three mangling families over valid packets of all five protocols:
 //! truncation at every length, deterministic bit flips at every byte, and
 //! pure random noise. Everything goes through the single [`DipRouter`]
-//! (metrics attached), the threaded [`Dataplane`] and the simulator's
-//! [`DataplaneRouter`] — the `field_to_names` short-field guard and the
-//! typed drops instead of `unwrap` are reached on every one of them.
+//! (metrics attached) and the threaded [`Dataplane`] — the
+//! `field_to_names` short-field guard and the typed drops instead of
+//! `unwrap` are reached on both.
 
 use dip::controlplane::{agent::control_packet, AgentConfig, ControlAgent, ControlNode};
 use dip::core::control::{Announcements, ControlMessage, Lsa, LsaLink};
 use dip::crypto::DetRng;
-use dip::dataplane::{Admission, Backpressure, Dataplane, DataplaneConfig, DataplaneRouter};
+use dip::dataplane::{Backpressure, Dataplane, DataplaneConfig};
 use dip::prelude::*;
 use dip::protocols::{ip, ndn, xia};
 use dip::tables::XiaNextHop;
@@ -113,53 +113,45 @@ fn through_dataplane(corpus: &[Vec<u8>]) -> Snapshot {
     dp.shutdown().registry.snapshot()
 }
 
-/// The corpus through a sharded `DataplaneRouter` inside the simulator,
-/// whose per-hop accounting counts every packet the node is handed.
-fn through_simulated_dataplane(corpus: &[Vec<u8>]) -> Snapshot {
-    let mut net = dip::sim::engine::Network::new(0xadd);
-    let node = DataplaneRouter::new(2, Admission::Lint, |i| loaded_router(i as u64));
-    let r0 = net.add_router_node(Box::new(node));
-    let h = net.add_host(dip::sim::engine::Host::consumer(100));
-    net.connect(h, 0, r0, 0, 1_000);
-    for (i, pkt) in corpus.iter().enumerate() {
-        net.send(h, 0, pkt.clone(), i as u64 * 1_000);
-    }
-    net.run();
-    net.metrics_snapshot()
-}
-
 #[test]
 fn single_router_survives_and_accounts_for_mangled_packets() {
     let corpus = mangled_corpus();
+    let snap = through_single_router(&corpus);
+    // Malformed packets and refused programs never reach execution; they
+    // still get exactly one router verdict each.
+    assert_eq!(
+        snap.get("dip_router_verdicts_total"),
+        corpus.len() as u64,
+        "every mangled packet gets exactly one verdict"
+    );
+}
+
+#[test]
+fn dataplane_survives_and_accounts_for_mangled_packets() {
+    let corpus = mangled_corpus();
     let n = corpus.len() as u64;
-    // Each front end with the labels selecting its router's per-hop packet
-    // accounting (a bare router has none; in the simulator the consumer
-    // host is node 1).
-    let node0: &[(&str, &str)] = &[("node", "0")];
-    for (front_end, snap, packets) in [
-        ("DipRouter", through_single_router(&corpus), None),
-        ("Dataplane", through_dataplane(&corpus), Some(&[][..])),
-        ("DataplaneRouter", through_simulated_dataplane(&corpus), Some(node0)),
-    ] {
-        // Malformed packets and refused programs never reach execution;
-        // they still get exactly one router verdict each.
-        assert_eq!(
-            snap.get("dip_router_verdicts_total"),
-            n,
-            "{front_end}: every mangled packet gets exactly one verdict"
+    let dataplane = through_dataplane(&corpus);
+    assert_eq!(
+        dataplane.get("dip_router_verdicts_total"),
+        n,
+        "every mangled packet gets exactly one verdict"
+    );
+    // The dataplane also accounts per packet (a bare router does not).
+    assert_eq!(dataplane.get("dip_packets_total"), n, "router verdicts == dip_packets_total");
+    let forwarded = dataplane.sum_where("dip_packets_total", &[("outcome", "forwarded")]);
+    let consumed = dataplane.sum_where("dip_packets_total", &[("outcome", "consumed")]);
+    assert_eq!(
+        forwarded + consumed + dataplane.get("dip_drops_total"),
+        n,
+        "accounting identity must survive adversarial input"
+    );
+    // Garbage must actually be dropping, not sneaking through as valid,
+    // and the corpus must reach the admission refusal.
+    for reason in ["malformed_field", "program_rejected"] {
+        assert!(
+            dataplane.sum_where("dip_drops_total", &[("reason", reason)]) > 0,
+            "the corpus must produce {reason} drops"
         );
-        if let Some(labels) = packets {
-            assert_eq!(
-                snap.sum_where("dip_packets_total", labels),
-                n,
-                "{front_end}: router verdicts == dip_packets_total"
-            );
-            let refused = [("reason", "program_rejected")];
-            assert!(
-                snap.sum_where("dip_drops_total", &refused) > 0,
-                "{front_end}: the corpus must reach the admission refusal"
-            );
-        }
     }
 }
 
@@ -250,37 +242,6 @@ fn control_node_survives_and_accounts_for_mangled_control_packets() {
         snap.get("dip_packets_total"),
         snap.get("dip_node_sent_total") - snap.get("dip_link_dropped_total"),
         "accounting identity"
-    );
-}
-
-#[test]
-fn dataplane_survives_and_accounts_for_mangled_packets() {
-    let config = DataplaneConfig {
-        workers: 2,
-        batch_size: 8,
-        ring_capacity: 256,
-        backpressure: Backpressure::Block,
-        ..Default::default()
-    };
-    let mut dp = Dataplane::start(config, |i| loaded_router(i as u64));
-    let corpus = mangled_corpus();
-    for pkt in &corpus {
-        assert!(dp.submit_bytes(pkt, 0, 0).is_some());
-    }
-    let report = dp.shutdown();
-    let snap = report.registry.snapshot();
-    let forwarded = snap.sum_where("dip_packets_total", &[("outcome", "forwarded")]);
-    let consumed = snap.sum_where("dip_packets_total", &[("outcome", "consumed")]);
-    let drops = snap.get("dip_drops_total");
-    assert_eq!(
-        forwarded + consumed + drops,
-        corpus.len() as u64,
-        "accounting identity must survive adversarial input"
-    );
-    // Garbage must actually be dropping, not sneaking through as valid.
-    assert!(
-        snap.sum_where("dip_drops_total", &[("reason", "malformed_field")]) > 0,
-        "corpus contains malformed packets; some must be counted as such"
     );
 }
 

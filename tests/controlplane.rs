@@ -28,7 +28,7 @@ use dip::wire::ipv6::Ipv6Addr;
 use dip::wire::opt::OPT_BLOCK_LEN;
 use std::collections::HashMap;
 
-fn control_router(id: u64, ports: Vec<u32>) -> ControlNode<DipRouter> {
+fn control_router(id: u64, ports: Vec<u32>) -> ControlNode {
     ControlNode::new(
         DipRouter::new(id, [id as u8; 16]),
         ControlAgent::new(id, ports, AgentConfig::default()),
@@ -48,8 +48,8 @@ fn routed_opt(session: &OptSession, payload: &[u8], timestamp: u32, dst: Ipv4Add
     DipRepr { next_header: 0, hop_limit: 64, parallel: false, fns, locations }
 }
 
-fn agent_of(net: &mut Network, id: NodeId) -> &ControlNode<DipRouter> {
-    net.router_node_mut(id).unwrap().as_any_mut().downcast_mut::<ControlNode<DipRouter>>().unwrap()
+fn agent_of(net: &mut Network, id: NodeId) -> &ControlNode {
+    net.router_node_mut(id).unwrap().as_any_mut().downcast_mut::<ControlNode>().unwrap()
 }
 
 #[test]

@@ -2,13 +2,15 @@
 //! behavior-equivalent to a sequential single-router run.
 //!
 //! For each of the five paper protocols (DIP-32, DIP-128, NDN, OPT, XIA)
-//! a deterministic workload is executed twice:
+//! and the NDN+OPT composition a deterministic workload is executed twice:
 //!
 //! * **reference** — one [`DipRouter`] processes every packet in
 //!   submission order on the caller thread;
 //! * **dataplane** — [`dip::dataplane::Dataplane`] with every
-//!   combination of worker count {1, 2, 4} and batch size {1, 8, 33},
-//!   workers fed over SPSC rings under lossless backpressure.
+//!   combination of worker count {1, 2, 3, 4} and batch size {1, 8, 33},
+//!   workers fed over SPSC rings under lossless backpressure. Three is in
+//!   the sweep because the flow hash modulo a power of two depends only
+//!   on the low bits of each hashed byte.
 //!
 //! Equivalence is checked three ways: identical verdicts in submission
 //! order, byte-identical packets after FN execution, and identical
@@ -27,7 +29,7 @@
 use dip::crypto::DetRng;
 use dip::dataplane::{Backpressure, Dataplane, DataplaneConfig, DataplaneReport};
 use dip::prelude::*;
-use dip::protocols::{ip, ndn, xia};
+use dip::protocols::{ip, ndn, ndn_opt, xia};
 use dip::tables::{Port, Ticks, XiaNextHop};
 use dip::telemetry::{PacketOutcome, Snapshot};
 use dip::wire::ipv4::Ipv4Addr;
@@ -39,7 +41,7 @@ use dip_routes::RouteStore;
 /// One packet of workload: bytes as submitted, ingress port, arrival time.
 type Packet = (Vec<u8>, Port, Ticks);
 
-const WORKERS: [usize; 3] = [1, 2, 4];
+const WORKERS: [usize; 4] = [1, 2, 3, 4];
 const BATCHES: [usize; 3] = [1, 8, 33];
 
 /// PIT state as a comparable value: (name, faces, expiry, nonces), sorted.
@@ -247,6 +249,47 @@ fn opt_sharded_equals_sequential() {
 }
 
 #[test]
+fn ndn_opt_sharded_equals_sequential() {
+    // An NDN+OPT interest carries the 4-byte name; its data carries the
+    // name plus the 68-byte OPT block, so only a flow hash over the name
+    // itself brings the data to the worker holding the interest's PIT
+    // entry.
+    let names: Vec<Name> = (0..64).map(|i| Name::parse(&format!("/secure/content/{i}"))).collect();
+    let names_for_factory = names.clone();
+    let factory = move |_| {
+        let mut r = DipRouter::new(0, [0x42; 16]);
+        r.state_mut().enable_content_store(1024);
+        let mut routes = RouteStore::new();
+        for name in &names_for_factory {
+            routes.insert_name(name, NextHop::port(1));
+        }
+        r.state_mut().routes = routes.rebuild();
+        r
+    };
+    let session = OptSession::establish([5; 16], &[6; 16], &[[0x42; 16]]);
+    let mut rng = DetRng::seed_from_u64(0xd1006);
+    let mut packets: Vec<Packet> = Vec::new();
+    let mut now = 0u64;
+    // Interests (repeats aggregate in the PIT), then authenticated data;
+    // late interests for answered names hit the content store.
+    for round in 0..3 {
+        for _ in 0..96 {
+            now += 1;
+            let name = &names[rng.gen_index(names.len())];
+            if round > 0 && rng.gen_bool(0.4) {
+                let payload = name.compact32().to_be_bytes();
+                let repr = ndn_opt::data(&session, name, &payload, now as u32, 64);
+                packets.push((repr.to_bytes(&payload).unwrap(), 9, now));
+            } else {
+                let face = rng.gen_index(4) as Port;
+                packets.push((ndn_opt::interest(name, 64).to_bytes(&[]).unwrap(), face, now));
+            }
+        }
+    }
+    assert_deterministic("ndn+opt", factory, &packets);
+}
+
+#[test]
 fn xia_sharded_equals_sequential() {
     let ad = Xid::derive(b"det-ad");
     let hid = Xid::derive(b"det-hid");
@@ -346,12 +389,15 @@ fn workload_traces_under_a_route_storm_equal_sequential() {
             let (second, deltas_again) = run_under_storm(&spec, &trace, workers);
             assert!(deltas > 0, "{tag}: the storm must commit deltas");
             assert_eq!(deltas, deltas_again, "{tag}: the storm is a function of the trace");
+            let snap = first.registry.snapshot();
             assert!(
-                first.workers.iter().all(|w| w.stats.epoch_refreshes > 0),
+                (0..workers).all(|w| {
+                    let w = w.to_string();
+                    snap.sum_where("dip_worker_epoch_refreshes_total", &[("worker", &w)]) > 0
+                }),
                 "{tag}: every worker picked up a storm snapshot"
             );
 
-            let snap = first.registry.snapshot();
             let counts = outcome_counts(&snap);
             assert_eq!(counts.0 + counts.1 + counts.2, injected, "{tag}: accounting identity");
             assert_eq!(

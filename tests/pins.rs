@@ -1,4 +1,5 @@
-//! Pins on committed artifacts and shipped binaries that no unit test owns.
+//! Pins on committed artifacts, shipped binaries and the documented
+//! scenario spec that no unit test owns.
 
 use std::process::Command;
 
@@ -11,6 +12,28 @@ fn dipstat_reports_all_six_programs_and_the_xia_parse_elimination() {
     assert_eq!(lines.len(), 6, "one JSON line per shipped program:\n{stdout}");
     let xia = lines.iter().find(|l| l.contains(r#""program":"xia""#)).expect("an xia line");
     assert!(xia.contains("eliminate_redundant_parse"), "dipstat lost the XIA rewrite: {xia}");
+}
+
+#[test]
+fn small_fat_tree_partition_scenario_reports_its_fields() {
+    // The spec `dipload --scenario` documents, run through the same engine.
+    let spec = dip::scenario::ScenarioSpec::parse("partition:k=4,window=200000,requests=12,seed=7")
+        .expect("the documented spec parses");
+    let json = dip::scenario::run_scenario(&spec).to_json();
+    for field in [
+        r#""scenario":"partition_k4_w200000""#,
+        r#""topology":"fat_tree(k=4)""#,
+        r#""converged":true"#,
+        r#""name":"outage""#,
+        r#""partition_window_ns":200000"#,
+        r#""protocol":"ndn""#,
+        r#""delivery_fraction":"#,
+        r#""reconvergence_ns":"#,
+        r#""identity_ok":true"#,
+        r#""fingerprint":"#,
+    ] {
+        assert!(json.contains(field), "the scenario report is missing {field}:\n{json}");
+    }
 }
 
 #[test]
