@@ -31,7 +31,7 @@
 use crate::budget::{BudgetMeter, ProcessingBudget};
 use crate::router::{RouterConfig, UnknownFnPolicy};
 use dip_fnops::parallel::plan;
-use dip_fnops::{FieldOp, FnRegistry, HoistState, OpCost};
+use dip_fnops::{FieldOp, FnRegistry, HoistState, OpCost, RouteKey};
 use dip_verify::opt::{analyze, ProgramFacts, Rewrite};
 use dip_verify::FnProgram;
 use dip_wire::triple::FnTriple;
@@ -300,6 +300,18 @@ impl CompiledChain {
         }
     }
 
+    /// The route lookups this chain's operations will make on a packet
+    /// whose FN locations area is `locations`, in step order (see
+    /// [`FieldOp::route_key`]). A batching runtime walks a batch's keys
+    /// together before executing it; execution still makes every lookup
+    /// itself, so this is a hint, never a decision.
+    pub fn route_keys<'a>(&'a self, locations: &'a [u8]) -> impl Iterator<Item = RouteKey> + 'a {
+        self.steps.iter().filter_map(move |step| match step {
+            Step::Run { triple, op, .. } => op.route_key(triple, locations),
+            _ => None,
+        })
+    }
+
     /// Per-rewrite-kind counts when dipopt rewrote the plan; `None` for the
     /// identity plan.
     pub fn opt_summary(&self) -> Option<OptSummary> {
@@ -549,6 +561,32 @@ mod tests {
                 _ => true,
             }));
         }
+    }
+
+    #[test]
+    fn route_keys_name_the_match_steps_lookups() {
+        use dip_wire::ipv4::Ipv4Addr;
+        let registry = FnRegistry::standard();
+        let config = RouterConfig::default();
+        let repr = dip32_repr();
+        let chain = CompiledChain::compile(
+            &program(repr.fns.clone(), repr.locations.len(), false),
+            &registry,
+            &config,
+            false,
+        );
+        let keys: Vec<RouteKey> = chain.route_keys(&repr.locations).collect();
+        assert_eq!(keys, vec![RouteKey::V4(Ipv4Addr::new(10, 0, 0, 1))]);
+        // A truncated locations area decodes no key.
+        assert_eq!(chain.route_keys(&repr.locations[..3]).count(), 0);
+        // Host-tagged and unsupported steps name none either.
+        let p = program(
+            vec![FnTriple::host(0, 32, FnKey::Match32), FnTriple::router(0, 32, FnKey::Other(99))],
+            8,
+            false,
+        );
+        let chain = CompiledChain::compile(&p, &registry, &config, false);
+        assert_eq!(chain.route_keys(&repr.locations).count(), 0);
     }
 
     #[test]

@@ -27,9 +27,15 @@ pub struct RouterMetrics {
     /// respond_cached, notify, drop.
     verdicts: [Arc<Counter>; 6],
     execute_ns: Arc<Histogram>,
-    /// Lazily registered per executed FN key (wire value).
-    invocations: HashMap<u16, Arc<Counter>>,
+    /// Per executed FN key, registered on its first invocation: the twelve
+    /// standard keys by wire value − 1, so counting one costs an index.
+    standard: [Option<Arc<Counter>>; STANDARD_KEYS],
+    /// The same for keys outside the standard set, by wire value.
+    other: HashMap<u16, Option<Arc<Counter>>>,
 }
+
+/// Standard FN keys: wire values 1 ..= 12.
+const STANDARD_KEYS: usize = 12;
 
 const VERDICT_LABELS: [&str; 6] =
     ["forward", "deliver", "consumed", "respond_cached", "notify", "drop"];
@@ -56,7 +62,8 @@ impl RouterMetrics {
             labels: owned,
             verdicts,
             execute_ns,
-            invocations: HashMap::new(),
+            standard: Default::default(),
+            other: HashMap::new(),
         }
     }
 
@@ -77,15 +84,18 @@ impl RouterMetrics {
     }
 
     pub(crate) fn count_op(&mut self, key: FnKey) {
-        let wire = key.to_wire();
-        let counter = self.invocations.entry(wire).or_insert_with(|| {
+        let slot = match key {
+            FnKey::Other(wire) => self.other.entry(wire).or_default(),
+            _ => &mut self.standard[usize::from(key.to_wire()) - 1],
+        };
+        slot.get_or_insert_with(|| {
             let label = format!("{key:?}");
             let mut all: Vec<(&str, &str)> =
                 self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
             all.push(("fn", label.as_str()));
             self.registry.counter("dip_fn_invocations_total", "Executed FN operations by key", &all)
-        });
-        counter.inc();
+        })
+        .inc();
     }
 }
 

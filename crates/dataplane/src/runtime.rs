@@ -16,12 +16,22 @@
 //!    admission on first sight, one map probe per program *run* within
 //!    the batch thanks to a batch-local memo, cache hit for the rest of
 //!    eternity);
-//! 4. **execute phase** — run [`DipRouter::process_parsed`] over the
-//!    resolved batch back-to-back, the two tight loops keeping parser
+//! 4. **route phase** — gather the route key of every admitted packet's
+//!    match steps ([`CompiledChain::route_keys`](dip_core::CompiledChain::route_keys))
+//!    and walk them all through the LPM trie level by level
+//!    ([`RouteTables::lookup_many`](dip_routes::RouteTables::lookup_many)),
+//!    so the batch's dependent cache misses are in flight together rather
+//!    than one packet at a time. The answers are discarded: the execute
+//!    phase still makes every routing decision in `F_32_match` /
+//!    `F_128_match`, now on warm cache lines, so the sequential router
+//!    and the batched one run the same code. A batch with fewer than two
+//!    keys (no IP traffic, or a lone packet) skips the phase;
+//! 5. **execute phase** — run [`DipRouter::process_parsed`] over the
+//!    resolved batch back-to-back, the tight loops keeping parser, walk
 //!    and executor code hot instead of interleaving them per packet
 //!    (malformed packets and refused programs go to [`DipRouter::refuse`],
 //!    so the router's verdict counters see every packet);
-//! 5. recycle every slot without freeing buffers.
+//! 6. recycle every slot without freeing buffers.
 //!
 //! Determinism: the global sequence numbers give submission a total
 //! order, flow affinity gives each flow FIFO processing on one worker,
@@ -38,6 +48,8 @@ use crate::shard::FlowShard;
 use crate::snapshot::{EpochCell, RouteSnapshot};
 use dip_core::{parse_packet, DipRouter, ParsedPacket, Verdict};
 use dip_fnops::DropReason;
+use dip_routes::RouteKey;
+use dip_tables::fib::NextHop;
 use dip_tables::{Port, Ticks};
 use dip_telemetry::{Counter, Gauge, Histogram, OutcomeCounters, Registry, Snapshot};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -604,6 +616,10 @@ fn worker_loop(
     // Reused resolve-phase scratch: per-packet parse + program index
     // (`None` = malformed), filled in admission order each batch.
     let mut resolved: Vec<Option<(ParsedPacket, usize)>> = Vec::with_capacity(batch_size.max(1));
+    // Reused route-phase scratch: the batch's route keys and the walk's
+    // (discarded) answers.
+    let mut route_keys: Vec<RouteKey> = Vec::with_capacity(batch_size.max(1));
+    let mut route_answers: Vec<Option<NextHop>> = Vec::with_capacity(batch_size.max(1));
     loop {
         // Batch boundary: one atomic load unless the control plane moved.
         if reader.refresh() {
@@ -649,6 +665,26 @@ fn worker_loop(
                 let idx = cache.resolve(&parsed, &slot.buf, &mut memo);
                 (parsed, idx)
             }));
+        }
+        // Route phase: walk every admitted packet's route keys through
+        // the trie together, so their cache misses overlap, and drop the
+        // answers — the execute phase makes every routing decision itself
+        // and finds the walked paths in cache. `routes` is the snapshot
+        // the execute phase uses: epochs only swap at batch boundaries.
+        route_keys.clear();
+        for (pos, res) in resolved.iter().enumerate() {
+            let Some((parsed, idx)) = res else { continue };
+            let program = cache.get(*idx);
+            if program.admitted {
+                let buf = &batch.slot(batch.live()[pos]).buf;
+                route_keys
+                    .extend(program.chain.route_keys(&buf[parsed.loc_start..parsed.header_len]));
+            }
+        }
+        // One key has nothing to overlap with.
+        if route_keys.len() >= 2 {
+            route_answers.resize(route_keys.len(), None);
+            router.state().routes.lookup_many(&route_keys, &mut route_answers);
         }
         // Execute phase: run the resolved batch back-to-back.
         for (pos, res) in resolved.iter().enumerate() {

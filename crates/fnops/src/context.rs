@@ -208,6 +208,16 @@ impl std::fmt::Debug for RouterState {
     }
 }
 
+/// A source address as `F_source` records it: the 32- or 128-bit target
+/// field, held inline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SourceAddr {
+    /// A 32-bit source.
+    V4(Ipv4Addr),
+    /// A 128-bit source.
+    V6(Ipv6Addr),
+}
+
 /// Per-packet scratch context threaded through the FN chain.
 ///
 /// Operations communicate *only* through this context and the locations
@@ -237,8 +247,8 @@ pub struct PacketCtx<'a> {
     pub source_key: Option<Block>,
     /// Set by `F_pass` on success; `F_PIT` may require it before caching.
     pub pass_verified: bool,
-    /// Source address recorded by `F_source` (32- or 128-bit, left-aligned).
-    pub source_addr: Option<Vec<u8>>,
+    /// Source address recorded by `F_source`.
+    pub source_addr: Option<SourceAddr>,
     /// The last MAC schedule [`PacketCtx::mac`] expanded, with the
     /// `(choice, key)` it was expanded from.
     mac_memo: Option<(MacChoice, Block, MacSchedule)>,

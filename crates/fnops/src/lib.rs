@@ -42,12 +42,12 @@ pub mod ops;
 pub mod parallel;
 pub mod registry;
 
-pub use context::{Action, DropReason, PacketCtx, RouterState};
+pub use context::{Action, DropReason, PacketCtx, RouterState, SourceAddr};
 pub use cost::OpCost;
 /// `RouterState::routes` is a `RouteTables`; re-exported with the store
 /// that builds it so crates above this one install routes without their
 /// own dependency on `dip-routes`.
-pub use dip_routes::{RouteStore, RouteTables};
+pub use dip_routes::{RouteKey, RouteStore, RouteTables};
 pub use registry::FnRegistry;
 
 use dip_wire::triple::FnTriple;
@@ -82,6 +82,15 @@ pub trait FieldOp: Send + Sync {
     /// its triple, or `None` for read-only operations. Used by the parallel
     /// planner for conflict analysis.
     fn write_range(&self, _triple: &FnTriple) -> Option<(usize, usize)> {
+        None
+    }
+
+    /// The route lookup this operation will make for `triple` on a packet
+    /// whose FN locations area is `locations`, or `None` when it makes
+    /// none. A batching runtime uses it to walk a whole batch's route keys
+    /// together before executing; a wrong answer only costs speed, because
+    /// [`execute`](FieldOp::execute) still makes its own lookup.
+    fn route_key(&self, _triple: &FnTriple, _locations: &[u8]) -> Option<RouteKey> {
         None
     }
 

@@ -9,9 +9,40 @@
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
 use crate::FieldOp;
+use dip_routes::RouteKey;
+use dip_tables::fib::NextHop;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
 use dip_wire::triple::{FnKey, FnTriple};
+
+/// The destination a match op looks up: the target field decoded into an
+/// `N`-byte address, or `None` when the triple is not exactly `N * 8` bits
+/// wide or the field lies outside `locations`. Both `execute` and
+/// `route_key` decode through here, so they always agree on the key.
+fn destination<const N: usize>(triple: &FnTriple, locations: &[u8]) -> Option<[u8; N]> {
+    if usize::from(triple.field_len) != N * 8 {
+        return None;
+    }
+    let mut addr = [0u8; N];
+    dip_wire::bits::read_bits_into(
+        locations,
+        usize::from(triple.field_loc),
+        usize::from(triple.field_len),
+        &mut addr,
+    )
+    .ok()?;
+    Some(addr)
+}
+
+/// A match op's action on its lookup: `None` when the destination did
+/// not decode, else the lookup's answer.
+fn forward(lookup: Option<Option<NextHop>>) -> Action {
+    match lookup {
+        None => Action::Drop(DropReason::MalformedField),
+        Some(Some(nh)) => Action::Forward(nh.port),
+        Some(None) => Action::Drop(DropReason::NoRoute),
+    }
+}
 
 /// 32-bit destination address match.
 #[derive(Debug, Default, Clone, Copy)]
@@ -28,17 +59,11 @@ impl FieldOp for Match32Op {
         state: &mut RouterState,
         ctx: &mut PacketCtx<'_>,
     ) -> Action {
-        if triple.field_len != 32 {
-            return Action::Drop(DropReason::MalformedField);
-        }
-        let Ok(bytes) = ctx.read_field(triple) else {
-            return Action::Drop(DropReason::MalformedField);
-        };
-        let addr = Ipv4Addr([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        match state.lookup_v4(addr) {
-            Some(nh) => Action::Forward(nh.port),
-            None => Action::Drop(DropReason::NoRoute),
-        }
+        forward(destination(triple, ctx.locations).map(|a| state.lookup_v4(Ipv4Addr(a))))
+    }
+
+    fn route_key(&self, triple: &FnTriple, locations: &[u8]) -> Option<RouteKey> {
+        destination(triple, locations).map(|a| RouteKey::V4(Ipv4Addr(a)))
     }
 
     fn cost(&self, _field_bits: u16) -> OpCost {
@@ -61,18 +86,11 @@ impl FieldOp for Match128Op {
         state: &mut RouterState,
         ctx: &mut PacketCtx<'_>,
     ) -> Action {
-        if triple.field_len != 128 {
-            return Action::Drop(DropReason::MalformedField);
-        }
-        let Ok(bytes) = ctx.read_field(triple) else {
-            return Action::Drop(DropReason::MalformedField);
-        };
-        let mut a = [0u8; 16];
-        a.copy_from_slice(&bytes);
-        match state.lookup_v6(Ipv6Addr(a)) {
-            Some(nh) => Action::Forward(nh.port),
-            None => Action::Drop(DropReason::NoRoute),
-        }
+        forward(destination(triple, ctx.locations).map(|a| state.lookup_v6(Ipv6Addr(a))))
+    }
+
+    fn route_key(&self, triple: &FnTriple, locations: &[u8]) -> Option<RouteKey> {
+        destination(triple, locations).map(|a| RouteKey::V6(Ipv6Addr(a)))
     }
 
     fn cost(&self, _field_bits: u16) -> OpCost {
@@ -139,6 +157,31 @@ mod tests {
         let mut c = ctx(&mut locs, &[]);
         let t = FnTriple::router(0, 128, FnKey::Match128);
         assert_eq!(Match128Op.execute(&t, &mut st, &mut c), Action::Forward(9));
+    }
+
+    #[test]
+    fn route_key_names_the_lookup_execute_makes() {
+        let dst = Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0x100]);
+        let mut locs = dst.0.to_vec();
+        locs.extend_from_slice(&[10, 1, 2, 3]);
+        let v4 = FnTriple::router(128, 32, FnKey::Match32);
+        let v6 = FnTriple::router(0, 128, FnKey::Match128);
+        assert_eq!(Match32Op.route_key(&v4, &locs), Some(RouteKey::V4(Ipv4Addr::new(10, 1, 2, 3))));
+        assert_eq!(Match128Op.route_key(&v6, &locs), Some(RouteKey::V6(dst)));
+        // Wrong width, field past the end: no key, and execute drops.
+        let mut st = state();
+        for (op, t) in [
+            (&Match32Op as &dyn FieldOp, FnTriple::router(0, 64, FnKey::Match32)),
+            (&Match32Op, FnTriple::router(136, 32, FnKey::Match32)),
+            (&Match128Op, FnTriple::router(0, 32, FnKey::Match128)),
+            (&Match128Op, FnTriple::router(64, 128, FnKey::Match128)),
+        ] {
+            assert_eq!(op.route_key(&t, &locs), None, "{t:?}");
+            let mut c = ctx(&mut locs, &[]);
+            assert_eq!(op.execute(&t, &mut st, &mut c), Action::Drop(DropReason::MalformedField));
+        }
+        // Ops that look nothing up name no key.
+        assert_eq!(crate::ops::source::SourceOp.route_key(&v4, &locs), None);
     }
 
     #[test]

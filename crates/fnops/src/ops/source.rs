@@ -8,9 +8,11 @@
 //! is only recorded, matching IP's permissive default; strict uRPF is the
 //! operator's policy choice).
 
-use crate::context::{Action, DropReason, PacketCtx, RouterState};
+use crate::context::{Action, DropReason, PacketCtx, RouterState, SourceAddr};
 use crate::cost::OpCost;
 use crate::FieldOp;
+use dip_wire::ipv4::Ipv4Addr;
+use dip_wire::ipv6::Ipv6Addr;
 use dip_wire::triple::{FnKey, FnTriple};
 
 /// Source-address recording op.
@@ -28,16 +30,14 @@ impl FieldOp for SourceOp {
         _state: &mut RouterState,
         ctx: &mut PacketCtx<'_>,
     ) -> Action {
-        if triple.field_len != 32 && triple.field_len != 128 {
-            return Action::Drop(DropReason::MalformedField);
-        }
-        match ctx.read_field(triple) {
-            Ok(bytes) => {
-                ctx.source_addr = Some(bytes);
-                Action::Continue
-            }
-            Err(_) => Action::Drop(DropReason::MalformedField),
-        }
+        let mut bytes = [0u8; 16];
+        let addr = match (triple.field_len, ctx.read_field_into(triple, &mut bytes)) {
+            (32, Ok(_)) => SourceAddr::V4(Ipv4Addr([bytes[0], bytes[1], bytes[2], bytes[3]])),
+            (128, Ok(_)) => SourceAddr::V6(Ipv6Addr(bytes)),
+            _ => return Action::Drop(DropReason::MalformedField),
+        };
+        ctx.source_addr = Some(addr);
+        Action::Continue
     }
 
     fn cost(&self, _field_bits: u16) -> OpCost {
@@ -58,7 +58,7 @@ mod tests {
         let mut c = ctx(&mut locs, &[]);
         let t = FnTriple::router(32, 32, FnKey::Source);
         assert_eq!(SourceOp.execute(&t, &mut st, &mut c), Action::Continue);
-        assert_eq!(c.source_addr, Some(vec![10, 0, 0, 9]));
+        assert_eq!(c.source_addr, Some(SourceAddr::V4(Ipv4Addr::new(10, 0, 0, 9))));
     }
 
     #[test]
@@ -69,7 +69,7 @@ mod tests {
         let mut c = ctx(&mut locs, &[]);
         let t = FnTriple::router(128, 128, FnKey::Source);
         assert_eq!(SourceOp.execute(&t, &mut st, &mut c), Action::Continue);
-        assert_eq!(c.source_addr.as_ref().unwrap()[0], 0xfd);
+        assert!(matches!(c.source_addr, Some(SourceAddr::V6(a)) if a.0[0] == 0xfd));
     }
 
     #[test]

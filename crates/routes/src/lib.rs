@@ -9,7 +9,8 @@
 //! * [`lpm`] — a compressed multibit/poptrie-style LPM (direct 2^16
 //!   root, stride-8 popcount-navigated chunks, run-compressed leaves)
 //!   holding ≥1M IPv4 and ≥500k IPv6 routes; an empty table allocates
-//!   nothing;
+//!   nothing; a batch of keys walks it level by level so their cache
+//!   misses overlap;
 //! * [`name_fib`] / [`xia_fib`] — a hash-compacted NDN name FIB
 //!   (rolling per-depth prefix hashes, deepest-first probes) and a
 //!   flattened XIA route table that preserves the declared-type
@@ -48,6 +49,6 @@ pub mod xia_fib;
 pub use delta::RouteDelta;
 pub use lpm::CompressedLpm;
 pub use name_fib::CompactNameFib;
-pub use store::{RouteStore, RouteTables, StoreStats};
+pub use store::{RouteKey, RouteStore, RouteTables, StoreStats};
 pub use synth::{synthesize_v4, synthesize_v6};
 pub use xia_fib::CompactXia;

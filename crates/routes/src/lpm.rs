@@ -21,6 +21,15 @@
 //! chunk has no covering route — a chunk only ever holds len > 16
 //! routes, so a chunk hit is always the longer match.
 //!
+//! Each of those steps is a dependent memory access, and over a large
+//! table most of them miss the cache. [`CompressedLpm::lookup_many`]
+//! walks a batch of keys *level-synchronously* — every key's root slot
+//! first, then every still-descending key one chunk level down, and so
+//! on — so the misses of independent keys are in flight together instead
+//! of one key at a time (the CRAM lens again: count dependent accesses,
+//! then overlap them). Both walks drive the one level step,
+//! `Chunk::step`, so a node is decoded in exactly one place.
+//!
 //! Updates never mutate published state. The authoritative routes live
 //! in a [`PrefixStore`] (two ordered maps, short/long); applying a
 //! delta clones the 65 536-slot chunk vector (cheap: `Option<Arc>`s),
@@ -35,6 +44,11 @@ use std::sync::Arc;
 
 /// Number of direct-pointing root slots (top 16 bits).
 pub(crate) const SLOTS: usize = 1 << 16;
+
+/// Keys walked together by [`CompressedLpm::lookup_many`]: a dataplane
+/// worker's default batch, and few enough that the walk state stays in
+/// registers and one stack frame.
+pub const WALK_GROUP: usize = 32;
 
 /// Left-aligned mask of the top `len` bits of a `u128`.
 #[inline]
@@ -150,6 +164,15 @@ struct PNode {
     base1: u32,
 }
 
+/// The outcome of one level of a chunk walk.
+enum Level {
+    /// The key descends into this child node, one level deeper.
+    Descend(usize),
+    /// The walk ends here: the leaf run's value (`None` ⇒ fall back to
+    /// the root leaf).
+    Leaf(Option<NextHop>),
+}
+
 /// An immutable compiled sub-trie holding every len > 16 route of one
 /// root slot. Chunks are shared (`Arc`) between table versions and
 /// rebuilt whole when a delta touches their slot.
@@ -162,11 +185,17 @@ pub(crate) struct Chunk {
 }
 
 impl Chunk {
-    /// Compiles the chunk for one slot from its long routes. All routes
-    /// must share the slot's top 16 bits and have `len > 16`.
+    /// Compiles the chunk for one slot from its long routes, in key
+    /// order. All routes must share the slot's top 16 bits and have
+    /// `len > 16`.
     fn build(routes: &[(u128, u8, NextHop)]) -> Chunk {
+        debug_assert!(routes.is_sorted_by_key(|&(bits, len, _)| (bits, len)));
+        debug_assert!(routes.iter().all(|&(_, len, _)| len > 16));
         let mut chunk = Chunk { nodes: vec![PNode::default()], leaves: Vec::new() };
         chunk.fill(0, routes, 16, None);
+        // A chunk is immutable once built: drop the growth slack.
+        chunk.nodes.shrink_to_fit();
+        chunk.leaves.shrink_to_fit();
         chunk
     }
 
@@ -181,21 +210,31 @@ impl Chunk {
         inherited: Option<NextHop>,
     ) {
         // For each of the 256 byte values: the best route terminating
-        // within this stride, and the routes that need a deeper node.
-        let mut best: Vec<Option<(u8, NextHop)>> = vec![None; 256];
-        let mut deeper: Vec<Vec<(u128, u8, NextHop)>> = vec![Vec::new(); 256];
-        for &(bits, len, nh) in routes {
-            debug_assert!(len > depth, "route shorter than its node");
+        // within this stride, and the run of `routes` a deeper node needs
+        // (`(start, end)`, `end == 0` for none). `routes` is in key order,
+        // so the routes sharing this node's byte value are contiguous: a
+        // child gets its whole run, stack-only, and skips the routes that
+        // already ended in this stride.
+        let mut best = [None::<(u8, NextHop)>; 256];
+        let mut deeper = [(0usize, 0usize); 256];
+        for (i, &(bits, len, nh)) in routes.iter().enumerate() {
+            if len <= depth {
+                continue;
+            }
+            let v = byte_at(bits, depth);
             if len <= depth + 8 {
                 let span = 1usize << (depth + 8 - len);
-                let start = byte_at(bits, depth);
-                for slot in best.iter_mut().skip(start).take(span) {
+                for slot in best.iter_mut().skip(v).take(span) {
                     if slot.is_none_or(|(l, _)| l < len) {
                         *slot = Some((len, nh));
                     }
                 }
             } else {
-                deeper[byte_at(bits, depth)].push((bits, len, nh));
+                let run = &mut deeper[v];
+                if run.1 == 0 {
+                    run.0 = i;
+                }
+                run.1 = i + 1;
             }
         }
         let mut vector = [0u64; 4];
@@ -204,7 +243,7 @@ impl Chunk {
         let mut prev: Option<Option<NextHop>> = None;
         let mut children = 0u32;
         for v in 0..256 {
-            if !deeper[v].is_empty() {
+            if deeper[v].1 != 0 {
                 bm_set(&mut vector, v);
                 children += 1;
             } else {
@@ -220,14 +259,28 @@ impl Chunk {
         self.nodes[node_idx] = PNode { vector, leafvec, base0, base1 };
         self.nodes.extend((0..children).map(|_| PNode::default()));
         let mut child = 0u32;
-        for v in 0..256 {
-            if deeper[v].is_empty() {
+        for (v, &(start, end)) in deeper.iter().enumerate() {
+            if end == 0 {
                 continue;
             }
             let pushed = best[v].map(|(_, nh)| nh).or(inherited);
-            let sub = std::mem::take(&mut deeper[v]);
-            self.fill((base1 + child) as usize, &sub, depth + 8, pushed);
+            self.fill((base1 + child) as usize, &routes[start..end], depth + 8, pushed);
             child += 1;
+        }
+    }
+
+    /// One level of a walk: decodes node `idx` (covering bits
+    /// `[depth, depth + 8)`) for `bits`. Every lookup, single or batched,
+    /// goes through here.
+    #[inline]
+    fn step(&self, idx: usize, bits: u128, depth: u8) -> Level {
+        let node = &self.nodes[idx];
+        let v = byte_at(bits, depth);
+        if bm_get(&node.vector, v) {
+            Level::Descend(node.base1 as usize + bm_rank(&node.vector, v))
+        } else {
+            let run = bm_rank(&node.leafvec, v) + usize::from(bm_get(&node.leafvec, v));
+            Level::Leaf(self.leaves[node.base0 as usize + run - 1])
         }
     }
 
@@ -236,14 +289,12 @@ impl Chunk {
         let mut idx = 0usize;
         let mut depth = 16u8;
         loop {
-            let node = &self.nodes[idx];
-            let v = byte_at(bits, depth);
-            if bm_get(&node.vector, v) {
-                idx = node.base1 as usize + bm_rank(&node.vector, v);
-                depth += 8;
-            } else {
-                let run = bm_rank(&node.leafvec, v) + usize::from(bm_get(&node.leafvec, v));
-                return self.leaves[node.base0 as usize + run - 1];
+            match self.step(idx, bits, depth) {
+                Level::Descend(child) => {
+                    idx = child;
+                    depth += 8;
+                }
+                Level::Leaf(nh) => return nh,
             }
         }
     }
@@ -373,6 +424,63 @@ impl CompressedLpm {
         self.root_leaf.get(slot).copied().flatten()
     }
 
+    /// Longest-prefix match on every key of `keys` (left-aligned, as for
+    /// [`lookup_bits`](CompressedLpm::lookup_bits)), answer `i` into
+    /// `out[i]`. The answers equal `lookup_bits`'s; what differs is the
+    /// memory access order. Keys are walked in groups of [`WALK_GROUP`]
+    /// one trie level at a time, so a group's independent cache misses
+    /// overlap instead of queueing behind each other. Any number of keys
+    /// is accepted and nothing is allocated.
+    ///
+    /// # Panics
+    ///
+    /// If `out` and `keys` differ in length.
+    pub fn lookup_many(&self, keys: &[u128], out: &mut [Option<NextHop>]) {
+        assert_eq!(keys.len(), out.len(), "lookup_many: one answer slot per key");
+        for (keys, out) in keys.chunks(WALK_GROUP).zip(out.chunks_mut(WALK_GROUP)) {
+            self.walk_group(keys, out);
+        }
+    }
+
+    /// One level-synchronous walk over at most [`WALK_GROUP`] keys.
+    fn walk_group(&self, keys: &[u128], out: &mut [Option<NextHop>]) {
+        // Each key's chunk and current node while it is still descending.
+        let mut lanes: [Option<(&Chunk, usize)>; WALK_GROUP] = [None; WALK_GROUP];
+        // First level: every key's root slot, and its root-leaf fallback
+        // read eagerly as an independent load.
+        for ((&bits, answer), lane) in keys.iter().zip(out.iter_mut()).zip(lanes.iter_mut()) {
+            let slot = (bits >> 112) as usize;
+            *answer = self.root_leaf.get(slot).copied().flatten();
+            if let Some(Some(chunk)) = self.chunks.get(slot) {
+                *lane = Some((chunk, 0));
+            }
+        }
+        // Every later level advances each still-descending key by one
+        // chunk node. Routes are at most 128 bits long, so the deepest
+        // node covers bits [120, 128) and the walk ends by then.
+        let mut depth = 16u8;
+        let mut descending = true;
+        while descending {
+            descending = false;
+            for ((&bits, answer), lane) in keys.iter().zip(out.iter_mut()).zip(lanes.iter_mut()) {
+                let Some((chunk, idx)) = lane else { continue };
+                match chunk.step(*idx, bits, depth) {
+                    Level::Descend(child) => {
+                        *idx = child;
+                        descending = true;
+                    }
+                    Level::Leaf(nh) => {
+                        if nh.is_some() {
+                            *answer = nh;
+                        }
+                        *lane = None;
+                    }
+                }
+            }
+            depth += 8;
+        }
+    }
+
     /// Number of routes compiled into this table.
     pub fn len(&self) -> usize {
         self.len
@@ -467,6 +575,71 @@ mod tests {
         assert_eq!(lpm.lookup_bits(key), Some(NextHop::port(9)));
         assert_eq!(lpm.lookup_bits(key ^ 1), None);
         assert_eq!(lpm.lookup_bits(key ^ (1 << 127)), None);
+    }
+
+    /// `lookup_many` over `keys` in one call, then key by key; both
+    /// must equal `lookup_bits`.
+    fn assert_walk_matches(lpm: &CompressedLpm, keys: &[u128]) -> Vec<Option<NextHop>> {
+        let mut out = vec![Some(NextHop::port(u32::MAX)); keys.len()];
+        lpm.lookup_many(keys, &mut out);
+        for (&key, &answer) in keys.iter().zip(&out) {
+            assert_eq!(answer, lpm.lookup_bits(key), "key {key:x}");
+            let mut one = [None];
+            lpm.lookup_many(&[key], &mut one);
+            assert_eq!(one[0], answer, "key {key:x} alone");
+        }
+        out
+    }
+
+    #[test]
+    fn batch_walk_answers_like_single_lookups_at_every_boundary() {
+        let v6 = 0xfdaa_0123_4567_89ab_cdef_0011_2233_4455u128;
+        let keys: Vec<u128> = vec![
+            0,
+            v4_bits(10, 1, 0, 1),
+            v4_bits(10, 1, 200, 1),
+            v4_bits(10, 2, 3, 4),
+            v4_bits(192, 0, 2, 1),
+            v6,
+            v6 ^ 1,
+            v6 ^ 0x100,
+            v6 ^ (1 << 127),
+            u128::MAX,
+        ];
+        // Empty table: every answer is `None`, and an empty batch is fine.
+        let (_, empty) = build(&[]);
+        assert!(assert_walk_matches(&empty, &keys).iter().all(Option::is_none));
+        empty.lookup_many(&[], &mut []);
+
+        // Only ≤ /16 routes: no chunk exists, every answer is a root leaf.
+        let (_, short) = build(&[
+            (0, 0, NextHop::port(1)),
+            (v4_bits(10, 0, 0, 0), 8, NextHop::port(2)),
+            (v4_bits(10, 1, 0, 0), 16, NextHop::port(3)),
+        ]);
+        assert_eq!(short.footprint().0, 0, "no chunks");
+        let got = assert_walk_matches(&short, &keys);
+        assert_eq!(&got[..5], &[1, 3, 3, 2, 1].map(|p| Some(NextHop::port(p))));
+
+        // The /16 | /17 boundary, and the /120 | /128 one at the bottom of
+        // the deepest chunk.
+        let (_, deep) = build(&[
+            (v4_bits(10, 1, 0, 0), 16, NextHop::port(1)),
+            (v4_bits(10, 1, 128, 0), 17, NextHop::port(2)),
+            (v6 & mask_bits(120), 120, NextHop::port(3)),
+            (v6, 128, NextHop::port(4)),
+        ]);
+        let got = assert_walk_matches(&deep, &keys);
+        assert_eq!(got[1], Some(NextHop::port(1)));
+        assert_eq!(got[2], Some(NextHop::port(2)));
+        assert_eq!(got[3], None);
+        assert_eq!(got[5], Some(NextHop::port(4)));
+        assert_eq!(got[6], Some(NextHop::port(3)));
+        assert_eq!(got[7], None);
+
+        // More keys than one walk group, in one call.
+        let many: Vec<u128> = keys.iter().cycle().take(3 * WALK_GROUP + 5).copied().collect();
+        assert_walk_matches(&deep, &many);
     }
 
     /// Every router and every published snapshot starts from an empty

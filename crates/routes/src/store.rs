@@ -10,7 +10,7 @@
 //! counts — a healthy system commits deltas and almost never rebuilds.
 
 use crate::delta::RouteDelta;
-use crate::lpm::{mask_bits, CompressedLpm, PrefixStore};
+use crate::lpm::{mask_bits, CompressedLpm, PrefixStore, WALK_GROUP};
 use crate::name_fib::{CompactNameFib, NameRoutes};
 use crate::xia_fib::CompactXia;
 use dip_tables::fib::NextHop;
@@ -23,6 +23,20 @@ use dip_wire::xia::{Xid, XidType};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The destination an IP lookup is made on: what
+/// [`RouteTables::lookup_many`] walks, one key per lookup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RouteKey {
+    /// An IPv4 destination (answered by [`RouteTables::lookup_v4`]).
+    V4(Ipv4Addr),
+    /// An IPv6 destination (answered by [`RouteTables::lookup_v6`]).
+    V6(Ipv6Addr),
+}
+
+/// Longest prefix length each family can hold.
+const V4_MAX_LEN: u8 = 32;
+const V6_MAX_LEN: u8 = 128;
 
 /// One immutable version of every protocol's compiled forwarding
 /// table. `Clone` is a handful of `Arc` bumps — this is the value the
@@ -53,6 +67,46 @@ impl RouteTables {
     #[inline]
     pub fn lookup_v6(&self, addr: Ipv6Addr) -> Option<NextHop> {
         self.v6.lookup_bits(addr.to_u128())
+    }
+
+    /// The IPv4 or IPv6 longest-prefix match of every key, answer `i`
+    /// into `out[i]` — the same answers as [`lookup_v4`](Self::lookup_v4)
+    /// and [`lookup_v6`](Self::lookup_v6), with the keys of each family
+    /// walked together by [`CompressedLpm::lookup_many`] so their cache
+    /// misses overlap. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `out` and `keys` differ in length.
+    pub fn lookup_many(&self, keys: &[RouteKey], out: &mut [Option<NextHop>]) {
+        assert_eq!(keys.len(), out.len(), "lookup_many: one answer slot per key");
+        for (keys, out) in keys.chunks(WALK_GROUP).zip(out.chunks_mut(WALK_GROUP)) {
+            // Split the group by family, remembering where each key came
+            // from, walk each family's keys together, and scatter back.
+            let mut bits = [[0u128; WALK_GROUP]; 2];
+            let mut from = [[0usize; WALK_GROUP]; 2];
+            let mut count = [0usize; 2];
+            for (i, key) in keys.iter().enumerate() {
+                let (family, b) = match *key {
+                    RouteKey::V4(a) => (0, u128::from(a.to_u32()) << 96),
+                    RouteKey::V6(a) => (1, a.to_u128()),
+                };
+                bits[family][count[family]] = b;
+                from[family][count[family]] = i;
+                count[family] += 1;
+            }
+            for (family, lpm) in [&self.v4, &self.v6].into_iter().enumerate() {
+                let n = count[family];
+                if n == 0 {
+                    continue;
+                }
+                let mut answers = [None; WALK_GROUP];
+                lpm.lookup_many(&bits[family][..n], &mut answers[..n]);
+                for (&i, answer) in from[family][..n].iter().zip(answers) {
+                    out[i] = answer;
+                }
+            }
+        }
     }
 
     /// NDN longest-name-prefix match.
@@ -92,6 +146,10 @@ pub struct StoreStats {
     pub full_rebuilds: u64,
     /// Epoch publications noted via [`RouteStore::note_epoch_swap`].
     pub epoch_swaps: u64,
+    /// IP route insertions and delta operations refused because their
+    /// prefix length exceeds the family's width (above 32 for IPv4, above
+    /// 128 for IPv6).
+    pub invalid_routes: u64,
 }
 
 /// The `dip_routes_*` telemetry family.
@@ -187,14 +245,32 @@ impl RouteStore {
     }
 
     /// Inserts an IPv4 route into the ground truth (compile later via
-    /// [`RouteStore::rebuild`] — seeding path).
+    /// [`RouteStore::rebuild`] — seeding path). A length above 32 is
+    /// refused and counted in [`StoreStats::invalid_routes`].
     pub fn insert_v4(&mut self, addr: Ipv4Addr, len: u8, next_hop: NextHop) {
-        self.v4.insert(u128::from(addr.to_u32()) << 96, len, next_hop);
+        if self.admit_len(len, V4_MAX_LEN) {
+            self.v4.insert(u128::from(addr.to_u32()) << 96, len, next_hop);
+        }
     }
 
-    /// Inserts an IPv6 route into the ground truth.
+    /// Inserts an IPv6 route into the ground truth. A length above 128
+    /// is refused and counted in [`StoreStats::invalid_routes`].
     pub fn insert_v6(&mut self, addr: Ipv6Addr, len: u8, next_hop: NextHop) {
-        self.v6.insert(addr.to_u128(), len, next_hop);
+        if self.admit_len(len, V6_MAX_LEN) {
+            self.v6.insert(addr.to_u128(), len, next_hop);
+        }
+    }
+
+    /// Whether a prefix of `len` bits fits a family `max` bits wide;
+    /// counts the refusal when it does not. This is the one gate in front
+    /// of the prefix maps, so the compiled tables never hold a node below
+    /// bit 128.
+    fn admit_len(&mut self, len: u8, max: u8) -> bool {
+        let fits = len <= max;
+        if !fits {
+            self.stats.invalid_routes += 1;
+        }
+        fits
     }
 
     /// Inserts an NDN name route into the ground truth.
@@ -246,13 +322,18 @@ impl RouteStore {
     /// Commits a delta: applies it to the ground truth, then derives
     /// the next compiled version copy-on-write — only the touched LPM
     /// chunks / root-leaf ranges are rebuilt, and untouched families
-    /// are shared with the previous version by `Arc`.
+    /// are shared with the previous version by `Arc`. An IP operation
+    /// whose length exceeds its family's width is skipped and counted in
+    /// [`StoreStats::invalid_routes`].
     pub fn commit(&mut self, delta: &RouteDelta) -> RouteTables {
         let t0 = Instant::now();
 
         let mut v4_slots = BTreeSet::new();
         let mut v4_shorts = Vec::new();
         for &(addr, len, action) in &delta.v4 {
+            if !self.admit_len(len, V4_MAX_LEN) {
+                continue;
+            }
             let bits = u128::from(addr.to_u32()) << 96;
             let changed = match action {
                 Some(nh) => self.v4.insert(bits, len, nh),
@@ -269,6 +350,9 @@ impl RouteStore {
         let mut v6_slots = BTreeSet::new();
         let mut v6_shorts = Vec::new();
         for &(addr, len, action) in &delta.v6 {
+            if !self.admit_len(len, V6_MAX_LEN) {
+                continue;
+            }
             let bits = addr.to_u128();
             let changed = match action {
                 Some(nh) => self.v6.insert(bits, len, nh),
@@ -426,6 +510,59 @@ mod tests {
         assert_eq!(t2.lookup_v4(Ipv4Addr::new(10, 1, 2, 9)), Some(NextHop::port(7)));
         assert_eq!(t2.lookup_v4(Ipv4Addr::new(10, 9, 9, 9)), Some(NextHop::port(1)));
         assert_eq!(t2.lookup_name(&Name::parse("/wl/cat/1/seg0")), Some(NextHop::port(3)));
+    }
+
+    #[test]
+    fn impossible_prefix_lengths_are_refused_and_counted() {
+        let mut store = RouteStore::new();
+        store.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+        store.insert_v4(Ipv4Addr::new(10, 1, 2, 3), 33, NextHop::port(9));
+        store.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(2));
+        store.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 1]), 129, NextHop::port(9));
+        let t = store.rebuild();
+        assert_eq!(t.lookup_v4(Ipv4Addr::new(10, 1, 2, 3)), Some(NextHop::port(1)));
+        assert_eq!(store.route_count(), 2);
+        assert_eq!(store.stats().invalid_routes, 2);
+
+        // Through a delta: a /129 and a /200 announce, a /33 withdraw.
+        let host = Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 1]);
+        let mut delta = RouteDelta::new();
+        delta.announce_v6(host, 129, NextHop::port(9));
+        delta.announce_v6(host, 200, NextHop::port(9));
+        delta.withdraw_v4(Ipv4Addr::new(10, 0, 0, 0), 33);
+        delta.announce_v4(Ipv4Addr::new(10, 1, 2, 0), 24, NextHop::port(7));
+        let t = store.commit(&delta);
+        assert_eq!(t.lookup_v6(host), Some(NextHop::port(2)));
+        assert_eq!(t.lookup_v4(Ipv4Addr::new(10, 1, 2, 3)), Some(NextHop::port(7)));
+        assert_eq!(store.route_count(), 3);
+        assert_eq!(store.stats().invalid_routes, 5);
+    }
+
+    #[test]
+    fn lookup_many_answers_each_family_like_its_single_lookup() {
+        let mut store = RouteStore::new();
+        store.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));
+        store.insert_v4(Ipv4Addr::new(10, 1, 2, 0), 24, NextHop::port(2));
+        store.insert_v6(Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0]), 16, NextHop::port(3));
+        store.insert_v6(Ipv6Addr::new([0xfdaa, 7, 0, 0, 0, 0, 0, 0]), 48, NextHop::port(4));
+        let t = store.rebuild();
+        // Interleaved families, more keys than one walk group.
+        let keys: Vec<RouteKey> = (0..70u16)
+            .map(|i| match i % 3 {
+                0 => RouteKey::V4(Ipv4Addr::new(10, 1, (i % 4) as u8, 1)),
+                1 => RouteKey::V6(Ipv6Addr::new([0xfdaa, i % 9, 0, 0, 0, 0, 0, 1])),
+                _ => RouteKey::V4(Ipv4Addr::new(11, 0, 0, i as u8)),
+            })
+            .collect();
+        let mut out = vec![None; keys.len()];
+        t.lookup_many(&keys, &mut out);
+        for (key, answer) in keys.iter().zip(out) {
+            let single = match *key {
+                RouteKey::V4(a) => t.lookup_v4(a),
+                RouteKey::V6(a) => t.lookup_v6(a),
+            };
+            assert_eq!(answer, single, "{key:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! a fresh store rebuilt from the same ground truth.
 
 use dip_crypto::DetRng;
-use dip_routes::{synthesize_v4, synthesize_v6, RouteDelta, RouteStore, RouteTables};
+use dip_routes::{synthesize_v4, synthesize_v6, RouteDelta, RouteKey, RouteStore, RouteTables};
 use dip_tables::fib::NextHop;
 use dip_tables::XiaNextHop;
 use dip_wire::ipv4::Ipv4Addr;
@@ -170,6 +170,7 @@ fn snapshot_plus_delta_equals_rebuilt_snapshot() {
 
         // Probe every pool prefix — live and withdrawn — with the
         // uncovered bits randomized, plus the exact prefix address.
+        let mut probes = Vec::new();
         for &(a, l, _) in &u.v4 {
             let mask = if l == 0 { 0 } else { u32::MAX << (32 - u32::from(l)) };
             for key in [a.to_u32(), a.to_u32() | (rng.next_u32() & !mask)] {
@@ -179,6 +180,7 @@ fn snapshot_plus_delta_equals_rebuilt_snapshot() {
                     reference.lookup_v4(probe),
                     "round {round} v4 {probe:?}"
                 );
+                probes.push(RouteKey::V4(probe));
             }
         }
         for &(a, l, _) in &u.v6 {
@@ -191,6 +193,24 @@ fn snapshot_plus_delta_equals_rebuilt_snapshot() {
                     reference.lookup_v6(probe),
                     "round {round} v6 {probe:?}"
                 );
+                probes.push(RouteKey::V6(probe));
+            }
+        }
+        // The committed tables' batch walk answers like the rebuild's
+        // single lookups, in batches of 0, 1, 31, 32 and 33.
+        let expected: Vec<_> = probes
+            .iter()
+            .map(|key| match *key {
+                RouteKey::V4(a) => reference.lookup_v4(a),
+                RouteKey::V6(a) => reference.lookup_v6(a),
+            })
+            .collect();
+        incremental.lookup_many(&[], &mut []);
+        for size in [1, 31, 32, 33] {
+            for (batch, want) in probes.chunks(size).zip(expected.chunks(size)) {
+                let mut out = vec![None; batch.len()];
+                incremental.lookup_many(batch, &mut out);
+                assert_eq!(out, want, "round {round} batch of {size}");
             }
         }
         for (n, _) in &u.names {

@@ -8,7 +8,7 @@
 //! `--release` at full scale.
 
 use dip_crypto::DetRng;
-use dip_routes::{synthesize_v4, synthesize_v6, RouteDelta, RouteStore};
+use dip_routes::{synthesize_v4, synthesize_v6, RouteDelta, RouteKey, RouteStore, RouteTables};
 use dip_tables::fib::NextHop;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
@@ -44,6 +44,19 @@ fn oracle_v6(routes: &[(Ipv6Addr, u8, NextHop)], key: u128) -> Option<NextHop> {
         .filter(|&&(p, len, _)| (key ^ p.to_u128()) & mask128(len) == 0)
         .max_by_key(|&&(_, len, _)| len)
         .map(|&(_, _, nh)| nh)
+}
+
+/// The batch walk over `keys`, cut into batches of 0 (an empty call), 1,
+/// 31, 32 and 33 keys, must give the oracle's answers.
+fn assert_batches_match(tables: &RouteTables, keys: &[RouteKey], expected: &[Option<NextHop>]) {
+    tables.lookup_many(&[], &mut []);
+    for size in [1, 31, 32, 33] {
+        for (batch, want) in keys.chunks(size).zip(expected.chunks(size)) {
+            let mut out = vec![None; batch.len()];
+            tables.lookup_many(batch, &mut out);
+            assert_eq!(out, want, "batch of {size} starting at {:?}", batch[0]);
+        }
+    }
 }
 
 #[test]
@@ -96,12 +109,12 @@ fn million_route_oracle_v4_v6() {
         Ipv4Addr::new(10, 63, 255, 255).to_u32(),
         Ipv4Addr::new(203, 0, 113, 9).to_u32(),
     ];
+    // Every probe and its oracle answer, both families, for the batch walk.
+    let mut probes: Vec<(RouteKey, Option<NextHop>)> = Vec::new();
     for key in v4_fixed {
-        assert_eq!(
-            tables.lookup_v4(Ipv4Addr::from_u32(key)),
-            oracle_v4(&v4, key),
-            "v4 fixed {key:#x}"
-        );
+        let want = oracle_v4(&v4, key);
+        assert_eq!(tables.lookup_v4(Ipv4Addr::from_u32(key)), want, "v4 fixed {key:#x}");
+        probes.push((RouteKey::V4(Ipv4Addr::from_u32(key)), want));
     }
     for i in 0..n_probes {
         // Alternate prefix-targeted probes (randomize uncovered bits,
@@ -113,11 +126,9 @@ fn million_route_oracle_v4_v6() {
         } else {
             rng.next_u32()
         };
-        assert_eq!(
-            tables.lookup_v4(Ipv4Addr::from_u32(key)),
-            oracle_v4(&v4, key),
-            "v4 key {key:#x}"
-        );
+        let want = oracle_v4(&v4, key);
+        assert_eq!(tables.lookup_v4(Ipv4Addr::from_u32(key)), want, "v4 key {key:#x}");
+        probes.push((RouteKey::V4(Ipv4Addr::from_u32(key)), want));
     }
     let v6_fixed = [
         0u128,
@@ -128,11 +139,9 @@ fn million_route_oracle_v4_v6() {
         Ipv6Addr::new([0x2001, 0xdb8, 0, 0, 0, 0, 0, 1]).to_u128(),
     ];
     for key in v6_fixed {
-        assert_eq!(
-            tables.lookup_v6(Ipv6Addr::from_u128(key)),
-            oracle_v6(&v6, key),
-            "v6 fixed {key:#x}"
-        );
+        let want = oracle_v6(&v6, key);
+        assert_eq!(tables.lookup_v6(Ipv6Addr::from_u128(key)), want, "v6 fixed {key:#x}");
+        probes.push((RouteKey::V6(Ipv6Addr::from_u128(key)), want));
     }
     for i in 0..n_probes {
         let key = if i % 2 == 0 {
@@ -143,12 +152,20 @@ fn million_route_oracle_v4_v6() {
         } else {
             u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())
         };
-        assert_eq!(
-            tables.lookup_v6(Ipv6Addr::from_u128(key)),
-            oracle_v6(&v6, key),
-            "v6 key {key:#x}"
-        );
+        let want = oracle_v6(&v6, key);
+        assert_eq!(tables.lookup_v6(Ipv6Addr::from_u128(key)), want, "v6 key {key:#x}");
+        probes.push((RouteKey::V6(Ipv6Addr::from_u128(key)), want));
     }
+
+    // The batch walk, one family at a time and with the families
+    // interleaved key by key.
+    let (keys, expected): (Vec<RouteKey>, Vec<Option<NextHop>>) = probes.iter().copied().unzip();
+    assert_batches_match(&tables, &keys, &expected);
+    let (v4_probes, v6_probes): (Vec<_>, Vec<_>) =
+        probes.into_iter().partition(|(key, _)| matches!(key, RouteKey::V4(_)));
+    let (keys, expected): (Vec<RouteKey>, Vec<Option<NextHop>>) =
+        v4_probes.into_iter().zip(v6_probes).flat_map(|(a, b)| [a, b]).unzip();
+    assert_batches_match(&tables, &keys, &expected);
 
     // Deltas keep working at full scale: withdraw a host route, check
     // the next-longest cover takes over, re-announce, check it's back.

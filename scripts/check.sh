@@ -19,8 +19,9 @@
 #             pin, not a speed number)
 #   bench  — the stand-alone benchmark (the one measurement of speed)
 #             still builds against the crates, passes its own correctness
-#             pre-check traced and untraced on the NDN tables and on the
-#             OPT crypto path, and nothing under its paths was edited
+#             pre-check traced and untraced on the IP route walk, the NDN
+#             tables and the OPT crypto path, and nothing under its paths
+#             was edited
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,7 +62,7 @@ echo "== bench: stand-alone benchmark builds and passes its pre-check"
 # non-zero when the pre-check, the accounting identity or the generator
 # schedule fails.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-for workload in ndn_cache opt_secure; do
+for workload in ip_forward ndn_cache opt_secure; do
     for trace in 0 1; do
         python3 benchmark/run.py --workload "$workload" --trace "$trace" --seconds 3 \
             > "/tmp/dipbench_smoke_${workload}_$trace.txt"

@@ -21,17 +21,21 @@
 //! capacity eviction — a legitimately global-order-dependent behavior —
 //! never triggers.
 //!
+//! The IP case over a trie of thousands of prefixes drives the batch
+//! route walk through chunk nodes, with malformed and unrouted packets
+//! mixed in; every case also checks the per-key FN invocation counts.
+//!
 //! A last case runs generated workload traces (IPv4 and NDN) while a
 //! route storm publishes snapshots mid-run: the flap pools cover no
 //! trace route, so however snapshot pick-up races the workers, nothing
 //! observable may change.
 
 use dip::crypto::DetRng;
-use dip::dataplane::{Backpressure, Dataplane, DataplaneConfig, DataplaneReport};
+use dip::dataplane::{Admission, Backpressure, Dataplane, DataplaneConfig, DataplaneReport};
 use dip::prelude::*;
 use dip::protocols::{ip, ndn, ndn_opt, xia};
 use dip::tables::{Port, Ticks, XiaNextHop};
-use dip::telemetry::{PacketOutcome, Snapshot};
+use dip::telemetry::{PacketOutcome, Registry, Snapshot};
 use dip::wire::ipv4::Ipv4Addr;
 use dip::wire::ipv6::Ipv6Addr;
 use dip::workload::trace::INGRESS_PORT;
@@ -68,11 +72,37 @@ fn cs_digest(router: &DipRouter) -> Vec<(u32, Vec<u8>, Ticks)> {
     d
 }
 
+/// `dip_fn_invocations_total` per standard key, then over every key.
+fn fn_invocations(snap: &Snapshot) -> Vec<u64> {
+    let mut counts: Vec<u64> = (1..=12)
+        .map(|wire| {
+            let label = format!("{:?}", FnKey::from_wire(wire));
+            snap.sum_where("dip_fn_invocations_total", &[("fn", label.as_str())])
+        })
+        .collect();
+    counts.push(snap.get("dip_fn_invocations_total"));
+    counts
+}
+
 /// Runs the workload on a single reference router and on the dataplane at
 /// every (workers × batch) point, asserting equivalence at each.
 fn assert_deterministic(proto: &str, factory: impl Fn(usize) -> DipRouter, packets: &[Packet]) {
-    // Sequential reference.
+    assert_deterministic_under(proto, factory, packets, Admission::Lint);
+}
+
+/// [`assert_deterministic`] with the dataplane's program admission policy
+/// chosen: a program `dipcheck` refuses is dropped unexecuted under
+/// `Lint`, and executes like the reference router's under `Open`.
+fn assert_deterministic_under(
+    proto: &str,
+    factory: impl Fn(usize) -> DipRouter,
+    packets: &[Packet],
+    admission: Admission,
+) {
+    // Sequential reference, counting its FN invocations.
     let mut reference = factory(0);
+    let reference_registry = Registry::new();
+    reference.attach_metrics(&reference_registry, &[]);
     let expected: Vec<(Verdict, Vec<u8>)> = packets
         .iter()
         .map(|(bytes, in_port, now)| {
@@ -83,6 +113,7 @@ fn assert_deterministic(proto: &str, factory: impl Fn(usize) -> DipRouter, packe
         .collect();
     let expected_pit = pit_digest(&reference);
     let expected_cs = cs_digest(&reference);
+    let expected_invocations = fn_invocations(&reference_registry.snapshot());
 
     for workers in WORKERS {
         for batch in BATCHES {
@@ -91,8 +122,8 @@ fn assert_deterministic(proto: &str, factory: impl Fn(usize) -> DipRouter, packe
                 batch_size: batch,
                 ring_capacity: 64,
                 backpressure: Backpressure::Block,
+                admission,
                 record_outcomes: true,
-                ..Default::default()
             };
             let mut dp = Dataplane::start(config, &factory);
             for (bytes, in_port, now) in packets {
@@ -119,6 +150,11 @@ fn assert_deterministic(proto: &str, factory: impl Fn(usize) -> DipRouter, packe
                 snap.sum_where("dip_drops_total", &[("reason", "queue_full")]),
                 0,
                 "{tag}: lossless backpressure cannot ring-drop"
+            );
+            assert_eq!(
+                fn_invocations(&snap),
+                expected_invocations,
+                "{tag}: FN invocations by key, then in total"
             );
 
             let outcomes = report.sorted_outcomes();
@@ -190,6 +226,100 @@ fn dip128_sharded_equals_sequential() {
         })
         .collect();
     assert_deterministic("dip128", factory, &packets);
+}
+
+/// DIP-32 and DIP-128 over a trie deep enough that lookups walk chunk
+/// nodes — the batch route walk's real work — with the inputs that must
+/// not disturb it: unrouted destinations, an `F_32_match` over a 64-bit
+/// field (no route key; execution drops it) and a packet cut inside its
+/// locations area (it never parses).
+#[test]
+fn ip_on_a_large_trie_sharded_equals_sequential() {
+    let mut rng = DetRng::seed_from_u64(0xd1007);
+    let mut store = RouteStore::new();
+    let mut v4 = Vec::new();
+    let mut v6 = Vec::new();
+    // Few top-16-bit slots, so the longer prefixes pile into deep chunks.
+    let v4_tops = [0x0a00u32, 0x0a01, 0xac10, 0xc0a8];
+    let v6_tops = [0xfdaau128, 0xfdab, 0x2001];
+    for _ in 0..3_000 {
+        let top = v4_tops[rng.gen_index(v4_tops.len())];
+        let addr = Ipv4Addr::from_u32(top << 16 | (rng.next_u32() & 0xffff));
+        let len = rng.gen_range_inclusive(8, 32) as u8;
+        store.insert_v4(addr, len, NextHop::port(rng.gen_range_inclusive(1, 64) as u32));
+        v4.push((addr, len));
+    }
+    for _ in 0..2_000 {
+        let top = v6_tops[rng.gen_index(v6_tops.len())];
+        let low = u128::from(rng.next_u64()) << 48 | u128::from(rng.next_u64() & 0xffff_ffff_ffff);
+        let addr = Ipv6Addr::from_u128(top << 112 | low);
+        let len = rng.gen_range_inclusive(16, 128) as u8;
+        store.insert_v6(addr, len, NextHop::port(rng.gen_range_inclusive(1, 64) as u32));
+        v6.push((addr, len));
+    }
+    let tables = store.rebuild();
+    let (chunks, nodes, _) = tables.v6.footprint();
+    assert!(chunks > 0 && nodes > chunks, "the v6 table must have chunks below the root");
+    let factory = move |_| {
+        let mut r = DipRouter::new(0, [0x11; 16]);
+        r.state_mut().routes = tables.clone();
+        r
+    };
+
+    let src4 = Ipv4Addr::new(1, 1, 1, 1);
+    let src6 = Ipv6Addr::new([0xfdcc, 0, 0, 0, 0, 0, 0, 1]);
+    let mut packets: Vec<Packet> = Vec::new();
+    for i in 0..600u64 {
+        let payload = i.to_be_bytes();
+        let bytes = match rng.gen_index(20) {
+            // Unrouted destinations.
+            0 => ip::dip32_packet(Ipv4Addr::new(203, 0, 113, i as u8), src4, 64)
+                .to_bytes(&payload)
+                .unwrap(),
+            1 => ip::dip128_packet(Ipv6Addr::new([0x3fff, 0, 0, 0, 0, 0, 0, 1]), src6, 64)
+                .to_bytes(&payload)
+                .unwrap(),
+            // F_32_match over a 64-bit field: no key, a malformed-field drop.
+            2 => {
+                let mut repr = ip::dip32_packet(Ipv4Addr::new(10, 0, 0, 1), src4, 64);
+                repr.fns[0] = FnTriple::router(0, 64, FnKey::Match32);
+                repr.to_bytes(&payload).unwrap()
+            }
+            // Cut inside the locations area: it never parses.
+            3 => {
+                let repr = ip::dip128_packet(v6[0].0, src6, 64);
+                let mut bytes = repr.to_bytes(&[]).unwrap();
+                bytes.truncate(repr.header_len() - 8);
+                bytes
+            }
+            // Otherwise a destination under an installed prefix, the
+            // families interleaved packet by packet.
+            _ if i % 2 == 0 => {
+                let (addr, len) = v4[rng.gen_index(v4.len())];
+                let host = rng.next_u32().checked_shr(u32::from(len)).unwrap_or(0);
+                let dst = Ipv4Addr::from_u32(addr.to_u32() | host);
+                ip::dip32_packet(dst, src4, 64).to_bytes(&payload).unwrap()
+            }
+            _ => {
+                let (addr, len) = v6[rng.gen_index(v6.len())];
+                let noise = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+                let host = noise.checked_shr(u32::from(len)).unwrap_or(0);
+                let dst = Ipv6Addr::from_u128(addr.to_u128() | host);
+                ip::dip128_packet(dst, src6, 64).to_bytes(&payload).unwrap()
+            }
+        };
+        packets.push((bytes, 0, i));
+    }
+    let mut probe = factory(0);
+    let verdicts: Vec<Verdict> = packets
+        .iter()
+        .map(|(bytes, port, now)| probe.process(&mut bytes.clone(), *port, *now).0)
+        .collect();
+    assert!(verdicts.iter().any(|v| matches!(v, Verdict::Forward(_))), "some packets route");
+    for reason in [DropReason::NoRoute, DropReason::MalformedField] {
+        assert!(verdicts.contains(&Verdict::Drop(reason)), "some packets drop for {reason:?}");
+    }
+    assert_deterministic_under("ip-trie", factory, &packets, Admission::Open);
 }
 
 #[test]
