@@ -163,7 +163,7 @@ fn main() {
         .as_ref()
         .unwrap()
         .peek(&name.compact32())
-        .is_some_and(|d| d == b"genuine content");
+        .is_some_and(|d| **d == *b"genuine content");
     println!();
     println!(
         "legit producer under defense: verdict={:?}, cached={} (availability preserved)",

@@ -193,6 +193,7 @@ mod tests {
     use super::*;
     use crate::agent::{control_packet, AgentConfig};
     use dip_tables::fib::NextHop;
+    use dip_tables::Ports;
     use dip_wire::ipv4::Ipv4Addr;
 
     fn node(id: u64, ports: Vec<u32>) -> ControlNode {
@@ -254,6 +255,6 @@ mod tests {
         );
         let mut bytes = repr.to_bytes(b"x").unwrap();
         let (verdict, _) = n.process_packet(&mut bytes, 0, 0);
-        assert_eq!(verdict, Verdict::Forward(vec![2]));
+        assert_eq!(verdict, Verdict::Forward(Ports::one(2)));
     }
 }

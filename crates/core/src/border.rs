@@ -93,6 +93,7 @@ pub fn decap_ipv4(dip_packet: &[u8]) -> Result<Vec<u8>> {
 mod tests {
     use super::*;
     use dip_fnops::RouteStore;
+    use dip_tables::Ports;
     use dip_wire::ipv4::Ipv4Addr;
     use dip_wire::ipv6::Ipv6Addr;
 
@@ -127,7 +128,7 @@ mod tests {
         router.state_mut().routes = routes.rebuild();
         let mut buf = dip.clone();
         let (verdict, _) = router.process(&mut buf, 0, 0);
-        assert_eq!(verdict, crate::router::Verdict::Forward(vec![5]));
+        assert_eq!(verdict, crate::router::Verdict::Forward(Ports::one(5)));
     }
 
     #[test]

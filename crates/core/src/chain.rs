@@ -39,7 +39,7 @@ use dip_wire::{DipPacket, BASIC_HEADER_LEN, FN_TRIPLE_LEN};
 use std::sync::{Arc, OnceLock};
 
 /// The per-packet parse result: lines 1–3 of Algorithm 1.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ParsedPacket {
     /// The FN triples, in chain order (host-tagged ones included).
     pub triples: Vec<FnTriple>,
@@ -70,24 +70,33 @@ impl ParsedPacket {
 /// count, a triple whose target field does not fit the locations area) —
 /// exactly the conditions `process` maps to
 /// [`DropReason::MalformedField`](dip_fnops::DropReason::MalformedField).
+/// A wrapper over [`parse_packet_into`] with fresh storage.
 pub fn parse_packet(buf: &[u8]) -> Option<ParsedPacket> {
-    let pkt = DipPacket::new_checked(buf).ok()?;
-    let hdr = pkt.basic_header().ok()?;
-    let triples = pkt.triples().ok()?;
+    let mut parsed = ParsedPacket::default();
+    parse_packet_into(buf, &mut parsed).then_some(parsed)
+}
+
+/// [`parse_packet`] into caller-owned storage: `out`'s `triples` vector is
+/// cleared and refilled, so a runtime that keeps one `ParsedPacket` per
+/// batch slot parses without allocating once the vectors have grown to
+/// the widest program seen. Returns `false` (leaving `out` unspecified)
+/// for anything `parse_packet` answers `None` to.
+pub fn parse_packet_into(buf: &[u8], out: &mut ParsedPacket) -> bool {
+    let Ok(pkt) = DipPacket::new_checked(buf) else { return false };
+    let Ok(hdr) = pkt.basic_header() else { return false };
     let loc_len = usize::from(hdr.param.fn_loc_len);
-    for t in &triples {
-        if !t.fits(loc_len) {
-            return None;
+    out.triples.clear();
+    for i in 0..usize::from(pkt.fn_num()) {
+        match pkt.triple(i) {
+            Ok(t) if t.fits(loc_len) => out.triples.push(t),
+            _ => return false,
         }
     }
-    let loc_start = BASIC_HEADER_LEN + triples.len() * FN_TRIPLE_LEN;
-    Some(ParsedPacket {
-        triples,
-        loc_start,
-        header_len: pkt.header_len(),
-        parallel: hdr.param.parallel,
-        loc_len,
-    })
+    out.loc_start = BASIC_HEADER_LEN + out.triples.len() * FN_TRIPLE_LEN;
+    out.header_len = pkt.header_len();
+    out.parallel = hdr.param.parallel;
+    out.loc_len = loc_len;
+    true
 }
 
 /// One step of a compiled plan, aligned index-for-index with the packet's
@@ -395,6 +404,31 @@ mod tests {
             dip_wire::basic::PacketParameter { fn_loc_len: 2, ..Default::default() }.to_wire();
         bad[4..6].copy_from_slice(&param.unwrap().to_be_bytes());
         assert!(parse_packet(&bad).is_none());
+    }
+
+    #[test]
+    fn parse_into_reused_storage_matches_a_fresh_parse() {
+        let wide = DipRepr {
+            fns: vec![FnTriple::router(0, 32, FnKey::Match32); 5],
+            locations: vec![10, 0, 0, 1],
+            ..Default::default()
+        }
+        .to_bytes(&[])
+        .unwrap();
+        let narrow = dip32_repr().to_bytes(b"payload").unwrap();
+        let mut slot = ParsedPacket::default();
+        assert!(parse_packet_into(&wide, &mut slot));
+        let capacity = slot.triples.capacity();
+        // A failed parse in between leaves nothing behind for the next one.
+        assert!(!parse_packet_into(&narrow[..5], &mut slot));
+        assert!(parse_packet_into(&narrow, &mut slot));
+        let fresh = parse_packet(&narrow).unwrap();
+        assert_eq!(slot.triples, fresh.triples);
+        assert_eq!(
+            (slot.loc_start, slot.header_len, slot.parallel, slot.loc_len),
+            (fresh.loc_start, fresh.header_len, fresh.parallel, fresh.loc_len)
+        );
+        assert_eq!(slot.triples.capacity(), capacity, "the slot's vector was reused");
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod stack;
 pub mod tunnel;
 
 pub use budget::{BudgetMeter, ProcessingBudget};
-pub use chain::{parse_packet, CompiledChain, OptSummary, ParsedPacket};
+pub use chain::{parse_packet, parse_packet_into, CompiledChain, OptSummary, ParsedPacket};
 pub use control::ControlMessage;
 pub use equiv::{differential_check, differential_smoke, EquivReport};
 pub use metrics::RouterMetrics;

@@ -20,11 +20,12 @@ use crate::chain::{parse_packet, CompiledChain, ParsedPacket, Step};
 use crate::control::ControlMessage;
 use crate::metrics::RouterMetrics;
 use dip_fnops::{Action, DropReason, FnRegistry, OpCost, PacketCtx, RouterState};
-use dip_tables::{Port, Ticks};
+use dip_tables::{Port, Ports, Ticks};
 use dip_telemetry::{PacketOutcome, Registry};
 use dip_wire::triple::FnKey;
 use dip_wire::DipPacket;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// What to do with a packet carrying an operation key this node has no
 /// module for, when the key is not in the participation-required set.
@@ -84,13 +85,14 @@ impl Default for RouterConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
     /// Forward copies on these ports.
-    Forward(Vec<Port>),
+    Forward(Ports),
     /// Deliver to the local stack.
     Deliver,
     /// Absorbed without error (e.g. aggregated interest).
     Consumed,
-    /// Answer from the content store: send `data` back out the ingress.
-    RespondCached(Vec<u8>),
+    /// Answer from the content store: send `data` back out the ingress
+    /// (the store's own payload, shared rather than copied).
+    RespondCached(Arc<[u8]>),
     /// Send a control message back toward the source (§2.4).
     Notify(ControlMessage),
     /// Discard.
@@ -136,6 +138,7 @@ pub struct ProcessStats {
 /// use dip_core::{DipRouter, Verdict};
 /// use dip_fnops::RouteStore;
 /// use dip_tables::fib::NextHop;
+/// use dip_tables::Ports;
 /// use dip_wire::ipv4::Ipv4Addr;
 /// use dip_wire::packet::DipRepr;
 /// use dip_wire::triple::{FnKey, FnTriple};
@@ -157,7 +160,7 @@ pub struct ProcessStats {
 /// };
 /// let mut buf = repr.to_bytes(b"payload").unwrap();
 /// let (verdict, stats) = router.process(&mut buf, /*in_port*/ 0, /*now*/ 0);
-/// assert_eq!(verdict, Verdict::Forward(vec![3]));
+/// assert_eq!(verdict, Verdict::Forward(Ports::one(3)));
 /// assert_eq!(stats.fns_executed, 2);
 /// ```
 pub struct DipRouter {
@@ -185,7 +188,8 @@ impl DipRouter {
     /// `labels`.
     ///
     /// Until called, processing records nothing and takes no `Instant`
-    /// samples.
+    /// samples. Once called, verdicts and FN invocations are tallied per
+    /// packet and published by [`flush_metrics`](DipRouter::flush_metrics).
     pub fn attach_metrics(&mut self, registry: &Registry, labels: &[(&str, &str)]) {
         self.state.pit.set_eviction_counter(registry.counter(
             "dip_pit_expired_evictions_total",
@@ -249,7 +253,9 @@ impl DipRouter {
     ///
     /// This is `parse → compile → execute`: the heavy lifting lives in
     /// [`process_parsed`](DipRouter::process_parsed), which batching
-    /// runtimes call directly with a cached [`CompiledChain`].
+    /// runtimes call directly with a cached [`CompiledChain`]. It is a
+    /// batch of one: with metrics attached it times the execute call and
+    /// flushes, so the registry is current after every call.
     pub fn process(
         &mut self,
         buf: &mut [u8],
@@ -258,21 +264,31 @@ impl DipRouter {
     ) -> (Verdict, ProcessStats) {
         // Lines 1–3: parse basic header, triples, locations.
         let Some(parsed) = parse_packet(buf) else {
-            return self.refuse(DropReason::MalformedField);
+            let refused = self.refuse(DropReason::MalformedField);
+            self.flush_metrics(0, 0);
+            return refused;
         };
         let chain =
             CompiledChain::compile(&parsed, &self.registry, &self.config, self.config.optimize);
-        self.process_parsed(buf, &parsed, &chain, in_port, now)
+        // Take the Instant only when someone is listening: unattached
+        // routers must not pay a clock read per packet.
+        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
+        let out = self.process_parsed(buf, &parsed, &chain, in_port, now);
+        if let Some(start) = start {
+            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.flush_metrics(ns, 1);
+        }
+        out
     }
 
     /// Drops a packet that never reaches execution — it does not parse, or
-    /// admission refused its program — and counts the drop verdict like
+    /// admission refused its program — and tallies the drop verdict like
     /// any processed packet's. Every front end refuses through here, so
     /// the verdict counters account for every packet a router was handed.
-    pub fn refuse(&self, reason: DropReason) -> (Verdict, ProcessStats) {
+    pub fn refuse(&mut self, reason: DropReason) -> (Verdict, ProcessStats) {
         let verdict = Verdict::Drop(reason);
-        if let Some(metrics) = self.metrics.as_ref() {
-            metrics.count_verdict(&verdict);
+        if let Some(metrics) = self.metrics.as_mut() {
+            metrics.tally_verdict(&verdict);
         }
         (verdict, ProcessStats::default())
     }
@@ -286,6 +302,11 @@ impl DipRouter {
     /// batched dataplane caches the chain per program and calls this once
     /// per packet, amortizing registry lookups and the §2.2 plan across
     /// the batch.
+    ///
+    /// With metrics attached the verdict and every executed FN are
+    /// tallied in the router, not yet published: callers that drive this
+    /// directly publish with [`flush_metrics`](DipRouter::flush_metrics).
+    /// No clock is read here.
     pub fn process_parsed(
         &mut self,
         buf: &mut [u8],
@@ -294,16 +315,23 @@ impl DipRouter {
         in_port: Port,
         now: Ticks,
     ) -> (Verdict, ProcessStats) {
-        // Take the Instant only when someone is listening: unattached
-        // routers must not pay a clock read per packet.
-        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
         let (verdict, stats) = self.process_parsed_inner(buf, parsed, chain, in_port, now);
-        if let (Some(metrics), Some(start)) = (self.metrics.as_ref(), start) {
-            metrics
-                .observe_execute_ns(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            metrics.count_verdict(&verdict);
+        if let Some(metrics) = self.metrics.as_mut() {
+            metrics.tally_verdict(&verdict);
         }
         (verdict, stats)
+    }
+
+    /// Publishes the verdicts and FN invocations tallied since the last
+    /// flush and, when `packets > 0`, observes `dip_router_execute_ns` once
+    /// at `exec_ns ÷ packets` — the mean execute time of the `packets` the
+    /// caller timed together. The dataplane calls this once per batch;
+    /// [`process`](DipRouter::process) once per packet. A no-op without
+    /// [`attach_metrics`](DipRouter::attach_metrics).
+    pub fn flush_metrics(&mut self, exec_ns: u64, packets: u64) {
+        if let Some(metrics) = self.metrics.as_mut() {
+            metrics.flush(exec_ns, packets);
+        }
     }
 
     fn process_parsed_inner(
@@ -369,7 +397,7 @@ impl DipRouter {
             stats.fns_executed += 1;
             stats.cost = stats.cost + model;
             if let Some(metrics) = self.metrics.as_mut() {
-                metrics.count_op(triple.key);
+                metrics.tally_op(triple.key);
             }
             let hoisted = hoist
                 .and_then(|slot| chain.hoists[slot].get_or_init(|| op.hoist(&self.state)).as_ref());
@@ -380,7 +408,7 @@ impl DipRouter {
             match action {
                 Action::Continue => {}
                 Action::Forward(p) => {
-                    decision.get_or_insert(Verdict::Forward(vec![p]));
+                    decision.get_or_insert(Verdict::Forward(Ports::one(p)));
                 }
                 Action::ForwardMulti(ps) => {
                     decision.get_or_insert(Verdict::Forward(ps));
@@ -410,7 +438,7 @@ impl DipRouter {
 
         // Line 18: end processing.
         let verdict = decision.unwrap_or(match self.config.default_port {
-            Some(p) => Verdict::Forward(vec![p]),
+            Some(p) => Verdict::Forward(Ports::one(p)),
             None => Verdict::Deliver,
         });
         (verdict, stats)
@@ -458,7 +486,7 @@ mod tests {
         r.state_mut().routes = routes.rebuild();
         let mut pkt = dip32_packet([10, 1, 2, 3], [192, 168, 0, 1]);
         let (verdict, stats) = r.process(&mut pkt, 0, 0);
-        assert_eq!(verdict, Verdict::Forward(vec![3]));
+        assert_eq!(verdict, Verdict::Forward(Ports::one(3)));
         assert_eq!(stats.fns_executed, 2);
         // Hop limit was decremented in the buffer.
         assert_eq!(pkt[3], 63);
@@ -493,7 +521,7 @@ mod tests {
         };
         let mut pkt = repr.to_bytes(&[]).unwrap();
         let (verdict, stats) = r.process(&mut pkt, 0, 0);
-        assert_eq!(verdict, Verdict::Forward(vec![9]));
+        assert_eq!(verdict, Verdict::Forward(Ports::one(9)));
         assert_eq!(stats.skipped_host, 1);
         assert_eq!(stats.fns_executed, 0);
     }
@@ -525,7 +553,7 @@ mod tests {
                     ControlMessage::FnUnsupported { key: key.to_wire(), node_id: 7, fn_index: 1 };
                 assert_eq!(verdict, Verdict::Notify(expected), "{key:?}");
             } else {
-                assert_eq!(verdict, Verdict::Forward(vec![2]), "{key:?}");
+                assert_eq!(verdict, Verdict::Forward(Ports::one(2)), "{key:?}");
                 assert_eq!(stats.skipped_unsupported, 1, "{key:?}");
             }
         }
@@ -543,7 +571,7 @@ mod tests {
         };
         let mut pkt = repr.to_bytes(&[]).unwrap();
         let (verdict, stats) = r.process(&mut pkt, 0, 0);
-        assert_eq!(verdict, Verdict::Forward(vec![2]));
+        assert_eq!(verdict, Verdict::Forward(Ports::one(2)));
         assert_eq!(stats.skipped_unsupported, 1);
     }
 
@@ -593,7 +621,7 @@ mod tests {
         };
         let mut pkt = repr.to_bytes(&[]).unwrap();
         let (verdict, stats) = r.process(&mut pkt, 0, 0);
-        assert_eq!(verdict, Verdict::Forward(vec![1]));
+        assert_eq!(verdict, Verdict::Forward(Ports::one(1)));
         assert_eq!(stats.fns_executed, 2); // later ops still ran
     }
 
@@ -616,7 +644,7 @@ mod tests {
         r.state_mut().routes = routes.rebuild();
 
         let mut routed = dip32_packet([10, 1, 2, 3], [192, 168, 0, 1]);
-        assert_eq!(r.process(&mut routed, 0, 0).0, Verdict::Forward(vec![3]));
+        assert_eq!(r.process(&mut routed, 0, 0).0, Verdict::Forward(Ports::one(3)));
         let mut unrouted = dip32_packet([99, 1, 2, 3], [192, 168, 0, 1]);
         assert!(matches!(r.process(&mut unrouted, 0, 0).0, Verdict::Drop(_)));
 
@@ -637,6 +665,117 @@ mod tests {
     }
 
     #[test]
+    fn counters_move_on_every_process_call() {
+        // The simulator and the control node read the registry between
+        // packets, so `process` must publish what each call tallied.
+        let registry = dip_telemetry::Registry::new();
+        let mut r = DipRouter::new(1, [1; 16]);
+        r.attach_metrics(&registry, &[("node", "1")]);
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        r.state_mut().routes = routes.rebuild();
+        let mut malformed = vec![0xff; 3];
+        for n in 1..=6u64 {
+            if n % 3 == 0 {
+                assert_eq!(
+                    r.process(&mut malformed, 0, 0).0,
+                    Verdict::Drop(DropReason::MalformedField)
+                );
+            } else {
+                let mut pkt = dip32_packet([10, 1, 2, 3], [192, 168, 0, 1]);
+                assert_eq!(r.process(&mut pkt, 0, 0).0, Verdict::Forward(Ports::one(3)));
+            }
+            let snap = registry.snapshot();
+            let parsed = n - n / 3;
+            assert_eq!(snap.get("dip_router_verdicts_total"), n, "after packet {n}");
+            assert_eq!(snap.sum_where("dip_router_verdicts_total", &[("verdict", "drop")]), n / 3);
+            assert_eq!(snap.sum_where("dip_fn_invocations_total", &[("fn", "Match32")]), parsed);
+            // One latency observation per executed packet; a packet that
+            // never parsed is counted but not timed.
+            assert_eq!(snap.get("dip_router_execute_ns_count"), parsed, "after packet {n}");
+        }
+    }
+
+    #[test]
+    fn process_parsed_tallies_until_the_caller_flushes() {
+        let registry = dip_telemetry::Registry::new();
+        let mut r = DipRouter::new(1, [1; 16]);
+        r.attach_metrics(&registry, &[]);
+        let mut routes = RouteStore::new();
+        routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+        r.state_mut().routes = routes.rebuild();
+        let mut pkt = dip32_packet([10, 1, 2, 3], [192, 168, 0, 1]);
+        let parsed = parse_packet(&pkt).unwrap();
+        let chain = CompiledChain::compile(&parsed, r.registry(), r.config(), false);
+        for _ in 0..3 {
+            let mut buf = pkt.clone();
+            r.process_parsed(&mut buf, &parsed, &chain, 0, 0);
+        }
+        r.refuse(DropReason::ProgramRejected);
+        let snap = registry.snapshot();
+        assert_eq!(snap.get("dip_router_verdicts_total"), 0, "nothing published before a flush");
+        assert_eq!(snap.get("dip_fn_invocations_total"), 0);
+        r.flush_metrics(4_000, 4);
+        let snap = registry.snapshot();
+        assert_eq!(snap.sum_where("dip_router_verdicts_total", &[("verdict", "forward")]), 3);
+        assert_eq!(snap.sum_where("dip_router_verdicts_total", &[("verdict", "drop")]), 1);
+        assert_eq!(snap.get("dip_fn_invocations_total"), 6, "Match32 + Source on three packets");
+        assert_eq!(snap.get("dip_router_execute_ns_count"), 1, "one observation per flush");
+        assert_eq!(snap.get("dip_router_execute_ns_sum"), 1_000, "at the flush's mean");
+        // A second flush publishes only what arrived since.
+        r.process_parsed(&mut pkt, &parsed, &chain, 0, 0);
+        r.flush_metrics(0, 0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.get("dip_router_verdicts_total"), 5);
+        assert_eq!(snap.get("dip_router_execute_ns_count"), 1, "packets = 0 observes nothing");
+    }
+
+    /// An NDN packet of one 32-bit-name FN (`Fib` for an interest, `Pit`
+    /// for data), as `dip_protocols::ndn` builds them.
+    fn ndn_packet(key: FnKey, name: &dip_wire::ndn::Name, payload: &[u8]) -> Vec<u8> {
+        DipRepr {
+            fns: vec![FnTriple::router(0, 32, key)],
+            locations: name.compact32().to_be_bytes().to_vec(),
+            ..Default::default()
+        }
+        .to_bytes(payload)
+        .unwrap()
+    }
+
+    #[test]
+    fn data_fans_out_to_a_spilled_face_set_and_cache_hits_share_the_payload() {
+        let name = dip_wire::ndn::Name::parse("/dip/video/7");
+        let mut r = DipRouter::new(1, [1; 16]);
+        let mut routes = RouteStore::new();
+        routes.insert_name(&name, NextHop::port(9));
+        r.state_mut().routes = routes.rebuild();
+        r.state_mut().enable_content_store(4);
+        // Five faces ask (distinct payloads, so distinct nonces): the first
+        // interest goes upstream, the other four aggregate — one past the
+        // inline width.
+        let faces = [6, 2, 8, 4, 5];
+        for (i, face) in faces.into_iter().enumerate() {
+            let mut interest = ndn_packet(FnKey::Fib, &name, &[i as u8]);
+            let expected = if i == 0 { Verdict::Forward(Ports::one(9)) } else { Verdict::Consumed };
+            assert_eq!(r.process(&mut interest, face, 0).0, expected, "interest from face {face}");
+        }
+        let mut data = ndn_packet(FnKey::Pit, &name, b"the content");
+        let (verdict, _) = r.process(&mut data, 9, 10);
+        assert_eq!(verdict, Verdict::Forward(Ports::from(faces.to_vec())), "all five, in order");
+        let Verdict::Forward(ports) = &verdict else { unreachable!() };
+        assert_eq!(**ports, faces);
+        // The next interest is answered from the store with the stored
+        // bytes, and the entry keeps them.
+        let mut again = ndn_packet(FnKey::Fib, &name, b"again");
+        let (verdict, _) = r.process(&mut again, 3, 20);
+        let Verdict::RespondCached(bytes) = verdict else { panic!("expected a cache hit") };
+        assert_eq!(&*bytes, b"the content");
+        let stored = r.state().content_store.as_ref().unwrap().peek(&name.compact32()).unwrap();
+        assert_eq!(&**stored, b"the content");
+        assert!(Arc::ptr_eq(&bytes, stored), "the answer shares the stored payload");
+    }
+
+    #[test]
     fn cs_evictions_are_exported_whichever_way_round_the_store_is_enabled() {
         for enable_first in [true, false] {
             let registry = dip_telemetry::Registry::new();
@@ -649,8 +788,8 @@ mod tests {
                 r.state_mut().enable_content_store(1);
             }
             let cs = r.state_mut().content_store.as_mut().unwrap();
-            cs.insert(1, vec![1], 0);
-            assert_eq!(cs.insert(2, vec![2], 0), Some(1));
+            cs.insert(1, vec![1].into(), 0);
+            assert_eq!(cs.insert(2, vec![2].into(), 0), Some(1));
             assert_eq!(
                 registry.snapshot().get("dip_cs_evictions_total"),
                 1,
@@ -659,8 +798,8 @@ mod tests {
             // Re-enabling (a resize) keeps the wiring too.
             r.state_mut().enable_content_store(1);
             let cs = r.state_mut().content_store.as_mut().unwrap();
-            cs.insert(3, vec![3], 0);
-            cs.insert(4, vec![4], 0);
+            cs.insert(3, vec![3].into(), 0);
+            cs.insert(4, vec![4].into(), 0);
             assert_eq!(registry.snapshot().get("dip_cs_evictions_total"), 2);
         }
     }
@@ -668,10 +807,13 @@ mod tests {
     #[test]
     fn verdict_outcome_taxonomy() {
         use dip_telemetry::PacketOutcome;
-        assert_eq!(Verdict::Forward(vec![1]).outcome(), PacketOutcome::Forwarded);
+        assert_eq!(Verdict::Forward(Ports::one(1)).outcome(), PacketOutcome::Forwarded);
         assert_eq!(Verdict::Deliver.outcome(), PacketOutcome::Consumed);
         assert_eq!(Verdict::Consumed.outcome(), PacketOutcome::Consumed);
-        assert_eq!(Verdict::RespondCached(vec![]).outcome(), PacketOutcome::Consumed);
+        assert_eq!(
+            Verdict::RespondCached(Arc::from(Vec::new())).outcome(),
+            PacketOutcome::Consumed
+        );
         assert_eq!(
             Verdict::Drop(DropReason::NoRoute).outcome(),
             PacketOutcome::Dropped(DropReason::NoRoute)
@@ -708,7 +850,7 @@ mod tests {
         let mut opt_buf = plain_buf.clone();
         let (pv, ps) = build(false).process(&mut plain_buf, 0, 0);
         let (ov, os) = build(true).process(&mut opt_buf, 0, 0);
-        assert_eq!(pv, Verdict::Forward(vec![4]));
+        assert_eq!(pv, Verdict::Forward(Ports::one(4)));
         assert_eq!(ov, pv, "verdicts must match");
         assert_eq!(plain_buf, opt_buf, "packet bytes must match");
         // Identity plan: parse + intent. Rewritten: the parse is eliminated.

@@ -50,8 +50,9 @@ pub struct CachedProgram {
     /// packets without executing.
     pub admitted: bool,
     /// The cache key (program bytes + parallel flag + locations length),
-    /// kept on the entry so a batch-local memo can revalidate a candidate
-    /// index with one `memcmp` instead of a map probe.
+    /// kept on the entry so the batch-local memo and the recent-program
+    /// ring can revalidate a candidate index with one `memcmp` instead of
+    /// a map probe.
     key: Vec<u8>,
 }
 
@@ -75,6 +76,12 @@ pub struct CacheStats {
     pub hoists: u64,
 }
 
+/// How many recently resolved programs [`ProgramCache::resolve`] checks in
+/// place before it hashes: enough for the traffic that interleaves a few
+/// programs packet by packet (DIP-32 beside DIP-128, NDN interests beside
+/// data), small enough that a miss costs four short compares.
+const RECENT: usize = 4;
+
 /// A per-worker map from program bytes to [`CachedProgram`].
 ///
 /// Entries live in a dense `Vec` addressed by the small indexes
@@ -82,6 +89,8 @@ pub struct CacheStats {
 /// resolve every packet first (phase 1) and execute against `&self`
 /// borrows later (phase 2) without re-hashing anything.
 pub struct ProgramCache {
+    /// Keyed with the standard SipHash: program bytes are chosen by the
+    /// sender, so a weaker hash would let traffic pick its collisions.
     entries: HashMap<Vec<u8>, usize>,
     programs: Vec<CachedProgram>,
     checker: Checker,
@@ -91,6 +100,12 @@ pub struct ProgramCache {
     stats: CacheStats,
     /// Reused key buffer: cache hits allocate nothing.
     scratch: Vec<u8>,
+    /// The indexes the last [`RECENT`] map probes resolved to, written
+    /// round-robin at `recent_next`. Entries are never evicted today —
+    /// when the cache gains eviction, an evicted index must leave this
+    /// ring too.
+    recent: [Option<usize>; RECENT],
+    recent_next: usize,
 }
 
 impl ProgramCache {
@@ -108,6 +123,8 @@ impl ProgramCache {
             config,
             stats: CacheStats::default(),
             scratch: Vec::new(),
+            recent: [None; RECENT],
+            recent_next: 0,
         }
     }
 
@@ -120,7 +137,10 @@ impl ProgramCache {
     /// traffic is a handful of programs — revalidates with one byte
     /// comparison instead of a map probe per packet. This is where
     /// batching amortizes program resolution per *program run* rather
-    /// than per packet.
+    /// than per packet. When the memo misses, the programs the last few
+    /// probes resolved are compared in place the same way, so traffic
+    /// that interleaves a few programs skips the key build and the hash
+    /// too; only a program outside that ring probes the map.
     pub fn resolve(
         &mut self,
         parsed: &ParsedPacket,
@@ -128,16 +148,11 @@ impl ProgramCache {
         memo: &mut Option<usize>,
     ) -> usize {
         let program_bytes = parsed.program_bytes(buf);
-        if let Some(idx) = *memo {
-            // Memo hit: compare against the entry's stored key in place —
-            // no key build, no hash, just one short memcmp.
-            let key = &self.programs[idx].key;
-            if key.len() == program_bytes.len() + 5
-                && key[..program_bytes.len()] == *program_bytes
-                && key[program_bytes.len()] == u8::from(parsed.parallel)
-                && key[program_bytes.len() + 1..] == (parsed.loc_len as u32).to_be_bytes()
-            {
+        let memo_idx = *memo;
+        for &idx in memo_idx.iter().chain(self.recent.iter().flatten()) {
+            if key_matches(&self.programs[idx].key, program_bytes, parsed) {
                 self.stats.hits += 1;
+                *memo = Some(idx);
                 return idx;
             }
         }
@@ -190,6 +205,8 @@ impl ProgramCache {
                 idx
             }
         };
+        self.recent[self.recent_next] = Some(idx);
+        self.recent_next = (self.recent_next + 1) % RECENT;
         *memo = Some(idx);
         idx
     }
@@ -213,6 +230,17 @@ impl ProgramCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// Whether `key` — a cached program's key: program bytes, parallel flag,
+/// big-endian locations length — is the key of `parsed`'s program, compared
+/// in place without building it.
+fn key_matches(key: &[u8], program_bytes: &[u8], parsed: &ParsedPacket) -> bool {
+    let n = program_bytes.len();
+    key.len() == n + 5
+        && key[..n] == *program_bytes
+        && key[n] == u8::from(parsed.parallel)
+        && key[n + 1..] == (parsed.loc_len as u32).to_be_bytes()
 }
 
 impl std::fmt::Debug for ProgramCache {
@@ -318,6 +346,46 @@ mod tests {
         assert_eq!(c.resolve(&p6, &v6, &mut memo), b);
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats(), CacheStats { hits: 2, misses: 2, ..Default::default() });
+    }
+
+    #[test]
+    fn recently_resolved_programs_match_in_place_without_the_memo() {
+        use dip_wire::packet::DipRepr;
+        use dip_wire::triple::{FnKey, FnTriple};
+        // Five programs that differ only in their locations length.
+        let bufs: Vec<Vec<u8>> = (0..5)
+            .map(|extra| {
+                DipRepr {
+                    fns: vec![FnTriple::router(0, 32, FnKey::Match32)],
+                    locations: vec![10; 4 + extra],
+                    ..Default::default()
+                }
+                .to_bytes(&[])
+                .unwrap()
+            })
+            .collect();
+        let parsed: Vec<ParsedPacket> = bufs.iter().map(|b| parse_packet(b).unwrap()).collect();
+        let mut c = cache(Admission::Lint);
+        let first: Vec<usize> =
+            (0..4).map(|i| c.resolve(&parsed[i], &bufs[i], &mut None)).collect();
+        assert_eq!(c.recent, [0, 1, 2, 3].map(Some));
+        // Interleaved, each with a fresh memo: every packet is a hit on the
+        // ring, which does not move.
+        for round in 0..3 {
+            for i in [2, 0, 3, 1] {
+                assert_eq!(c.resolve(&parsed[i], &bufs[i], &mut None), first[i], "round {round}");
+            }
+        }
+        assert_eq!(c.recent, [0, 1, 2, 3].map(Some));
+        assert_eq!(c.stats(), CacheStats { hits: 12, misses: 4, ..Default::default() });
+        // A fifth program displaces the oldest slot; the displaced program
+        // still resolves to its index through the map, and re-enters.
+        let fifth = c.resolve(&parsed[4], &bufs[4], &mut None);
+        assert_eq!(c.recent, [Some(fifth), Some(1), Some(2), Some(3)]);
+        assert_eq!(c.resolve(&parsed[0], &bufs[0], &mut None), first[0]);
+        assert_eq!(c.recent, [Some(fifth), Some(first[0]), Some(2), Some(3)]);
+        assert_eq!(c.stats(), CacheStats { hits: 13, misses: 5, ..Default::default() });
+        assert_eq!(c.len(), 5);
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! 1. at each batch boundary, pick up any route-snapshot epoch swap
 //!    (one atomic load when nothing changed);
 //! 2. fill a [`PacketBatch`] from the ring (up to `batch_size`);
-//! 3. **resolve phase** — parse every packet and resolve its program
-//!    through the per-worker [`ProgramCache`] (compile + `dipcheck`
-//!    admission on first sight, one map probe per program *run* within
-//!    the batch thanks to a batch-local memo, cache hit for the rest of
-//!    eternity);
+//! 3. **resolve phase** — parse every packet into its batch position's
+//!    reused [`ParsedPacket`] slot ([`parse_packet_into`]) and resolve
+//!    its program through the per-worker [`ProgramCache`] (compile +
+//!    `dipcheck` admission on first sight; after that one in-place
+//!    compare against the batch-local memo or the cache's few most
+//!    recently resolved programs, and a map probe only for a program
+//!    outside them);
 //! 4. **route phase** — gather the route key of every admitted packet's
 //!    match steps ([`CompiledChain::route_keys`](dip_core::CompiledChain::route_keys))
 //!    and walk them all through the LPM trie level by level
@@ -30,8 +32,21 @@
 //!    resolved batch back-to-back, the tight loops keeping parser, walk
 //!    and executor code hot instead of interleaving them per packet
 //!    (malformed packets and refused programs go to [`DipRouter::refuse`],
-//!    so the router's verdict counters see every packet);
-//! 6. recycle every slot without freeing buffers.
+//!    so the router's verdict counters see every packet). The phase reads
+//!    the clock once at each end; per packet it only adds to plain
+//!    tallies — the worker's [`OutcomeTally`] and FN count, the router's
+//!    verdict and per-key counts;
+//! 6. **flush** — publish the batch's tallies into the [`Registry`]
+//!    ([`OutcomeCounters::flush`], [`DipRouter::flush_metrics`], which
+//!    observes `dip_router_execute_ns` once at the batch's mean execute
+//!    time), then bump the live processed counter — so a mid-run snapshot
+//!    lags by at most the batch in flight — and recycle every slot
+//!    without freeing buffers.
+//!
+//! In the steady state a packet therefore costs no heap allocation and no
+//! shared atomic write between ring pop and recycle, except where its FN
+//! program itself stores state (a content-store insert allocates the
+//! cached payload once).
 //!
 //! Determinism: the global sequence numbers give submission a total
 //! order, flow affinity gives each flow FIFO processing on one worker,
@@ -46,12 +61,12 @@ use crate::program::{Admission, CacheStats, ProgramCache};
 use crate::ring::{spsc, spsc_counted, RingConsumer, RingProducer};
 use crate::shard::FlowShard;
 use crate::snapshot::{EpochCell, RouteSnapshot};
-use dip_core::{parse_packet, DipRouter, ParsedPacket, Verdict};
+use dip_core::{parse_packet_into, DipRouter, ParsedPacket, Verdict};
 use dip_fnops::DropReason;
 use dip_routes::RouteKey;
 use dip_tables::fib::NextHop;
 use dip_tables::{Port, Ticks};
-use dip_telemetry::{Counter, Gauge, Histogram, OutcomeCounters, Registry, Snapshot};
+use dip_telemetry::{Counter, Gauge, Histogram, OutcomeCounters, OutcomeTally, Registry, Snapshot};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -613,13 +628,17 @@ fn worker_loop(
     let mut batch = PacketBatch::new(batch_size);
     let mut outcomes = Vec::new();
     let mut idle = Waiter::new();
-    // Reused resolve-phase scratch: per-packet parse + program index
-    // (`None` = malformed), filled in admission order each batch.
-    let mut resolved: Vec<Option<(ParsedPacket, usize)>> = Vec::with_capacity(batch_size.max(1));
+    // Reused resolve-phase scratch, one entry per batch slot position:
+    // the parse (its triple vector grows to the widest program once, then
+    // is refilled in place) and the program index (`None` = malformed).
+    let mut parsed: Vec<ParsedPacket> = vec![ParsedPacket::default(); batch_size.max(1)];
+    let mut resolved: Vec<Option<usize>> = Vec::with_capacity(batch_size.max(1));
     // Reused route-phase scratch: the batch's route keys and the walk's
     // (discarded) answers.
     let mut route_keys: Vec<RouteKey> = Vec::with_capacity(batch_size.max(1));
     let mut route_answers: Vec<Option<NextHop>> = Vec::with_capacity(batch_size.max(1));
+    // Per-packet outcomes in plain integers, flushed once per batch.
+    let mut tally = OutcomeTally::default();
     loop {
         // Batch boundary: one atomic load unless the control plane moved.
         if reader.refresh() {
@@ -654,17 +673,17 @@ fn worker_loop(
         telemetry.batches.inc();
         telemetry.batch_fill.observe(batch.len() as u64);
         // Resolve phase: parse + program resolution for the whole batch.
-        // The memo starts fresh per batch, so a batch full of one program
-        // — the common case — costs a single map probe; the rest of the
-        // packets revalidate with one byte comparison each.
+        // The memo starts fresh per batch; a packet whose program is the
+        // memo's, or one the cache resolved recently, revalidates with an
+        // in-place byte comparison, so steady traffic probes no map.
         resolved.clear();
         let mut memo = None;
-        for pos in 0..batch.len() {
-            let slot = batch.slot(batch.live()[pos]);
-            resolved.push(parse_packet(&slot.buf).map(|parsed| {
-                let idx = cache.resolve(&parsed, &slot.buf, &mut memo);
-                (parsed, idx)
-            }));
+        for (pos, slot_parse) in parsed.iter_mut().enumerate().take(batch.len()) {
+            let buf = &batch.slot(batch.live()[pos]).buf;
+            resolved.push(
+                parse_packet_into(buf, slot_parse)
+                    .then(|| cache.resolve(slot_parse, buf, &mut memo)),
+            );
         }
         // Route phase: walk every admitted packet's route keys through
         // the trie together, so their cache misses overlap, and drop the
@@ -673,12 +692,11 @@ fn worker_loop(
         // the execute phase uses: epochs only swap at batch boundaries.
         route_keys.clear();
         for (pos, res) in resolved.iter().enumerate() {
-            let Some((parsed, idx)) = res else { continue };
+            let Some(idx) = res else { continue };
             let program = cache.get(*idx);
             if program.admitted {
-                let buf = &batch.slot(batch.live()[pos]).buf;
-                route_keys
-                    .extend(program.chain.route_keys(&buf[parsed.loc_start..parsed.header_len]));
+                let (buf, p) = (&batch.slot(batch.live()[pos]).buf, &parsed[pos]);
+                route_keys.extend(program.chain.route_keys(&buf[p.loc_start..p.header_len]));
             }
         }
         // One key has nothing to overlap with.
@@ -686,18 +704,22 @@ fn worker_loop(
             route_answers.resize(route_keys.len(), None);
             router.state().routes.lookup_many(&route_keys, &mut route_answers);
         }
-        // Execute phase: run the resolved batch back-to-back.
+        // Execute phase: run the resolved batch back-to-back. The clock is
+        // read around the phase, not per packet, and every count lands in a
+        // plain tally until the flush below.
+        let exec_start = Instant::now();
+        let mut fns_executed = 0u64;
         for (pos, res) in resolved.iter().enumerate() {
             let slot_idx = batch.live()[pos];
             let slot = batch.slot_mut(slot_idx);
             let (verdict, pstats) = match res {
                 None => router.refuse(DropReason::MalformedField),
-                Some((parsed, idx)) => {
+                Some(idx) => {
                     let program = cache.get(*idx);
                     if program.admitted {
                         router.process_parsed(
                             &mut slot.buf,
-                            parsed,
+                            &parsed[pos],
                             &program.chain,
                             slot.in_port,
                             slot.now,
@@ -707,8 +729,8 @@ fn worker_loop(
                     }
                 }
             };
-            telemetry.fns_executed.add(u64::from(pstats.fns_executed));
-            telemetry.outcomes.record(verdict.outcome());
+            fns_executed += u64::from(pstats.fns_executed);
+            tally.record(verdict.outcome());
             if record_outcomes {
                 outcomes.push(PacketRecord {
                     seq: slot.seq,
@@ -718,6 +740,13 @@ fn worker_loop(
                 });
             }
         }
+        let exec_ns = u64::try_from(exec_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        // The batch's flush: outcomes, FN counts and the router's tallies,
+        // then the live processed counter, so a reader that sees a packet
+        // as processed also sees its outcome.
+        telemetry.outcomes.flush(&mut tally);
+        telemetry.fns_executed.add(fns_executed);
+        router.flush_metrics(exec_ns, batch.len() as u64);
         telemetry.processed.add(batch.len() as u64);
         batch.recycle_all();
         telemetry.sync_cache(cache.stats());
@@ -730,6 +759,7 @@ mod tests {
     use super::*;
     use dip_routes::RouteStore;
     use dip_tables::fib::NextHop;
+    use dip_tables::Ports;
     use dip_wire::ipv4::Ipv4Addr;
 
     /// Tables with the one route `addr/8 -> port`.
@@ -859,7 +889,7 @@ mod tests {
         assert_eq!(merged.len(), 60);
         let seqs: Vec<u64> = merged.iter().map(|o| o.seq).collect();
         assert_eq!(seqs, (0..60).collect::<Vec<u64>>());
-        assert!(merged.iter().all(|o| o.verdict == Verdict::Forward(vec![1])));
+        assert!(merged.iter().all(|o| o.verdict == Verdict::Forward(Ports::one(1))));
     }
 
     #[test]
@@ -887,7 +917,7 @@ mod tests {
         let merged = report.sorted_outcomes();
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].verdict, Verdict::Drop(DropReason::NoRoute));
-        assert_eq!(merged[1].verdict, Verdict::Forward(vec![7]), "epoch swap took effect");
+        assert_eq!(merged[1].verdict, Verdict::Forward(Ports::one(7)), "epoch swap took effect");
         assert!(report.registry.snapshot().get("dip_worker_epoch_refreshes_total") > 0);
     }
 
@@ -911,7 +941,7 @@ mod tests {
         );
         dp.submit_bytes(&pkt.to_bytes(&[]).unwrap(), 0, 0);
         let report = dp.shutdown();
-        assert_eq!(report.sorted_outcomes()[0].verdict, Verdict::Forward(vec![7]));
+        assert_eq!(report.sorted_outcomes()[0].verdict, Verdict::Forward(Ports::one(7)));
         assert_eq!(report.registry.snapshot().get("dip_worker_epoch_refreshes_total"), 1);
     }
 

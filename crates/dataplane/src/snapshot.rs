@@ -34,7 +34,7 @@ pub struct RouteSnapshot {
     pub tables: RouteTables,
     /// When set, *replaces* the worker's content store (cache preload or
     /// post-poisoning reset). `None` preserves the worker's cache.
-    pub content_store: Option<ContentStore<u32, Vec<u8>>>,
+    pub content_store: Option<ContentStore<u32, Arc<[u8]>>>,
     /// When set, *replaces* the worker's PIT (explicit reset only —
     /// discards in-flight interests). `None` preserves flow state.
     pub pit: Option<Pit<u32>>,
@@ -197,7 +197,7 @@ mod tests {
 
         // A cache preload and a PIT reset, both with private counters.
         let mut preload = ContentStore::new(1);
-        preload.insert(1, b"one".to_vec(), 0);
+        preload.insert(1, b"one".to_vec().into(), 0);
         let snap = RouteSnapshot {
             content_store: Some(preload),
             pit: Some(Pit::new(16, 100)),
@@ -206,7 +206,10 @@ mod tests {
         snap.apply(router.state_mut());
 
         let state = router.state_mut();
-        assert_eq!(state.content_store.as_mut().unwrap().insert(2, b"two".to_vec(), 0), Some(1));
+        assert_eq!(
+            state.content_store.as_mut().unwrap().insert(2, b"two".to_vec().into(), 0),
+            Some(1)
+        );
         state.pit.record_interest(42, 3, 9, 0).unwrap();
         assert_eq!(state.pit.expire(1_000), 1);
         let counted = registry.snapshot();

@@ -3,7 +3,7 @@
 use dip_crypto::{Aes128, Block, CbcMac, MacAlgorithm, TwoRoundEm};
 use dip_routes::RouteTables;
 use dip_tables::fib::NextHop;
-use dip_tables::{ContentStore, Pit, Port, Ticks, XiaNextHop};
+use dip_tables::{ContentStore, Pit, Port, Ports, Ticks, XiaNextHop};
 use dip_telemetry::Counter;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
@@ -66,8 +66,10 @@ pub struct RouterState {
     /// the prototype dataplane.
     pub pit: Pit<u32>,
     /// Optional content store (footnote 2); `None` reproduces the paper's
-    /// prototype ("the router has no cached data").
-    pub content_store: Option<ContentStore<u32, Vec<u8>>>,
+    /// prototype ("the router has no cached data"). Payloads are shared:
+    /// `F_PIT` stores one allocation per cached data packet and every
+    /// `F_FIB` hit answers with a reference to it, not a copy.
+    pub content_store: Option<ContentStore<u32, Arc<[u8]>>>,
     /// Cipher backing the authentication operations.
     pub mac_choice: MacChoice,
     /// When `true`, `F_PIT` refuses to cache data that does not carry a
@@ -149,7 +151,7 @@ impl RouterState {
     /// Installs `store` (a preload or a post-poisoning reset) as this
     /// router's content store, counting evictions where the router counts
     /// them rather than where `store` did.
-    pub fn install_content_store(&mut self, mut store: ContentStore<u32, Vec<u8>>) {
+    pub fn install_content_store(&mut self, mut store: ContentStore<u32, Arc<[u8]>>) {
         store.set_eviction_counter(Arc::clone(&self.cs_evictions));
         self.content_store = Some(store);
     }
@@ -377,15 +379,15 @@ pub enum Action {
     /// Forward on one egress port.
     Forward(Port),
     /// Forward copies on several ports (PIT fan-out).
-    ForwardMulti(Vec<Port>),
+    ForwardMulti(Ports),
     /// Deliver to the local host stack.
     Deliver,
     /// The interest was aggregated into an existing PIT entry; no copy
     /// should be forwarded, but the packet is *not* an error.
     Consumed,
     /// Answer the interest from the content store with this payload,
-    /// back out the ingress port.
-    RespondCached(Vec<u8>),
+    /// back out the ingress port (shared with the store's entry).
+    RespondCached(Arc<[u8]>),
     /// Discard the packet.
     Drop(DropReason),
 }

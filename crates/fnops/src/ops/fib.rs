@@ -16,6 +16,7 @@ use crate::FieldOp;
 use dip_tables::pit::{PitError, PitOutcome};
 use dip_wire::ndn::Name;
 use dip_wire::triple::{FnKey, FnTriple};
+use std::sync::Arc;
 
 /// Interest-side NDN op.
 #[derive(Debug, Default, Clone, Copy)]
@@ -38,6 +39,20 @@ pub(crate) fn field_to_names(bytes: &[u8], field_len: u16) -> Option<(u32, Optio
     }
 }
 
+/// Reads `triple`'s name field and extracts its names, as
+/// [`field_to_names`] does. The prototype's 32-bit compact name is read
+/// into a stack buffer, so the common case allocates nothing; a TLV name
+/// keeps its decode path.
+pub(crate) fn read_names(ctx: &PacketCtx<'_>, triple: &FnTriple) -> Option<(u32, Option<Name>)> {
+    if triple.field_len == 32 {
+        let mut compact = [0u8; 4];
+        ctx.read_field_into(triple, &mut compact).ok()?;
+        Some((u32::from_be_bytes(compact), None))
+    } else {
+        field_to_names(&ctx.read_field(triple).ok()?, triple.field_len)
+    }
+}
+
 impl FieldOp for FibOp {
     fn key(&self) -> FnKey {
         FnKey::Fib
@@ -49,17 +64,14 @@ impl FieldOp for FibOp {
         state: &mut RouterState,
         ctx: &mut PacketCtx<'_>,
     ) -> Action {
-        let Ok(bytes) = ctx.read_field(triple) else {
-            return Action::Drop(DropReason::MalformedField);
-        };
-        let Some((compact, full)) = field_to_names(&bytes, triple.field_len) else {
+        let Some((compact, full)) = read_names(ctx, triple) else {
             return Action::Drop(DropReason::MalformedField);
         };
 
         // Footnote 2: content store first.
         if let Some(cs) = state.content_store.as_mut() {
             if let Some(data) = cs.get(&compact) {
-                return Action::RespondCached(data.clone());
+                return Action::RespondCached(Arc::clone(data));
             }
         }
 
@@ -167,12 +179,17 @@ mod tests {
         let mut st = state();
         let name = Name::parse("/cached");
         st.enable_content_store(8);
-        st.content_store.as_mut().unwrap().insert(name.compact32(), b"data!".to_vec(), 0);
+        st.content_store.as_mut().unwrap().insert(name.compact32(), Arc::from(&b"data!"[..]), 0);
         // No FIB route at all — the cache must still answer.
         let mut locs = interest_locs(&name);
         let mut c = ctx(&mut locs, &[]);
         let t = FnTriple::router(0, 32, FnKey::Fib);
-        assert_eq!(FibOp.execute(&t, &mut st, &mut c), Action::RespondCached(b"data!".to_vec()));
+        let Action::RespondCached(data) = FibOp.execute(&t, &mut st, &mut c) else {
+            panic!("the content store must answer");
+        };
+        assert_eq!(&*data, b"data!");
+        let stored = st.content_store.as_ref().unwrap().peek(&name.compact32()).unwrap();
+        assert!(Arc::ptr_eq(&data, stored), "a hit shares the stored payload, it does not copy it");
         assert!(st.pit.is_empty());
     }
 

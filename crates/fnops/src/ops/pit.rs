@@ -13,10 +13,11 @@
 
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
-use crate::ops::fib::field_to_names;
+use crate::ops::fib::read_names;
 use crate::FieldOp;
 use dip_tables::PitConsume;
 use dip_wire::triple::{FnKey, FnTriple};
+use std::sync::Arc;
 
 /// Data-side NDN op.
 #[derive(Debug, Default, Clone, Copy)]
@@ -33,17 +34,14 @@ impl FieldOp for PitOp {
         state: &mut RouterState,
         ctx: &mut PacketCtx<'_>,
     ) -> Action {
-        let Ok(bytes) = ctx.read_field(triple) else {
-            return Action::Drop(DropReason::MalformedField);
-        };
-        let Some((compact, _)) = field_to_names(&bytes, triple.field_len) else {
+        let Some((compact, _)) = read_names(ctx, triple) else {
             return Action::Drop(DropReason::MalformedField);
         };
         match state.pit.consume_classified(&compact, ctx.now) {
             PitConsume::Hit(faces) => {
                 if let Some(cs) = state.content_store.as_mut() {
                     if !state.require_pass_for_cache || ctx.pass_verified {
-                        cs.insert(compact, ctx.payload.to_vec(), ctx.now);
+                        cs.insert(compact, Arc::from(ctx.payload), ctx.now);
                     }
                 }
                 Action::ForwardMulti(faces)
@@ -66,6 +64,7 @@ impl FieldOp for PitOp {
 mod tests {
     use super::*;
     use crate::ops::testutil::{ctx, state};
+    use dip_tables::Ports;
     use dip_wire::ndn::Name;
 
     fn data_locs(name: &Name) -> Vec<u8> {
@@ -81,7 +80,10 @@ mod tests {
         let mut locs = data_locs(&name);
         let mut c = ctx(&mut locs, b"the data");
         let t = FnTriple::router(0, 32, FnKey::Pit);
-        assert_eq!(PitOp.execute(&t, &mut st, &mut c), Action::ForwardMulti(vec![3, 8]));
+        assert_eq!(
+            PitOp.execute(&t, &mut st, &mut c),
+            Action::ForwardMulti(Ports::from(vec![3, 8]))
+        );
         // Entry consumed: a second data packet misses.
         let mut locs2 = data_locs(&name);
         let mut c2 = ctx(&mut locs2, b"the data");
@@ -125,7 +127,7 @@ mod tests {
         PitOp.execute(&t, &mut st, &mut c);
         assert_eq!(
             st.content_store.as_ref().unwrap().peek(&name.compact32()),
-            Some(&b"cache me".to_vec())
+            Some(&Arc::from(&b"cache me"[..]))
         );
     }
 
@@ -152,7 +154,7 @@ mod tests {
         assert!(matches!(PitOp.execute(&t, &mut st, &mut c2), Action::ForwardMulti(_)));
         assert_eq!(
             st.content_store.as_ref().unwrap().peek(&name.compact32()),
-            Some(&b"genuine".to_vec())
+            Some(&Arc::from(&b"genuine"[..]))
         );
     }
 

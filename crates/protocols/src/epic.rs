@@ -172,6 +172,7 @@ mod tests {
     use super::*;
     use dip_core::{DipRouter, Verdict};
     use dip_fnops::RouteStore;
+    use dip_tables::Ports;
     use std::sync::Arc;
 
     fn epic_router(secret: Block) -> DipRouter {
@@ -191,7 +192,7 @@ mod tests {
         for s in SECRETS {
             let mut r = epic_router(s);
             let (v, _) = r.process(&mut buf, 0, 0);
-            assert_eq!(v, Verdict::Forward(vec![1]));
+            assert_eq!(v, Verdict::Forward(Ports::one(1)));
         }
         // Index advanced to 3 on the wire.
         let pkt = dip_wire::DipPacket::new_checked(&buf[..]).unwrap();
@@ -294,7 +295,7 @@ mod tests {
 
         let mut buf = repr.to_bytes(&payload).unwrap();
         let (v, stats) = r.process(&mut buf, 4, 10);
-        assert_eq!(v, Verdict::Forward(vec![6]));
+        assert_eq!(v, Verdict::Forward(Ports::one(6)));
         assert_eq!(stats.fns_executed, 2);
 
         // Tampered copy never reaches the PIT.

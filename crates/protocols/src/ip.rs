@@ -61,6 +61,7 @@ mod tests {
     use dip_core::{DipRouter, Verdict};
     use dip_fnops::RouteStore;
     use dip_tables::fib::NextHop;
+    use dip_tables::Ports;
 
     #[test]
     fn dip32_header_is_26_bytes() {
@@ -87,7 +88,7 @@ mod tests {
         let repr = dip32_packet(Ipv4Addr::new(10, 9, 8, 7), Ipv4Addr::new(1, 1, 1, 1), 64);
         let mut buf = repr.to_bytes(b"hello").unwrap();
         let (verdict, stats) = r.process(&mut buf, 0, 0);
-        assert_eq!(verdict, Verdict::Forward(vec![2]));
+        assert_eq!(verdict, Verdict::Forward(Ports::one(2)));
         assert_eq!(stats.fns_executed, 2);
     }
 
@@ -105,7 +106,7 @@ mod tests {
         );
         let mut buf = repr.to_bytes(&[]).unwrap();
         let (verdict, _) = r.process(&mut buf, 0, 0);
-        assert_eq!(verdict, Verdict::Forward(vec![5]));
+        assert_eq!(verdict, Verdict::Forward(Ports::one(5)));
     }
 
     #[test]

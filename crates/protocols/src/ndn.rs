@@ -88,6 +88,7 @@ mod tests {
     use dip_fnops::DropReason;
     use dip_fnops::RouteStore;
     use dip_tables::fib::NextHop;
+    use dip_tables::Ports;
 
     fn name() -> Name {
         Name::parse("hotnets.org")
@@ -109,12 +110,12 @@ mod tests {
         // Interest from consumer on port 3.
         let mut ibuf = interest(&name(), 64).to_bytes(&[]).unwrap();
         let (v1, _) = r.process(&mut ibuf, 3, 100);
-        assert_eq!(v1, Verdict::Forward(vec![8]));
+        assert_eq!(v1, Verdict::Forward(Ports::one(8)));
 
         // Data back from the producer on port 8.
         let mut dbuf = data(&name(), 64).to_bytes(b"the content").unwrap();
         let (v2, _) = r.process(&mut dbuf, 8, 200);
-        assert_eq!(v2, Verdict::Forward(vec![3]));
+        assert_eq!(v2, Verdict::Forward(Ports::one(3)));
 
         // A second copy has no PIT entry left.
         let mut dbuf2 = data(&name(), 64).to_bytes(b"the content").unwrap();
@@ -131,7 +132,7 @@ mod tests {
         let full = Name::parse("/hotnets/org/papers/dip");
         let mut buf = interest_full(&full, 64).unwrap().to_bytes(&[]).unwrap();
         let (v, _) = r.process(&mut buf, 1, 0);
-        assert_eq!(v, Verdict::Forward(vec![2]));
+        assert_eq!(v, Verdict::Forward(Ports::one(2)));
     }
 
     #[test]
@@ -147,7 +148,7 @@ mod tests {
         r.process(&mut ibuf, 5, 0);
         let mut dbuf = data(&n, 64).to_bytes(b"x").unwrap();
         let (v, _) = r.process(&mut dbuf, 2, 10);
-        assert_eq!(v, Verdict::Forward(vec![5]));
+        assert_eq!(v, Verdict::Forward(Ports::one(5)));
     }
 
     #[test]

@@ -92,6 +92,7 @@ mod tests {
     use dip_fnops::RouteStore;
     use dip_fnops::{DropReason, FnRegistry, RouterState};
     use dip_tables::fib::NextHop;
+    use dip_tables::Ports;
 
     fn setup() -> (OptSession, DipRouter, Name) {
         let router_secret: Block = [33; 16];
@@ -124,13 +125,13 @@ mod tests {
         // Consumer (port 3) asks for the content.
         let mut ibuf = interest(&name, 64).to_bytes(&[]).unwrap();
         let (v, _) = router.process(&mut ibuf, 3, 0);
-        assert_eq!(v, Verdict::Forward(vec![8]));
+        assert_eq!(v, Verdict::Forward(Ports::one(8)));
 
         // Producer (port 8) answers with authenticated data.
         let payload = b"the secure content".to_vec();
         let mut dbuf = data(&session, &name, &payload, 42, 64).to_bytes(&payload).unwrap();
         let (v, stats) = router.process(&mut dbuf, 8, 100);
-        assert_eq!(v, Verdict::Forward(vec![3])); // PIT fan-out to consumer
+        assert_eq!(v, Verdict::Forward(Ports::one(3))); // PIT fan-out to consumer
         assert_eq!(stats.fns_executed, 4); // PIT + parm + MAC + mark
         assert_eq!(stats.skipped_host, 1); // ver
 

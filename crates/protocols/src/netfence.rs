@@ -250,6 +250,7 @@ mod tests {
     use super::*;
     use dip_core::{DipRouter, Verdict};
     use dip_fnops::RouteStore;
+    use dip_tables::Ports;
     use std::sync::Arc;
 
     fn router(police: bool, congested: bool) -> DipRouter {
@@ -280,14 +281,14 @@ mod tests {
         plain.config_mut().default_port = Some(1);
         let mut buf = packet(7, 64).to_bytes(&[]).unwrap();
         let (v, stats) = plain.process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![1]));
+        assert_eq!(v, Verdict::Forward(Ports::one(1)));
         assert_eq!(stats.skipped_unsupported, 1);
 
         // With installation it executes.
         let mut upgraded = router(false, false);
         let mut buf = packet(7, 64).to_bytes(&[]).unwrap();
         let (v, stats) = upgraded.process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![1]));
+        assert_eq!(v, Verdict::Forward(Ports::one(1)));
         assert_eq!(stats.fns_executed, 1);
     }
 
@@ -297,7 +298,7 @@ mod tests {
         let secret = r.state().local_secret;
         let mut buf = packet(42, 64).to_bytes(b"data").unwrap();
         let (v, _) = r.process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![1]));
+        assert_eq!(v, Verdict::Forward(Ports::one(1)));
         let pkt = dip_wire::DipPacket::new_checked(&buf[..]).unwrap();
         let field = pkt.locations();
         assert_eq!(parse_field(field).unwrap(), (42, 1));
@@ -392,7 +393,7 @@ mod tests {
         };
         let mut buf = repr.to_bytes(&[0u8; 100]).unwrap();
         let (v, stats) = r.process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![9]));
+        assert_eq!(v, Verdict::Forward(Ports::one(9)));
         assert_eq!(stats.fns_executed, 3);
     }
 }

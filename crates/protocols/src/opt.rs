@@ -115,6 +115,7 @@ mod tests {
     use dip_core::host::deliver;
     use dip_core::{DipRouter, Verdict};
     use dip_fnops::{DropReason, FnRegistry, RouterState};
+    use dip_tables::Ports;
 
     fn session(n_routers: usize) -> (OptSession, Vec<DipRouter>) {
         let router_secrets: Vec<Block> = (0..n_routers).map(|i| [(i as u8) + 10; 16]).collect();
@@ -142,7 +143,7 @@ mod tests {
         let (s, mut routers) = session(1);
         let mut buf = s.packet(b"payload", 123, 64).to_bytes(b"payload").unwrap();
         let (v, stats) = routers[0].process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![1]));
+        assert_eq!(v, Verdict::Forward(Ports::one(1)));
         assert_eq!(stats.fns_executed, 3); // parm, mac, mark
         assert_eq!(stats.skipped_host, 1); // ver
 

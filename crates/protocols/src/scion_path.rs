@@ -185,6 +185,7 @@ impl FieldOp for HopFieldOp {
 mod tests {
     use super::*;
     use dip_core::{DipRouter, Verdict};
+    use dip_tables::Ports;
     use std::sync::Arc;
 
     fn as_router(secret: Block) -> DipRouter {
@@ -208,16 +209,16 @@ mod tests {
 
         let mut r1 = as_router(S1);
         let (v, stats) = r1.process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![5]));
+        assert_eq!(v, Verdict::Forward(Ports::one(5)));
         assert_eq!(stats.cost.table_lookups, 0, "stateless forwarding");
 
         let mut r2 = as_router(S2);
         let (v, _) = r2.process(&mut buf, 2, 0);
-        assert_eq!(v, Verdict::Forward(vec![6]));
+        assert_eq!(v, Verdict::Forward(Ports::one(6)));
 
         let mut r3 = as_router(S3);
         let (v, _) = r3.process(&mut buf, 3, 0);
-        assert_eq!(v, Verdict::Forward(vec![7]));
+        assert_eq!(v, Verdict::Forward(Ports::one(7)));
 
         // Past the last hop: delivered.
         let mut r_dst = as_router(S3);

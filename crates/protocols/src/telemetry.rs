@@ -151,6 +151,7 @@ mod tests {
     use super::*;
     use dip_core::{DipRouter, Verdict};
     use dip_fnops::RouteStore;
+    use dip_tables::Ports;
     use dip_wire::DipPacket;
     use std::sync::Arc;
 
@@ -167,7 +168,7 @@ mod tests {
         for (i, now) in [(1u64, 10_000u64), (2, 25_000), (3, 47_000)] {
             let mut r = tele_router(i);
             let (v, _) = r.process(&mut buf, i as u32 * 10, now);
-            assert_eq!(v, Verdict::Forward(vec![1]));
+            assert_eq!(v, Verdict::Forward(Ports::one(1)));
         }
         let pkt = DipPacket::new_checked(&buf[..]).unwrap();
         let (records, overflow) = parse_records(pkt.locations()).unwrap();
@@ -190,7 +191,7 @@ mod tests {
         for i in 1..=5u64 {
             let mut r = tele_router(i);
             let (v, _) = r.process(&mut buf, 0, i * 1000);
-            assert_eq!(v, Verdict::Forward(vec![1]), "hop {i}");
+            assert_eq!(v, Verdict::Forward(Ports::one(1)), "hop {i}");
         }
         let pkt = DipPacket::new_checked(&buf[..]).unwrap();
         let (records, overflow) = parse_records(pkt.locations()).unwrap();
@@ -203,7 +204,7 @@ mod tests {
         let mut buf = probe(0, 64).to_bytes(&[]).unwrap();
         let mut r = tele_router(1);
         let (v, _) = r.process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![1]));
+        assert_eq!(v, Verdict::Forward(Ports::one(1)));
         let pkt = DipPacket::new_checked(&buf[..]).unwrap();
         let (records, overflow) = parse_records(pkt.locations()).unwrap();
         assert!(records.is_empty());
@@ -256,7 +257,7 @@ mod tests {
         let mut buf = repr.to_bytes(&payload).unwrap();
 
         let (v, stats) = router.process(&mut buf, 3, 77_000);
-        assert_eq!(v, Verdict::Forward(vec![8]));
+        assert_eq!(v, Verdict::Forward(Ports::one(8)));
         assert_eq!(stats.fns_executed, 5); // PIT + parm + MAC + mark + tele
 
         let pkt = DipPacket::new_checked(&buf[..]).unwrap();

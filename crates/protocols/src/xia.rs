@@ -34,6 +34,7 @@ mod tests {
     use dip_core::{DipRouter, Verdict};
     use dip_fnops::DropReason;
     use dip_fnops::RouteStore;
+    use dip_tables::Ports;
     use dip_tables::XiaNextHop;
     use dip_wire::xia::{DagNode, Xid, XidType};
 
@@ -65,7 +66,7 @@ mod tests {
         r.state_mut().routes = routes.rebuild();
         let mut buf = packet(&content_dag(), 64).to_bytes(&[]).unwrap();
         let (v, stats) = r.process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![4]));
+        assert_eq!(v, Verdict::Forward(Ports::one(4)));
         assert_eq!(stats.fns_executed, 2);
     }
 
@@ -78,7 +79,7 @@ mod tests {
         r.state_mut().routes = routes.rebuild();
         let mut buf = packet(&content_dag(), 64).to_bytes(&[]).unwrap();
         let (v, _) = r.process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![9]));
+        assert_eq!(v, Verdict::Forward(Ports::one(9)));
     }
 
     #[test]
@@ -91,7 +92,7 @@ mod tests {
         ad_router.state_mut().routes = routes.rebuild();
         let mut buf = packet(&content_dag(), 64).to_bytes(&[]).unwrap();
         let (v, _) = ad_router.process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![2]));
+        assert_eq!(v, Verdict::Forward(Ports::one(2)));
 
         // The updated DAG is visible to the next hop.
         let pkt = dip_wire::DipPacket::new_checked(&buf[..]).unwrap();

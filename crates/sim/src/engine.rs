@@ -691,7 +691,7 @@ impl Network {
                 }
                 match verdict {
                     Verdict::Forward(ports) => {
-                        for p in ports {
+                        for &p in ports.iter() {
                             self.transmit(node, p, packet.clone(), done);
                         }
                     }

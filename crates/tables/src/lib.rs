@@ -24,7 +24,7 @@ pub mod pit;
 pub mod xia_table;
 
 pub use content_store::ContentStore;
-pub use pit::{Pit, PitConsume, PitError, PitOutcome};
+pub use pit::{Pit, PitConsume, PitError, PitOutcome, Ports};
 pub use xia_table::XiaNextHop;
 
 /// A router port / face identifier.

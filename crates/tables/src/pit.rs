@@ -50,67 +50,118 @@ pub enum PitError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PitConsume {
     /// A live entry matched; forward the data to these faces.
-    Hit(Vec<Port>),
+    Hit(Ports),
     /// An entry existed but had lapsed; it was evicted (and counted).
     Expired,
     /// No entry for this name at all.
     Miss,
 }
 
-/// Faces and nonces an entry keeps inside its map slot before it spills
+/// Ports and nonces an entry keeps inside its map slot before it spills
 /// to the heap. An interest aggregated from up to four faces — the
 /// ordinary case; the repo's workloads use one or two — then allocates
 /// nothing, where it used to allocate a `Vec` and a `HashSet`. Four is
 /// what the spill variants pay for anyway: four nonces fill exactly the
-/// 48 bytes a `HashSet` header occupies, and four faces make the entry
-/// 88 bytes against the 80 of the two headers alone.
+/// 48 bytes a `HashSet` header occupies, and four ports take 16 bytes
+/// beside a `Vec` header's 24.
 const INLINE: usize = 4;
 
-/// The faces waiting on one name, in arrival order, without duplicates.
-#[derive(Debug, Clone)]
-enum Faces {
+/// A set of ports in arrival order: the faces a PIT entry waits on, the
+/// fan-out of a data packet, the egress list of a forwarding verdict.
+///
+/// Up to four ports live inline; a fifth spills the set to a `Vec`. The
+/// representation is invisible: two sets compare equal when their ports do,
+/// in order, and `Debug` prints the ports as a list. [`Ports::add`] keeps
+/// the set free of duplicates; [`From<Vec<Port>>`](Ports::from) adopts a
+/// vector's ports as given.
+#[derive(Clone)]
+pub struct Ports(PortsRepr);
+
+#[derive(Clone)]
+enum PortsRepr {
     Inline { len: u8, buf: [Port; INLINE] },
     Spilled(Vec<Port>),
 }
 
-impl Faces {
-    fn one(face: Port) -> Self {
+impl Ports {
+    /// The set holding only `port`.
+    pub fn one(port: Port) -> Self {
         let mut buf = [0; INLINE];
-        buf[0] = face;
-        Faces::Inline { len: 1, buf }
+        buf[0] = port;
+        Ports(PortsRepr::Inline { len: 1, buf })
     }
 
-    fn as_slice(&self) -> &[Port] {
-        match self {
-            Faces::Inline { len, buf } => &buf[..usize::from(*len)],
-            Faces::Spilled(v) => v,
+    /// The ports, in arrival order.
+    pub fn as_slice(&self) -> &[Port] {
+        match &self.0 {
+            PortsRepr::Inline { len, buf } => &buf[..usize::from(*len)],
+            PortsRepr::Spilled(v) => v,
         }
     }
 
-    fn add(&mut self, face: Port) {
-        if self.as_slice().contains(&face) {
+    /// Appends `port` unless the set already holds it.
+    pub fn add(&mut self, port: Port) {
+        if self.contains(&port) {
             return;
         }
-        match self {
-            Faces::Inline { len, buf } if usize::from(*len) < INLINE => {
-                buf[usize::from(*len)] = face;
+        match &mut self.0 {
+            PortsRepr::Inline { len, buf } if usize::from(*len) < INLINE => {
+                buf[usize::from(*len)] = port;
                 *len += 1;
             }
-            Faces::Inline { buf, .. } => {
+            PortsRepr::Inline { len, buf } => {
                 let mut v = Vec::with_capacity(2 * INLINE);
-                v.extend_from_slice(buf);
-                v.push(face);
-                *self = Faces::Spilled(v);
+                v.extend_from_slice(&buf[..usize::from(*len)]);
+                v.push(port);
+                self.0 = PortsRepr::Spilled(v);
             }
-            Faces::Spilled(v) => v.push(face),
+            PortsRepr::Spilled(v) => v.push(port),
         }
     }
 
-    fn into_vec(self) -> Vec<Port> {
-        match self {
-            Faces::Inline { .. } => self.as_slice().to_vec(),
-            Faces::Spilled(v) => v,
-        }
+    /// Whether the ports moved to the heap.
+    #[cfg(test)]
+    fn is_spilled(&self) -> bool {
+        matches!(self.0, PortsRepr::Spilled(_))
+    }
+}
+
+impl std::ops::Deref for Ports {
+    type Target = [Port];
+
+    fn deref(&self) -> &[Port] {
+        self.as_slice()
+    }
+}
+
+impl From<Vec<Port>> for Ports {
+    /// Adopts `v` — its allocation and its ports as given, duplicates
+    /// included.
+    fn from(v: Vec<Port>) -> Self {
+        Ports(PortsRepr::Spilled(v))
+    }
+}
+
+impl PartialEq for Ports {
+    fn eq(&self, other: &Ports) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Ports {}
+
+impl std::fmt::Debug for Ports {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Ports {
+    type Item = &'a Port;
+    type IntoIter = std::slice::Iter<'a, Port>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
     }
 }
 
@@ -163,14 +214,14 @@ impl Nonces {
 
 #[derive(Debug, Clone)]
 struct PitEntry {
-    faces: Faces,
+    faces: Ports,
     nonces: Nonces,
     expires_at: Ticks,
 }
 
 impl PitEntry {
     fn fresh(face: Port, nonce: u64, expires_at: Ticks) -> Self {
-        PitEntry { faces: Faces::one(face), nonces: Nonces::one(nonce), expires_at }
+        PitEntry { faces: Ports::one(face), nonces: Nonces::one(nonce), expires_at }
     }
 }
 
@@ -263,7 +314,7 @@ impl<K: std::hash::Hash + Eq + Clone> Pit<K> {
     ///
     /// An expired entry is a miss; it is removed eagerly (and counted as
     /// an eviction) rather than left to consume capacity.
-    pub fn consume(&mut self, name: &K, now: Ticks) -> Option<Vec<Port>> {
+    pub fn consume(&mut self, name: &K, now: Ticks) -> Option<Ports> {
         match self.consume_classified(name, now) {
             PitConsume::Hit(faces) => Some(faces),
             PitConsume::Expired | PitConsume::Miss => None,
@@ -276,7 +327,7 @@ impl<K: std::hash::Hash + Eq + Clone> Pit<K> {
     /// evicted eagerly and counted.
     pub fn consume_classified(&mut self, name: &K, now: Ticks) -> PitConsume {
         match self.entries.remove(name) {
-            Some(e) if e.expires_at > now => PitConsume::Hit(e.faces.into_vec()),
+            Some(e) if e.expires_at > now => PitConsume::Hit(e.faces),
             Some(_) => {
                 // Expired: evicted on lookup, reported distinctly.
                 self.evictions.inc();
@@ -351,7 +402,7 @@ mod tests {
     fn interest_then_data_roundtrip() {
         let mut p = pit();
         assert_eq!(p.record_interest(42, 3, 1, 0), Ok(PitOutcome::Forward));
-        assert_eq!(p.consume(&42, 50), Some(vec![3]));
+        assert_eq!(p.consume(&42, 50).as_deref(), Some(&[3][..]));
         // Consumed: a second data packet misses.
         assert_eq!(p.consume(&42, 51), None);
     }
@@ -363,7 +414,7 @@ mod tests {
         assert_eq!(p.record_interest(42, 7, 2, 10), Ok(PitOutcome::Aggregated));
         // Same face, new nonce: aggregated but face not duplicated.
         assert_eq!(p.record_interest(42, 3, 3, 20), Ok(PitOutcome::Aggregated));
-        assert_eq!(p.consume(&42, 50), Some(vec![3, 7]));
+        assert_eq!(p.consume(&42, 50).as_deref(), Some(&[3, 7][..]));
     }
 
     #[test]
@@ -372,7 +423,7 @@ mod tests {
         p.record_interest(42, 3, 99, 0).unwrap();
         assert_eq!(p.record_interest(42, 5, 99, 1), Ok(PitOutcome::DuplicateNonce));
         // The duplicate must not have added the face.
-        assert_eq!(p.consume(&42, 50), Some(vec![3]));
+        assert_eq!(p.consume(&42, 50).as_deref(), Some(&[3][..]));
     }
 
     #[test]
@@ -390,7 +441,7 @@ mod tests {
         p.record_interest(42, 3, 1, 0).unwrap();
         // After expiry, the same nonce is acceptable again (fresh round).
         assert_eq!(p.record_interest(42, 9, 1, 200), Ok(PitOutcome::Forward));
-        assert_eq!(p.consume(&42, 250), Some(vec![9]));
+        assert_eq!(p.consume(&42, 250).as_deref(), Some(&[9][..]));
     }
 
     #[test]
@@ -452,7 +503,7 @@ mod tests {
         let mut p = pit();
         p.record_interest(42, 3, 1, 0).unwrap();
         // Live entry: a hit with the recorded face.
-        assert_eq!(p.consume_classified(&42, 50), PitConsume::Hit(vec![3]));
+        assert_eq!(p.consume_classified(&42, 50), PitConsume::Hit(Ports::one(3)));
         // Consumed already: a plain miss, not an expiry.
         assert_eq!(p.consume_classified(&42, 51), PitConsume::Miss);
         // Aged-out entry: reported as expired and counted as an eviction.
@@ -486,12 +537,70 @@ mod tests {
     }
 
     #[test]
+    fn ports_stay_inline_up_to_four_and_spill_on_the_fifth() {
+        let mut ports = Ports::one(10);
+        for p in 11..14 {
+            ports.add(p);
+            assert!(!ports.is_spilled(), "{} ports fit inline", ports.len());
+        }
+        ports.add(14);
+        assert!(ports.is_spilled(), "the fifth port spills");
+        ports.add(15);
+        assert_eq!(ports.as_slice(), &[10, 11, 12, 13, 14, 15]);
+    }
+
+    #[test]
+    fn ports_ignore_duplicates_and_keep_arrival_order() {
+        let mut ports = Ports::one(7);
+        for p in [3, 7, 9, 3, 1, 9, 7] {
+            ports.add(p);
+        }
+        assert_eq!(&*ports, &[7, 3, 9, 1]);
+        // Past the inline width too.
+        for p in [5, 1, 5, 8] {
+            ports.add(p);
+        }
+        assert_eq!(&*ports, &[7, 3, 9, 1, 5, 8]);
+        let mut walked = Vec::new();
+        for &p in &ports {
+            walked.push(p);
+        }
+        assert_eq!(walked, vec![7, 3, 9, 1, 5, 8]);
+    }
+
+    #[test]
+    fn inline_and_spilled_sets_with_the_same_ports_compare_equal() {
+        // An adopted vector stays on the heap whatever its length.
+        let mut spilled = Ports::from(vec![1, 2, 3]);
+        assert!(spilled.is_spilled());
+        let mut inline = Ports::one(1);
+        for p in [2, 3] {
+            inline.add(p);
+        }
+        assert!(!inline.is_spilled());
+        assert_eq!(inline, spilled, "the representation differs, the value does not");
+        spilled.add(4);
+        assert_ne!(inline, spilled);
+        inline.add(4);
+        assert_eq!(inline, spilled);
+        assert_ne!(Ports::from(vec![2, 1]), Ports::from(vec![1, 2]), "order is part of the value");
+    }
+
+    #[test]
+    fn ports_debug_prints_a_list() {
+        assert_eq!(format!("{:?}", Ports::one(3)), "[3]");
+        assert_eq!(format!("{:?}", Ports::from(vec![1, 2, 3, 4, 5, 6])), "[1, 2, 3, 4, 5, 6]");
+        // A hit reads as it did when it carried a `Vec`.
+        assert_eq!(format!("{:?}", PitConsume::Hit(Ports::from(vec![3, 8]))), "Hit([3, 8])");
+    }
+
+    #[test]
     fn works_with_name_keys() {
         use dip_wire::ndn::Name;
         let mut p: Pit<Name> = Pit::new(16, 100);
         let n = Name::parse("/hotnets/org");
         p.record_interest(n.clone(), 4, 7, 0).unwrap();
-        assert_eq!(p.consume(&n, 10), Some(vec![4]));
+        assert_eq!(p.consume(&n, 10).as_deref(), Some(&[4][..]));
     }
 }
 
@@ -507,6 +616,28 @@ mod model {
         faces: Vec<Port>,
         nonces: HashSet<u64>,
         expires_at: Ticks,
+    }
+
+    /// What the model's consume returns: the faces as the heap `Vec` the
+    /// table used to hand out.
+    #[derive(Debug)]
+    enum ModelConsume {
+        Hit(Vec<Port>),
+        Expired,
+        Miss,
+    }
+
+    /// Whether the table's answer is the model's: a hit carries the same
+    /// ports in the same order, whether they sit inline or spilled.
+    fn same_consume(got: &PitConsume, want: &ModelConsume) -> bool {
+        match (got, want) {
+            (PitConsume::Hit(ports), ModelConsume::Hit(faces)) => {
+                ports.as_slice() == faces.as_slice() && ports.is_spilled() == (faces.len() > INLINE)
+            }
+            (PitConsume::Expired, ModelConsume::Expired)
+            | (PitConsume::Miss, ModelConsume::Miss) => true,
+            _ => false,
+        }
     }
 
     struct ModelPit {
@@ -555,14 +686,14 @@ mod model {
             Ok(PitOutcome::Forward)
         }
 
-        fn consume_classified(&mut self, name: &u32, now: Ticks) -> PitConsume {
+        fn consume_classified(&mut self, name: &u32, now: Ticks) -> ModelConsume {
             match self.entries.remove(name) {
-                Some(e) if e.expires_at > now => PitConsume::Hit(e.faces),
+                Some(e) if e.expires_at > now => ModelConsume::Hit(e.faces),
                 Some(_) => {
                     self.evictions += 1;
-                    PitConsume::Expired
+                    ModelConsume::Expired
                 }
-                None => PitConsume::Miss,
+                None => ModelConsume::Miss,
             }
         }
 
@@ -633,7 +764,8 @@ mod model {
                     if matches!(&got, PitConsume::Hit(faces) if faces.len() > INLINE) {
                         spilled += 1;
                     }
-                    assert_eq!(got, model.consume_classified(&name, now), "{}", ctx());
+                    let want = model.consume_classified(&name, now);
+                    assert!(same_consume(&got, &want), "{}: {got:?} vs {want:?}", ctx());
                 }
                 85..=94 => {
                     assert_eq!(fast.contains(&name, now), model.contains(&name, now), "{}", ctx())

@@ -30,5 +30,5 @@ mod outcome;
 mod registry;
 
 pub use metrics::{Counter, Gauge, Histogram};
-pub use outcome::{DropReason, OutcomeCounters, PacketOutcome};
+pub use outcome::{DropReason, OutcomeCounters, OutcomeTally, PacketOutcome};
 pub use registry::{Registry, Sample, Snapshot};

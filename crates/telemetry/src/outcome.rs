@@ -210,6 +210,26 @@ impl OutcomeCounters {
         }
     }
 
+    /// Publishes `tally` into these counters and empties it: one atomic
+    /// add per non-zero class and reason, however many packets it holds.
+    pub fn flush(&self, tally: &mut OutcomeTally) {
+        for (counter, n) in [
+            (&self.forwarded, tally.forwarded),
+            (&self.consumed, tally.consumed),
+            (&self.dropped, tally.drops.iter().sum()),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+        for (counter, &n) in self.drops.iter().zip(&tally.drops) {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+        *tally = OutcomeTally::default();
+    }
+
     /// The `dip_drops_total{reason}` counter — e.g. to hand the
     /// `QueueFull` instance to an SPSC ring so ring drops land in the
     /// same ledger with no double counting.
@@ -231,6 +251,31 @@ impl OutcomeCounters {
     /// [`OutcomeCounters::drop_counter`] handles).
     pub fn dropped(&self) -> u64 {
         self.drops.iter().map(|c| c.get()).sum()
+    }
+}
+
+/// Outcomes tallied in plain integers by the one thread that owns them,
+/// published into an [`OutcomeCounters`] by [`OutcomeCounters::flush`].
+///
+/// A hot loop records into a tally per packet and flushes once per batch,
+/// so it writes no shared atomic per packet; the registry lags the loop by
+/// at most the unflushed tally.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OutcomeTally {
+    forwarded: u64,
+    consumed: u64,
+    /// Indexed like [`DropReason::ALL`].
+    drops: [u64; DropReason::ALL.len()],
+}
+
+impl OutcomeTally {
+    /// Tallies one packet's outcome.
+    pub fn record(&mut self, outcome: PacketOutcome) {
+        match outcome {
+            PacketOutcome::Forwarded => self.forwarded += 1,
+            PacketOutcome::Consumed => self.consumed += 1,
+            PacketOutcome::Dropped(reason) => self.drops[reason.index()] += 1,
+        }
     }
 }
 
@@ -271,6 +316,31 @@ mod tests {
         let drops = snap.get("dip_drops_total");
         assert_eq!(forwarded + consumed + drops, 6, "every packet accounted exactly once");
         assert_eq!(snap.sum_where("dip_drops_total", &[("reason", "queue_full")]), 1);
+    }
+
+    #[test]
+    fn a_flushed_tally_counts_like_per_packet_records() {
+        let outcomes = [
+            PacketOutcome::Forwarded,
+            PacketOutcome::Consumed,
+            PacketOutcome::Dropped(DropReason::PitMiss),
+            PacketOutcome::Forwarded,
+            PacketOutcome::Dropped(DropReason::NoRoute),
+            PacketOutcome::Dropped(DropReason::PitMiss),
+        ];
+        let (direct_reg, tallied_reg) = (Registry::new(), Registry::new());
+        let direct = OutcomeCounters::register(&direct_reg, &[]);
+        let tallied = OutcomeCounters::register(&tallied_reg, &[]);
+        let mut tally = OutcomeTally::default();
+        for outcome in outcomes {
+            direct.record(outcome);
+            tally.record(outcome);
+        }
+        assert_eq!(tallied_reg.snapshot().get("dip_packets_total"), 0, "nothing before the flush");
+        tallied.flush(&mut tally);
+        assert_eq!(tally, OutcomeTally::default(), "a flush empties the tally");
+        tallied.flush(&mut tally);
+        assert_eq!(tallied_reg.snapshot().to_json(), direct_reg.snapshot().to_json());
     }
 
     #[test]

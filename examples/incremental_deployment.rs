@@ -104,7 +104,7 @@ fn main() {
     core_router.state_mut().routes = routes.rebuild();
     let (verdict, _) = core_router.process(&mut dip_form, 0, 0);
     println!("   DIP core forwards it: {verdict:?}");
-    assert_eq!(verdict, Verdict::Forward(vec![3]));
+    assert_eq!(verdict, Verdict::Forward(Ports::one(3)));
 
     let back = border::decap_ipv6(&dip_form).unwrap();
     assert_eq!(back, legacy);

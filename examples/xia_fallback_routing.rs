@@ -38,7 +38,7 @@ fn main() {
     let mut buf = xia::packet(&dag, 64).to_bytes(b"bits").unwrap();
     let v = route(&mut modern, &mut buf);
     println!("content-aware router : {v:?}   (routed on the CID intent directly)");
-    assert_eq!(v, Verdict::Forward(vec![7]));
+    assert_eq!(v, Verdict::Forward(Ports::one(7)));
 
     // --- Router B: legacy, only understands ADs. --------------------------
     let mut legacy = DipRouter::new(2, [2; 16]);
@@ -48,7 +48,7 @@ fn main() {
     let mut buf = xia::packet(&dag, 64).to_bytes(b"bits").unwrap();
     let v = route(&mut legacy, &mut buf);
     println!("legacy (AD-only)     : {v:?}   (CID unknown -> AD fallback)");
-    assert_eq!(v, Verdict::Forward(vec![2]));
+    assert_eq!(v, Verdict::Forward(Ports::one(2)));
 
     // --- The AD's border router: advances the DAG and hands to the HID. ---
     let mut border = DipRouter::new(3, [3; 16]);
@@ -63,7 +63,7 @@ fn main() {
         "AD border router     : {v:?}   (last_visited advanced to node {} in the packet)",
         updated.last_visited
     );
-    assert_eq!(v, Verdict::Forward(vec![4]));
+    assert_eq!(v, Verdict::Forward(Ports::one(4)));
     assert_eq!(updated.last_visited, 1);
 
     // --- The media server: owns the HID and the content. ------------------

@@ -20,8 +20,11 @@
 #   bench  — the stand-alone benchmark (the one measurement of speed)
 #             still builds against the crates, passes its own correctness
 #             pre-check traced and untraced on the IP route walk, the NDN
-#             tables and the OPT crypto path, and nothing under its paths
-#             was edited
+#             tables, the OPT crypto path, the six-class mix (whose
+#             never-seen programs miss the program cache's recent-program
+#             ring) and the route storm (whose epoch swaps land between the
+#             workers' per-batch telemetry flushes), and nothing under its
+#             paths was edited
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,7 +65,7 @@ echo "== bench: stand-alone benchmark builds and passes its pre-check"
 # non-zero when the pre-check, the accounting identity or the generator
 # schedule fails.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-for workload in ip_forward ndn_cache opt_secure; do
+for workload in ip_forward ndn_cache opt_secure mixed_six ip_churn; do
     for trace in 0 1; do
         python3 benchmark/run.py --workload "$workload" --trace "$trace" --seconds 3 \
             > "/tmp/dipbench_smoke_${workload}_$trace.txt"

@@ -30,7 +30,7 @@
 //! // The router runs Algorithm 1: record PIT, match FIB, forward.
 //! let mut buf = interest.to_bytes(&[]).unwrap();
 //! let (verdict, _) = router.process(&mut buf, /*in_port*/ 3, /*now*/ 0);
-//! assert_eq!(verdict, Verdict::Forward(vec![8]));
+//! assert_eq!(verdict, Verdict::Forward(Ports::one(8)));
 //! ```
 //!
 //! ## Crate map
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use dip_fnops::{Action, DropReason, FnRegistry, PacketCtx, RouterState};
     pub use dip_protocols::opt::OptSession;
     pub use dip_tables::fib::NextHop;
-    pub use dip_tables::{Pit, Port};
+    pub use dip_tables::{Pit, Port, Ports};
     pub use dip_verify::{Checker, FnProgram, Report};
     pub use dip_wire::ndn::Name;
     pub use dip_wire::packet::{DipBuilder, DipPacket, DipRepr};

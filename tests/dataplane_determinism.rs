@@ -7,10 +7,12 @@
 //! * **reference** — one [`DipRouter`] processes every packet in
 //!   submission order on the caller thread;
 //! * **dataplane** — [`dip::dataplane::Dataplane`] with every
-//!   combination of worker count {1, 2, 3, 4} and batch size {1, 8, 33},
-//!   workers fed over SPSC rings under lossless backpressure. Three is in
-//!   the sweep because the flow hash modulo a power of two depends only
-//!   on the low bits of each hashed byte.
+//!   combination of worker count {1, 2, 3, 4} and batch size
+//!   {1, 7, 32, 33}, workers fed over SPSC rings under lossless
+//!   backpressure. Three is in the sweep because the flow hash modulo a
+//!   power of two depends only on the low bits of each hashed byte; the
+//!   batch sizes put a flush after every packet, after an odd run, at the
+//!   default size and one past it.
 //!
 //! Equivalence is checked three ways: identical verdicts in submission
 //! order, byte-identical packets after FN execution, and identical
@@ -23,7 +25,10 @@
 //!
 //! The IP case over a trie of thousands of prefixes drives the batch
 //! route walk through chunk nodes, with malformed and unrouted packets
-//! mixed in; every case also checks the per-key FN invocation counts.
+//! mixed in; every case also checks the per-key FN invocation counts and
+//! that the counters the workers flush once per batch come out exact: one
+//! router verdict per accounted packet, one per processed packet, and one
+//! execute-time observation per batch.
 //!
 //! A last case runs generated workload traces (IPv4 and NDN) while a
 //! route storm publishes snapshots mid-run: the flap pools cover no
@@ -46,7 +51,7 @@ use dip_routes::RouteStore;
 type Packet = (Vec<u8>, Port, Ticks);
 
 const WORKERS: [usize; 4] = [1, 2, 3, 4];
-const BATCHES: [usize; 3] = [1, 8, 33];
+const BATCHES: [usize; 4] = [1, 7, 32, 33];
 
 /// PIT state as a comparable value: (name, faces, expiry, nonces), sorted.
 fn pit_digest(router: &DipRouter) -> Vec<(u32, Vec<Port>, Ticks, Vec<u64>)> {
@@ -66,7 +71,7 @@ fn cs_digest(router: &DipRouter) -> Vec<(u32, Vec<u8>, Ticks)> {
         .state()
         .content_store
         .as_ref()
-        .map(|cs| cs.iter().map(|(k, v, t)| (*k, v.clone(), t)).collect())
+        .map(|cs| cs.iter().map(|(k, v, t)| (*k, v.to_vec(), t)).collect())
         .unwrap_or_default();
     d.sort();
     d
@@ -155,6 +160,23 @@ fn assert_deterministic_under(
                 fn_invocations(&snap),
                 expected_invocations,
                 "{tag}: FN invocations by key, then in total"
+            );
+            // The per-batch flush loses and doubles nothing.
+            let packets_total = snap.get("dip_packets_total");
+            assert_eq!(
+                snap.get("dip_router_verdicts_total"),
+                packets_total,
+                "{tag}: one router verdict per accounted packet"
+            );
+            assert_eq!(
+                packets_total,
+                snap.get("dip_worker_processed_total"),
+                "{tag}: every processed packet accounted"
+            );
+            assert_eq!(
+                snap.get("dip_router_execute_ns_count"),
+                snap.get("dip_worker_batches_total"),
+                "{tag}: one execute-time observation per batch"
             );
 
             let outcomes = report.sorted_outcomes();

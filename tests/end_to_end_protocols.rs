@@ -26,7 +26,7 @@ fn dip32_across_five_hops() {
         .unwrap();
     for r in routers.iter_mut() {
         let (v, _) = r.process(&mut buf, 0, 0);
-        assert_eq!(v, Verdict::Forward(vec![1]));
+        assert_eq!(v, Verdict::Forward(Ports::one(1)));
     }
     // Five hop-limit decrements visible on the wire.
     assert_eq!(DipPacket::new_checked(&buf[..]).unwrap().hop_limit(), 59);
@@ -46,7 +46,7 @@ fn dip128_and_source_recording() {
     assert_eq!(repr.header_len(), 50);
     let mut buf = repr.to_bytes(&[]).unwrap();
     let (v, stats) = r.process(&mut buf, 0, 0);
-    assert_eq!(v, Verdict::Forward(vec![4]));
+    assert_eq!(v, Verdict::Forward(Ports::one(4)));
     assert_eq!(stats.fns_executed, 2);
 }
 
@@ -64,13 +64,13 @@ fn ndn_interest_data_across_three_hops() {
     let mut ibuf = ndn::interest(&name, 64).to_bytes(&[]).unwrap();
     for r in routers.iter_mut() {
         let (v, _) = r.process(&mut ibuf, 0, 100);
-        assert_eq!(v, Verdict::Forward(vec![1]));
+        assert_eq!(v, Verdict::Forward(Ports::one(1)));
     }
     // Data travels back, arriving on port 1, following PIT state.
     let mut dbuf = ndn::data(&name, 64).to_bytes(b"content").unwrap();
     for r in routers.iter_mut().rev() {
         let (v, _) = r.process(&mut dbuf, 1, 200);
-        assert_eq!(v, Verdict::Forward(vec![0]));
+        assert_eq!(v, Verdict::Forward(Ports::one(0)));
     }
     // All PIT entries consumed.
     for r in &routers {
@@ -125,12 +125,12 @@ fn ndn_opt_composition_runs_both_protocol_halves() {
 
     let mut ibuf = ndn_opt::interest(&name, 64).to_bytes(&[]).unwrap();
     let (v, _) = router.process(&mut ibuf, 3, 0);
-    assert_eq!(v, Verdict::Forward(vec![8]));
+    assert_eq!(v, Verdict::Forward(Ports::one(8)));
 
     let payload = b"secure content".to_vec();
     let mut dbuf = ndn_opt::data(&session, &name, &payload, 1, 64).to_bytes(&payload).unwrap();
     let (v, stats) = router.process(&mut dbuf, 8, 10);
-    assert_eq!(v, Verdict::Forward(vec![3]));
+    assert_eq!(v, Verdict::Forward(Ports::one(3)));
     // NDN half: PIT consumed. OPT half: 3 auth FNs ran, ver skipped.
     assert_eq!(stats.fns_executed, 4);
     assert_eq!(stats.skipped_host, 1);
@@ -167,9 +167,9 @@ fn xia_multi_domain_walk() {
 
     let mut buf = xia::packet(&dag, 64).to_bytes(b"stream").unwrap();
     let (v, _) = r1.process(&mut buf, 0, 0);
-    assert_eq!(v, Verdict::Forward(vec![1]));
+    assert_eq!(v, Verdict::Forward(Ports::one(1)));
     let (v, _) = r2.process(&mut buf, 0, 0);
-    assert_eq!(v, Verdict::Forward(vec![2]));
+    assert_eq!(v, Verdict::Forward(Ports::one(2)));
     let (v, _) = r3.process(&mut buf, 0, 0);
     assert_eq!(v, Verdict::Deliver);
 }
@@ -194,7 +194,7 @@ fn mixed_traffic_one_router() {
             ip::dip32_packet(Ipv4Addr::new(10, 0, 0, round as u8), Ipv4Addr::new(1, 1, 1, 1), 64)
                 .to_bytes(&round.to_be_bytes())
                 .unwrap();
-        assert_eq!(r.process(&mut a, 0, round).0, Verdict::Forward(vec![1]));
+        assert_eq!(r.process(&mut a, 0, round).0, Verdict::Forward(Ports::one(1)));
 
         let mut b = ndn::interest(&name, 64).to_bytes(&round.to_be_bytes()).unwrap();
         let v = r.process(&mut b, 7, round).0;
@@ -204,7 +204,7 @@ fn mixed_traffic_one_router() {
             .packet(&round.to_be_bytes(), round as u32, 64)
             .to_bytes(&round.to_be_bytes())
             .unwrap();
-        assert_eq!(r.process(&mut c, 0, round).0, Verdict::Forward(vec![5]));
+        assert_eq!(r.process(&mut c, 0, round).0, Verdict::Forward(Ports::one(5)));
 
         let dag = Dag::direct_with_fallback(
             DagNode::sink(XidType::Cid, Xid::derive(b"c")),
@@ -213,6 +213,6 @@ fn mixed_traffic_one_router() {
         )
         .unwrap();
         let mut d = xia::packet(&dag, 64).to_bytes(&[]).unwrap();
-        assert_eq!(r.process(&mut d, 0, round).0, Verdict::Forward(vec![4]));
+        assert_eq!(r.process(&mut d, 0, round).0, Verdict::Forward(Ports::one(4)));
     }
 }

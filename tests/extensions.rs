@@ -18,7 +18,7 @@ fn runtime_fn_upgrade_while_traffic_flows() {
 
     let mut before = telemetry::probe(4, 64).to_bytes(&[]).unwrap();
     let (v, stats) = r.process(&mut before, 0, 1_000);
-    assert_eq!(v, Verdict::Forward(vec![1]));
+    assert_eq!(v, Verdict::Forward(Ports::one(1)));
     assert_eq!(stats.skipped_unsupported, 1);
     let pkt = DipPacket::new_checked(&before[..]).unwrap();
     assert_eq!(telemetry::parse_records(pkt.locations()).unwrap().0.len(), 0);
@@ -28,7 +28,7 @@ fn runtime_fn_upgrade_while_traffic_flows() {
 
     let mut after = telemetry::probe(4, 64).to_bytes(&[]).unwrap();
     let (v, stats) = r.process(&mut after, 5, 2_000);
-    assert_eq!(v, Verdict::Forward(vec![1]));
+    assert_eq!(v, Verdict::Forward(Ports::one(1)));
     assert_eq!(stats.fns_executed, 1);
     let pkt = DipPacket::new_checked(&after[..]).unwrap();
     let (records, _) = telemetry::parse_records(pkt.locations()).unwrap();
@@ -138,13 +138,13 @@ fn scion_path_composes_with_telemetry() {
     };
     let mut r1 = mk(11, s1);
     let (v, stats) = r1.process(&mut buf, 0, 1_000);
-    assert_eq!(v, Verdict::Forward(vec![5]));
+    assert_eq!(v, Verdict::Forward(Ports::one(5)));
     assert_eq!(stats.fns_executed, 2);
     assert_eq!(stats.cost.table_lookups, 0, "fully stateless hop");
 
     let mut r2 = mk(22, s2);
     let (v, _) = r2.process(&mut buf, 2, 2_000);
-    assert_eq!(v, Verdict::Forward(vec![6]));
+    assert_eq!(v, Verdict::Forward(Ports::one(6)));
 
     let pkt = DipPacket::new_checked(&buf[..]).unwrap();
     let tele_bytes = &pkt.locations()[path.encode().len()..];

@@ -203,7 +203,7 @@ fn algorithm1_skips_host_tagged_fns() {
     };
     let mut buf = repr.to_bytes(&[]).unwrap();
     let (verdict, stats) = router.process(&mut buf, 0, 0);
-    assert_eq!(verdict, Verdict::Forward(vec![1]));
+    assert_eq!(verdict, Verdict::Forward(Ports::one(1)));
     assert_eq!(stats.fns_executed, 0);
     assert_eq!(stats.skipped_host, 1);
     // The PIT/FIB state is untouched: the op really did not run.
@@ -226,7 +226,7 @@ fn ndn_data_hit_and_miss_behaviour() {
     let mut interest = ndn::interest(&name, 64).to_bytes(&[]).unwrap();
     r.process(&mut interest, 5, 1);
     let mut hit = ndn::data(&name, 64).to_bytes(b"d").unwrap();
-    assert_eq!(r.process(&mut hit, 9, 2).0, Verdict::Forward(vec![5]));
+    assert_eq!(r.process(&mut hit, 9, 2).0, Verdict::Forward(Ports::one(5)));
 }
 
 /// §2.4: "the router should return an FN unsupported message to notify the
@@ -255,7 +255,7 @@ fn section24_unsupported_fn_policy() {
     };
     let mut buf = custom_pkt.to_bytes(&[]).unwrap();
     let (verdict, stats) = limited.process(&mut buf, 0, 0);
-    assert_eq!(verdict, Verdict::Forward(vec![1]));
+    assert_eq!(verdict, Verdict::Forward(Ports::one(1)));
     assert_eq!(stats.skipped_unsupported, 1);
 }
 
@@ -299,7 +299,7 @@ fn five_protocols_one_registry() {
             )
             .to_bytes(&[])
             .unwrap(),
-            Verdict::Forward(vec![1]),
+            Verdict::Forward(Ports::one(1)),
         ),
         (
             "IPv6/DIP-128",
@@ -310,14 +310,18 @@ fn five_protocols_one_registry() {
             )
             .to_bytes(&[])
             .unwrap(),
-            Verdict::Forward(vec![2]),
+            Verdict::Forward(Ports::one(2)),
         ),
-        ("NDN", ndn::interest(&name, 64).to_bytes(&[]).unwrap(), Verdict::Forward(vec![3])),
-        ("OPT", session.packet(b"x", 1, 64).to_bytes(b"x").unwrap(), Verdict::Forward(vec![7])),
+        ("NDN", ndn::interest(&name, 64).to_bytes(&[]).unwrap(), Verdict::Forward(Ports::one(3))),
+        (
+            "OPT",
+            session.packet(b"x", 1, 64).to_bytes(b"x").unwrap(),
+            Verdict::Forward(Ports::one(7)),
+        ),
         (
             "XIA",
             dip::protocols::xia::packet(&dag, 64).to_bytes(&[]).unwrap(),
-            Verdict::Forward(vec![4]),
+            Verdict::Forward(Ports::one(4)),
         ),
     ];
     for (label, mut buf, expected) in packets {

@@ -273,7 +273,7 @@ fn pit_consume_returns_recorded_faces_once() {
                 unique.push(f);
             }
         }
-        assert_eq!(got, unique, "case {case}");
+        assert_eq!(got.as_slice(), unique.as_slice(), "case {case}");
         assert!(pit.consume(&1, 11).is_none(), "case {case}");
     }
 }

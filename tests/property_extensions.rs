@@ -73,7 +73,7 @@ fn random_scion_paths_forward_hop_by_hop() {
             let mut router = DipRouter::new(i as u64, *secret);
             router.registry_mut().install(Arc::new(scion_path::HopFieldOp));
             let (v, _) = router.process(&mut buf, u32::from(*ingress), 0);
-            assert_eq!(v, Verdict::Forward(vec![u32::from(*egress)]), "case {case}, hop {i}");
+            assert_eq!(v, Verdict::Forward(Ports::one(u32::from(*egress))), "case {case}, hop {i}");
         }
     }
 }

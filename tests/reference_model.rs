@@ -116,7 +116,7 @@ impl Reference {
             counts.executed += 1;
             let verdict = match op.execute(t, self.holder.state_mut(), &mut ctx) {
                 Action::Continue => continue,
-                Action::Forward(p) => Verdict::Forward(vec![p]),
+                Action::Forward(p) => Verdict::Forward(Ports::one(p)),
                 Action::ForwardMulti(ps) => Verdict::Forward(ps),
                 Action::Deliver => Verdict::Deliver,
                 Action::Consumed => Verdict::Consumed,
@@ -126,7 +126,7 @@ impl Reference {
             decision.get_or_insert(verdict);
         }
         let fallback = match self.config.default_port {
-            Some(p) => Verdict::Forward(vec![p]),
+            Some(p) => Verdict::Forward(Ports::one(p)),
             None => Verdict::Deliver,
         };
         (decision.unwrap_or(fallback), counts)

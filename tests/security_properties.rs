@@ -152,7 +152,7 @@ fn pass_labels_gate_caching_per_source() {
     // Valid label: delivered and cached.
     let mut valid = make_data(issue_label(&as_secret, &[0x0A; 16]));
     let (v, _) = r.process(&mut valid, 9, 3);
-    assert_eq!(v, Verdict::Forward(vec![3]));
+    assert_eq!(v, Verdict::Forward(Ports::one(3)));
     assert!(r.state().content_store.as_ref().unwrap().peek(&name.compact32()).is_some());
 }
 
