@@ -455,9 +455,16 @@ impl Dataplane {
     }
 
     /// Publishes a new route snapshot; every worker picks it up at its
-    /// next batch boundary without the hot path taking a lock.
+    /// next batch boundary without the hot path taking a lock. Idle
+    /// workers are woken, as at shutdown, so a parked one applies the
+    /// snapshot now instead of when its park times out. The snapshot the
+    /// previous call replaced is freed here, once the workers are woken.
     pub fn publish_routes(&self, snapshot: RouteSnapshot) {
-        self.routes.publish(snapshot);
+        let superseded = self.routes.publish(snapshot);
+        for w in &self.workers {
+            w.thread.unpark();
+        }
+        drop(superseded);
     }
 
     /// Current occupancy of each worker's ring.
@@ -943,6 +950,45 @@ mod tests {
         let report = dp.shutdown();
         assert_eq!(report.sorted_outcomes()[0].verdict, Verdict::Forward(Ports::one(7)));
         assert_eq!(report.registry.snapshot().get("dip_worker_epoch_refreshes_total"), 1);
+    }
+
+    #[test]
+    fn a_parked_worker_applies_a_publication_without_waiting_out_its_park() {
+        let dp = Dataplane::start(DataplaneConfig::default(), factory);
+        let counter = |name| dp.registry().counter(name, "", &[("worker", "0")]);
+        let (parks, refreshes) =
+            (counter("dip_worker_idle_parks_total"), counter("dip_worker_epoch_refreshes_total"));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        // Idle with no traffic until the park backoff sits at its cap.
+        while parks.get() < 16 {
+            assert!(Instant::now() < deadline, "an idle worker never parked");
+            std::thread::yield_now();
+        }
+        // Publish right after a park ends, when the next one has its whole
+        // PARK_MAX ahead; woken, the worker picks the table up well inside
+        // it. One fast pick-up suffices: a loaded host may delay a wake-up,
+        // but a worker nobody wakes never beats its park.
+        let mut fastest = Duration::MAX;
+        for _ in 0..50 {
+            let snapshot = RouteSnapshot::from_tables(slash8(Ipv4Addr::new(99, 0, 0, 0), 7));
+            let (parked, before) = (parks.get(), refreshes.get());
+            while parks.get() == parked {
+                assert!(Instant::now() < deadline, "the worker stopped parking");
+                std::hint::spin_loop();
+            }
+            let published = Instant::now();
+            dp.publish_routes(snapshot);
+            while refreshes.get() == before {
+                assert!(Instant::now() < deadline, "the publication was never picked up");
+                std::hint::spin_loop();
+            }
+            fastest = fastest.min(published.elapsed());
+            if fastest < PARK_MAX / 2 {
+                break;
+            }
+        }
+        assert!(fastest < PARK_MAX / 2, "fastest pick-up {fastest:?}, parks last {PARK_MAX:?}");
+        dp.shutdown();
     }
 
     #[test]

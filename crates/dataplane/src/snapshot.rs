@@ -11,6 +11,13 @@
 //! only when the epoch moved does it take the (cold) publication lock to
 //! clone out the new `Arc`.
 //!
+//! Freeing a superseded version is the publisher's job, not a worker's:
+//! the cell keeps the value a publication replaced until the next
+//! publication, and drops it there. A worker moves to the new version at
+//! its next batch boundary, microseconds later, so by the time the
+//! publisher drops the old one nobody else holds it, and the worker's own
+//! releases are plain reference-count decrements.
+//!
 //! Flow state (PIT, and the content store once data traffic has run) is
 //! deliberately *not* snapshotted on the normal path: it is owned and
 //! mutated by exactly one worker per flow (see
@@ -30,7 +37,7 @@ use std::sync::{Arc, Mutex};
 pub struct RouteSnapshot {
     /// The forwarding tables (`dip-routes`), installed whole. Cloning is
     /// `Arc` bumps, so delta-produced snapshots share every untouched
-    /// chunk with their predecessor.
+    /// root page and chunk with their predecessor.
     pub tables: RouteTables,
     /// When set, *replaces* the worker's content store (cache preload or
     /// post-poisoning reset). `None` preserves the worker's cache.
@@ -41,8 +48,10 @@ pub struct RouteSnapshot {
 }
 
 impl RouteSnapshot {
-    /// A snapshot carrying only route tables: publication cost is a
-    /// handful of `Arc` bumps no matter how many routes they hold.
+    /// A snapshot carrying only route tables. Wrapping them is free; what
+    /// a version costs was paid when it was committed (the root spine and
+    /// the pages the delta touched, see `dip_routes::lpm`), and freeing
+    /// it falls to the publisher once it is superseded (see [`EpochCell`]).
     pub fn from_tables(tables: RouteTables) -> Self {
         RouteSnapshot { tables, ..RouteSnapshot::default() }
     }
@@ -70,20 +79,42 @@ pub struct EpochCell<T> {
     epoch: AtomicU64,
     /// Cold path only: held for the duration of an `Arc` clone/swap,
     /// never during packet processing.
-    slot: Mutex<Arc<T>>,
+    slot: Mutex<Versions<T>>,
+}
+
+/// The current value and the one it replaced.
+#[derive(Debug)]
+struct Versions<T> {
+    current: Arc<T>,
+    /// Kept until the next publication, so that readers moving off it
+    /// never hold its last reference.
+    retired: Option<Arc<T>>,
 }
 
 impl<T> EpochCell<T> {
     /// A cell at epoch 0 holding `value`.
     pub fn new(value: T) -> Self {
-        EpochCell { epoch: AtomicU64::new(0), slot: Mutex::new(Arc::new(value)) }
+        let versions = Versions { current: Arc::new(value), retired: None };
+        EpochCell { epoch: AtomicU64::new(0), slot: Mutex::new(versions) }
     }
 
     /// Publishes a new value: swap first, then bump the epoch (Release),
-    /// so any reader observing the new epoch finds the new value.
-    pub fn publish(&self, value: T) {
-        *self.slot.lock().expect("epoch cell poisoned") = Arc::new(value);
+    /// so any reader observing the new epoch finds the new value. The
+    /// value this replaces is kept until the next publication; the one
+    /// the previous publication replaced is returned, after the lock is
+    /// released. A reader that refreshed since has let go of it, so
+    /// dropping it frees it on the publishing thread — after waking the
+    /// readers, say, so that they need not wait for the free. A reader
+    /// still two epochs behind frees it itself.
+    pub fn publish(&self, value: T) -> Option<Arc<T>> {
+        let value = Arc::new(value);
+        let superseded = {
+            let mut versions = self.slot.lock().expect("epoch cell poisoned");
+            let replaced = std::mem::replace(&mut versions.current, value);
+            versions.retired.replace(replaced)
+        };
         self.epoch.fetch_add(1, Ordering::Release);
+        superseded
     }
 
     /// The current epoch.
@@ -99,7 +130,7 @@ impl<T> EpochCell<T> {
     /// was starting. A cell nobody published into is at epoch 0 and
     /// reports nothing.
     pub fn reader(self: &Arc<Self>) -> EpochReader<T> {
-        let cached = Arc::clone(&self.slot.lock().expect("epoch cell poisoned"));
+        let cached = Arc::clone(&self.slot.lock().expect("epoch cell poisoned").current);
         EpochReader { cell: Arc::clone(self), seen: 0, cached }
     }
 }
@@ -121,7 +152,7 @@ impl<T> EpochReader<T> {
         if epoch == self.seen {
             return false;
         }
-        self.cached = Arc::clone(&self.cell.slot.lock().expect("epoch cell poisoned"));
+        self.cached = Arc::clone(&self.cell.slot.lock().expect("epoch cell poisoned").current);
         self.seen = epoch;
         true
     }
@@ -169,6 +200,63 @@ mod tests {
         let held = reader.get(); // hot path holds a reference...
         cell.publish(vec![1u8; 8]); // ...while the control plane swaps
         assert_eq!(held, &vec![0u8; 8]);
+    }
+
+    /// A value that records, when dropped, its version and the thread
+    /// that dropped it.
+    struct Tracked {
+        version: u32,
+        drops: Arc<Mutex<Vec<(u32, std::thread::ThreadId)>>>,
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            let me = std::thread::current().id();
+            self.drops.lock().unwrap().push((self.version, me));
+        }
+    }
+
+    #[test]
+    fn the_publisher_frees_what_it_superseded_and_the_reader_frees_nothing() {
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let version = |version| Tracked { version, drops: Arc::clone(&drops) };
+        let dropped = || drops.lock().unwrap().iter().map(|&(v, _)| v).collect::<Vec<_>>();
+        let cell = Arc::new(EpochCell::new(version(0)));
+        let publisher = std::thread::current().id();
+
+        // The reader lives on its own thread and refreshes on request.
+        let (ask, asked) = std::sync::mpsc::channel::<()>();
+        let (done, finished) = std::sync::mpsc::channel::<u32>();
+        let mut reader = cell.reader();
+        let worker = std::thread::spawn(move || {
+            for () in asked {
+                assert!(reader.refresh());
+                done.send(reader.get().version).unwrap();
+            }
+        });
+        let refresh = || {
+            ask.send(()).unwrap();
+            finished.recv().unwrap()
+        };
+
+        cell.publish(version(1));
+        assert_eq!(refresh(), 1);
+        assert!(dropped().is_empty(), "V0 is kept by the cell while the reader moves off it");
+        cell.publish(version(2));
+        assert_eq!(dropped(), [0], "the second publication frees V0");
+        assert_eq!(refresh(), 2);
+        assert_eq!(dropped(), [0], "V1 is still alive after the reader moved off it");
+        cell.publish(version(3));
+        assert_eq!(dropped(), [0, 1], "the next publication frees V1");
+        drop(ask);
+        worker.join().unwrap();
+        drop(cell);
+        let drops = drops.lock().unwrap();
+        assert_eq!(drops.len(), 4, "every version is freed once: {drops:?}");
+        assert!(
+            drops.iter().all(|&(_, thread)| thread == publisher),
+            "the reader was never the last holder: {drops:?}"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use dip_crypto::{Aes128, Block, CbcMac, MacAlgorithm, TwoRoundEm};
 use dip_routes::RouteTables;
 use dip_tables::fib::NextHop;
-use dip_tables::{ContentStore, Pit, Port, Ports, Ticks, XiaNextHop};
+use dip_tables::{ContentStore, Pit, Port, Ports, TableHasher, Ticks, XiaNextHop};
 use dip_telemetry::Counter;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
@@ -134,7 +134,8 @@ impl RouterState {
             local_secret,
             as_secret: local_secret,
             routes: RouteTables::default(),
-            pit: Pit::new(65_536, 4_000_000_000), // 4s at ns ticks
+            // 4 s at ns ticks.
+            pit: Pit::with_hasher(65_536, 4_000_000_000, TableHasher::from_secret(&local_secret)),
             content_store: None,
             mac_choice: MacChoice::TwoRoundEm,
             require_pass_for_cache: false,
@@ -145,13 +146,15 @@ impl RouterState {
 
     /// Enables a content store of `capacity` entries.
     pub fn enable_content_store(&mut self, capacity: usize) {
-        self.install_content_store(ContentStore::new(capacity));
+        let hasher = TableHasher::from_secret(&self.local_secret);
+        self.install_content_store(ContentStore::with_hasher(capacity, hasher));
     }
 
     /// Installs `store` (a preload or a post-poisoning reset) as this
     /// router's content store, counting evictions where the router counts
     /// them rather than where `store` did.
     pub fn install_content_store(&mut self, mut store: ContentStore<u32, Arc<[u8]>>) {
+        store.rekey(TableHasher::from_secret(&self.local_secret));
         store.set_eviction_counter(Arc::clone(&self.cs_evictions));
         self.content_store = Some(store);
     }
@@ -159,6 +162,7 @@ impl RouterState {
     /// Replaces the PIT (an explicit reset; in-flight interests are
     /// discarded), counting evictions where the old one did.
     pub fn install_pit(&mut self, mut pit: Pit<u32>) {
+        pit.rekey(TableHasher::from_secret(&self.local_secret));
         pit.set_eviction_counter(self.pit.eviction_counter());
         self.pit = pit;
     }

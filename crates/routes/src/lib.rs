@@ -6,11 +6,11 @@
 //! live traffic. This crate owns that state for every protocol
 //! (DESIGN.md §14):
 //!
-//! * [`lpm`] — a compressed multibit/poptrie-style LPM (direct 2^16
-//!   root, stride-8 popcount-navigated chunks, run-compressed leaves)
-//!   holding ≥1M IPv4 and ≥500k IPv6 routes; an empty table allocates
-//!   nothing; a batch of keys walks it level by level so their cache
-//!   misses overlap;
+//! * [`lpm`] — a compressed multibit/poptrie-style LPM (a 2^16 root in
+//!   copy-on-write pages, path-compressed stride-8 popcount-navigated
+//!   chunks, run-compressed leaves) holding ≥1M IPv4 and ≥500k IPv6
+//!   routes; an empty table allocates nothing; a batch of keys walks it
+//!   level by level so their cache misses overlap;
 //! * [`name_fib`] / [`xia_fib`] — a hash-compacted NDN name FIB
 //!   (rolling per-depth prefix hashes, deepest-first probes) and a
 //!   flattened XIA route table that preserves the declared-type
@@ -19,8 +19,9 @@
 //!   of incremental update;
 //! * [`store`] — [`RouteStore`], the authoritative ground truth whose
 //!   `commit` derives the next immutable [`RouteTables`] version
-//!   copy-on-write (only touched chunks rebuilt, untouched families
-//!   `Arc`-shared), plus the `dip_routes_*` telemetry family;
+//!   copy-on-write (only touched chunks rebuilt and the root pages
+//!   holding them copied, untouched pages and families `Arc`-shared),
+//!   plus the `dip_routes_*` telemetry family;
 //! * [`synth`] — deterministic distinct-route generators for the scale
 //!   tests and benches.
 //!
@@ -52,3 +53,31 @@ pub use name_fib::CompactNameFib;
 pub use store::{RouteKey, RouteStore, RouteTables, StoreStats};
 pub use synth::{synthesize_v4, synthesize_v6};
 pub use xia_fib::CompactXia;
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// The bytes an `Arc` allocation adds to its value: the two counts.
+pub(crate) const ARC_COUNTS: usize = 2 * size_of::<usize>();
+
+/// Heap bytes of the table `std`'s hashbrown allocates for `capacity`
+/// entries of `entry` bytes: a power-of-two bucket count at most 7/8
+/// full, each bucket an entry and a control byte, plus one group of
+/// trailing control bytes.
+pub(crate) fn hash_table_bytes(capacity: usize, entry: usize) -> usize {
+    match capacity {
+        0 => 0,
+        cap => {
+            let buckets = if cap < 8 { 8 } else { (cap * 8 / 7).next_power_of_two() };
+            buckets * (entry + 1) + 16
+        }
+    }
+}
+
+/// Heap bytes of an `Arc`-shared hash map: the `Arc` around the map and
+/// its table.
+pub(crate) fn shared_map_bytes<K, V, S>(map: &Arc<HashMap<K, V, S>>) -> usize {
+    ARC_COUNTS
+        + size_of::<HashMap<K, V, S>>()
+        + hash_table_bytes(map.capacity(), size_of::<(K, V)>())
+}

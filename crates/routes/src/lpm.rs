@@ -1,49 +1,80 @@
 //! Poptrie-style compressed multibit LPM with copy-on-write deltas.
 //!
-//! The CRAM lens (PAPERS.md): a million-route FIB is *compressible*
-//! because next-hop information is massively redundant — long runs of
-//! adjacent prefixes share a hop. The layout here is the classic
-//! direct-pointing + poptrie split:
+//! The CRAM lens (PAPERS.md): count the bytes and the dependent memory
+//! accesses each operation touches — a lookup's chain of loads, and what
+//! a commit copies. The layout here is direct pointing + poptrie chunks,
+//! with the root paged so that a commit copies what it changed, and the
+//! chunks path-compressed so that a lone long prefix is one node:
 //!
-//! * a 2^16-entry **root array** direct-indexes the top 16 destination
-//!   bits. Routes of length ≤ 16 are leaf-pushed into a flat
-//!   `root_leaf` table (one `Option<NextHop>` per slot); routes longer
-//!   than 16 bits live in an immutable per-slot [`Chunk`];
+//! * the **root** direct-indexes the top 16 destination bits. Each of its
+//!   65 536 `Slot`s holds the slot's leaf-pushed answer from the routes
+//!   of length ≤ 16 and, when the slot has longer routes, the immutable
+//!   `Chunk` they compile to, in 16 bytes, so a lookup's first level
+//!   reads both from one line. The slots live in pages of `PAGE` (32),
+//!   reached through one spine of page pointers held inline in its `Arc`,
+//!   so a lookup chases the spine, the page and the chunk, as many
+//!   pointers as a flat root behind an `Arc<Vec>` costs;
 //! * a **chunk** is a stride-8 multibit trie in poptrie encoding: each
 //!   node holds a 256-bit `vector` bitmap (set ⇒ the byte value
 //!   descends into a child node) and a 256-bit `leafvec` bitmap marking
 //!   the start of each run of equal leaf values, so popcount arithmetic
-//!   replaces pointers and equal-next-hop runs cost one stored leaf.
+//!   replaces pointers and equal-next-hop runs cost one stored leaf. A
+//!   chunk's first node sits inline in the chunk, so the slot's pointer
+//!   leads straight to it;
+//! * chunks are **path-compressed**: a stride that every route still to
+//!   place crosses on one byte value gets no node. The node below it
+//!   records the stride it decodes and, out of line in a `Path`, the
+//!   key bits its path fixed and the answer it inherited; a key that
+//!   leaves the path gets that answer. An un-skipped node stays 72 bytes.
 //!
-//! A lookup is: index the root by the top 16 bits, walk the chunk one
-//! byte at a time (`vector` bit set ⇒ popcount into the child; clear ⇒
-//! popcount into the leaf run), and fall back to `root_leaf` when the
-//! chunk has no covering route — a chunk only ever holds len > 16
-//! routes, so a chunk hit is always the longer match.
+//! A lookup is: index the root by the top 16 bits, walk the chunk (at
+//! each node: check the path if the node skipped strides, then `vector`
+//! bit set ⇒ popcount into the child; clear ⇒ popcount into the leaf
+//! run), and fall back to the slot's leaf when the chunk has no covering
+//! route — a chunk only ever holds len > 16 routes, so a chunk hit is
+//! always the longer match.
 //!
 //! Each of those steps is a dependent memory access, and over a large
 //! table most of them miss the cache. [`CompressedLpm::lookup_many`]
 //! walks a batch of keys *level-synchronously* — every key's root slot
-//! first, then every still-descending key one chunk level down, and so
-//! on — so the misses of independent keys are in flight together instead
-//! of one key at a time (the CRAM lens again: count dependent accesses,
-//! then overlap them). Both walks drive the one level step,
-//! `Chunk::step`, so a node is decoded in exactly one place.
+//! first, then every still-descending key one chunk node down, and so on
+//! — so the misses of independent keys are in flight together instead
+//! of one key at a time. Both walks drive the one level step,
+//! `Chunk::step`, so a node is decoded in exactly one place, and
+//! [`CompressedLpm::lookup_depth`] counts the levels a walk visits.
 //!
 //! Updates never mutate published state. The authoritative routes live
-//! in a [`PrefixStore`] (two ordered maps, short/long); applying a
-//! delta clones the 65 536-slot chunk vector (cheap: `Option<Arc>`s),
-//! rebuilds only the touched chunks from the store, and recomputes only
-//! the `root_leaf` ranges covered by changed short prefixes. Readers
-//! holding the previous [`CompressedLpm`] keep a consistent table —
-//! the epoch swap machinery in the dataplane decides when they move.
+//! in a [`PrefixStore`] (two ordered maps, short/long); applying a delta
+//! copies the spine (2 048 page pointers), rebuilds only the touched
+//! chunks from the store, recomputes only the slot leaves covered by
+//! changed short prefixes, and copies only the pages holding either
+//! (`Arc::make_mut`). Every other page and chunk is shared with the
+//! previous version. Readers holding that version keep a consistent
+//! table; the dataplane's epoch cell hands the superseded one back to
+//! the publishing thread to free.
 
+use crate::ARC_COUNTS;
 use dip_tables::fib::NextHop;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// Number of direct-pointing root slots (top 16 bits).
 pub(crate) const SLOTS: usize = 1 << 16;
+
+/// Root slots per copy-on-write page. A commit copies the whole spine
+/// (`SLOTS / PAGE` pointers, each an `Arc` bump) plus `PAGE` slots (each
+/// a chunk `Arc` bump) per page it touches; for the ~70 IPv4 and ~35 IPv6
+/// slots a 100-route storm delta touches, the two terms balance near 32.
+/// Measured on that storm (375 k routes, 300 deltas, one thread), a
+/// commit took 0.7–1.0 ms at 16 and 32, 0.8–1.2 ms at 64, 1.0–1.3 ms at
+/// 128 and 1.3–1.7 ms at 256, and freeing the superseded version grew
+/// the same way (0.14–0.25 ms at 32, 0.39–0.58 ms at 256). 16 buys
+/// nothing over 32 and doubles the spine; 32 gives a 2 048-entry spine
+/// and 512-byte pages.
+pub(crate) const PAGE: usize = 32;
+
+/// Pages in a full spine.
+const PAGES: usize = SLOTS / PAGE;
 
 /// Keys walked together by [`CompressedLpm::lookup_many`]: a dataplane
 /// worker's default batch, and few enough that the walk state stays in
@@ -94,10 +125,10 @@ fn bm_rank(bm: &[u64; 4], v: usize) -> usize {
 /// The authoritative (uncompressed) prefix map for one address family:
 /// ordered maps keyed by `(left-aligned bits, length)`, split at the
 /// direct-pointing boundary so a chunk rebuild is one range scan and a
-/// `root_leaf` recompute never touches long routes.
+/// slot-leaf recompute never touches long routes.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PrefixStore {
-    /// Routes with length ≤ 16 (leaf-pushed into the root array).
+    /// Routes with length ≤ 16 (leaf-pushed into the root slots).
     short: BTreeMap<(u128, u8), NextHop>,
     /// Routes with length > 16 (compiled into per-slot chunks).
     long: BTreeMap<(u128, u8), NextHop>,
@@ -143,7 +174,7 @@ impl PrefixStore {
         iter.map(|(&(bits, len), &nh)| (bits, len, nh)).collect()
     }
 
-    /// The longest short route covering `slot` (what `root_leaf[slot]`
+    /// The longest short route covering `slot` (what the slot's leaf
     /// must hold).
     fn best_short(&self, slot: u16) -> Option<NextHop> {
         let bits = u128::from(slot) << 112;
@@ -151,25 +182,62 @@ impl PrefixStore {
     }
 }
 
-/// One poptrie node: stride-8, popcount-navigated.
+/// `PNode::base1` bit set on a node whose path skipped strides: its
+/// `base0` then indexes `Chunk::paths`, which holds the leaf base.
+const COMPRESSED: u32 = 1 << 31;
+/// `PNode::base1` bits 27..31: the node's stride as `(120 - depth) / 8`,
+/// the key's right shift in bytes (0 ..= 13).
+const STRIDE_AT: u32 = 27;
+/// `PNode::base1` bits 0..27: the first child's index in `Chunk::nodes`.
+/// A chunk therefore holds at most 2^27 nodes (9 GiB of them, far past
+/// any one /16).
+const CHILD_MASK: u32 = (1 << STRIDE_AT) - 1;
+
+/// One poptrie node: stride-8, popcount-navigated, 72 bytes. The two
+/// words a step reads first — the stride, then the bitmap word for the
+/// key's byte — lead, so they tend to share a cache line.
 #[derive(Clone, Copy, Debug, Default)]
+#[repr(C)]
 struct PNode {
+    /// Index of this node's first leaf run in `Chunk::leaves` — or, on a
+    /// [`COMPRESSED`] node, of its [`Path`] in `Chunk::paths`.
+    base0: u32,
+    /// The first child's index, the stride and the [`COMPRESSED`] flag
+    /// (see the constants).
+    base1: u32,
     /// Bit `v` set ⇒ byte value `v` descends into a child node.
     vector: [u64; 4],
     /// Bit `v` set ⇒ a new run of equal leaf values starts at `v`.
     leafvec: [u64; 4],
-    /// Index of this node's first leaf run in `Chunk::leaves`.
+}
+
+impl PNode {
+    /// Right shift that brings the node's byte to the bottom of a key.
+    #[inline]
+    fn shift(&self) -> u32 {
+        ((self.base1 >> STRIDE_AT) & 0xf) * 8
+    }
+}
+
+/// What a path-compressed node keeps out of line.
+#[derive(Clone, Copy, Debug)]
+struct Path {
+    /// Every key bit above the node's stride that its routes share (the
+    /// bits at and below the stride are zero).
+    bits: u128,
+    /// The answer for a key that leaves the path: the best route matched
+    /// above the node (`None` ⇒ fall back to the slot's leaf).
+    inherited: Option<NextHop>,
+    /// Index of the node's first leaf run in `Chunk::leaves`.
     base0: u32,
-    /// Index of this node's first child in `Chunk::nodes`.
-    base1: u32,
 }
 
 /// The outcome of one level of a chunk walk.
 enum Level {
-    /// The key descends into this child node, one level deeper.
+    /// The key descends into this child node.
     Descend(usize),
     /// The walk ends here: the leaf run's value (`None` ⇒ fall back to
-    /// the root leaf).
+    /// the slot's leaf).
     Leaf(Option<NextHop>),
 }
 
@@ -177,38 +245,66 @@ enum Level {
 /// root slot. Chunks are shared (`Arc`) between table versions and
 /// rebuilt whole when a delta touches their slot.
 #[derive(Debug)]
+#[repr(C)]
 pub(crate) struct Chunk {
-    nodes: Vec<PNode>,
+    /// The first node, inline and first, with the leaves' pointer right
+    /// after it: a lookup reads both from the lines the slot points at,
+    /// without first loading where the nodes are.
+    root: PNode,
     /// Run-compressed leaves; `None` means "no len > 16 route covers
-    /// this range — fall back to the root leaf table".
-    leaves: Vec<Option<NextHop>>,
+    /// this range — fall back to the slot's leaf".
+    leaves: Box<[Option<NextHop>]>,
+    /// Every other node.
+    nodes: Box<[PNode]>,
+    /// One entry per path-compressed node.
+    paths: Box<[Path]>,
 }
 
-impl Chunk {
-    /// Compiles the chunk for one slot from its long routes, in key
-    /// order. All routes must share the slot's top 16 bits and have
-    /// `len > 16`.
-    fn build(routes: &[(u128, u8, NextHop)]) -> Chunk {
-        debug_assert!(routes.is_sorted_by_key(|&(bits, len, _)| (bits, len)));
-        debug_assert!(routes.iter().all(|&(_, len, _)| len > 16));
-        let mut chunk = Chunk { nodes: vec![PNode::default()], leaves: Vec::new() };
-        chunk.fill(0, routes, 16, None);
-        // A chunk is immutable once built: drop the growth slack.
-        chunk.nodes.shrink_to_fit();
-        chunk.leaves.shrink_to_fit();
-        chunk
-    }
+/// A chunk under construction: `nodes[0]` is the root.
+#[derive(Default)]
+struct ChunkBuilder {
+    nodes: Vec<PNode>,
+    leaves: Vec<Option<NextHop>>,
+    paths: Vec<Path>,
+}
 
-    /// Fills node `node_idx` covering bits `[depth, depth + 8)`, with
-    /// `inherited` the best route already matched above this node
-    /// (leaf pushing).
+/// Whether every route of `routes` longer than `depth` crosses the
+/// stride `[depth, depth + 8)` entirely, all on one byte value — the
+/// stride a path-compressed node skips.
+fn one_way_through(routes: &[(u128, u8, NextHop)], depth: u8) -> bool {
+    let mut byte = None;
+    for &(bits, len, _) in routes {
+        if len <= depth {
+            continue;
+        }
+        if len <= depth + 8 {
+            return false;
+        }
+        let v = byte_at(bits, depth);
+        if byte.is_some_and(|b| b != v) {
+            return false;
+        }
+        byte = Some(v);
+    }
+    byte.is_some()
+}
+
+impl ChunkBuilder {
+    /// Fills node `node_idx`, whose parent's stride ended at `start`,
+    /// with `inherited` the best route already matched above it (leaf
+    /// pushing). Strides every route crosses on one byte are skipped, so
+    /// the node may decode a stride deeper than `start`.
     fn fill(
         &mut self,
         node_idx: usize,
         routes: &[(u128, u8, NextHop)],
-        depth: u8,
+        start: u8,
         inherited: Option<NextHop>,
     ) {
+        let mut depth = start;
+        while one_way_through(routes, depth) {
+            depth += 8;
+        }
         // For each of the 256 byte values: the best route terminating
         // within this stride, and the run of `routes` a deeper node needs
         // (`(start, end)`, `end == 0` for none). `routes` is in key order,
@@ -217,10 +313,12 @@ impl Chunk {
         // already ended in this stride.
         let mut best = [None::<(u8, NextHop)>; 256];
         let mut deeper = [(0usize, 0usize); 256];
+        let mut first_live = None;
         for (i, &(bits, len, nh)) in routes.iter().enumerate() {
             if len <= depth {
                 continue;
             }
+            first_live.get_or_insert(bits);
             let v = byte_at(bits, depth);
             if len <= depth + 8 {
                 let span = 1usize << (depth + 8 - len);
@@ -239,7 +337,7 @@ impl Chunk {
         }
         let mut vector = [0u64; 4];
         let mut leafvec = [0u64; 4];
-        let base0 = self.leaves.len() as u32;
+        let leaf_base = self.leaves.len() as u32;
         let mut prev: Option<Option<NextHop>> = None;
         let mut children = 0u32;
         for v in 0..256 {
@@ -255,81 +353,136 @@ impl Chunk {
                 }
             }
         }
-        let base1 = self.nodes.len() as u32;
+        // Children land after the root, which the chunk keeps apart, so
+        // their index in `Chunk::nodes` is one less than here.
+        let first_child = self.nodes.len() as u32;
+        assert!(
+            self.nodes.len() + children as usize <= CHILD_MASK as usize,
+            "a chunk holds at most 2^27 nodes"
+        );
+        let stride = u32::from((120 - depth) / 8) << STRIDE_AT;
+        let (base0, base1) = if depth == start {
+            (leaf_base, (first_child - 1) | stride)
+        } else {
+            let bits = first_live.expect("a skipped stride has routes") & mask_bits(depth);
+            self.paths.push(Path { bits, inherited, base0: leaf_base });
+            ((self.paths.len() - 1) as u32, (first_child - 1) | stride | COMPRESSED)
+        };
         self.nodes[node_idx] = PNode { vector, leafvec, base0, base1 };
         self.nodes.extend((0..children).map(|_| PNode::default()));
         let mut child = 0u32;
-        for (v, &(start, end)) in deeper.iter().enumerate() {
-            if end == 0 {
+        for (v, &(lo, hi)) in deeper.iter().enumerate() {
+            if hi == 0 {
                 continue;
             }
             let pushed = best[v].map(|(_, nh)| nh).or(inherited);
-            self.fill((base1 + child) as usize, &routes[start..end], depth + 8, pushed);
+            self.fill((first_child + child) as usize, &routes[lo..hi], depth + 8, pushed);
             child += 1;
         }
     }
+}
 
-    /// One level of a walk: decodes node `idx` (covering bits
-    /// `[depth, depth + 8)`) for `bits`. Every lookup, single or batched,
-    /// goes through here.
-    #[inline]
-    fn step(&self, idx: usize, bits: u128, depth: u8) -> Level {
-        let node = &self.nodes[idx];
-        let v = byte_at(bits, depth);
-        if bm_get(&node.vector, v) {
-            Level::Descend(node.base1 as usize + bm_rank(&node.vector, v))
-        } else {
-            let run = bm_rank(&node.leafvec, v) + usize::from(bm_get(&node.leafvec, v));
-            Level::Leaf(self.leaves[node.base0 as usize + run - 1])
+impl Chunk {
+    /// Compiles the chunk for one slot from its long routes, in key
+    /// order. All routes must share the slot's top 16 bits and have
+    /// `len > 16`.
+    fn build(routes: &[(u128, u8, NextHop)]) -> Chunk {
+        debug_assert!(routes.is_sorted_by_key(|&(bits, len, _)| (bits, len)));
+        debug_assert!(routes.iter().all(|&(_, len, _)| len > 16));
+        let mut b = ChunkBuilder { nodes: vec![PNode::default()], ..ChunkBuilder::default() };
+        b.fill(0, routes, 16, None);
+        // A chunk is immutable once built: boxing drops the growth slack.
+        Chunk {
+            root: b.nodes[0],
+            nodes: b.nodes.drain(1..).collect(),
+            leaves: b.leaves.into_boxed_slice(),
+            paths: b.paths.into_boxed_slice(),
         }
     }
 
-    /// Longest len > 16 match, or `None` (fall back to the root leaf).
-    fn lookup(&self, bits: u128) -> Option<NextHop> {
-        let mut idx = 0usize;
-        let mut depth = 16u8;
+    /// One level of a walk: decodes `node` (the root or one of `nodes`)
+    /// for `bits`. Every lookup, single or batched, goes through here.
+    #[inline]
+    fn step(&self, node: &PNode, bits: u128) -> Level {
+        let shift = node.shift();
+        let mut base0 = node.base0;
+        if node.base1 & COMPRESSED != 0 {
+            let path = &self.paths[base0 as usize];
+            // Every bit above the node's stride: the ones its ancestors
+            // decoded match already, so a difference is in the skip.
+            if (bits ^ path.bits) >> (shift + 8) != 0 {
+                return Level::Leaf(path.inherited);
+            }
+            base0 = path.base0;
+        }
+        let v = ((bits >> shift) & 0xff) as usize;
+        if bm_get(&node.vector, v) {
+            Level::Descend((node.base1 & CHILD_MASK) as usize + bm_rank(&node.vector, v))
+        } else {
+            let run = bm_rank(&node.leafvec, v) + usize::from(bm_get(&node.leafvec, v));
+            Level::Leaf(self.leaves[base0 as usize + run - 1])
+        }
+    }
+
+    /// Longest len > 16 match, or `None` (fall back to the slot's leaf),
+    /// and the nodes the walk visited.
+    fn lookup(&self, bits: u128) -> (Option<NextHop>, usize) {
+        let mut node = &self.root;
+        let mut visited = 1;
         loop {
-            match self.step(idx, bits, depth) {
+            match self.step(node, bits) {
                 Level::Descend(child) => {
-                    idx = child;
-                    depth += 8;
+                    node = &self.nodes[child];
+                    visited += 1;
                 }
-                Level::Leaf(nh) => return nh,
+                Level::Leaf(nh) => return (nh, visited),
             }
         }
     }
 
-    fn node_count(&self) -> usize {
-        self.nodes.len()
+    /// Heap bytes of the chunk's arrays and of the chunk itself.
+    fn heap_bytes(&self) -> usize {
+        size_of::<Chunk>()
+            + size_of_val(&*self.nodes)
+            + size_of_val(&*self.leaves)
+            + size_of_val(&*self.paths)
     }
+}
 
-    fn leaf_count(&self) -> usize {
-        self.leaves.len()
-    }
+/// One root slot.
+#[derive(Clone, Debug, Default)]
+struct Slot {
+    /// The longest route of length ≤ 16 covering the slot.
+    leaf: Option<NextHop>,
+    /// Every longer route of the slot, compiled.
+    chunk: Option<Arc<Chunk>>,
+}
+
+/// One copy-on-write page of root slots.
+type Page = [Slot; PAGE];
+
+fn empty_page() -> Arc<Page> {
+    Arc::new(std::array::from_fn(|_| Slot::default()))
+}
+
+/// The slot `slot` of `spine`, its page copied first unless this version
+/// owns it alone.
+fn slot_mut(spine: &mut [Arc<Page>], slot: usize) -> &mut Slot {
+    &mut Arc::make_mut(&mut spine[slot / PAGE])[slot % PAGE]
 }
 
 /// A compiled, immutable, cheaply-clonable LPM table for one address
-/// family (`Clone` is two `Arc` bumps — this is what rides inside a
-/// route snapshot through the epoch cell).
+/// family (`Clone` is one `Arc` bump — this is what rides inside a route
+/// snapshot through the epoch cell).
 ///
-/// The empty table's arrays are zero-length, meaning "no slot holds
+/// The empty table's spine is zero-length, meaning "no slot holds
 /// anything": every router starts with one, and it allocates nothing.
-/// The first delta materialises the full arrays.
+/// The first delta materialises the spine, every page sharing one empty
+/// page until a route lands in it.
 #[derive(Clone, Debug, Default)]
 pub struct CompressedLpm {
-    chunks: Arc<Vec<Option<Arc<Chunk>>>>,
-    root_leaf: Arc<Vec<Option<NextHop>>>,
+    pages: Arc<[Arc<Page>]>,
     len: usize,
-}
-
-/// `v` copied for writing, materialised to its full [`SLOTS`] first if it
-/// is the zero-length "all empty" form.
-fn slots_for_write<T: Clone>(v: &[Option<T>]) -> Vec<Option<T>> {
-    if v.is_empty() {
-        vec![None; SLOTS]
-    } else {
-        v.to_vec()
-    }
 }
 
 impl CompressedLpm {
@@ -339,14 +492,14 @@ impl CompressedLpm {
         if store.len() == 0 {
             return CompressedLpm::default();
         }
-        let mut chunks: Vec<Option<Arc<Chunk>>> = vec![None; SLOTS];
+        let mut slots = vec![Slot::default(); SLOTS];
         let mut acc: Vec<(u128, u8, NextHop)> = Vec::new();
         let mut cur: Option<u16> = None;
         for (&(bits, len), &nh) in &store.long {
             let slot = (bits >> 112) as u16;
             if cur != Some(slot) {
                 if let Some(s) = cur {
-                    chunks[s as usize] = Some(Arc::new(Chunk::build(&acc)));
+                    slots[usize::from(s)].chunk = Some(Arc::new(Chunk::build(&acc)));
                     acc.clear();
                 }
                 cur = Some(slot);
@@ -354,59 +507,74 @@ impl CompressedLpm {
             acc.push((bits, len, nh));
         }
         if let Some(s) = cur {
-            chunks[s as usize] = Some(Arc::new(Chunk::build(&acc)));
+            slots[usize::from(s)].chunk = Some(Arc::new(Chunk::build(&acc)));
         }
         // Leaf-push short routes by ascending length so longer prefixes
         // overwrite the slots they cover.
-        let mut root_leaf: Vec<Option<NextHop>> = vec![None; SLOTS];
         let mut shorts: Vec<(u128, u8, NextHop)> =
             store.short.iter().map(|(&(bits, len), &nh)| (bits, len, nh)).collect();
         shorts.sort_by_key(|&(_, len, _)| len);
         for (bits, len, nh) in shorts {
             let start = (bits >> 112) as usize;
-            let span = 1usize << (16 - len);
-            for slot in root_leaf.iter_mut().skip(start).take(span) {
-                *slot = Some(nh);
+            for slot in &mut slots[start..start + (1usize << (16 - len))] {
+                slot.leaf = Some(nh);
             }
         }
-        CompressedLpm { chunks: Arc::new(chunks), root_leaf: Arc::new(root_leaf), len: store.len() }
+        // The pages are allocated back to back, after the chunks, so the
+        // root spans as few memory pages as a flat array would.
+        let empty = empty_page();
+        let mut slots = slots.into_iter();
+        let pages = (0..PAGES).map(|_| {
+            let page: Page = std::array::from_fn(|_| slots.next().unwrap_or_default());
+            let used = page.iter().any(|s| s.leaf.is_some() || s.chunk.is_some());
+            if used {
+                Arc::new(page)
+            } else {
+                Arc::clone(&empty)
+            }
+        });
+        CompressedLpm { pages: pages.collect(), len: store.len() }
     }
 
-    /// Applies a committed delta copy-on-write: rebuilds only the
-    /// chunks in `slots` and the `root_leaf` ranges covered by the
-    /// changed short prefixes in `shorts`; everything else is shared
-    /// with `self` by `Arc`. `store` must already reflect the delta.
+    /// Applies a committed delta copy-on-write: rebuilds only the chunks
+    /// in `slots` and the slot leaves covered by the changed short
+    /// prefixes in `shorts`, copying only the pages that hold them;
+    /// every other page is shared with `self` by `Arc`. `store` must
+    /// already reflect the delta.
     pub(crate) fn apply_delta(
         &self,
         store: &PrefixStore,
         slots: &BTreeSet<u16>,
         shorts: &[(u128, u8)],
     ) -> CompressedLpm {
-        let chunks = if slots.is_empty() {
-            Arc::clone(&self.chunks)
-        } else {
-            let mut v = slots_for_write(&self.chunks);
-            for &slot in slots {
-                let routes = store.slot_routes(slot);
-                v[slot as usize] =
-                    if routes.is_empty() { None } else { Some(Arc::new(Chunk::build(&routes))) };
-            }
-            Arc::new(v)
-        };
-        let root_leaf = if shorts.is_empty() {
-            Arc::clone(&self.root_leaf)
-        } else {
-            let mut rl = slots_for_write(&self.root_leaf);
-            for &(bits, len) in shorts {
-                let start = (bits >> 112) as usize;
-                let span = 1usize << (16 - len);
-                for (off, slot) in rl.iter_mut().skip(start).take(span).enumerate() {
-                    *slot = store.best_short((start + off) as u16);
+        if store.len() == 0 {
+            return CompressedLpm::default();
+        }
+        let mut spine: Vec<Arc<Page>> =
+            if self.pages.is_empty() { vec![empty_page(); PAGES] } else { self.pages.to_vec() };
+        for &slot in slots {
+            let routes = store.slot_routes(slot);
+            let chunk = (!routes.is_empty()).then(|| Arc::new(Chunk::build(&routes)));
+            slot_mut(&mut spine, slot.into()).chunk = chunk;
+        }
+        for &(bits, len) in shorts {
+            let start = (bits >> 112) as usize;
+            for slot in start..start + (1usize << (16 - len)) {
+                let leaf = store.best_short(slot as u16);
+                // A covering route that still wins leaves the page shared.
+                if spine[slot / PAGE][slot % PAGE].leaf != leaf {
+                    slot_mut(&mut spine, slot).leaf = leaf;
                 }
             }
-            Arc::new(rl)
-        };
-        CompressedLpm { chunks, root_leaf, len: store.len() }
+        }
+        CompressedLpm { pages: spine.into(), len: store.len() }
+    }
+
+    /// The root slot of `bits` (`None` in the empty table).
+    #[inline]
+    fn slot(&self, bits: u128) -> Option<&Slot> {
+        let slot = (bits >> 112) as usize;
+        self.pages.get(slot / PAGE).map(|page| &page[slot % PAGE])
     }
 
     /// Longest-prefix match on a left-aligned 128-bit key (IPv4 keys
@@ -415,13 +583,24 @@ impl CompressedLpm {
     /// the root.
     #[inline]
     pub fn lookup_bits(&self, bits: u128) -> Option<NextHop> {
-        let slot = (bits >> 112) as usize;
-        if let Some(Some(chunk)) = self.chunks.get(slot) {
-            if let Some(nh) = chunk.lookup(bits) {
+        let slot = self.slot(bits)?;
+        if let Some(chunk) = &slot.chunk {
+            if let (Some(nh), _) = chunk.lookup(bits) {
                 return Some(nh);
             }
         }
-        self.root_leaf.get(slot).copied().flatten()
+        slot.leaf
+    }
+
+    /// The levels a lookup of `bits` visits: the root slot, then each
+    /// chunk node down to the answer (0 in the empty table). Every level
+    /// is a dependent load — the count the CRAM lens asks for.
+    pub fn lookup_depth(&self, bits: u128) -> usize {
+        match self.slot(bits) {
+            None => 0,
+            Some(Slot { chunk: None, .. }) => 1,
+            Some(Slot { chunk: Some(chunk), .. }) => 1 + chunk.lookup(bits).1,
+        }
     }
 
     /// Longest-prefix match on every key of `keys` (left-aligned, as for
@@ -445,28 +624,24 @@ impl CompressedLpm {
     /// One level-synchronous walk over at most [`WALK_GROUP`] keys.
     fn walk_group(&self, keys: &[u128], out: &mut [Option<NextHop>]) {
         // Each key's chunk and current node while it is still descending.
-        let mut lanes: [Option<(&Chunk, usize)>; WALK_GROUP] = [None; WALK_GROUP];
-        // First level: every key's root slot, and its root-leaf fallback
-        // read eagerly as an independent load.
+        let mut lanes: [Option<(&Chunk, &PNode)>; WALK_GROUP] = [None; WALK_GROUP];
+        // First level: every key's root slot, its leaf and its chunk.
         for ((&bits, answer), lane) in keys.iter().zip(out.iter_mut()).zip(lanes.iter_mut()) {
-            let slot = (bits >> 112) as usize;
-            *answer = self.root_leaf.get(slot).copied().flatten();
-            if let Some(Some(chunk)) = self.chunks.get(slot) {
-                *lane = Some((chunk, 0));
-            }
+            let slot = self.slot(bits);
+            *answer = slot.and_then(|s| s.leaf);
+            *lane = slot.and_then(|s| s.chunk.as_deref()).map(|chunk| (chunk, &chunk.root));
         }
         // Every later level advances each still-descending key by one
-        // chunk node. Routes are at most 128 bits long, so the deepest
-        // node covers bits [120, 128) and the walk ends by then.
-        let mut depth = 16u8;
+        // chunk node. A child always decodes a deeper stride than its
+        // parent and no node lies below bit 120, so the walk ends.
         let mut descending = true;
         while descending {
             descending = false;
             for ((&bits, answer), lane) in keys.iter().zip(out.iter_mut()).zip(lanes.iter_mut()) {
-                let Some((chunk, idx)) = lane else { continue };
-                match chunk.step(*idx, bits, depth) {
+                let Some((chunk, node)) = lane else { continue };
+                match chunk.step(node, bits) {
                     Level::Descend(child) => {
-                        *idx = child;
+                        *node = &chunk.nodes[child];
                         descending = true;
                     }
                     Level::Leaf(nh) => {
@@ -477,7 +652,6 @@ impl CompressedLpm {
                     }
                 }
             }
-            depth += 8;
         }
     }
 
@@ -491,18 +665,42 @@ impl CompressedLpm {
         self.len == 0
     }
 
+    /// The distinct pages of the spine (pages no route has landed in
+    /// share one empty page).
+    fn distinct_pages(&self) -> impl Iterator<Item = &Page> + '_ {
+        let mut seen = HashSet::new();
+        self.pages.iter().filter(move |page| seen.insert(Arc::as_ptr(page))).map(|page| &**page)
+    }
+
     /// `(chunks, nodes, leaves)` — the compressed footprint, for
     /// diagnostics and the scale benchmarks.
     pub fn footprint(&self) -> (usize, usize, usize) {
         let mut chunks = 0;
         let mut nodes = 0;
         let mut leaves = 0;
-        for c in self.chunks.iter().flatten() {
+        for c in self.distinct_pages().flatten().filter_map(|s| s.chunk.as_deref()) {
             chunks += 1;
-            nodes += c.node_count();
-            leaves += c.leaf_count();
+            nodes += 1 + c.nodes.len();
+            leaves += c.leaves.len();
         }
         (chunks, nodes, leaves)
+    }
+
+    /// Heap bytes this version holds: the spine, every distinct page,
+    /// every chunk. Versions that share pages and chunks each count them
+    /// in full.
+    pub fn heap_bytes(&self) -> usize {
+        if self.pages.is_empty() {
+            return 0;
+        }
+        let mut bytes = ARC_COUNTS + size_of_val(&*self.pages);
+        for page in self.distinct_pages() {
+            bytes += ARC_COUNTS + size_of::<Page>();
+            for chunk in page.iter().filter_map(|s| s.chunk.as_deref()) {
+                bytes += ARC_COUNTS + chunk.heap_bytes();
+            }
+        }
+        bytes
     }
 }
 
@@ -643,14 +841,16 @@ mod tests {
     }
 
     /// Every router and every published snapshot starts from an empty
-    /// table, so it must cost no slot arrays — until a delta gives it a
-    /// route, and then answer like a rebuild.
+    /// table, so it must cost no spine — until a delta gives it a route,
+    /// and then answer like a rebuild, from one page per route.
     #[test]
     fn empty_tables_allocate_no_slot_arrays_until_a_delta() {
         let tables = crate::RouteTables::default();
         for lpm in [&tables.v4, &tables.v6, &CompressedLpm::build_from(&PrefixStore::default())] {
-            assert!(lpm.chunks.is_empty() && lpm.root_leaf.is_empty());
+            assert!(lpm.pages.is_empty());
+            assert_eq!(lpm.heap_bytes(), 0);
             assert_eq!(lpm.lookup_bits(v4_bits(10, 1, 2, 3)), None);
+            assert_eq!(lpm.lookup_depth(v4_bits(10, 1, 2, 3)), 0);
         }
 
         let mut store = PrefixStore::default();
@@ -660,11 +860,18 @@ mod tests {
         let mut slots = BTreeSet::new();
         slots.insert(0x0a01);
         let lpm = tables.v4.apply_delta(&store, &slots, &[(v4_bits(10, 0, 0, 0), 8)]);
-        assert_eq!((lpm.chunks.len(), lpm.root_leaf.len()), (SLOTS, SLOTS));
+        assert_eq!(lpm.pages.len(), PAGES);
+        // The /8 covers 256 slots; every other page is the one shared
+        // empty page.
+        assert_eq!(lpm.distinct_pages().count(), 256 / PAGE + 1);
         let rebuilt = CompressedLpm::build_from(&store);
+        assert_eq!(rebuilt.distinct_pages().count(), 256 / PAGE + 1);
         for key in [v4_bits(10, 1, 2, 3), v4_bits(10, 9, 9, 9), v4_bits(11, 0, 0, 1)] {
             assert_eq!(lpm.lookup_bits(key), rebuilt.lookup_bits(key));
         }
+        // Withdrawing everything gives the empty table back.
+        store.clear();
+        assert!(lpm.apply_delta(&store, &slots, &[]).pages.is_empty());
     }
 
     #[test]
@@ -742,5 +949,172 @@ mod tests {
             }
             assert_eq!(lpm.len(), rebuilt.len());
         }
+    }
+
+    #[test]
+    fn nodes_stay_small_and_slots_fit_two_words() {
+        assert_eq!(size_of::<PNode>(), 72, "an un-skipped node costs what it did");
+        assert_eq!(size_of::<Slot>(), 16, "a slot's leaf and chunk share one read");
+        assert_eq!(size_of::<Page>(), PAGE * 16);
+    }
+
+    /// Applies `changes` (`Some` announces, `None` withdraws) to `store`
+    /// and `lpm` as `RouteStore::commit` does.
+    fn commit(
+        store: &mut PrefixStore,
+        lpm: &CompressedLpm,
+        changes: &[(u128, u8, Option<NextHop>)],
+    ) -> (CompressedLpm, BTreeSet<u16>) {
+        let mut slots = BTreeSet::new();
+        let mut shorts = Vec::new();
+        for &(bits, len, action) in changes {
+            let changed = match action {
+                Some(nh) => store.insert(bits, len, nh),
+                None => store.remove(bits, len),
+            };
+            if changed && len <= 16 {
+                shorts.push((bits & mask_bits(len), len));
+            } else if changed {
+                slots.insert((bits >> 112) as u16);
+            }
+        }
+        (lpm.apply_delta(store, &slots, &shorts), slots)
+    }
+
+    /// `lookup_bits`, `lookup_many` and a fresh rebuild all answer every
+    /// key like the linear scan.
+    fn assert_oracle(store: &PrefixStore, lpm: &CompressedLpm, keys: &[u128]) {
+        let rebuilt = CompressedLpm::build_from(store);
+        for (&key, got) in keys.iter().zip(assert_walk_matches(lpm, keys)) {
+            let want = oracle(store, key);
+            assert_eq!(got, want, "key {key:032x}");
+            assert_eq!(rebuilt.lookup_bits(key), want, "rebuilt, key {key:032x}");
+        }
+    }
+
+    #[test]
+    fn commits_copy_only_the_pages_they_touch() {
+        let mut rng = DetRng::seed_from_u64(0x9a9e);
+        let mut store = PrefixStore::default();
+        let random =
+            |rng: &mut DetRng| u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+        for _ in 0..4_000 {
+            let len = rng.gen_range_inclusive(17, 64) as u8;
+            store.insert(random(&mut rng), len, NextHop::port(1));
+        }
+        let mut lpm = CompressedLpm::build_from(&store);
+        for round in 0..20 {
+            let changes: Vec<_> = (0..rng.gen_range_inclusive(1, 40))
+                .map(|_| {
+                    let len = rng.gen_range_inclusive(17, 64) as u8;
+                    let nh = rng.gen_bool(0.5).then(|| NextHop::port(2));
+                    (random(&mut rng), len, nh)
+                })
+                .collect();
+            let (next, slots) = commit(&mut store, &lpm, &changes);
+            let touched: BTreeSet<usize> = slots.iter().map(|&s| usize::from(s) / PAGE).collect();
+            let mut differ = 0;
+            for (p, (old, new)) in lpm.pages.iter().zip(next.pages.iter()).enumerate() {
+                if Arc::ptr_eq(old, new) {
+                    continue;
+                }
+                differ += 1;
+                assert!(touched.contains(&p), "round {round}: untouched page {p} was copied");
+            }
+            assert!(
+                differ <= slots.len(),
+                "round {round}: {differ} pages for {} slots",
+                slots.len()
+            );
+            lpm = next;
+        }
+        let probes: Vec<u128> = (0..500).map(|_| random(&mut rng)).collect();
+        assert_oracle(&store, &lpm, &probes);
+    }
+
+    #[test]
+    fn a_lone_long_prefix_is_one_node() {
+        let key = 0x2001_0db8_aaaa_bbbb_0000_0000_0000_0001u128;
+        let (_, lpm) = build(&[(key & mask_bits(64), 64, NextHop::port(6))]);
+        assert_eq!(lpm.footprint(), (1, 1, 3), "one node: before, on and after the path");
+        assert_eq!(lpm.lookup_depth(key), 2, "the root slot and one node");
+        assert_eq!(lpm.lookup_bits(key), Some(NextHop::port(6)));
+        // Leaving the path anywhere in its skipped 40 bits misses.
+        for bit in 16..56 {
+            assert_eq!(lpm.lookup_bits(key ^ (1 << (127 - bit))), None, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn compression_answers_right_at_its_edges() {
+        let base = 0xfd00_1122_3344_5566_7788_99aa_bbcc_ddeeu128;
+        let nh = NextHop::port;
+        // Two /64s diverging exactly at the stride edge of bit 48 (the
+        // first bit of the stride [48, 56)), and two diverging at its last
+        // bit (55): either way the node decodes [48, 56).
+        let at_edge = base & mask_bits(48);
+        let first = 1u128 << (127 - 48);
+        let last = 1u128 << (127 - 55);
+        // A /128 alone in its slot, under a 104-bit skip, with a /12 cover.
+        let host = 0xfd11_0000_0000_0000_0000_0000_0000_0042u128;
+        let routes = [
+            (at_edge, 64, nh(1)),
+            (at_edge | first, 64, nh(2)),
+            (at_edge | last, 64, nh(3)),
+            (base & mask_bits(24), 24, nh(4)),
+            (host, 128, nh(5)),
+            (host & mask_bits(12), 12, nh(6)),
+        ];
+        let (store, lpm) = build(&routes);
+        let mut keys = vec![0, u128::MAX, base, host, host ^ 1, host ^ 0x100];
+        for &(bits, len, _) in &routes {
+            // The route itself, every bit of its path flipped (from the
+            // slot's first bit to its last), and the bits just past it.
+            keys.push(bits | 0x7);
+            for bit in 16..len {
+                keys.push(bits ^ (1 << (127 - bit)));
+            }
+            if len < 128 {
+                keys.push(bits | (1 << (127 - len)));
+            }
+        }
+        assert_oracle(&store, &lpm, &keys);
+        assert_eq!(lpm.lookup_bits(host), Some(nh(5)));
+        assert_eq!(lpm.lookup_bits(host ^ (1 << 8)), Some(nh(6)), "leaves it at its last bit");
+        assert_eq!(lpm.lookup_bits(host ^ (1 << 111)), Some(nh(6)), "leaves it at its first bit");
+        assert_eq!(lpm.lookup_depth(host), 2, "a /128 alone in its slot is one node");
+    }
+
+    #[test]
+    fn deltas_split_a_compressed_path_and_merge_it_back() {
+        let nh = NextHop::port;
+        let lone = 0xfd22_3344_5566_7788_0000_0000_0000_0000u128;
+        let (mut store, lpm) = build(&[(lone, 64, nh(1)), (lone & mask_bits(16), 16, nh(9))]);
+        assert_eq!(lpm.lookup_depth(lone), 2);
+        let mut keys: Vec<u128> = (16..72).map(|bit| lone ^ (1 << (127 - bit))).collect();
+        keys.extend([lone, lone | 1]);
+        // Splits at successive strides: each new route branches the path
+        // one stride further up, then everything but the lone route goes.
+        let mut lpm = lpm;
+        let splits: Vec<(u128, u8, Option<NextHop>)> = [24u8, 40, 56, 63]
+            .iter()
+            .map(|&bit| (lone ^ (1 << (127 - bit)), 64, Some(nh(u32::from(bit)))))
+            .collect();
+        for change in &splits {
+            lpm = commit(&mut store, &lpm, &[*change]).0;
+            assert_oracle(&store, &lpm, &keys);
+        }
+        assert!(lpm.lookup_depth(lone) > 2, "the split path has more than one node");
+        for &(bits, len, _) in &splits {
+            lpm = commit(&mut store, &lpm, &[(bits, len, None)]).0;
+            assert_oracle(&store, &lpm, &keys);
+        }
+        assert_eq!(lpm.lookup_depth(lone), 2, "merged back into one node");
+        // A route ending inside the skipped stretch splits it too.
+        lpm = commit(&mut store, &lpm, &[(lone, 36, Some(nh(7)))]).0;
+        assert_oracle(&store, &lpm, &keys);
+        lpm = commit(&mut store, &lpm, &[(lone, 36, None)]).0;
+        assert_oracle(&store, &lpm, &keys);
+        assert_eq!(lpm.lookup_depth(lone), 2);
     }
 }

@@ -66,6 +66,12 @@ pub struct CompactNameFib {
 }
 
 impl CompactNameFib {
+    /// Heap bytes of this version's two maps (estimated from their
+    /// capacity, as `std`'s hash table lays it out).
+    pub fn heap_bytes(&self) -> usize {
+        crate::shared_map_bytes(&self.by_depth) + crate::shared_map_bytes(&self.compact)
+    }
+
     /// Compiles the FIB from the authoritative name map (full-rebuild
     /// path). Names sharing a compact hash arrive in component order, so
     /// the last insert — the greatest name — wins, as [`compact_winner`]

@@ -131,6 +131,16 @@ impl RouteTables {
     pub fn route_count(&self) -> usize {
         self.v4.len() + self.v6.len() + self.names.len() + self.xia.len()
     }
+
+    /// Heap bytes this version holds: exact for the two LPMs, estimated
+    /// from capacity for the name and XIA maps. Versions sharing
+    /// structure each count it in full.
+    pub fn heap_bytes(&self) -> usize {
+        self.v4.heap_bytes()
+            + self.v6.heap_bytes()
+            + self.names.heap_bytes()
+            + self.xia.heap_bytes()
+    }
 }
 
 /// Deterministic commit/rebuild counters (mirrored into telemetry when
@@ -321,8 +331,9 @@ impl RouteStore {
 
     /// Commits a delta: applies it to the ground truth, then derives
     /// the next compiled version copy-on-write — only the touched LPM
-    /// chunks / root-leaf ranges are rebuilt, and untouched families
-    /// are shared with the previous version by `Arc`. An IP operation
+    /// chunks and slot leaves are rebuilt, only the root pages holding
+    /// them are copied, and untouched pages and families are shared
+    /// with the previous version by `Arc`. An IP operation
     /// whose length exceeds its family's width is skipped and counted in
     /// [`StoreStats::invalid_routes`].
     pub fn commit(&mut self, delta: &RouteDelta) -> RouteTables {

@@ -21,6 +21,15 @@ pub struct CompactXia {
 }
 
 impl CompactXia {
+    /// Heap bytes of this version's route map and declared-type set
+    /// (estimated from their capacity, as `std`'s hash table lays it out).
+    pub fn heap_bytes(&self) -> usize {
+        let declared = crate::ARC_COUNTS
+            + size_of::<HashSet<u32>>()
+            + crate::hash_table_bytes(self.declared.capacity(), size_of::<u32>());
+        crate::shared_map_bytes(&self.routes) + declared
+    }
+
     /// Compiles from the authoritative route map and declared-type set
     /// (full-rebuild path).
     pub(crate) fn build_from(

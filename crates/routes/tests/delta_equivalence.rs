@@ -272,3 +272,89 @@ fn compact_hash_collisions_survive_announce_and_withdraw() {
     assert_eq!(withdrawn.lookup_name(&low), None);
     assert_eq!(withdrawn.lookup_name(&high), Some(NextHop::port(2)));
 }
+
+/// Path compression's edges under churn: routes that diverge exactly at a
+/// stride edge, a /128 alone under a long skip, and deltas that split a
+/// compressed path one stride at a time and then merge it back. After
+/// every commit the incremental tables answer every probe — each route,
+/// and each route with one bit of its path flipped — like a rebuild, in
+/// single lookups and in the batch walk.
+#[test]
+fn compressed_paths_split_and_merge_like_a_rebuild() {
+    let lone = 0xfd22_3344_5566_7788_99aa_bbcc_ddee_ff00u128;
+    let flip = |bits: u128, bit: u8| bits ^ (1 << (127 - u32::from(bit)));
+    let mask = |len: u8| if len == 0 { 0 } else { u128::MAX << (128 - u32::from(len)) };
+    let v6 = |bits: u128, len: u8, port: u32| (Ipv6Addr::from_u128(bits & mask(len)), len, port);
+    // Fixed routes: a /64 alone below a /16 cover, two /64s splitting at
+    // the first and last bit of the stride [48, 56), a lone /128.
+    let edge = 0xfd33_0000_0000_0000_0000_0000_0000_0000u128;
+    let fixed = [
+        v6(lone, 64, 1),
+        v6(lone, 16, 2),
+        v6(edge, 64, 3),
+        v6(flip(edge, 48), 64, 4),
+        v6(flip(edge, 55), 64, 5),
+        v6(0xfd44_0000_0000_0000_0000_0000_0000_0042, 128, 6),
+    ];
+    // Churned routes: each branches the lone /64's path at a different
+    // stride, or ends inside it.
+    let churn: Vec<_> = [24u8, 32, 40, 47, 48, 56, 63]
+        .iter()
+        .map(|&bit| v6(flip(lone, bit), 64, 10 + u32::from(bit)))
+        .chain([v6(lone, 36, 7), v6(lone, 120, 8)])
+        .collect();
+
+    let mut store = RouteStore::new();
+    for &(a, l, p) in &fixed {
+        store.insert_v6(a, l, NextHop::port(p));
+    }
+    store.rebuild();
+    let mut live = BTreeSet::new();
+    let mut probes = Vec::new();
+    for &(a, l, _) in fixed.iter().chain(&churn) {
+        let bits = a.to_u128();
+        probes.push(bits | 0x5);
+        probes.extend((16..l.max(17)).map(|bit| flip(bits, bit)));
+    }
+    let mut rng = DetRng::seed_from_u64(0x5b11);
+    // Announce them one by one, then withdraw in a shuffled order, then
+    // flip random subsets.
+    let mut order: Vec<usize> = (0..churn.len()).collect();
+    let mut steps: Vec<Vec<usize>> = order.iter().map(|&i| vec![i]).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_index(i + 1));
+    }
+    steps.extend(order.iter().map(|&i| vec![i]));
+    for _ in 0..12 {
+        steps.push((0..churn.len()).filter(|_| rng.gen_bool(0.4)).collect());
+    }
+    for (round, step) in steps.iter().enumerate() {
+        let mut delta = RouteDelta::new();
+        for &i in step {
+            let (a, l, p) = churn[i];
+            if live.remove(&i) {
+                delta.withdraw_v6(a, l);
+            } else {
+                live.insert(i);
+                delta.announce_v6(a, l, NextHop::port(p));
+            }
+        }
+        let incremental = store.commit(&delta);
+        let mut fresh = RouteStore::new();
+        for &(a, l, p) in fixed.iter().chain(live.iter().map(|&i| &churn[i])) {
+            fresh.insert_v6(a, l, NextHop::port(p));
+        }
+        let reference = fresh.rebuild();
+        let keys: Vec<RouteKey> =
+            probes.iter().map(|&k| RouteKey::V6(Ipv6Addr::from_u128(k))).collect();
+        let want: Vec<_> =
+            probes.iter().map(|&k| reference.lookup_v6(Ipv6Addr::from_u128(k))).collect();
+        let mut got = vec![None; keys.len()];
+        incremental.lookup_many(&keys, &mut got);
+        assert_eq!(got, want, "round {round}: batch walk");
+        for (&k, &w) in probes.iter().zip(&want) {
+            assert_eq!(incremental.lookup_v6(Ipv6Addr::from_u128(k)), w, "round {round} {k:032x}");
+        }
+    }
+    assert_eq!(store.stats().full_rebuilds, 1);
+}

@@ -4,8 +4,8 @@
 //! overlapping covers, prefix-edge probes).
 //!
 //! Sizes scale down in debug builds so the workspace suite stays
-//! fast; `scripts/check.sh` runs `million_route_oracle_v4_v6` under
-//! `--release` at full scale.
+//! fast; `scripts/check.sh` runs `million_route_oracle_v4_v6` and
+//! `route_levels_and_bytes_ratchet` under `--release` at full scale.
 
 use dip_crypto::DetRng;
 use dip_routes::{synthesize_v4, synthesize_v6, RouteDelta, RouteKey, RouteStore, RouteTables};
@@ -182,4 +182,62 @@ fn million_route_oracle_v4_v6() {
     let back = store.commit(&announce);
     assert_eq!(back.lookup_v4(host), Some(NextHop::port(86)));
     assert_eq!(store.stats().full_rebuilds, 1, "scale deltas never fall back to rebuild");
+}
+
+/// Levels visited per lookup and bytes per prefix on the oracle's seeded
+/// bulk tables (the same generators and seeds, without the hand-written
+/// overlay), against ceilings at the values the paged, path-compressed
+/// layout reaches. Both counts are deterministic, so a change that adds a
+/// level to the walk or a byte to the tables fails here, host-independent
+/// — the CRAM lens's count of dependent accesses and bytes. A change that
+/// lowers a count lowers its ceiling.
+#[test]
+fn route_levels_and_bytes_ratchet() {
+    // Routes per family, the (mean, max) levels per v4 and v6 lookup, and
+    // the bytes per prefix, per build profile. The flat-root, unskipped
+    // layout read 8.45 mean / 15 max v6 levels and 222.4 bytes per prefix
+    // at full scale (2.48 / 3 for v4), and 8.38 / 15 and 374.0 at the
+    // debug scale.
+    let (n_v4, n_v6, ceilings, bytes_per_prefix) = if cfg!(debug_assertions) {
+        (20_000, 10_000, [(1.82, 3), (2.13, 3)], 210.95)
+    } else {
+        (1_000_000, 500_000, [(2.48, 3), (2.95, 5)], 84.7)
+    };
+    let v4 = synthesize_v4(n_v4, 0xa11ce);
+    let v6 = synthesize_v6(n_v6, 0xb0b);
+    let mut store = RouteStore::new();
+    for &(addr, len, nh) in &v4 {
+        store.insert_v4(addr, len, nh);
+    }
+    for &(addr, len, nh) in &v6 {
+        store.insert_v6(addr, len, nh);
+    }
+    let tables = store.rebuild();
+
+    // One key inside every route, its host bits random.
+    let mut rng = DetRng::seed_from_u64(0x1e7e15);
+    let keys4: Vec<u128> = v4
+        .iter()
+        .map(|&(a, len, _)| u128::from(a.to_u32() | (rng.next_u32() & !mask32(len))) << 96)
+        .collect();
+    let keys6: Vec<u128> = v6
+        .iter()
+        .map(|&(a, len, _)| {
+            let noise = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+            a.to_u128() | (noise & !mask128(len))
+        })
+        .collect();
+    for ((family, lpm, keys), (mean_ceiling, max_ceiling)) in
+        [("v4", &tables.v4, &keys4), ("v6", &tables.v6, &keys6)].into_iter().zip(ceilings)
+    {
+        let levels: Vec<usize> = keys.iter().map(|&k| lpm.lookup_depth(k)).collect();
+        let mean = levels.iter().sum::<usize>() as f64 / levels.len() as f64;
+        let max = levels.iter().copied().max().unwrap_or(0);
+        println!("{family}: mean levels {mean:.3}, max {max}");
+        assert!(mean <= mean_ceiling, "{family} mean levels {mean:.3} above {mean_ceiling}");
+        assert!(max <= max_ceiling, "{family} max levels {max} above {max_ceiling}");
+    }
+    let per_prefix = tables.heap_bytes() as f64 / (n_v4 + n_v6) as f64;
+    println!("bytes per prefix {per_prefix:.2}");
+    assert!(per_prefix <= bytes_per_prefix, "{per_prefix:.2} bytes per prefix");
 }

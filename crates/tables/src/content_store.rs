@@ -7,6 +7,7 @@
 //! the §2.4 content-poisoning experiment (E6): without `F_pass`, a malicious
 //! data packet can pollute it.
 
+use crate::keyed::{reserve_for_new_key, TableHasher};
 use crate::Ticks;
 use dip_telemetry::Counter;
 use std::collections::HashMap;
@@ -47,7 +48,9 @@ struct Node<K, V> {
 ///   is `None`, so the two lists are disjoint and cover the slab.
 #[derive(Debug, Clone)]
 pub struct ContentStore<K: std::hash::Hash + Eq + Clone, V> {
-    index: HashMap<K, u32>,
+    index: HashMap<K, u32, TableHasher>,
+    /// The most entries `index` has held (see [`reserve_for_new_key`]).
+    peak: usize,
     slab: Vec<Node<K, V>>,
     /// Least recently used live slot (the eviction victim), or `NIL`.
     head: u32,
@@ -63,16 +66,34 @@ pub struct ContentStore<K: std::hash::Hash + Eq + Clone, V> {
 }
 
 impl<K: std::hash::Hash + Eq + Clone, V> ContentStore<K, V> {
-    /// Creates a store holding at most `capacity` items.
+    /// Creates a store holding at most `capacity` items, hashing under
+    /// the public default key.
     pub fn new(capacity: usize) -> Self {
+        ContentStore::with_hasher(capacity, TableHasher::default())
+    }
+
+    /// [`ContentStore::new`] hashing with `hasher` (a router keys it from
+    /// its secret).
+    pub fn with_hasher(capacity: usize, hasher: TableHasher) -> Self {
         ContentStore {
-            index: HashMap::new(),
+            index: HashMap::with_hasher(hasher),
+            peak: 0,
             slab: Vec::new(),
             head: NIL,
             tail: NIL,
             free: NIL,
             capacity,
             evictions: Arc::new(Counter::new()),
+        }
+    }
+
+    /// Re-hashes the index under `hasher` (when a router adopts a store
+    /// built elsewhere).
+    pub fn rekey(&mut self, hasher: TableHasher) {
+        if *self.index.hasher() != hasher {
+            let mut index = HashMap::with_capacity_and_hasher(self.index.capacity(), hasher);
+            index.extend(self.index.drain());
+            self.index = index;
         }
     }
 
@@ -124,6 +145,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> ContentStore<K, V> {
             (self.alloc(entry), None)
         };
         self.link_tail(i);
+        reserve_for_new_key(&mut self.index, &mut self.peak);
         self.index.insert(key, i);
         evicted
     }

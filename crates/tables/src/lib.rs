@@ -20,10 +20,13 @@
 
 pub mod content_store;
 pub mod fib;
+pub mod keyed;
 pub mod pit;
+pub mod siphash;
 pub mod xia_table;
 
 pub use content_store::ContentStore;
+pub use keyed::TableHasher;
 pub use pit::{Pit, PitConsume, PitError, PitOutcome, Ports};
 pub use xia_table::XiaNextHop;
 

@@ -16,6 +16,7 @@
 //! * **a hard capacity** — the per-packet/router state budget that §2.4
 //!   prescribes against state-exhaustion attacks (experiment E9).
 
+use crate::keyed::{reserve_for_new_key, TableHasher};
 use crate::{Port, Ticks};
 use dip_telemetry::Counter;
 use std::collections::{HashMap, HashSet};
@@ -229,7 +230,9 @@ impl PitEntry {
 /// the library API, compact `u32` names on the prototype dataplane).
 #[derive(Debug, Clone)]
 pub struct Pit<K: std::hash::Hash + Eq + Clone> {
-    entries: HashMap<K, PitEntry>,
+    entries: HashMap<K, PitEntry, TableHasher>,
+    /// The most entries `entries` has held (see [`reserve_for_new_key`]).
+    peak: usize,
     capacity: usize,
     ttl: Ticks,
     /// Expired entries removed (on lookup, revival, capacity sweep, or
@@ -240,9 +243,31 @@ pub struct Pit<K: std::hash::Hash + Eq + Clone> {
 
 impl<K: std::hash::Hash + Eq + Clone> Pit<K> {
     /// Creates a PIT with a capacity bound and per-entry TTL (virtual
-    /// ticks).
+    /// ticks), hashing under the public default key.
     pub fn new(capacity: usize, ttl: Ticks) -> Self {
-        Pit { entries: HashMap::new(), capacity, ttl, evictions: Arc::new(Counter::new()) }
+        Pit::with_hasher(capacity, ttl, TableHasher::default())
+    }
+
+    /// [`Pit::new`] hashing with `hasher` (a router keys it from its
+    /// secret).
+    pub fn with_hasher(capacity: usize, ttl: Ticks, hasher: TableHasher) -> Self {
+        Pit {
+            entries: HashMap::with_hasher(hasher),
+            peak: 0,
+            capacity,
+            ttl,
+            evictions: Arc::new(Counter::new()),
+        }
+    }
+
+    /// Re-hashes every entry under `hasher` (when a router adopts a table
+    /// built elsewhere).
+    pub fn rekey(&mut self, hasher: TableHasher) {
+        if *self.entries.hasher() != hasher {
+            let mut entries = HashMap::with_capacity_and_hasher(self.entries.capacity(), hasher);
+            entries.extend(self.entries.drain());
+            self.entries = entries;
+        }
     }
 
     /// Routes expired-entry eviction counts into `counter` (typically a
@@ -305,6 +330,7 @@ impl<K: std::hash::Hash + Eq + Clone> Pit<K> {
                 return Err(PitError::CapacityExhausted);
             }
         }
+        reserve_for_new_key(&mut self.entries, &mut self.peak);
         self.entries.insert(name, PitEntry::fresh(face, nonce, now + self.ttl));
         Ok(PitOutcome::Forward)
     }

@@ -11,7 +11,8 @@
 #             workload, routes and scenarios, and the pins on dipstat's
 #             output, the small fat-tree scenario report and
 #             BENCH_scenarios.json's fields all run here and nowhere else
-#   oracle  — the 1M-route oracle in release (debug runs it at 20k)
+#   oracle  — the 1M-route oracle and the route levels/bytes ratchet in
+#             release (debug runs both at 20k)
 #   lint    — the diplint binary over the real repo (RouteSnapshot,
 #             quantile, DropReason, unsafe and link-admin placement)
 #   mst     — dipload's modeled MST for every protocol regenerates
@@ -40,9 +41,11 @@ cargo build --benches --offline
 echo "== cargo test -q --workspace"
 cargo test -q --workspace --offline
 
-echo "== routes: 1M-route oracle (release)"
+echo "== routes: 1M-route oracle and levels/bytes ratchet (release)"
 cargo test -q -p dip-routes --release --offline --test million_oracle \
     million_route_oracle_v4_v6
+cargo test -q -p dip-routes --release --offline --test million_oracle \
+    route_levels_and_bytes_ratchet
 
 echo "== diplint (repo invariants)"
 cargo build -q --release --bin diplint --bin dipload --offline
