@@ -342,8 +342,9 @@ fn build(spec: &ScenarioSpec) -> Built {
         let id = (i + 1) as u64;
         let mut router = DipRouter::new(id, [id as u8; 16]);
         // Table sizing must precede add_router_node: attaching wires the
-        // PIT eviction counter into the network registry.
-        router.state_mut().pit = Pit::new(spec.pit_capacity, spec.pit_ttl);
+        // PIT eviction counter into the network registry. `install_pit`
+        // keys the table under this router's secret.
+        router.state_mut().install_pit(Pit::new(spec.pit_capacity, spec.pit_ttl));
         if spec.content_store > 0 {
             router.state_mut().enable_content_store(spec.content_store);
         }
@@ -782,4 +783,41 @@ pub fn partition_sweep(
             SweepPoint { window, report: run_scenario(&spec) }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dip_tables::TableHasher;
+
+    /// Every scenario router's PIT hashes under that router's own secret:
+    /// after the same inserts it lays out like a table keyed from the
+    /// secret and unlike one from `Pit::new`'s public key.
+    #[test]
+    fn built_routers_key_their_pits_under_their_own_secrets() {
+        let spec = ScenarioSpec::fat_tree(2, 8, 7);
+        let mut built = build(&spec);
+        let names: Vec<u32> =
+            (0..64).map(|i| Name::parse(&format!("/probe/{i}")).compact32()).collect();
+        let fill = |pit: &mut Pit<u32>| {
+            for (i, &name) in names.iter().enumerate() {
+                let _ = pit.record_interest(name, 0, i as u64, 0);
+            }
+        };
+        let order = |pit: &Pit<u32>| pit.iter().map(|e| *e.name).collect::<Vec<_>>();
+        for &id in &built.routers.clone() {
+            let state = control_node(&mut built.net, id).inner_mut().state_mut();
+            fill(&mut state.pit);
+            let mut keyed = Pit::with_hasher(
+                spec.pit_capacity,
+                spec.pit_ttl,
+                TableHasher::from_secret(&state.local_secret),
+            );
+            fill(&mut keyed);
+            let mut public = Pit::new(spec.pit_capacity, spec.pit_ttl);
+            fill(&mut public);
+            assert_eq!(order(&state.pit), order(&keyed), "router {id:?}: keyed by its secret");
+            assert_ne!(order(&keyed), order(&public), "router {id:?}: the public key differs");
+        }
+    }
 }

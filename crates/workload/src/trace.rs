@@ -223,8 +223,6 @@ pub struct TracePacket {
 pub struct Trace {
     /// The packets.
     pub packets: Vec<TracePacket>,
-    /// The rate the timestamps were drawn for.
-    pub rate_pps: u64,
 }
 
 /// FNV-1a 64-bit.
@@ -246,11 +244,6 @@ impl Trace {
         self.packets.is_empty()
     }
 
-    /// Virtual duration (timestamp of the last packet).
-    pub fn duration_ns(&self) -> u64 {
-        self.packets.last().map_or(0, |p| p.at_ns)
-    }
-
     /// FNV-1a over timestamps, classes, and bytes — the reproducibility
     /// fingerprint (`same seed + same rate ⇒ same hash`).
     pub fn hash(&self) -> u64 {
@@ -264,7 +257,7 @@ impl Trace {
     }
 
     /// FNV-1a over classes and bytes only — rate-independent, so every
-    /// trial of one MST search shares it (`same seed ⇒ same hash`).
+    /// rate of one seed shares it (`same seed ⇒ same hash`).
     pub fn content_hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325;
         for p in &self.packets {
@@ -435,7 +428,7 @@ impl WorkloadSpec {
                 TracePacket { at_ns: arrivals.next_ns(), class, bytes }
             })
             .collect();
-        Trace { packets, rate_pps }
+        Trace { packets }
     }
 
     /// Every route this spec's routers hold: covering routes for every
@@ -497,7 +490,7 @@ impl WorkloadSpec {
         let st = r.state_mut();
         st.mac_choice = self.mac_choice;
         st.routes = self.route_store().rebuild();
-        st.pit = Pit::new(self.pit_preseed + self.catalog_size + 1024, PIT_TTL);
+        st.install_pit(Pit::new(self.pit_preseed + self.catalog_size + 1024, PIT_TTL));
         for i in 0..self.pit_preseed {
             let _ = st.pit.record_interest(
                 exchange_name(i).compact32(),

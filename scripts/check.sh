@@ -3,21 +3,19 @@
 #
 #   fmt     — formatting matches rustfmt.toml
 #   clippy  — all targets, warnings are errors
-#   benches — every crates/bench target compiles (they are run by hand,
-#             so an ordinary test run never builds them)
 #   test    — the full workspace suite, offline, once: determinism,
 #             accounting, model check, control plane, dipopt equivalence,
 #             the reference-model differential, diplint's own contract,
-#             workload, routes and scenarios, and the pins on dipstat's
-#             output, the small fat-tree scenario report and
-#             BENCH_scenarios.json's fields all run here and nowhere else
+#             workload, routes and scenarios, the paper's results
+#             (tests/paper_conformance.rs: Fig. 2's PISA cells, Table 2,
+#             E3–E11's outcome tables), and the pins on dipstat's output,
+#             the small fat-tree scenario report, BENCH_scenarios.json's
+#             fields and the seeded traces' PISA prices all run here and
+#             nowhere else
 #   oracle  — the 1M-route oracle and the route levels/bytes ratchet in
 #             release (debug runs both at 20k)
 #   lint    — the diplint binary over the real repo (RouteSnapshot,
 #             quantile, DropReason, unsafe and link-admin placement)
-#   mst     — dipload's modeled MST for every protocol regenerates
-#             BENCH_workload.json byte-identical (a PISA-model behaviour
-#             pin, not a speed number)
 #   bench  — the stand-alone benchmark (the one measurement of speed)
 #             still builds against the crates, passes its own correctness
 #             pre-check traced and untraced on the IP route walk, the NDN
@@ -35,9 +33,6 @@ cargo fmt --check
 echo "== cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "== cargo build --benches"
-cargo build --benches --offline
-
 echo "== cargo test -q --workspace"
 cargo test -q --workspace --offline
 
@@ -48,19 +43,8 @@ cargo test -q -p dip-routes --release --offline --test million_oracle \
     route_levels_and_bytes_ratchet
 
 echo "== diplint (repo invariants)"
-cargo build -q --release --bin diplint --bin dipload --offline
+cargo build -q --release --bin diplint --offline
 ./target/release/diplint
-
-echo "== dipload MST pin (all protocols -> BENCH_workload.json)"
-# Seeded and modeled, so the trace and content hashes and the modeled
-# latencies are a behaviour pin: a change that moves any of them must say
-# so by committing the regenerated file.
-./target/release/dipload --protocol all --seed 7 --packets 512 --queue 64 --iters 10 \
-    > BENCH_workload.json
-if ! git diff --exit-code -- BENCH_workload.json; then
-    echo "error: the MST smoke no longer reproduces the committed BENCH_workload.json" >&2
-    exit 1
-fi
 
 echo "== bench: stand-alone benchmark builds and passes its pre-check"
 # A renamed crate item, a new public config field or a changed dependency

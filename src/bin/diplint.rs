@@ -6,12 +6,12 @@
 //! (the workspace's `tests/` are walked for rule 4 alone):
 //!
 //! 1. **route-snapshot** — `RouteSnapshot` values are constructed only by
-//!    the control plane (and its definition/plumbing/bench sites). The
+//!    the control plane (and its definition/plumbing/churn sites). The
 //!    dataplane consumes whole snapshots via epoch swap; it never
 //!    assembles routing state.
 //! 2. **quantile** — latency-quantile estimation is implemented once, in
 //!    `crates/telemetry` (linear interpolation inside log-spaced
-//!    buckets); drivers and benches read quantiles, never re-derive them.
+//!    buckets); drivers and tests read quantiles, never re-derive them.
 //! 3. **drop-taxonomy** — the `DropReason` enum is defined only in
 //!    `crates/telemetry`; every other crate imports it, so drop
 //!    accounting stays one taxonomy.
@@ -28,7 +28,7 @@
 //! 6. **link-admin** — administrative link state (`link_down`/`link_up`
 //!    and their scheduled variants) is touched only by the simulator
 //!    that owns it (`crates/sim`) and the scenario crate that scripts
-//!    it (`crates/scenario`). Benches and drivers stage outages through
+//!    it (`crates/scenario`). Tests and drivers stage outages through
 //!    `dip_scenario`'s `sever_link`/`restore_link`/`schedule_outage`
 //!    wrappers, so every disruption a measurement reports went through
 //!    the one scripted path.
@@ -106,11 +106,10 @@ fn has_token(line: &str, token: &str) -> bool {
 
 /// The places allowed to construct `RouteSnapshot` values: the control
 /// plane itself, the definition site, the epoch-cell plumbing (and its
-/// tests), bench code, and the churn generator (which *is* a synthetic
-/// control plane — it publishes tables-only snapshots under test load).
+/// tests), and the churn generator (which *is* a synthetic control plane
+/// — it publishes tables-only snapshots under test load).
 fn route_snapshot_allowed(rel: &str) -> bool {
     rel.starts_with("crates/controlplane/")
-        || rel.starts_with("crates/bench/")
         || rel == "crates/dataplane/src/snapshot.rs"
         || rel == "crates/dataplane/src/runtime.rs"
         || rel == "crates/workload/src/churn.rs"

@@ -48,11 +48,13 @@
 //! | [`dataplane`] | `dip-dataplane` | multi-worker batched software dataplane: flow sharding, SPSC rings, program caches |
 //! | [`controlplane`] | `dip-controlplane` | distributed routing: HELLO adjacencies, LSA flooding, Dijkstra SPF, epoch-swap route publication |
 //! | [`telemetry`] | `dip-telemetry` | zero-dependency metrics: counters/gauges/histograms, the packet-outcome taxonomy, Prometheus + JSON rendering |
-//! | [`workload`] | `dip-workload` | deterministic load generation: Zipf/Pareto/MMPP traffic models, open/closed-loop drivers, SLO + max-sustainable-throughput search |
+//! | [`workload`] | `dip-workload` | deterministic load generation: Zipf/Pareto/MMPP traffic models, seeded traces, route churn, a PISA-priced open-loop replay, closed-loop exchanges |
 //! | [`scenario`] | `dip-scenario` | internet-scale scenarios: fat-tree / AS-graph generators, partition + flash-crowd scripts over the real control plane, per-protocol delivery measurement |
 //!
 //! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
-//! paper-vs-measured results of every table and figure.
+//! paper-vs-measured results of every table and figure. The paper's
+//! deterministic results are asserted by `tests/paper_conformance.rs`;
+//! software speed is measured only by the stand-alone `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -244,34 +244,3 @@ fn control_node_survives_and_accounts_for_mangled_control_packets() {
         "accounting identity"
     );
 }
-
-#[test]
-fn open_loop_overload_at_twice_mst_keeps_the_accounting_identity() {
-    use dip::workload::{find_mst, run_open_loop, MstConfig, OpenLoopConfig, WorkloadSpec};
-
-    // Overload is an adversarial input to the accounting: every offered
-    // packet must still land in exactly one of forwarded / consumed /
-    // dropped, with injection-side queue-full drops carried by the
-    // counted reason rather than vanishing before a worker ring is
-    // chosen.
-    let spec = WorkloadSpec { seed: 21, table_size: 300, catalog_size: 64, ..Default::default() };
-    let cfg = MstConfig {
-        packets_per_trial: 512,
-        open_loop: OpenLoopConfig { queue_capacity: 64, ..Default::default() },
-        max_iters: 10,
-        ..Default::default()
-    };
-    let mst = find_mst(&spec, &cfg);
-    assert!(mst.mst_pps > 0, "the search must find a sustainable rate");
-
-    let overload = run_open_loop(&spec, mst.mst_pps * 2, 512, &cfg.open_loop);
-    assert!(
-        overload.identity_holds,
-        "forwarded {} + consumed {} + dropped {} != injected {} at 2x MST",
-        overload.forwarded, overload.consumed, overload.dropped, overload.injected
-    );
-    assert!(
-        overload.queue_full > 0,
-        "double the sustainable rate must overflow the modeled queue: {overload:?}"
-    );
-}

@@ -82,6 +82,18 @@ fn route_snapshot_outside_controlplane_is_flagged() {
     expect_clean(&ok);
 }
 
+/// `crates/bench/` is not among the places that may assemble routing
+/// state.
+#[test]
+fn route_snapshot_under_the_retired_bench_crate_is_flagged() {
+    let s = Scratch::new("snapshot-bench");
+    s.file(
+        "crates/bench/src/workload.rs",
+        &format!("fn rogue() {{ let s = {}; }}\n", "RouteSnapshot::default()"),
+    );
+    expect_violation(&s, "route-snapshot");
+}
+
 #[test]
 fn route_snapshot_literal_and_from_tables_forms_are_flagged() {
     let s = Scratch::new("snapshot-forms");

@@ -1,16 +1,14 @@
 //! Workload determinism: one seed pins everything.
 //!
-//! The MST search is only meaningful if a trial can be replayed exactly —
+//! A pin on a seeded replay is only meaningful if the replay is exact —
 //! same seed ⇒ byte-identical trace (pinned by hash), identical outcome
-//! counters, identical latency quantiles — for every protocol mix. The
+//! counters, identical modeled prices — for every protocol mix. The
 //! Zipf sanity check guards the other failure mode: a generator that
 //! silently degrades to uniform popularity would still be deterministic,
 //! so determinism alone can't catch it.
 
 use dip::crypto::DetRng;
-use dip::workload::{
-    run_open_loop, ArrivalModel, Mix, OpenLoopConfig, TrafficClass, WorkloadSpec, Zipf,
-};
+use dip::workload::{run_open_loop, ArrivalModel, Mix, TrafficClass, WorkloadSpec, Zipf};
 
 fn spec_for(mix: Mix, seed: u64) -> WorkloadSpec {
     WorkloadSpec { seed, mix, table_size: 300, catalog_size: 64, ..Default::default() }
@@ -23,19 +21,50 @@ fn same_seed_same_trace_and_counters_for_every_mix() {
     for mix in mixes {
         let label = mix.label();
         let spec = spec_for(mix, 99);
-        let cfg = OpenLoopConfig::default();
-        let a = run_open_loop(&spec, 500_000, 300, &cfg);
-        let b = run_open_loop(&spec, 500_000, 300, &cfg);
+        let a = run_open_loop(&spec, 500_000, 300);
+        let b = run_open_loop(&spec, 500_000, 300);
         assert_eq!(a.trace_hash, b.trace_hash, "trace bytes for {label}");
         assert_eq!(a.content_hash, b.content_hash, "content for {label}");
         assert_eq!(
-            (a.forwarded, a.consumed, a.dropped, a.queue_full),
-            (b.forwarded, b.consumed, b.dropped, b.queue_full),
+            (a.forwarded, a.consumed, a.dropped),
+            (b.forwarded, b.consumed, b.dropped),
             "outcome counters for {label}"
         );
-        assert_eq!((a.p50_ns, a.p99_ns), (b.p50_ns, b.p99_ns), "latency quantiles for {label}");
+        assert_eq!(
+            (a.price_p50_ns, a.price_p99_ns, a.price_sum_ns),
+            (b.price_p50_ns, b.price_p99_ns, b.price_sum_ns),
+            "modeled prices for {label}"
+        );
         assert!(a.identity_holds, "identity for {label}: {a:?}");
     }
+}
+
+/// The built router's PIT hashes under the router's secret, not the
+/// public zero key: after the same inserts it lays out like a table keyed
+/// from that secret and unlike one from `Pit::new`.
+#[test]
+fn build_router_keys_its_pit_under_the_router_secret() {
+    use dip::prelude::Pit;
+    use dip::tables::TableHasher;
+    let spec = WorkloadSpec { pit_preseed: 0, ..spec_for(Mix::all(), 7) };
+    let mut router = spec.build_router(0);
+    let state = router.state_mut();
+    // The layout depends on the key and the inserts, not on the capacity
+    // bound or the TTL, while nothing is refused or expires.
+    let (capacity, ttl) = (4_096, 1_000_000);
+    let fill = |pit: &mut Pit<u32>| {
+        for i in 0..64u32 {
+            let _ = pit.record_interest(i.wrapping_mul(0x9e37_79b9), 1, u64::from(i), 0);
+        }
+    };
+    let order = |pit: &Pit<u32>| pit.iter().map(|e| *e.name).collect::<Vec<_>>();
+    let mut keyed = Pit::with_hasher(capacity, ttl, TableHasher::from_secret(&state.local_secret));
+    let mut public = Pit::new(capacity, ttl);
+    for pit in [&mut state.pit, &mut keyed, &mut public] {
+        fill(pit);
+    }
+    assert_eq!(order(&state.pit), order(&keyed), "keyed by the router secret");
+    assert_ne!(order(&keyed), order(&public), "the public key lays the table out differently");
 }
 
 #[test]
