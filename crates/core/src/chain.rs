@@ -19,21 +19,23 @@
 //! * [`DipRouter::process_parsed`] — the one walk that executes every plan.
 //!
 //! Every program compiles to the *identity plan* first: each router op
-//! runs as written and its timing-model cost equals its budget charge.
-//! When dipopt is requested, `compile` runs [`analyze`] and applies the
-//! proven rewrites to that plan in place — an eliminated op becomes a
-//! charge-only step, a fused or hoisted op keeps running with a smaller
-//! timing-model cost. `process` is `parse → compile → execute` over the
-//! same walk a cached-chain `process_parsed` uses, so the two cannot drift.
+//! runs as written at its own cost. Each op's charge is a constant of the
+//! program, so `compile` also decides the §2.4 budget stop once, from the
+//! as-written charges: the step at which the packet's processing would
+//! exceed the router's [`ResourceBudget`]. When dipopt is requested,
+//! `compile` runs [`analyze`] and applies the proven rewrites to the plan
+//! — an eliminated op leaves it, a fused or hoisted op keeps running with
+//! a smaller timing-model cost — and the stop keeps counting every charge.
+//! `process` is `parse → compile → execute` over the same walk a
+//! cached-chain `process_parsed` uses, so the two cannot drift.
 //!
 //! [`DipRouter::process_parsed`]: crate::router::DipRouter::process_parsed
 
-use crate::budget::{BudgetMeter, ProcessingBudget};
 use crate::router::{RouterConfig, UnknownFnPolicy};
 use dip_fnops::parallel::plan;
 use dip_fnops::{FieldOp, FnRegistry, HoistState, OpCost, RouteKey};
 use dip_verify::opt::{analyze, ProgramFacts, Rewrite};
-use dip_verify::FnProgram;
+use dip_verify::{FnProgram, ResourceBudget};
 use dip_wire::triple::FnTriple;
 use dip_wire::{DipPacket, BASIC_HEADER_LEN, FN_TRIPLE_LEN};
 use std::sync::{Arc, OnceLock};
@@ -99,13 +101,7 @@ pub fn parse_packet_into(buf: &[u8], out: &mut ParsedPacket) -> bool {
     true
 }
 
-/// One step of a compiled plan, aligned index-for-index with the packet's
-/// FN triples.
-///
-/// The steps replay the program's budget-charge sequence exactly: an op
-/// eliminated by dipopt leaves a [`Step::Charge`] residue at its position,
-/// so the budget meter makes identical drop decisions on the identity and
-/// the rewritten plan. Only the timing-model cost (`model`) differs.
+/// One step of a compiled plan, in FN-triple order.
 pub(crate) enum Step {
     /// Host-tagged FN: skipped by routers (Algorithm 1 line 5).
     Host,
@@ -119,11 +115,6 @@ pub(crate) enum Step {
         /// Chain position (goes into the notification verbatim).
         index: usize,
     },
-    /// Residue of an eliminated operation: charge the budget, run nothing.
-    Charge {
-        /// The eliminated op's cost.
-        cost: OpCost,
-    },
     /// An operation that executes.
     Run {
         /// The selecting triple (target field + key).
@@ -131,12 +122,10 @@ pub(crate) enum Step {
         /// The operation module, pinned so execution never re-consults the
         /// registry.
         op: Arc<dyn FieldOp>,
-        /// The op's cost as written, charged against the budget.
-        charge: OpCost,
-        /// Timing-model cost: `charge` in the identity plan; fused or
-        /// hoisted under dipopt, zero for non-lead members of a fused group
-        /// (the lead carries the merged cost).
-        model: OpCost,
+        /// Timing-model cost: the op's own cost in the identity plan; fused
+        /// or hoisted under dipopt, zero for non-lead members of a fused
+        /// group (the lead carries the merged cost).
+        cost: OpCost,
         /// Index into the chain's hoist slots when setup was hoisted.
         hoist: Option<usize>,
     },
@@ -164,6 +153,11 @@ pub struct OptSummary {
 /// secret rotation.
 pub struct CompiledChain {
     pub(crate) steps: Vec<Step>,
+    /// The §2.4 budget stop: the executor walks `steps[..stop]` and then
+    /// drops the packet as over budget.
+    pub(crate) stop: Option<usize>,
+    /// The budget `stop` was computed against (the config's).
+    pub(crate) budget: ResourceBudget,
     /// Lazily materialized hoisted state, one slot per hoisted step, built
     /// on first execution from the router's state.
     pub(crate) hoists: Vec<OnceLock<Option<HoistState>>>,
@@ -178,8 +172,8 @@ pub struct CompiledChain {
 
 impl CompiledChain {
     /// Resolves `parsed`'s program against `registry` under `config` into
-    /// the identity plan and, when `optimize` is set, applies the rewrites
-    /// dipopt proves safe for it.
+    /// the identity plan, decides its budget stop and, when `optimize` is
+    /// set, applies the rewrites dipopt proves safe for it.
     ///
     /// Sequential packets never pay for the §2.2 parallel planner.
     pub fn compile(
@@ -189,7 +183,7 @@ impl CompiledChain {
         optimize: bool,
     ) -> Self {
         let triples = &parsed.triples;
-        let steps = triples
+        let steps: Vec<Step> = triples
             .iter()
             .enumerate()
             .map(|(index, t)| {
@@ -199,8 +193,7 @@ impl CompiledChain {
                 match registry.get(t.key) {
                     Some(op) => {
                         let cost = op.cost(t.field_len);
-                        let op = Arc::clone(op);
-                        Step::Run { triple: *t, op, charge: cost, model: cost, hoist: None }
+                        Step::Run { triple: *t, op: Arc::clone(op), cost, hoist: None }
                     }
                     None => {
                         let key = t.key.to_wire();
@@ -217,59 +210,55 @@ impl CompiledChain {
                 triples.iter().filter(|t| !t.host).copied().collect();
             plan(&router_triples, registry).depth()
         });
-        let mut chain =
-            CompiledChain { steps, hoists: Vec::new(), router_fns, parallel_depth, summary: None };
+        let budget = config.budget;
+        let stop = budget_stop(&steps, &budget);
+        let mut chain = CompiledChain {
+            steps,
+            stop,
+            budget,
+            hoists: Vec::new(),
+            router_fns,
+            parallel_depth,
+            summary: None,
+        };
         if optimize {
             let program = FnProgram::new(triples.clone(), parsed.loc_len, parsed.parallel);
             let facts = analyze(&program, registry);
-            if facts.optimizes() && !chain.budget_stops_at_a_parse_consumer(&facts, &config.budget)
-            {
+            // R1 is exact only on walks that get past the consumer's
+            // charge: stopping there, Algorithm 1 would have run the parse
+            // first and dropped a malformed DAG as such, not as over budget.
+            let stops_at_a_parse_consumer = facts.rewrites.iter().any(|rw| {
+                matches!(*rw, Rewrite::EliminateRedundantParse { into, .. } if Some(into) == stop)
+            });
+            if facts.optimizes() && !stops_at_a_parse_consumer {
                 chain.rewrite(&facts);
             }
         }
         chain
     }
 
-    /// Whether `budget` runs out exactly at the charge of a hop that absorbs
-    /// an eliminated parse (R1). Algorithm 1 would have run that parse
-    /// first, and dropped a malformed DAG as such rather than as over
-    /// budget, so R1 is exact only on walks that get past the consumer's
-    /// charge. Charges are program constants, so the failing step is too.
-    fn budget_stops_at_a_parse_consumer(
-        &self,
-        facts: &ProgramFacts,
-        budget: &ProcessingBudget,
-    ) -> bool {
-        let mut meter = BudgetMeter::new();
-        let stop = self
-            .steps
-            .iter()
-            .position(|s| matches!(s, Step::Run { charge, .. } if !meter.charge(budget, *charge)));
-        facts.rewrites.iter().any(
-            |rw| matches!(*rw, Rewrite::EliminateRedundantParse { into, .. } if Some(into) == stop),
-        )
-    }
-
     /// Applies dipopt's proven rewrites to the identity plan in place.
-    /// dipopt never fuses or hoists an op it eliminates, so an eliminated
-    /// op can become its charge-only residue at once.
+    /// dipopt never fuses or hoists an op it eliminates, so eliminated ops
+    /// leave the plan once every cost override is in; the stop moves with
+    /// the steps it counts and still falls where their charges ran out.
     fn rewrite(&mut self, facts: &ProgramFacts) {
+        let mut eliminated = vec![false; self.steps.len()];
         // fused_with[j] = Some(i) links j to the previous member of its
         // group; groups resolve once every cost override is in.
         let mut fused_with: Vec<Option<usize>> = vec![None; self.steps.len()];
         for rw in &facts.rewrites {
             match *rw {
                 Rewrite::EliminateRedundantParse { parse, into, fused_model } => {
-                    self.eliminate(parse);
-                    if let Some(model) = self.model_mut(into) {
-                        *model = fused_model;
+                    eliminated[parse] = true;
+                    if let Some(cost) = self.cost_mut(into) {
+                        *cost = fused_model;
                     }
                 }
-                Rewrite::EliminateDeadKeyWrite { index } => self.eliminate(index),
+                Rewrite::EliminateDeadKeyWrite { index } => eliminated[index] = true,
                 Rewrite::FuseAdjacent { first, second } => fused_with[second] = Some(first),
                 Rewrite::HoistKeySchedule { index, hoisted_model } => {
-                    if let Step::Run { model, hoist, .. } = &mut self.steps[index] {
-                        *model = hoisted_model;
+                    if let Step::Run { cost, hoist, .. } = &mut self.steps[index] {
+                        *cost = hoisted_model;
                         *hoist = Some(self.hoists.len());
                         self.hoists.push(OnceLock::new());
                     }
@@ -284,11 +273,14 @@ impl CompiledChain {
             while let Some(prev) = fused_with[lead] {
                 lead = prev;
             }
-            let member = self.model_mut(j).map(std::mem::take).unwrap_or_default();
-            if let Some(model) = self.model_mut(lead) {
-                *model = model.fuse(member);
+            let member = self.cost_mut(j).map(std::mem::take).unwrap_or_default();
+            if let Some(cost) = self.cost_mut(lead) {
+                *cost = cost.fuse(member);
             }
         }
+        self.stop = self.stop.map(|stop| stop - eliminated[..stop].iter().filter(|&&e| e).count());
+        let mut kept = eliminated.iter().map(|&e| !e);
+        self.steps.retain(|_| kept.next().unwrap_or(true));
         self.summary = Some(OptSummary {
             ops_eliminated: facts.ops_eliminated() as u32,
             fusions: facts.fusions() as u32,
@@ -296,15 +288,9 @@ impl CompiledChain {
         });
     }
 
-    fn eliminate(&mut self, index: usize) {
-        if let Step::Run { charge, .. } = self.steps[index] {
-            self.steps[index] = Step::Charge { cost: charge };
-        }
-    }
-
-    fn model_mut(&mut self, index: usize) -> Option<&mut OpCost> {
+    fn cost_mut(&mut self, index: usize) -> Option<&mut OpCost> {
         match &mut self.steps[index] {
-            Step::Run { model, .. } => Some(model),
+            Step::Run { cost, .. } => Some(cost),
             _ => None,
         }
     }
@@ -327,16 +313,6 @@ impl CompiledChain {
         self.summary
     }
 
-    /// Number of chain steps (= number of FN triples, host ones included).
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the chain is empty.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
     /// Number of router-executed (non-host) steps.
     pub fn router_fns(&self) -> usize {
         self.router_fns
@@ -352,12 +328,31 @@ impl CompiledChain {
     }
 }
 
+/// The index of the first charged step at which `budget` runs out: the
+/// step that would be the `max_fns + 1`-th router op, or whose charge
+/// takes the running cost past a limit. Charges are program constants, so
+/// this is decided once per chain, on the identity plan.
+fn budget_stop(steps: &[Step], budget: &ResourceBudget) -> Option<usize> {
+    let (mut fns, mut total) = (0u32, OpCost::default());
+    steps.iter().position(|step| {
+        let Step::Run { cost, .. } = step else { return false };
+        fns += 1;
+        total = total + *cost;
+        fns > budget.max_fns
+            || total.stages > budget.max_stages
+            || total.table_lookups > budget.max_table_lookups
+            || total.cipher_blocks > budget.max_cipher_blocks
+            || total.resubmits > budget.max_resubmits
+    })
+}
+
 impl std::fmt::Debug for CompiledChain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledChain")
             .field("len", &self.steps.len())
             .field("router_fns", &self.router_fns)
             .field("parallel_depth", &self.parallel_depth)
+            .field("stop", &self.stop)
             .field("optimized", &self.summary)
             .finish()
     }
@@ -463,14 +458,19 @@ mod tests {
             false,
         );
         let chain = CompiledChain::compile(&p, &registry, &config, false);
-        assert_eq!(chain.len(), 4);
+        assert_eq!(chain.steps.len(), 4);
         assert_eq!(chain.router_fns(), 3);
         assert!(chain.opt_summary().is_none());
         assert!(chain.hoists.is_empty());
+        assert_eq!((chain.stop, chain.budget), (None, config.budget));
         for i in [0, 2] {
             match &chain.steps[i] {
-                Step::Run { charge, model, hoist, .. } => {
-                    assert_eq!(charge, model, "the identity plan models what it charges");
+                Step::Run { triple, op, cost, hoist } => {
+                    assert_eq!(
+                        *cost,
+                        op.cost(triple.field_len),
+                        "the identity plan runs as written"
+                    );
                     assert!(hoist.is_none());
                 }
                 _ => panic!("step {i} must run"),
@@ -486,34 +486,111 @@ mod tests {
         assert!(matches!(chain.steps[2], Step::Unsupported { notify: true, index: 2, .. }));
     }
 
+    /// The stop under `budget` of `fns` over `loc_len` location bytes.
+    fn stop(fns: Vec<FnTriple>, loc_len: usize, budget: ResourceBudget) -> Option<usize> {
+        let config = RouterConfig { budget, ..RouterConfig::default() };
+        CompiledChain::compile(
+            &program(fns, loc_len, false),
+            &FnRegistry::standard(),
+            &config,
+            false,
+        )
+        .stop
+    }
+
     #[test]
-    fn dipopt_leaves_charge_residue_for_eliminated_ops() {
+    fn the_stop_is_the_first_charge_past_a_limit() {
+        // Match32, Parm and Mark take one stage each: three fit exactly.
+        let three = vec![
+            FnTriple::router(0, 32, FnKey::Match32),
+            FnTriple::router(0, 128, FnKey::Parm),
+            FnTriple::router(0, 128, FnKey::Mark),
+        ];
+        let budget = ResourceBudget { max_stages: 3, ..ResourceBudget::unconstrained() };
+        assert_eq!(stop(three.clone(), 16, budget), None);
+        let mut four = three;
+        four.push(FnTriple::router(0, 32, FnKey::Source));
+        assert_eq!(stop(four, 16, budget), Some(3));
+        // Parm's 3 cipher blocks and Mark's 2 sum past a 4-block limit.
+        let crypto =
+            vec![FnTriple::router(0, 128, FnKey::Parm), FnTriple::router(0, 128, FnKey::Mark)];
+        let budget = ResourceBudget { max_cipher_blocks: 4, ..ResourceBudget::unconstrained() };
+        assert_eq!(stop(crypto, 16, budget), Some(1));
+    }
+
+    #[test]
+    fn max_fns_stops_at_the_first_charged_step_past_it() {
+        // Host-tagged and unsupported steps charge nothing.
+        let fns = vec![
+            FnTriple::router(0, 32, FnKey::Source),
+            FnTriple::host(0, 32, FnKey::Ver),
+            FnTriple::router(0, 32, FnKey::Source),
+            FnTriple::router(0, 32, FnKey::Other(0x300)),
+            FnTriple::router(0, 32, FnKey::Source),
+        ];
+        let budget = ResourceBudget { max_fns: 2, ..ResourceBudget::unconstrained() };
+        assert_eq!(stop(fns.clone(), 4, budget), Some(4), "the third charged step");
+        let budget = ResourceBudget { max_fns: 3, ..ResourceBudget::unconstrained() };
+        assert_eq!(stop(fns, 4, budget), None);
+    }
+
+    #[test]
+    fn a_mac_flood_stops_by_step_12_unless_unconstrained() {
+        let macs = vec![FnTriple::router(0, 416, FnKey::Mac); 255];
+        // Five cipher blocks per MAC: the 13th takes 65 past 64.
+        assert_eq!(stop(macs.clone(), 52, ResourceBudget::router()), Some(12));
+        assert_eq!(stop(macs, 52, ResourceBudget::unconstrained()), None);
+    }
+
+    #[test]
+    fn the_paper_protocols_have_no_stop_under_the_router_budget() {
+        // NDN+OPT, the heaviest composition: PIT + parm + MAC + mark.
+        let ndn_opt = vec![
+            FnTriple::router(0, 32, FnKey::Pit),
+            FnTriple::router(160, 128, FnKey::Parm),
+            FnTriple::router(32, 416, FnKey::Mac),
+            FnTriple::router(320, 128, FnKey::Mark),
+            FnTriple::host(32, 544, FnKey::Ver),
+        ];
+        assert_eq!(stop(ndn_opt, 72, ResourceBudget::router()), None);
+    }
+
+    #[test]
+    fn an_eliminated_op_leaves_the_plan_and_the_stop_still_counts_its_charge() {
         let registry = FnRegistry::standard();
         let config = RouterConfig::default();
-        // XIA program: the F_DAG parse is eliminated but still charged.
+        // XIA program: the F_DAG parse is eliminated, then a source read.
         let p = program(
-            vec![FnTriple::router(0, 720, FnKey::Dag), FnTriple::router(0, 720, FnKey::Intent)],
-            90,
+            vec![
+                FnTriple::router(0, 720, FnKey::Dag),
+                FnTriple::router(0, 720, FnKey::Intent),
+                FnTriple::router(720, 32, FnKey::Source),
+            ],
+            94,
             false,
         );
         let identity = CompiledChain::compile(&p, &registry, &config, false);
         assert!(identity.steps.iter().all(|s| matches!(s, Step::Run { .. })));
         let chain = CompiledChain::compile(&p, &registry, &config, true);
-        assert_eq!(chain.steps.len(), 2);
-        let dag_cost = registry.get(FnKey::Dag).unwrap().cost(720);
-        assert!(matches!(&chain.steps[0], Step::Charge { cost } if *cost == dag_cost));
-        match &chain.steps[1] {
-            Step::Run { charge, model, hoist, .. } => {
-                assert_eq!(*charge, registry.get(FnKey::Intent).unwrap().cost(720));
-                assert_eq!(*model, OpCost::lookup(1, 2));
+        assert_eq!(chain.steps.len(), 2, "the parse left the plan");
+        match &chain.steps[0] {
+            Step::Run { triple, cost, hoist, .. } => {
+                assert_eq!(triple.key, FnKey::Intent);
+                assert_eq!(*cost, OpCost::lookup(1, 2), "the fused parse + intent model");
                 assert!(hoist.is_none());
             }
-            _ => panic!("second step must run"),
+            _ => panic!("F_intent must run"),
         }
-        assert_eq!(
-            chain.opt_summary().unwrap(),
-            OptSummary { ops_eliminated: 1, fusions: 0, hoists: 0 }
-        );
+        assert_eq!(chain.opt_summary().unwrap().ops_eliminated, 1);
+        assert_eq!(chain.stop, None);
+        // Two FNs fit: the identity plan stops at F_source, its third
+        // charge. The rewritten plan runs two steps but stops there too.
+        let budget = ResourceBudget { max_fns: 2, ..ResourceBudget::router() };
+        let config = RouterConfig { budget, ..RouterConfig::default() };
+        assert_eq!(CompiledChain::compile(&p, &registry, &config, false).stop, Some(2));
+        let chain = CompiledChain::compile(&p, &registry, &config, true);
+        assert!(chain.opt_summary().is_some());
+        assert_eq!((chain.steps.len(), chain.stop), (2, Some(1)));
     }
 
     #[test]
@@ -526,15 +603,17 @@ mod tests {
         );
         // One FN fits: F_intent's charge fails, so Algorithm 1 would run
         // (and possibly drop at) the F_DAG parse the rewrite eliminates.
-        let budget = ProcessingBudget { max_fns: 1, ..ProcessingBudget::default() };
+        let budget = ResourceBudget { max_fns: 1, ..ResourceBudget::router() };
         let config = RouterConfig { budget, ..RouterConfig::default() };
         let chain = CompiledChain::compile(&p, &registry, &config, true);
         assert!(chain.opt_summary().is_none());
+        assert_eq!((chain.steps.len(), chain.stop), (2, Some(1)));
         // Stopping at the eliminated parse's own charge is exact either way.
-        let budget = ProcessingBudget { max_fns: 0, ..ProcessingBudget::default() };
+        let budget = ResourceBudget { max_fns: 0, ..ResourceBudget::router() };
         let config = RouterConfig { budget, ..RouterConfig::default() };
         let chain = CompiledChain::compile(&p, &registry, &config, true);
         assert!(chain.opt_summary().is_some());
+        assert_eq!((chain.steps.len(), chain.stop), (1, Some(0)));
     }
 
     #[test]
@@ -549,7 +628,7 @@ mod tests {
         );
         let chain = CompiledChain::compile(&p, &registry, &config, true);
         match (&chain.steps[0], &chain.steps[1]) {
-            (Step::Run { model: lead, .. }, Step::Run { model: member, .. }) => {
+            (Step::Run { cost: lead, .. }, Step::Run { cost: member, .. }) => {
                 // lookup(1,1) fused with stages(1): shared stage, one lookup.
                 assert_eq!(*lead, OpCost::lookup(1, 1));
                 assert_eq!(*member, OpCost::default());
@@ -572,13 +651,18 @@ mod tests {
         assert_eq!(chain.opt_summary().unwrap().hoists, 1);
         assert_eq!(chain.hoists.len(), 1);
         match &chain.steps[0] {
-            Step::Run { charge, model, hoist, .. } => {
-                assert_eq!(*charge, OpCost::cipher(1, 3, 0), "budget replays the original");
-                assert_eq!(*model, OpCost::cipher(1, 2, 0), "timing model sees the hoist");
+            Step::Run { cost, hoist, .. } => {
+                assert_eq!(*cost, OpCost::cipher(1, 2, 0), "timing model sees the hoist");
                 assert_eq!(*hoist, Some(0));
             }
             _ => panic!("parm must run"),
         }
+        // The stop counts parm as written: 3 + 5 + 2 blocks pass 9 at the
+        // mark, although the hoisted plan models only 9.
+        let budget = ResourceBudget { max_cipher_blocks: 9, ..ResourceBudget::router() };
+        let config = RouterConfig { budget, ..RouterConfig::default() };
+        let chain = CompiledChain::compile(&p, &registry, &config, true);
+        assert_eq!((chain.opt_summary().unwrap().hoists, chain.stop), (1, Some(2)));
     }
 
     #[test]
@@ -591,7 +675,9 @@ mod tests {
                 CompiledChain::compile(&program(fns, loc_len, parallel), &registry, &config, true);
             assert!(chain.opt_summary().is_none(), "{} must not optimize", case.name);
             assert!(chain.steps.iter().all(|s| match s {
-                Step::Run { charge, model, hoist, .. } => charge == model && hoist.is_none(),
+                Step::Run { triple, op, cost, hoist } => {
+                    *cost == op.cost(triple.field_len) && hoist.is_none()
+                }
                 _ => true,
             }));
         }

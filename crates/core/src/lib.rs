@@ -12,13 +12,13 @@
 //!   (per-program, cacheable) let a batching dataplane amortize registry
 //!   resolution and the §2.2 parallel plan across packets. Every program
 //!   compiles to one plan — the identity plan, or the plan dipopt
-//!   rewrote — and one walk executes both;
+//!   rewrote — and one walk executes both. The plan also fixes where the
+//!   §2.4 defense, "enforcing a hard limit for packet processing time and
+//!   per-packet state consumption", stops the packet;
 //! * [`equiv`] — the differential gate proving a dipopt-rewritten plan
 //!   byte-equivalent to the identity plan;
 //! * [`host`] — destination-side execution of host-tagged FNs (`F_ver`)
 //!   and source-side sanity helpers;
-//! * [`budget`] — the §2.4 defense "enforcing a hard limit for packet
-//!   processing time and per-packet state consumption";
 //! * [`control`] — the ICMP-like *FN unsupported* notification of §2.4;
 //! * [`border`] — backward compatibility: encapsulating legacy IPv4/IPv6
 //!   headers as FN locations at the inbound border router and stripping
@@ -35,7 +35,6 @@
 
 pub mod bootstrap;
 pub mod border;
-pub mod budget;
 pub mod chain;
 pub mod control;
 pub mod equiv;
@@ -45,7 +44,6 @@ pub mod router;
 pub mod stack;
 pub mod tunnel;
 
-pub use budget::{BudgetMeter, ProcessingBudget};
 pub use chain::{parse_packet, parse_packet_into, CompiledChain, OptSummary, ParsedPacket};
 pub use control::ControlMessage;
 pub use equiv::{differential_check, differential_smoke, EquivReport};

@@ -15,13 +15,13 @@
 //! budget, unknown-FN policy (skip vs. notify), and combining per-op
 //! [`Action`]s into a routing [`Verdict`].
 
-use crate::budget::{BudgetMeter, ProcessingBudget};
 use crate::chain::{parse_packet, CompiledChain, ParsedPacket, Step};
 use crate::control::ControlMessage;
 use crate::metrics::RouterMetrics;
 use dip_fnops::{Action, DropReason, FnRegistry, OpCost, PacketCtx, RouterState};
 use dip_tables::{Port, Ports, Ticks};
 use dip_telemetry::{PacketOutcome, Registry};
+use dip_verify::ResourceBudget;
 use dip_wire::triple::FnKey;
 use dip_wire::DipPacket;
 use std::collections::HashSet;
@@ -41,8 +41,10 @@ pub enum UnknownFnPolicy {
 /// Per-router configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Hard per-packet processing limits (§2.4).
-    pub budget: ProcessingBudget,
+    /// Hard per-packet processing limits (§2.4); defaults to
+    /// [`ResourceBudget::router`]. Each compiled chain decides its stop
+    /// against it once.
+    pub budget: ResourceBudget,
     /// Policy for unknown, non-participation FNs.
     pub unknown_fn_policy: UnknownFnPolicy,
     /// Keys that "require all on-path ASes to participate" (§2.4) — a
@@ -57,10 +59,10 @@ pub struct RouterConfig {
     /// Apply the rewrites the dipopt static optimizer proves safe
     /// (`dip_verify::opt`) to each compiled plan. Off by default, which
     /// runs every program as its identity plan. Either plan goes through
-    /// the same walk and replays the program's budget-charge sequence, so
-    /// verdicts and packet bytes are identical; only the timing-model cost
-    /// (and the per-FN invocation counters, which no longer see eliminated
-    /// ops) changes. Hoisted steps cache state derived from the router's
+    /// the same walk and stops where the program's as-written charges
+    /// exhaust the budget, so verdicts and packet bytes are identical;
+    /// only the timing-model cost (and the per-FN invocation counters,
+    /// which no longer see eliminated ops) changes. Hoisted steps cache state derived from the router's
     /// secrets, so rotating `local_secret` requires recompiling cached
     /// chains.
     pub optimize: bool,
@@ -69,7 +71,7 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            budget: ProcessingBudget::default(),
+            budget: ResourceBudget::router(),
             unknown_fn_policy: UnknownFnPolicy::Skip,
             participation_keys: [FnKey::Parm, FnKey::Mac, FnKey::Mark]
                 .into_iter()
@@ -298,7 +300,8 @@ impl DipRouter {
     ///
     /// `parsed` must describe `buf` and `chain` must have been compiled
     /// from `parsed.triples` against this router's registry and config —
-    /// [`process`](DipRouter::process) is the reference pairing. The
+    /// [`process`](DipRouter::process) is the reference pairing; debug
+    /// builds check the budget. The
     /// batched dataplane caches the chain per program and calls this once
     /// per packet, amortizing registry lookups and the §2.2 plan across
     /// the batch.
@@ -315,6 +318,7 @@ impl DipRouter {
         in_port: Port,
         now: Ticks,
     ) -> (Verdict, ProcessStats) {
+        debug_assert_eq!(chain.budget, self.config.budget, "chain compiled under another budget");
         let (verdict, stats) = self.process_parsed_inner(buf, parsed, chain, in_port, now);
         if let Some(metrics) = self.metrics.as_mut() {
             metrics.tally_verdict(&verdict);
@@ -361,11 +365,11 @@ impl DipRouter {
         // Plan depth (timing model input; execution stays in order).
         stats.plan_depth = chain.plan_depth(parsed.parallel);
 
-        // Lines 4–17: the FN chain.
-        let mut meter = BudgetMeter::new();
+        // Lines 4–17: the FN chain, up to the budget stop.
+        let steps = &chain.steps[..chain.stop.unwrap_or(chain.steps.len())];
         let mut decision: Option<Verdict> = None;
-        for step in &chain.steps {
-            let (charge, run) = match step {
+        for step in steps {
+            let (triple, op, cost, hoist) = match step {
                 Step::Host => {
                     stats.skipped_host += 1;
                     continue;
@@ -384,18 +388,10 @@ impl DipRouter {
                     stats.skipped_unsupported += 1;
                     continue;
                 }
-                Step::Charge { cost } => (*cost, None),
-                Step::Run { triple, op, charge, model, hoist } => {
-                    (*charge, Some((triple, op, *model, *hoist)))
-                }
+                Step::Run { triple, op, cost, hoist } => (triple, op, *cost, *hoist),
             };
-            if !meter.charge(&self.config.budget, charge) {
-                return (Verdict::Drop(DropReason::ProcessingBudgetExceeded), stats);
-            }
-            // An eliminated op's residue charges the budget and runs nothing.
-            let Some((triple, op, model, hoist)) = run else { continue };
             stats.fns_executed += 1;
-            stats.cost = stats.cost + model;
+            stats.cost = stats.cost + cost;
             if let Some(metrics) = self.metrics.as_mut() {
                 metrics.tally_op(triple.key);
             }
@@ -426,6 +422,9 @@ impl DipRouter {
                     return (Verdict::Drop(reason), stats);
                 }
             }
+        }
+        if chain.stop.is_some() {
+            return (Verdict::Drop(DropReason::ProcessingBudgetExceeded), stats);
         }
 
         // A rewritten plan runs strictly in order and its eliminated ops no
@@ -595,10 +594,37 @@ mod tests {
         let mut routes = RouteStore::new();
         routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
         r.state_mut().routes = routes.rebuild();
-        r.config_mut().budget = ProcessingBudget { max_fns: 1, ..ProcessingBudget::unlimited() };
+        r.config_mut().budget = ResourceBudget { max_fns: 1, ..ResourceBudget::unconstrained() };
         let mut pkt = dip32_packet([10, 1, 2, 3], [0; 4]);
-        let (verdict, _) = r.process(&mut pkt, 0, 0);
+        let (verdict, stats) = r.process(&mut pkt, 0, 0);
         assert_eq!(verdict, Verdict::Drop(DropReason::ProcessingBudgetExceeded));
+        assert_eq!(stats.fns_executed, 1, "the match ran, the source did not");
+    }
+
+    #[test]
+    fn a_budget_change_applies_to_the_next_packet() {
+        // `process` compiles per packet, so each chain sees the budget the
+        // router holds when the packet arrives.
+        for optimize in [false, true] {
+            let mut r = DipRouter::new(1, [1; 16]);
+            r.config_mut().optimize = optimize;
+            let mut routes = RouteStore::new();
+            routes.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(3));
+            r.state_mut().routes = routes.rebuild();
+            let mut verdict_under = |budget: ResourceBudget| {
+                r.config_mut().budget = budget;
+                r.process(&mut dip32_packet([10, 1, 2, 3], [0; 4]), 0, 0).0
+            };
+            let forward = Verdict::Forward(Ports::one(3));
+            let over = Verdict::Drop(DropReason::ProcessingBudgetExceeded);
+            let tight = ResourceBudget { max_fns: 1, ..ResourceBudget::router() };
+            assert_eq!(verdict_under(ResourceBudget::router()), forward);
+            assert_eq!(verdict_under(tight), over, "tightened");
+            assert_eq!(verdict_under(ResourceBudget::router()), forward, "relaxed");
+            let shallow = ResourceBudget { max_stages: 1, ..ResourceBudget::router() };
+            assert_eq!(verdict_under(shallow), over, "optimize = {optimize}");
+            assert_eq!(verdict_under(ResourceBudget::unconstrained()), forward);
+        }
     }
 
     #[test]
@@ -860,7 +886,7 @@ mod tests {
         // Fused timing model for the 3-node DAG: one stage, two lookups —
         // vs stages(4) + lookup(2,3) in the identity plan.
         assert_eq!(os.cost, OpCost::lookup(1, 2));
-        // Budget accounting replays the original charges in both plans.
+        // The identity plan's model is the as-written cost.
         assert_eq!(ps.cost, OpCost::stages(4) + OpCost::lookup(2, 3));
     }
 

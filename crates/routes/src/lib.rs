@@ -75,9 +75,11 @@ pub(crate) fn hash_table_bytes(capacity: usize, entry: usize) -> usize {
 }
 
 /// Heap bytes of an `Arc`-shared hash map: the `Arc` around the map and
-/// its table.
-pub(crate) fn shared_map_bytes<K, V, S>(map: &Arc<HashMap<K, V, S>>) -> usize {
-    ARC_COUNTS
-        + size_of::<HashMap<K, V, S>>()
-        + hash_table_bytes(map.capacity(), size_of::<(K, V)>())
+/// its table. An empty table shares nothing (`None`) and costs nothing.
+pub(crate) fn shared_map_bytes<K, V, S>(map: &Option<Arc<HashMap<K, V, S>>>) -> usize {
+    map.as_ref().map_or(0, |map| {
+        ARC_COUNTS
+            + size_of::<HashMap<K, V, S>>()
+            + hash_table_bytes(map.capacity(), size_of::<(K, V)>())
+    })
 }

@@ -6,7 +6,8 @@
 //! components, so `/ab/c` and `/a/bc` never merge) and probes
 //! deepest-first — at most `max_depth` map probes, no pointer chasing,
 //! and the map itself is `Arc`-shared between table versions so a delta
-//! clones it only when a name actually changed. The witness is the
+//! clones it only when a name actually changed (an empty map is not
+//! allocated at all). The witness is the
 //! linear-scan oracle in `tests/name_xia_oracle.rs`.
 //!
 //! The 32-bit compact index (`Name::compact32`, the prototype's wire
@@ -59,8 +60,8 @@ pub(crate) fn name_key(name: &Name) -> (u8, u64) {
 /// A compiled, immutable, cheaply-clonable name FIB.
 #[derive(Clone, Debug, Default)]
 pub struct CompactNameFib {
-    by_depth: Arc<HashMap<(u8, u64), NextHop>>,
-    compact: Arc<HashMap<u32, NextHop>>,
+    by_depth: Option<Arc<HashMap<(u8, u64), NextHop>>>,
+    compact: Option<Arc<HashMap<u32, NextHop>>>,
     max_depth: u8,
     len: usize,
 }
@@ -87,8 +88,8 @@ impl CompactNameFib {
             max_depth = max_depth.max(name.len() as u8);
         }
         CompactNameFib {
-            by_depth: Arc::new(by_depth),
-            compact: Arc::new(compact),
+            by_depth: (!by_depth.is_empty()).then(|| Arc::new(by_depth)),
+            compact: (!compact.is_empty()).then(|| Arc::new(compact)),
             max_depth,
             len: names.len(),
         }
@@ -99,8 +100,8 @@ impl CompactNameFib {
     /// the ops already applied; each touched compact hash is re-derived
     /// from it, so a withdraw leaves a colliding live name indexed.
     pub(crate) fn apply_delta(&self, ops: &[(Name, Option<NextHop>)], names: &NameRoutes) -> Self {
-        let mut by_depth = (*self.by_depth).clone();
-        let mut compact = (*self.compact).clone();
+        let mut by_depth = self.by_depth.as_deref().cloned().unwrap_or_default();
+        let mut compact = self.compact.as_deref().cloned().unwrap_or_default();
         let mut max_depth = self.max_depth;
         for (name, action) in ops {
             match action {
@@ -121,8 +122,8 @@ impl CompactNameFib {
             };
         }
         CompactNameFib {
-            by_depth: Arc::new(by_depth),
-            compact: Arc::new(compact),
+            by_depth: (!by_depth.is_empty()).then(|| Arc::new(by_depth)),
+            compact: (!compact.is_empty()).then(|| Arc::new(compact)),
             max_depth,
             len: names.len(),
         }
@@ -131,6 +132,7 @@ impl CompactNameFib {
     /// Longest-prefix match on a full name: deepest-first probes over
     /// the rolling prefix hashes.
     pub fn lookup(&self, name: &Name) -> Option<NextHop> {
+        let by_depth = self.by_depth.as_ref()?;
         let components = name.components();
         let depth = components.len().min(self.max_depth as usize);
         let mut hashes = Vec::with_capacity(depth);
@@ -139,12 +141,12 @@ impl CompactNameFib {
             h = fold(h, c);
             hashes.push(h);
         }
-        (1..=depth).rev().find_map(|d| self.by_depth.get(&(d as u8, hashes[d - 1])).copied())
+        (1..=depth).rev().find_map(|d| by_depth.get(&(d as u8, hashes[d - 1])).copied())
     }
 
     /// Exact match on a 32-bit compact name.
     pub fn lookup_compact(&self, compact: u32) -> Option<NextHop> {
-        self.compact.get(&compact).copied()
+        self.compact.as_ref()?.get(&compact).copied()
     }
 
     /// Number of installed name routes.

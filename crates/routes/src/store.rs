@@ -503,6 +503,30 @@ mod tests {
     use super::*;
 
     #[test]
+    fn empty_tables_allocate_nothing() {
+        assert_eq!(RouteTables::default().heap_bytes(), 0);
+        assert_eq!(RouteStore::new().rebuild().heap_bytes(), 0);
+        // Withdrawing the last name and XIA route frees their maps too.
+        let mut store = RouteStore::new();
+        let name = Name::parse("/wl/cat/1");
+        let xid = Xid::derive(b"ad");
+        store.insert_name(&name, NextHop::port(3));
+        store.insert_xia(XidType::Ad, xid, XiaNextHop::Port(4));
+        let full = store.rebuild();
+        assert!(full.names.heap_bytes() > 0 && full.xia.heap_bytes() > 0);
+        let mut delta = RouteDelta::new();
+        delta.withdraw_name(name.clone());
+        delta.withdraw_xia(XidType::Ad, xid);
+        let emptied = store.commit(&delta);
+        assert_eq!(emptied.names.heap_bytes(), 0);
+        assert_eq!(
+            (emptied.lookup_name(&name), emptied.lookup_xia(XidType::Ad, &xid)),
+            (None, None)
+        );
+        assert!(emptied.xia.supports_type(XidType::Ad), "the type stays declared");
+    }
+
+    #[test]
     fn commit_shares_untouched_families_and_counts_honestly() {
         let mut store = RouteStore::new();
         store.insert_v4(Ipv4Addr::new(10, 0, 0, 0), 8, NextHop::port(1));

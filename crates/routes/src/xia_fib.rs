@@ -6,7 +6,7 @@
 //! XIA's evolvability contract distinguishes "I do not understand this
 //! principal type" (no table) from "no route" (empty table), and that
 //! distinction must survive compaction. Both maps are `Arc`-shared
-//! between table versions.
+//! between table versions; an empty one is not allocated at all.
 
 use dip_tables::XiaNextHop;
 use dip_wire::xia::{Xid, XidType};
@@ -16,17 +16,19 @@ use std::sync::Arc;
 /// A compiled, immutable, cheaply-clonable XIA route table.
 #[derive(Clone, Debug, Default)]
 pub struct CompactXia {
-    routes: Arc<HashMap<(u32, Xid), XiaNextHop>>,
-    declared: Arc<HashSet<u32>>,
+    routes: Option<Arc<HashMap<(u32, Xid), XiaNextHop>>>,
+    declared: Option<Arc<HashSet<u32>>>,
 }
 
 impl CompactXia {
     /// Heap bytes of this version's route map and declared-type set
     /// (estimated from their capacity, as `std`'s hash table lays it out).
     pub fn heap_bytes(&self) -> usize {
-        let declared = crate::ARC_COUNTS
-            + size_of::<HashSet<u32>>()
-            + crate::hash_table_bytes(self.declared.capacity(), size_of::<u32>());
+        let declared = self.declared.as_ref().map_or(0, |declared| {
+            crate::ARC_COUNTS
+                + size_of::<HashSet<u32>>()
+                + crate::hash_table_bytes(declared.capacity(), size_of::<u32>())
+        });
         crate::shared_map_bytes(&self.routes) + declared
     }
 
@@ -36,17 +38,17 @@ impl CompactXia {
         routes: &std::collections::BTreeMap<(u32, Xid), XiaNextHop>,
         declared: &std::collections::BTreeSet<u32>,
     ) -> Self {
-        CompactXia {
-            routes: Arc::new(routes.iter().map(|(&k, &v)| (k, v)).collect()),
-            declared: Arc::new(declared.iter().copied().collect()),
-        }
+        CompactXia::share(
+            routes.iter().map(|(&k, &v)| (k, v)).collect(),
+            declared.iter().copied().collect(),
+        )
     }
 
     /// Applies XIA ops copy-on-write. Announcing a route implicitly
     /// declares its type, exactly like `RouteStore::insert_xia`.
     pub(crate) fn apply_delta(&self, ops: &[(XidType, Xid, Option<XiaNextHop>)]) -> Self {
-        let mut routes = (*self.routes).clone();
-        let mut declared = (*self.declared).clone();
+        let mut routes = self.routes.as_deref().cloned().unwrap_or_default();
+        let mut declared = self.declared.as_deref().cloned().unwrap_or_default();
         for &(ty, xid, action) in ops {
             match action {
                 Some(nh) => {
@@ -58,31 +60,38 @@ impl CompactXia {
                 }
             }
         }
-        CompactXia { routes: Arc::new(routes), declared: Arc::new(declared) }
+        CompactXia::share(routes, declared)
+    }
+
+    fn share(routes: HashMap<(u32, Xid), XiaNextHop>, declared: HashSet<u32>) -> Self {
+        CompactXia {
+            routes: (!routes.is_empty()).then(|| Arc::new(routes)),
+            declared: (!declared.is_empty()).then(|| Arc::new(declared)),
+        }
     }
 
     /// Looks up an XID: `None` both for an undeclared principal type
     /// and for a declared type with no such route.
     pub fn lookup(&self, ty: XidType, xid: &Xid) -> Option<XiaNextHop> {
-        if !self.declared.contains(&ty.to_wire()) {
+        if !self.supports_type(ty) {
             return None;
         }
-        self.routes.get(&(ty.to_wire(), *xid)).copied()
+        self.routes.as_ref()?.get(&(ty.to_wire(), *xid)).copied()
     }
 
     /// Whether this router understands principal type `ty`.
     pub fn supports_type(&self, ty: XidType) -> bool {
-        self.declared.contains(&ty.to_wire())
+        self.declared.as_ref().is_some_and(|declared| declared.contains(&ty.to_wire()))
     }
 
     /// Total number of routes across all principal types.
     pub fn len(&self) -> usize {
-        self.routes.len()
+        self.routes.as_ref().map_or(0, |routes| routes.len())
     }
 
     /// Whether no routes exist.
     pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
+        self.routes.is_none()
     }
 }
 

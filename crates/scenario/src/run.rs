@@ -762,7 +762,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioReport {
 /// Runs one fresh network per partition window, holding the outage
 /// phase's duration fixed across the sweep so delivery fractions are
 /// comparable: the only variable is how long the producer island stays
-/// dark. `window == 0` runs the identical scenario with no partition.
+/// dark. `window == 0` runs the identical scenario with no partition
+/// (the spec opens none).
 pub fn partition_sweep(
     k: usize,
     windows: &[SimTime],
@@ -774,12 +775,8 @@ pub fn partition_sweep(
     windows
         .iter()
         .map(|&window| {
-            let mut spec = ScenarioSpec::partition(k, window.max(1), requests, seed);
-            spec.name = format!("partition_k{k}_w{window}");
+            let mut spec = ScenarioSpec::partition(k, window, requests, seed);
             spec.phases[1].duration = fixed_duration;
-            if window == 0 {
-                spec.phases[1].partition = None;
-            }
             SweepPoint { window, report: run_scenario(&spec) }
         })
         .collect()

@@ -150,7 +150,8 @@ impl ScenarioSpec {
     /// The canonical partition scenario on a `k`-ary fat-tree: warm the
     /// caches over the full catalog, cut every link at the producer's
     /// edge switch for `window` ns while traffic continues, then measure
-    /// the recovery (reconvergence + flash-crowd mix).
+    /// the recovery (reconvergence + flash-crowd mix). A zero `window`
+    /// cuts nothing.
     pub fn partition(k: usize, window: SimTime, requests: usize, seed: u64) -> ScenarioSpec {
         let catalog = requests.clamp(8, 64);
         let mut spec = ScenarioSpec::base(
@@ -182,7 +183,7 @@ impl ScenarioSpec {
                 requests,
                 zipf_s: 0.9,
                 protocols: protocols.clone(),
-                partition: Some(window),
+                partition: (window > 0).then_some(window),
                 sweep_catalog: false,
             },
             PhaseSpec {
@@ -233,8 +234,8 @@ impl ScenarioSpec {
     }
 
     /// An AS-level scenario: stub-to-stub traffic over a preferential-
-    /// attachment transit hierarchy, with a partition window at the
-    /// producer's stub uplinks.
+    /// attachment transit hierarchy, with a partition window (none when
+    /// `window` is zero) at the producer's stub uplinks.
     pub fn as_graph(
         nodes: usize,
         m: usize,
@@ -270,7 +271,7 @@ impl ScenarioSpec {
                     ScenarioProtocol::Ndn,
                     ScenarioProtocol::LegacyV4,
                 ],
-                partition: Some(window),
+                partition: (window > 0).then_some(window),
                 sweep_catalog: false,
             },
         ];
@@ -331,6 +332,8 @@ mod tests {
         assert_eq!(p.phases.len(), 3);
         assert_eq!(p.phases[1].partition, Some(200_000));
         assert_eq!(p.seed, 3);
+        let zero = ScenarioSpec::parse("partition:k=4,window=0").unwrap();
+        assert_eq!(zero.phases[1].partition, None, "a zero window cuts nothing");
 
         let f = ScenarioSpec::parse("fat_tree:k=12").unwrap();
         assert_eq!(f.topology, TopologySpec::FatTree { k: 12 });

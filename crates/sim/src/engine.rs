@@ -944,10 +944,8 @@ mod tests {
     fn lint_budget_follows_the_timing_model() {
         let net = Network::new(1);
         assert_eq!(net.model.resource_budget(), dip_verify::ResourceBudget::tofino());
-        assert_eq!(
-            TofinoModel::software().resource_budget(),
-            dip_verify::ResourceBudget::software()
-        );
+        let no_resubmits = TofinoModel { resubmit_ns: 0.0, ..TofinoModel::tofino() };
+        assert_eq!(no_resubmits.resource_budget(), dip_verify::ResourceBudget::software());
         // With no routers, lint degrades to a single standard-registry hop.
         let repr = dip_protocols::ndn::interest(&Name::parse("/x"), 64);
         assert!(net.lint(&repr).is_clean());

@@ -59,23 +59,11 @@ impl TofinoModel {
         }
     }
 
-    /// A slower software-dataplane profile (for comparison experiments).
-    pub fn software() -> Self {
-        TofinoModel {
-            base_ns: 900.0,
-            stage_ns: 60.0,
-            lookup_ns: 120.0,
-            cipher_block_ns: 300.0,
-            resubmit_ns: 0.0, // software has no resubmission concept
-            line_rate_bits_per_ns: 10.0,
-        }
-    }
-
     /// The static-verification budget matching this timing profile: the
     /// bridge from the sim's deployment target to [`dip_verify`]'s
-    /// resource pass. The software profile (identified by having no
-    /// resubmission concept) maps to the generous software budget; every
-    /// hardware-shaped profile gets the Tofino pipeline limits.
+    /// resource pass. A profile with no resubmission concept (a software
+    /// target) maps to the generous software budget; every hardware-shaped
+    /// profile gets the Tofino pipeline limits.
     pub fn resource_budget(&self) -> dip_verify::ResourceBudget {
         if self.resubmit_ns == 0.0 {
             dip_verify::ResourceBudget::software()

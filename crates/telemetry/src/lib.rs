@@ -10,8 +10,7 @@
 //!   primitives, shared across threads as `Arc`s;
 //! * [`Registry`] — a named, labeled collection of metrics rendering both
 //!   Prometheus text exposition ([`Registry::render_prometheus`]) and a
-//!   flat [`Snapshot`] whose [`Snapshot::to_json`] is one
-//!   `dip_bench`-style JSON line;
+//!   flat [`Snapshot`] whose [`Snapshot::to_json`] is one JSON line;
 //! * [`DropReason`] / [`PacketOutcome`] — the single workspace-wide
 //!   taxonomy of what happened to a packet (forwarded / consumed /
 //!   dropped-with-reason), replacing the per-crate drop enums;

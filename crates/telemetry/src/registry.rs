@@ -347,8 +347,8 @@ impl Snapshot {
     }
 
     /// Renders the snapshot as one JSON object:
-    /// `{"dip_packets_total{outcome=forwarded,worker=0}":123,...}` —
-    /// the same shape the `dip_bench` JSON-lines tooling consumes.
+    /// `{"dip_packets_total{outcome=forwarded,worker=0}":123,...}`, one
+    /// line of a JSON-lines log.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, s) in self.samples.iter().enumerate() {

@@ -41,8 +41,8 @@
 //! | [`crypto`] | `dip-crypto` | AES-128, 2EM, CBC-MAC, KDF, MMO hash |
 //! | [`tables`] | `dip-tables` | PIT, content store, next-hop types |
 //! | [`fnops`] | `dip-fnops` | the `FieldOp` trait, registry, the 12 operation modules |
-//! | [`core`] | `dip-core` | Algorithm-1 router, host delivery, budgets, border/tunnel/bootstrap |
-//! | [`verify`] | `dip-verify` | `dipcheck`: static FN-program verification (structure, registries, data flow, resources) |
+//! | [`core`] | `dip-core` | Algorithm-1 router, host delivery, the compile-time budget stop, border/tunnel/bootstrap |
+//! | [`verify`] | `dip-verify` | `dipcheck`: static FN-program verification (structure, registries, data flow, resources); `ResourceBudget`, whose `router()` preset is a router's §2.4 processing budget |
 //! | [`protocols`] | `dip-protocols` | IP, NDN, OPT, XIA and NDN+OPT realizations |
 //! | [`sim`] | `dip-sim` | discrete-event network simulator + Tofino/PISA timing model |
 //! | [`dataplane`] | `dip-dataplane` | multi-worker batched software dataplane: flow sharding, SPSC rings, program caches |
@@ -76,12 +76,12 @@ pub use dip_workload as workload;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use dip_core::host::{deliver, HostContext};
-    pub use dip_core::{DipHost, DipRouter, ProcessingBudget, ProtocolId, RouterConfig, Verdict};
+    pub use dip_core::{DipHost, DipRouter, ProtocolId, RouterConfig, Verdict};
     pub use dip_fnops::{Action, DropReason, FnRegistry, PacketCtx, RouterState};
     pub use dip_protocols::opt::OptSession;
     pub use dip_tables::fib::NextHop;
     pub use dip_tables::{Pit, Port, Ports};
-    pub use dip_verify::{Checker, FnProgram, Report};
+    pub use dip_verify::{Checker, FnProgram, Report, ResourceBudget};
     pub use dip_wire::ndn::Name;
     pub use dip_wire::packet::{DipBuilder, DipPacket, DipRepr};
     pub use dip_wire::triple::{FnKey, FnTriple};

@@ -61,12 +61,16 @@ fn bench_scenarios_json_carries_its_fields() {
     }
     for (line, window) in lines.iter().zip([0u64, 200_000, 400_000, 800_000, 1_200_000]) {
         assert!(line.contains(&format!(r#""scenario":"partition_k4_w{window}""#)), "{line}");
-        assert!(line.contains(&format!(r#""partition_window_ns":{window}"#)), "{line}");
         let ndn = delivery_fraction(line, "outage", "ndn");
         let ipv4 = delivery_fraction(line, "outage", "ipv4");
         if window == 0 {
+            // A zero window opens no partition: none of the three phases
+            // reports a window or a reconvergence.
+            let nulls = |field: &str| line.matches(&format!(r#""{field}":null"#)).count();
+            assert_eq!((nulls("partition_window_ns"), nulls("reconvergence_ns")), (3, 3), "{line}");
             assert_eq!((ndn, ipv4), (1.0, 1.0), "no partition, no loss");
         } else {
+            assert!(line.contains(&format!(r#""partition_window_ns":{window}"#)), "{line}");
             assert!(ndn > ipv4, "window {window}: NDN must out-deliver IPv4 ({ndn} vs {ipv4})");
         }
     }

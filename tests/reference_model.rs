@@ -2,11 +2,13 @@
 //!
 //! [`Reference`] re-derives everything per packet. It parses with the
 //! `DipPacket` accessors, looks every triple up in the registry, applies
-//! the §2.4 participation policy, charges a [`BudgetMeter`] with each op's
-//! `cost`, calls `execute` (never `execute_hoisted`), keeps the first
+//! the §2.4 participation policy, charges each op's `cost` to a budget
+//! meter of its own, calls `execute` (never `execute_hoisted`), keeps the first
 //! routing decision and falls back to the default port. It uses no
 //! compiled chain, parse cache, plan or program cache, so it shares
-//! nothing with the executor but the operation modules themselves.
+//! nothing with the executor but the operation modules themselves — not
+//! even the budget test, which the executor decides once per compiled
+//! chain.
 //!
 //! `DipRouter::process` must match it packet by packet — verdict, packet
 //! bytes and router-state fingerprint — with dipopt off (the identity
@@ -17,13 +19,14 @@
 //! * generated FN programs over the standard keys plus one unregistered
 //!   key, with random host bits and spans, admitted and refused alike;
 //! * all of the above again under a tight processing budget, where an
-//!   eliminated op's budget charge still decides drops;
+//!   eliminated op's as-written charge still decides drops;
 //! * the `dipcheck`-admitted generated programs through a recording
 //!   threaded `Dataplane`.
 
-use dip::core::{BudgetMeter, ControlMessage, UnknownFnPolicy};
+use dip::core::{ControlMessage, UnknownFnPolicy};
 use dip::crypto::DetRng;
 use dip::dataplane::{Admission, Backpressure, Dataplane, DataplaneConfig};
+use dip::fnops::OpCost;
 use dip::prelude::*;
 use dip::tables::{Ticks, XiaNextHop};
 use dip::verify::{analyze, ResourceBudget, Rewrite};
@@ -38,6 +41,31 @@ struct Counts {
     executed: u32,
     skipped_host: u32,
     skipped_unsupported: u32,
+}
+
+/// Per-packet consumption against a [`ResourceBudget`], charged op by op.
+#[derive(Default)]
+struct Meter {
+    fns: u32,
+    cost: OpCost,
+}
+
+impl Meter {
+    /// Charges one op; `false` (consuming nothing) when it would exceed
+    /// `budget` — the packet must be dropped (§2.4).
+    fn charge(&mut self, budget: &ResourceBudget, cost: OpCost) -> bool {
+        let (fns, total) = (self.fns + 1, self.cost + cost);
+        if fns > budget.max_fns
+            || total.stages > budget.max_stages
+            || total.table_lookups > budget.max_table_lookups
+            || total.cipher_blocks > budget.max_cipher_blocks
+            || total.resubmits > budget.max_resubmits
+        {
+            return false;
+        }
+        (self.fns, self.cost) = (fns, total);
+        true
+    }
 }
 
 /// Algorithm 1, written out the long way.
@@ -91,7 +119,7 @@ impl Reference {
     ) -> (Verdict, Counts) {
         let mut counts = Counts::default();
         let mut ctx = PacketCtx::new(locations, payload, in_port, now);
-        let mut meter = BudgetMeter::new();
+        let mut meter = Meter::default();
         let mut decision = None;
         for (i, t) in triples.iter().enumerate() {
             if t.host {
@@ -146,7 +174,7 @@ fn fingerprint(router: &DipRouter) -> String {
 fn differential(
     what: &str,
     make: impl Fn() -> DipRouter,
-    budget: Option<ProcessingBudget>,
+    budget: Option<ResourceBudget>,
     packets: &[(Vec<u8>, Port, Ticks)],
 ) -> Vec<(Verdict, Counts)> {
     let configure = |optimize: bool| {
@@ -193,8 +221,8 @@ fn budget_drops(outcomes: &[(Verdict, Counts)]) -> usize {
 
 /// Small enough that longer generated programs and the OPT chains run out
 /// of it mid-chain.
-fn tight_budget() -> ProcessingBudget {
-    ProcessingBudget {
+fn tight_budget() -> ResourceBudget {
+    ResourceBudget {
         max_fns: 3,
         max_stages: 6,
         max_table_lookups: 3,
@@ -361,7 +389,7 @@ fn generated_programs_match_the_reference() {
     for max_fns in 0..6 {
         let cut: Vec<_> = eliminating.iter().filter(|(_, _, n)| *n > max_fns).collect();
         let packets: Vec<_> = cut.iter().map(|(p, _, _)| p.clone()).collect();
-        let budget = ProcessingBudget { max_fns: max_fns as u32, ..ProcessingBudget::default() };
+        let budget = ResourceBudget { max_fns: max_fns as u32, ..ResourceBudget::router() };
         let swept = differential("eliminating", loaded_router, Some(budget), &packets);
         for ((verdict, counts), (_, eliminated, _)) in swept.iter().zip(cut) {
             let charged = eliminated.iter().any(|&e| e < counts.executed as usize);

@@ -71,6 +71,20 @@ fn ndn_out_delivers_ipv4_at_every_nonzero_partition_length() {
     }
 }
 
+/// A zero-length window is no partition: the spec string's outage phase
+/// reports no window and no reconvergence, as the sweep's window-0 point.
+#[test]
+fn a_zero_window_partition_spec_opens_no_partition() {
+    let spec = ScenarioSpec::parse("partition:k=4,window=0,requests=12,seed=7").unwrap();
+    let report = run_scenario(&spec);
+    let outage = report.phase("outage").expect("outage phase");
+    assert_eq!((outage.partition_window, outage.reconvergence_ns), (None, None));
+    assert_eq!(outage.link_dropped, 0);
+    let swept = &partition_sweep(4, &[0], 12, 7)[0].report;
+    let swept = swept.phase("outage").expect("outage phase");
+    assert_eq!((swept.partition_window, swept.reconvergence_ns), (None, None));
+}
+
 /// With a PIT TTL shorter than the fat-tree RTT and no content store,
 /// every returning data packet finds its PIT entry aged out: the drop
 /// taxonomy says `pit_expired` (not a silent disappearance), the
