@@ -1,15 +1,21 @@
-//! AES-128, straight from FIPS-197.
+//! AES-128, straight from FIPS-197, and the choice of kernel.
 //!
-//! Word-oriented T-table implementation. The state is four big-endian
-//! column words ([`State`]), and one round is sixteen loads from four
-//! 1 KiB tables that fold SubBytes, ShiftRows and MixColumns together —
-//! the table lookup a match-action stage performs for a fixed permutation.
-//! Blocks convert to and from words only at the API edge. AES plays two
-//! roles here: it is the MAC baseline the paper compares 2EM against
-//! (§4.1: AES needs a resubmission on Tofino), and its round function —
-//! with fixed, public round keys — supplies the public permutations of the
-//! 2EM construction. Decryption, which only tests use, stays byte-oriented.
+//! Two kernels run the rounds. Where the CPU has the AES instructions
+//! (x86-64 reporting `aes`), the kernel in `ni.rs` runs each round as one
+//! `aesenc`. Everywhere else the portable T-table kernel here runs it: the
+//! state is four big-endian column words ([`State`]), and one round is
+//! sixteen loads from four 1 KiB tables that fold SubBytes, ShiftRows and
+//! MixColumns together — the table lookup a match-action stage performs
+//! for a fixed permutation. `Kernel::selected` picks one at run time, a
+//! key schedule records the kernel that built it, and the outputs are
+//! byte-identical. AES plays two roles here: it is the MAC baseline the
+//! paper compares 2EM against (§4.1: AES needs a resubmission on Tofino),
+//! and its round function — with fixed, public round keys — supplies the
+//! public permutations of the 2EM construction. Decryption, which only
+//! tests use, stays byte-oriented on either kernel's schedule.
 
+#[cfg(target_arch = "x86_64")]
+use crate::ni;
 use crate::Block;
 
 #[cfg(test)]
@@ -190,57 +196,143 @@ fn add_round_key(state: &mut Block, rk: &Block) {
     }
 }
 
-/// An expanded AES-128 key (11 round keys).
+/// Which implementation runs a key schedule's rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kernel {
+    /// T-table rounds: every host.
+    Table,
+    /// `aesenc` rounds: x86-64 hosts whose CPU reports `aes`.
+    #[cfg(target_arch = "x86_64")]
+    Ni(ni::Ni),
+}
+
+impl Kernel {
+    /// The kernel this host runs: AES-NI where the CPU has it, the T-table
+    /// kernel otherwise. Every public constructor asks this once.
+    pub(crate) fn selected() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ni::Ni::detect() {
+            return Kernel::Ni(ni);
+        }
+        Kernel::Table
+    }
+
+    /// Every kernel this host can run, the portable one first.
+    #[cfg(test)]
+    pub(crate) fn available() -> Vec<Kernel> {
+        let mut kernels = vec![Kernel::Table];
+        kernels.extend(Some(Kernel::selected()).filter(|k| *k != Kernel::Table));
+        kernels
+    }
+}
+
+/// CBC-chains `blocks` from a zero IV through `encrypt` on column words;
+/// returns the last ciphertext.
+#[inline(always)]
+pub(crate) fn cbc_words(
+    blocks: impl IntoIterator<Item = Block>,
+    mut encrypt: impl FnMut(State) -> State,
+) -> Block {
+    store(blocks.into_iter().fold([0; 4], |s, b| encrypt(xor(s, load(&b)))))
+}
+
+/// The T-table key schedule.
+fn expand(key: &Block) -> [State; 11] {
+    const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
+    let mut round_keys = [[0u32; 4]; 11];
+    round_keys[0] = load(key);
+    for r in 1..11 {
+        let prev = round_keys[r - 1];
+        // RotWord is a one-byte left rotation of the big-endian word.
+        let w0 = prev[0] ^ sub_word(prev[3].rotate_left(8)) ^ (u32::from(RCON[r - 1]) << 24);
+        let w1 = prev[1] ^ w0;
+        let w2 = prev[2] ^ w1;
+        round_keys[r] = [w0, w1, w2, prev[3] ^ w2];
+    }
+    round_keys
+}
+
+/// Encrypts one block held as column words on the T-table kernel.
+#[inline(always)]
+fn encrypt_words(round_keys: &[State; 11], state: State) -> State {
+    let mut s = xor(state, round_keys[0]);
+    for rk in &round_keys[1..10] {
+        s = xor(round(s), *rk);
+    }
+    xor(final_round(s), round_keys[10])
+}
+
+/// An expanded AES-128 key (11 round keys), in the form its kernel runs.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [State; 11],
+    keys: AesKeys,
+}
+
+#[derive(Clone)]
+enum AesKeys {
+    Table([State; 11]),
+    #[cfg(target_arch = "x86_64")]
+    Ni(ni::Aes128),
 }
 
 impl Aes128 {
     /// Expands a 128-bit key.
     pub fn new(key: &Block) -> Self {
-        const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
-        let mut round_keys = [[0u32; 4]; 11];
-        round_keys[0] = load(key);
-        for r in 1..11 {
-            let prev = round_keys[r - 1];
-            // RotWord is a one-byte left rotation of the big-endian word.
-            let w0 = prev[0] ^ sub_word(prev[3].rotate_left(8)) ^ (u32::from(RCON[r - 1]) << 24);
-            let w1 = prev[1] ^ w0;
-            let w2 = prev[2] ^ w1;
-            round_keys[r] = [w0, w1, w2, prev[3] ^ w2];
-        }
-        Aes128 { round_keys }
+        Aes128::with_kernel(Kernel::selected(), key)
     }
 
-    /// Encrypts one block held as column words.
-    #[inline]
-    pub(crate) fn encrypt_words(&self, state: State) -> State {
-        let mut s = xor(state, self.round_keys[0]);
-        for rk in &self.round_keys[1..10] {
-            s = xor(round(s), *rk);
+    /// Expands a 128-bit key for `kernel`.
+    pub(crate) fn with_kernel(kernel: Kernel, key: &Block) -> Self {
+        let keys = match kernel {
+            Kernel::Table => AesKeys::Table(expand(key)),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ni(ni) => AesKeys::Ni(ni::Aes128::new(ni, key)),
+        };
+        Aes128 { keys }
+    }
+
+    /// Whether this schedule runs on the AES-NI kernel.
+    #[cfg(test)]
+    pub(crate) fn runs_on_ni(&self) -> bool {
+        !matches!(self.keys, AesKeys::Table(_))
+    }
+
+    /// The 11 round keys in FIPS-197 byte order.
+    pub(crate) fn round_keys(&self) -> [Block; 11] {
+        match &self.keys {
+            AesKeys::Table(rk) => rk.map(store),
+            #[cfg(target_arch = "x86_64")]
+            AesKeys::Ni(k) => k.round_keys(),
         }
-        xor(final_round(s), self.round_keys[10])
+    }
+
+    /// CBC-chains `blocks` from a zero IV; returns the last ciphertext.
+    pub(crate) fn cbc(&self, blocks: impl IntoIterator<Item = Block>) -> Block {
+        match &self.keys {
+            AesKeys::Table(rk) => cbc_words(blocks, |s| encrypt_words(rk, s)),
+            #[cfg(target_arch = "x86_64")]
+            AesKeys::Ni(k) => k.cbc(blocks),
+        }
     }
 
     /// Encrypts one block in place.
     pub fn encrypt_block(&self, block: &mut Block) {
-        *block = store(self.encrypt_words(load(block)));
+        *block = self.cbc([*block]);
     }
 
     /// Decrypts one block in place.
     pub fn decrypt_block(&self, block: &mut Block) {
-        let rk = |round: usize| store(self.round_keys[round]);
-        add_round_key(block, &rk(10));
+        let rk = self.round_keys();
+        add_round_key(block, &rk[10]);
         inv_shift_rows(block);
         inv_sub_bytes(block);
         for round in (1..10).rev() {
-            add_round_key(block, &rk(round));
+            add_round_key(block, &rk[round]);
             inv_mix_columns(block);
             inv_shift_rows(block);
             inv_sub_bytes(block);
         }
-        add_round_key(block, &rk(0));
+        add_round_key(block, &rk[0]);
     }
 
     /// Encrypts and returns a copy.
@@ -275,8 +367,9 @@ mod tests {
         let key = block("2b7e151628aed2a6abf7158809cf4f3c");
         let pt = block("3243f6a8885a308d313198a2e0370734");
         let ct = block("3925841d02dc09fbdc118597196a0b32");
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.encrypt(&pt), ct);
+        for kernel in Kernel::available() {
+            assert_eq!(Aes128::with_kernel(kernel, &key).encrypt(&pt), ct, "{kernel:?}");
+        }
     }
 
     #[test]
@@ -285,15 +378,38 @@ mod tests {
         let key = block("000102030405060708090a0b0c0d0e0f");
         let pt = block("00112233445566778899aabbccddeeff");
         let ct = block("69c4e0d86a7b0430d8cdb78070b4c55a");
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.encrypt(&pt), ct);
+        for kernel in Kernel::available() {
+            assert_eq!(Aes128::with_kernel(kernel, &key).encrypt(&pt), ct, "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn the_cpu_aes_round_is_the_selected_kernel() {
+        // What the benchmark measures on an AES-NI host is the NI kernel:
+        // every public constructor picks it when the CPU reports `aes`.
+        let key = [7u8; 16];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("aes") {
+            assert!(matches!(Kernel::selected(), Kernel::Ni(_)));
+            assert_eq!(Kernel::available().len(), 2);
+            assert!(Aes128::new(&key).runs_on_ni());
+            assert!(crate::TwoRoundEm::new(&key).runs_on_ni());
+            assert!(crate::TwoRoundEm::from_subkeys(key, key, key).runs_on_ni());
+            assert!(crate::SessionKdf::new(&key).runs_on_ni());
+            return;
+        }
+        assert_eq!(Kernel::selected(), Kernel::Table);
+        assert!(!Aes128::new(&key).runs_on_ni());
     }
 
     #[test]
     fn fips197_appendix_a1_last_round_key() {
         // FIPS-197 Appendix A.1: w[40..44] for the Appendix B key.
-        let aes = Aes128::new(&block("2b7e151628aed2a6abf7158809cf4f3c"));
-        assert_eq!(aes.round_keys[10], [0xd014f9a8, 0xc9ee2589, 0xe13f0cc8, 0xb6630ca6]);
+        let key = block("2b7e151628aed2a6abf7158809cf4f3c");
+        for kernel in Kernel::available() {
+            let last = Aes128::with_kernel(kernel, &key).round_keys()[10];
+            assert_eq!(load(&last), [0xd014f9a8, 0xc9ee2589, 0xe13f0cc8, 0xb6630ca6], "{kernel:?}");
+        }
     }
 
     #[test]

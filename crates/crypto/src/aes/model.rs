@@ -1,4 +1,5 @@
-//! A byte-oriented AES kernel, the test oracle of the T-table one:
+//! A byte-oriented AES kernel, the test oracle of the T-table and AES-NI
+//! ones:
 //! SubBytes, ShiftRows and MixColumns one byte at a time, the key schedule
 //! over `[u8; 4]` words, and the 2EM, CBC-MAC, PRF and MMO constructions
 //! rebuilt on top of it from their definitions. Nothing here shares code
@@ -217,6 +218,7 @@ pub(crate) fn mmo_hash(data: &[u8]) -> Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::Kernel;
     use crate::even_mansour::{p1, p2};
     use crate::{aes, CbcMac, DetRng, MacAlgorithm, SessionKdf};
 
@@ -231,75 +233,99 @@ mod tests {
         b
     }
 
-    #[test]
-    fn the_t_table_kernel_matches_the_byte_model() {
-        let mut rng = DetRng::seed_from_u64(0x7ab1e);
-        for case in 0..CASES {
-            let x = block(&mut rng);
-            let key = block(&mut rng);
-            let len = (case / 12) % (MAX_LEN + 1);
-            let mut data = vec![0u8; len];
+    /// The seeded inputs of one differential case.
+    struct Case {
+        primitive: usize,
+        x: Block,
+        keys: [Block; 3],
+        data: Vec<u8>,
+        label: &'static str,
+    }
+
+    impl Case {
+        fn new(case: usize, rng: &mut DetRng) -> Self {
+            let x = block(rng);
+            let keys = [block(rng), block(rng), block(rng)];
+            let mut data = vec![0u8; (case / 12) % (MAX_LEN + 1)];
             rng.fill_bytes(&mut data);
-            let ctx = || format!("case {case} key {key:02x?} x {x:02x?} len {len}");
-            let (mut fast, mut slow) = (x, x);
-            match case % 12 {
-                0 => {
-                    aes::aes_round(&mut fast);
-                    aes_round(&mut slow);
-                }
-                1 => {
-                    p1(&mut fast);
-                    permute(&mut slow, &P1_CONST);
-                }
-                2 => {
-                    p2(&mut fast);
-                    permute(&mut slow, &P2_CONST);
-                }
-                3 => {
-                    let (aes, model) = (aes::Aes128::new(&key), Aes128::new(&key));
-                    let schedule = aes.round_keys.map(aes::store);
-                    assert_eq!(schedule, model.round_keys, "{}", ctx());
-                    aes.encrypt_block(&mut fast);
-                    model.encrypt_block(&mut slow);
-                }
-                4 => {
-                    aes::Aes128::new(&key).decrypt_block(&mut fast);
-                    Aes128::new(&key).decrypt_block(&mut slow);
-                }
-                5 => {
-                    crate::TwoRoundEm::new(&key).encrypt_block(&mut fast);
-                    TwoRoundEm::new(&key).encrypt_block(&mut slow);
-                }
-                6 => {
-                    let k = [key, block(&mut rng), block(&mut rng)];
-                    crate::TwoRoundEm::from_subkeys(k[0], k[1], k[2]).encrypt_block(&mut fast);
-                    TwoRoundEm::from_subkeys(k).encrypt_block(&mut slow);
-                }
+            let label = ["opt-session", "pass-label", "", "a longer label"][case / 12 % 4];
+            Case { primitive: case % 12, x, keys, data, label }
+        }
+
+        /// The byte model's output.
+        fn model(&self) -> Block {
+            let (key, data, mut out) = (&self.keys[0], &self.data[..], self.x);
+            match self.primitive {
+                0 => aes_round(&mut out),
+                1 => permute(&mut out, &P1_CONST),
+                2 => permute(&mut out, &P2_CONST),
+                3 => Aes128::new(key).encrypt_block(&mut out),
+                4 => Aes128::new(key).decrypt_block(&mut out),
+                5 => TwoRoundEm::new(key).encrypt_block(&mut out),
+                6 => TwoRoundEm::from_subkeys(self.keys).encrypt_block(&mut out),
                 7 => {
-                    fast = CbcMac::new_2em(&key).mac(&data);
-                    let em = TwoRoundEm::new(&key);
-                    slow = cbc_mac(|b| em.encrypt_block(b), &data);
+                    let em = TwoRoundEm::new(key);
+                    out = cbc_mac(|b| em.encrypt_block(b), data);
                 }
                 8 => {
-                    fast = CbcMac::new_aes(&key).mac(&data);
-                    let model = Aes128::new(&key);
-                    slow = cbc_mac(|b| model.encrypt_block(b), &data);
+                    let aes = Aes128::new(key);
+                    out = cbc_mac(|b| aes.encrypt_block(b), data);
                 }
-                9 => {
-                    fast = SessionKdf::new(&key).derive(&x);
-                    slow = prf(&key, "opt-session", &x);
-                }
-                10 => {
-                    let label = ["opt-session", "pass-label", "", "a longer label"][case / 12 % 4];
-                    fast = crate::prf(&key, label, &data);
-                    slow = prf(&key, label, &data);
-                }
-                _ => {
-                    fast = crate::mmo_hash(&data);
-                    slow = mmo_hash(&data);
-                }
+                9 => out = prf(key, "opt-session", &self.x),
+                10 => out = prf(key, self.label, data),
+                _ => out = mmo_hash(data),
             }
-            assert_eq!(fast, slow, "primitive {} {}", case % 12, ctx());
+            out
+        }
+
+        /// The same primitive on `kernel` (the unkeyed round and
+        /// permutations have only the T-table form).
+        fn on(&self, kernel: Kernel) -> Block {
+            let (key, data, mut out) = (&self.keys[0], &self.data[..], self.x);
+            match self.primitive {
+                0 => aes::aes_round(&mut out),
+                1 => p1(&mut out),
+                2 => p2(&mut out),
+                3 => {
+                    let aes = aes::Aes128::with_kernel(kernel, key);
+                    assert_eq!(aes.round_keys(), Aes128::new(key).round_keys, "{kernel:?}");
+                    aes.encrypt_block(&mut out);
+                }
+                4 => aes::Aes128::with_kernel(kernel, key).decrypt_block(&mut out),
+                5 => crate::TwoRoundEm::with_kernel(kernel, key).encrypt_block(&mut out),
+                6 => {
+                    crate::TwoRoundEm::from_subkeys_with(kernel, self.keys).encrypt_block(&mut out)
+                }
+                7 => out = CbcMac::new(crate::TwoRoundEm::with_kernel(kernel, key)).mac(data),
+                8 => out = CbcMac::new(aes::Aes128::with_kernel(kernel, key)).mac(data),
+                9 => out = SessionKdf::with_kernel(kernel, key).derive(&self.x),
+                10 => out = crate::kdf::prf_with(kernel, key, self.label, data),
+                _ => out = crate::hash::mmo_hash_with(kernel, data),
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn every_kernel_matches_the_byte_model() {
+        // On an AES-NI host the public constructors only ever reach the NI
+        // kernel, so each kernel this host can run is named explicitly and
+        // checked against the model on every case.
+        let kernels = Kernel::available();
+        let mut rng = DetRng::seed_from_u64(0x7ab1e);
+        for case in 0..CASES {
+            let c = Case::new(case, &mut rng);
+            let expected = c.model();
+            for &kernel in &kernels {
+                let ctx = || format!("keys {:02x?} x {:02x?} len {}", c.keys, c.x, c.data.len());
+                assert_eq!(
+                    c.on(kernel),
+                    expected,
+                    "{kernel:?} primitive {} {}",
+                    c.primitive,
+                    ctx()
+                );
+            }
         }
     }
 }

@@ -18,7 +18,9 @@
 //! permutation satisfies the 2EM contract; AES rounds are the standard
 //! choice in the literature.)
 
-use crate::aes::{load, round, store, xor, State};
+use crate::aes::{cbc_words, load, round, store, xor, Kernel, State};
+#[cfg(target_arch = "x86_64")]
+use crate::ni;
 use crate::{Aes128, Block};
 
 /// Number of unkeyed AES rounds in each public permutation.
@@ -26,8 +28,8 @@ const ROUNDS_PER_PERM: usize = 4;
 
 /// Round constants mixed into the public permutations so P1 ≠ P2 and
 /// neither has the all-zero fixed point of raw AES rounds.
-const P1_CONST: Block = *b"DIP 2EM perm #1\x01";
-const P2_CONST: Block = *b"DIP 2EM perm #2\x02";
+pub(crate) const P1_CONST: Block = *b"DIP 2EM perm #1\x01";
+pub(crate) const P2_CONST: Block = *b"DIP 2EM perm #2\x02";
 
 /// A public permutation on column words: XOR in its constant, then
 /// [`ROUNDS_PER_PERM`] unkeyed AES rounds.
@@ -40,22 +42,35 @@ fn permute(state: State, constant: &Block) -> State {
     s
 }
 
-/// The first public permutation.
+/// The first public permutation (on the T-table kernel).
 pub fn p1(block: &mut Block) {
     *block = store(permute(load(block), &P1_CONST));
 }
 
-/// The second public permutation.
+/// The second public permutation (on the T-table kernel).
 pub fn p2(block: &mut Block) {
     *block = store(permute(load(block), &P2_CONST));
 }
 
-/// A 2EM instance with its three subkeys, held as column words.
+/// A 2EM instance with its three subkeys, in the form its kernel runs.
 #[derive(Clone)]
 pub struct TwoRoundEm {
-    k0: State,
-    k1: State,
-    k2: State,
+    keys: EmKeys,
+}
+
+#[derive(Clone)]
+enum EmKeys {
+    /// `k0`, `k1`, `k2` as column words.
+    Table([State; 3]),
+    #[cfg(target_arch = "x86_64")]
+    Ni(ni::TwoRoundEm),
+}
+
+/// `k2 ⊕ P2(k1 ⊕ P1(k0 ⊕ x))` on column words.
+#[inline(always)]
+fn encrypt_words([k0, k1, k2]: &[State; 3], state: State) -> State {
+    let s = permute(xor(state, *k0), &P1_CONST);
+    xor(permute(xor(s, *k1), &P2_CONST), *k2)
 }
 
 impl TwoRoundEm {
@@ -65,38 +80,61 @@ impl TwoRoundEm {
     /// key with AES — a standard KDF-by-PRP construction, so related master
     /// keys do not yield related subkeys.
     pub fn new(master: &Block) -> Self {
-        let aes = Aes128::new(master);
-        TwoRoundEm {
-            k0: aes.encrypt_words([0; 4]),
-            k1: aes.encrypt_words([0x0101_0101; 4]),
-            k2: aes.encrypt_words([0x0202_0202; 4]),
-        }
+        TwoRoundEm::with_kernel(Kernel::selected(), master)
+    }
+
+    /// [`TwoRoundEm::new`] on `kernel`.
+    pub(crate) fn with_kernel(kernel: Kernel, master: &Block) -> Self {
+        let keys = match kernel {
+            Kernel::Table => {
+                let aes = Aes128::with_kernel(kernel, master);
+                EmKeys::Table([0u8, 1, 2].map(|c| load(&aes.cbc([[c; 16]]))))
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ni(ni) => EmKeys::Ni(ni::TwoRoundEm::new(ni, master)),
+        };
+        TwoRoundEm { keys }
     }
 
     /// Builds an instance from explicit subkeys (used by tests and by the
     /// known-answer fixtures).
     pub fn from_subkeys(k0: Block, k1: Block, k2: Block) -> Self {
-        TwoRoundEm { k0: load(&k0), k1: load(&k1), k2: load(&k2) }
+        TwoRoundEm::from_subkeys_with(Kernel::selected(), [k0, k1, k2])
     }
 
-    /// Encrypts one block held as column words:
-    /// `k2 ⊕ P2(k1 ⊕ P1(k0 ⊕ x))`.
-    #[inline]
-    pub(crate) fn encrypt_words(&self, state: State) -> State {
-        let s = permute(xor(state, self.k0), &P1_CONST);
-        xor(permute(xor(s, self.k1), &P2_CONST), self.k2)
+    /// [`TwoRoundEm::from_subkeys`] on `kernel`.
+    pub(crate) fn from_subkeys_with(kernel: Kernel, subkeys: [Block; 3]) -> Self {
+        let keys = match kernel {
+            Kernel::Table => EmKeys::Table(subkeys.map(|k| load(&k))),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ni(ni) => EmKeys::Ni(ni::TwoRoundEm::from_subkeys(ni, subkeys)),
+        };
+        TwoRoundEm { keys }
+    }
+
+    /// Whether this instance runs on the AES-NI kernel.
+    #[cfg(test)]
+    pub(crate) fn runs_on_ni(&self) -> bool {
+        !matches!(self.keys, EmKeys::Table(_))
+    }
+
+    /// CBC-chains `blocks` from a zero IV; returns the last ciphertext.
+    pub(crate) fn cbc(&self, blocks: impl IntoIterator<Item = Block>) -> Block {
+        match &self.keys {
+            EmKeys::Table(k) => cbc_words(blocks, |s| encrypt_words(k, s)),
+            #[cfg(target_arch = "x86_64")]
+            EmKeys::Ni(k) => k.cbc(blocks),
+        }
     }
 
     /// Encrypts one block in place: `k2 ⊕ P2(k1 ⊕ P1(k0 ⊕ x))`.
     pub fn encrypt_block(&self, block: &mut Block) {
-        *block = store(self.encrypt_words(load(block)));
+        *block = self.cbc([*block]);
     }
 
     /// Encrypts and returns a copy.
     pub fn encrypt(&self, block: &Block) -> Block {
-        let mut b = *block;
-        self.encrypt_block(&mut b);
-        b
+        self.cbc([*block])
     }
 }
 

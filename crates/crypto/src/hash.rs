@@ -11,17 +11,21 @@
 //! hardware) actually deploy; for this reproduction it binds the OPT OPV/PVF
 //! tags to the payload exactly as the paper's DataHash does.
 
+use crate::aes::Kernel;
 use crate::{Aes128, Block};
 
 const IV: Block = *b"DIP MMO hash IV!";
 
 /// Hashes `data` to 128 bits.
 pub fn mmo_hash(data: &[u8]) -> Block {
+    mmo_hash_with(Kernel::selected(), data)
+}
+
+/// [`mmo_hash`] on `kernel`.
+pub(crate) fn mmo_hash_with(kernel: Kernel, data: &[u8]) -> Block {
     let mut state = IV;
     let mut compress = |block: &Block| {
-        let aes = Aes128::new(&state);
-        let mut out = *block;
-        aes.encrypt_block(&mut out);
+        let mut out = Aes128::with_kernel(kernel, &state).cbc([*block]);
         for (o, m) in out.iter_mut().zip(block.iter()) {
             *o ^= m;
         }

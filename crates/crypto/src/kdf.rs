@@ -10,16 +10,21 @@
 //!
 //! `F_parm` (key 6) is exactly this derivation performed per packet.
 
-use crate::aes::{load, store, xor, State};
+use crate::aes::Kernel;
 use crate::mac::{CbcMac, MacAlgorithm};
-use crate::Block;
+use crate::{Block, TwoRoundEm};
 
 /// A PRF with 128-bit output: 2EM-CBC-MAC of `label || data` under `key`.
 ///
 /// The label provides domain separation between the different uses of a
 /// router secret (session keys, source labels, bootstrap cookies, ...).
 pub fn prf(key: &Block, label: &str, data: &[u8]) -> Block {
-    let mac = CbcMac::new_2em(key);
+    prf_with(Kernel::selected(), key, label, data)
+}
+
+/// [`prf`] on `kernel`.
+pub(crate) fn prf_with(kernel: Kernel, key: &Block, label: &str, data: &[u8]) -> Block {
+    let mac = CbcMac::new(TwoRoundEm::with_kernel(kernel, key));
     let mut msg = Vec::with_capacity(1 + label.len() + data.len());
     msg.push(label.len() as u8);
     msg.extend_from_slice(label.as_bytes());
@@ -28,9 +33,11 @@ pub fn prf(key: &Block, label: &str, data: &[u8]) -> Block {
 }
 
 /// Derives router `i`'s dynamic key for a session:
-/// `K_i = PRF(local_secret, "opt-session", session_id)`.
+/// `K_i = PRF(local_secret, "opt-session", session_id)`, through a
+/// one-shot [`SessionKdf`] (the same three block encryptions, no message
+/// buffer).
 pub fn derive_session_key(local_secret: &Block, session_id: &Block) -> Block {
-    prf(local_secret, "opt-session", session_id)
+    SessionKdf::new(local_secret).derive(session_id)
 }
 
 /// A precomputed schedule for [`derive_session_key`].
@@ -44,16 +51,21 @@ pub fn derive_session_key(local_secret: &Block, session_id: &Block) -> Block {
 /// hoists to once-per-`ProgramCache`-entry setup.
 #[derive(Clone)]
 pub struct SessionKdf {
-    cipher: crate::TwoRoundEm,
+    cipher: TwoRoundEm,
     /// `E(len_block)` with the constant first 12 message bytes
-    /// (`0x0b || "opt-session"`) already XOR-folded in, as column words.
-    prefix: State,
+    /// (`0x0b || "opt-session"`) already XOR-folded in.
+    prefix: Block,
 }
 
 impl SessionKdf {
     /// Folds the session-independent CBC-MAC state for `local_secret`.
     pub fn new(local_secret: &Block) -> Self {
-        let cipher = crate::TwoRoundEm::new(local_secret);
+        SessionKdf::with_kernel(Kernel::selected(), local_secret)
+    }
+
+    /// [`SessionKdf::new`] on `kernel`.
+    pub(crate) fn with_kernel(kernel: Kernel, local_secret: &Block) -> Self {
+        let cipher = TwoRoundEm::with_kernel(kernel, local_secret);
         let label = b"opt-session";
         // Message layout: 1 length byte + 11 label bytes + 16 sid bytes.
         let msg_len = 1 + label.len() + 16;
@@ -64,17 +76,28 @@ impl SessionKdf {
         for (p, l) in prefix[1..12].iter_mut().zip(label.iter()) {
             *p ^= l;
         }
-        SessionKdf { cipher, prefix: load(&prefix) }
+        SessionKdf { cipher, prefix }
+    }
+
+    /// Whether this schedule runs on the AES-NI kernel.
+    #[cfg(test)]
+    pub(crate) fn runs_on_ni(&self) -> bool {
+        self.cipher.runs_on_ni()
     }
 
     /// Derives the dynamic key for `session_id`; byte-identical to
     /// [`derive_session_key`] with the secret this schedule was built from.
     pub fn derive(&self, session_id: &Block) -> Block {
-        let sid = load(session_id);
         // First message block: constant prefix (already folded) + sid[0..4].
-        let state = self.cipher.encrypt_words(xor(self.prefix, [0, 0, 0, sid[0]]));
+        let mut first = self.prefix;
+        for (p, s) in first[12..].iter_mut().zip(&session_id[..4]) {
+            *p ^= s;
+        }
         // Final partial block: sid[4..16] with 10* padding.
-        store(self.cipher.encrypt_words(xor(state, [sid[1], sid[2], sid[3], 0x8000_0000])))
+        let mut last = [0u8; 16];
+        last[..12].copy_from_slice(&session_id[4..]);
+        last[12] = 0x80;
+        self.cipher.cbc([first, last])
     }
 }
 
@@ -133,7 +156,7 @@ mod tests {
                 for (i, b) in sid.iter_mut().enumerate() {
                     *b = sid_seed.wrapping_mul(31).wrapping_add(i as u8);
                 }
-                assert_eq!(kdf.derive(&sid), derive_session_key(&secret, &sid));
+                assert_eq!(kdf.derive(&sid), prf(&secret, "opt-session", &sid));
             }
         }
     }

@@ -5,11 +5,13 @@
 //! key-alternating (Even–Mansour) cipher \[2\] — because it completes in one
 //! pass through a Tofino pipeline, whereas AES needs a packet resubmission.
 //!
-//! This crate implements, from scratch and without unsafe code:
+//! This crate implements, from scratch:
 //!
-//! * [`aes::Aes128`] — FIPS-197 AES-128 with a word-oriented T-table round
-//!   (the comparison baseline, and the source of the fixed public
-//!   permutations used by 2EM);
+//! * [`aes::Aes128`] — FIPS-197 AES-128 (the comparison baseline, and the
+//!   source of the fixed public permutations used by 2EM), on one of two
+//!   kernels chosen at run time: the CPU's AES round instruction where it
+//!   has one (x86-64 reporting `aes`), a word-oriented T-table round
+//!   everywhere else;
 //! * [`even_mansour::TwoRoundEm`] — the 2EM cipher: `E(x) = P2(P1(x ⊕ k0) ⊕ k1) ⊕ k2`
 //!   with fixed, publicly known AES permutations `P1`, `P2`;
 //! * [`mac`] — length-prefixed CBC-MAC over either block cipher;
@@ -18,14 +20,18 @@
 //! * [`hash`] — a 128-bit Matyas–Meyer–Oseas hash for OPT's DataHash field;
 //! * [`ct_eq`] — constant-time comparison for verifying authentication tags.
 //!
+//! The only `unsafe` is the AES-NI kernel's (`ni.rs`), where each call into
+//! an AES-instruction function rests on the run-time CPU check. Both
+//! kernels produce byte-identical output.
+//!
 //! These primitives are faithful algorithmic reproductions suitable for a
 //! research prototype; they are **not** hardened against side channels
 //! beyond tag comparison and must not guard real traffic. In particular the
-//! T-table round indexes 4 KiB of tables by secret-dependent bytes, so its
-//! timing varies with the cache, as any table-driven AES (byte S-box
-//! included) does.
+//! portable T-table round indexes 4 KiB of tables by secret-dependent
+//! bytes, so on hosts without AES instructions its timing varies with the
+//! cache, as any table-driven AES (byte S-box included) does.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)] // `ni` opts back in locally, with safety comments.
 #![deny(missing_docs)]
 
 pub mod aes;
@@ -33,6 +39,8 @@ pub mod even_mansour;
 pub mod hash;
 pub mod kdf;
 pub mod mac;
+#[cfg(target_arch = "x86_64")]
+mod ni;
 pub mod rng;
 
 pub use aes::Aes128;

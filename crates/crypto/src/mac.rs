@@ -6,7 +6,6 @@
 //! lengths (the standard "prepend length" fix), which is what routers need
 //! since FN triples select variable-width target fields.
 
-use crate::aes::{load, store, xor, State};
 use crate::{Aes128, Block, TwoRoundEm};
 
 /// Anything that can encrypt a 128-bit block with an already-scheduled key.
@@ -14,9 +13,10 @@ pub trait BlockCipher {
     /// Encrypts one block in place.
     fn encrypt_block(&self, block: &mut Block);
 
-    /// Encrypts one block held as column words ([`State`]), the form
-    /// CBC-MAC chains in.
-    fn encrypt_words(&self, words: State) -> State;
+    /// CBC-chains `blocks` from an all-zero IV and returns the last
+    /// ciphertext: the form CBC-MAC and the session KDF chain in, with one
+    /// kernel dispatch per call rather than per block.
+    fn cbc<I: IntoIterator<Item = Block>>(&self, blocks: I) -> Block;
 }
 
 impl BlockCipher for Aes128 {
@@ -25,8 +25,8 @@ impl BlockCipher for Aes128 {
     }
 
     #[inline]
-    fn encrypt_words(&self, words: State) -> State {
-        Aes128::encrypt_words(self, words)
+    fn cbc<I: IntoIterator<Item = Block>>(&self, blocks: I) -> Block {
+        Aes128::cbc(self, blocks)
     }
 }
 
@@ -36,8 +36,8 @@ impl BlockCipher for TwoRoundEm {
     }
 
     #[inline]
-    fn encrypt_words(&self, words: State) -> State {
-        TwoRoundEm::encrypt_words(self, words)
+    fn cbc<I: IntoIterator<Item = Block>>(&self, blocks: I) -> Block {
+        TwoRoundEm::cbc(self, blocks)
     }
 }
 
@@ -93,23 +93,19 @@ impl CbcMac<Aes128> {
 impl<C: BlockCipher> MacAlgorithm for CbcMac<C> {
     fn mac(&self, data: &[u8]) -> Block {
         // First block: the message length in bits, big-endian, padded.
-        let bits = data.len() as u64 * 8;
-        let mut state = self.cipher.encrypt_words([0, 0, (bits >> 32) as u32, bits as u32]);
-
-        let mut chunks = data.chunks_exact(16);
-        for chunk in &mut chunks {
-            let block: &Block = chunk.try_into().expect("chunks_exact yields 16 bytes");
-            state = self.cipher.encrypt_words(xor(state, load(block)));
-        }
+        let mut length = [0u8; 16];
+        length[8..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let chunks = data.chunks_exact(16);
         let rem = chunks.remainder();
-        if !rem.is_empty() {
-            // 10* padding on the final partial block.
+        // 10* padding on the final partial block.
+        let last = (!rem.is_empty()).then(|| {
             let mut last = [0u8; 16];
             last[..rem.len()].copy_from_slice(rem);
             last[rem.len()] = 0x80;
-            state = self.cipher.encrypt_words(xor(state, load(&last)));
-        }
-        store(state)
+            last
+        });
+        let full = chunks.map(|chunk| -> Block { chunk.try_into().expect("16-byte chunk") });
+        self.cipher.cbc(core::iter::once(length).chain(full).chain(last))
     }
 }
 

@@ -62,8 +62,12 @@ impl FlowShard {
     }
 
     /// The worker owning `packet`'s flow. Malformed packets all map to
-    /// shard 0 (they will be dropped there, deterministically).
+    /// shard 0 (they will be dropped there, deterministically), and so
+    /// does every packet when there is one shard, without reading it.
     pub fn shard_of(&self, packet: &[u8]) -> usize {
+        if self.shards == 1 {
+            return 0;
+        }
         let key = DipPacket::new_checked(packet).map(|p| flow_hash(&p)).unwrap_or(0);
         (key % self.shards as u64) as usize
     }
@@ -158,5 +162,33 @@ mod tests {
     fn single_shard_accepts_everything() {
         let shard = FlowShard::new(1);
         assert_eq!(shard.shard_of(&[]), 0);
+    }
+
+    #[test]
+    fn one_shard_maps_every_packet_to_zero() {
+        // Well-formed packets of every kind, truncations of them and noise:
+        // at one shard all of them belong to worker 0.
+        let session = dip_protocols::opt::OptSession::establish([5; 16], &[6; 16], &[[7; 16]]);
+        let name = Name::parse("/video/segment/1");
+        let packets = [
+            dip_protocols::ip::dip32_packet(
+                Ipv4Addr::new(10, 0, 0, 7),
+                Ipv4Addr::new(1, 1, 1, 1),
+                64,
+            )
+            .to_bytes(&[])
+            .unwrap(),
+            dip_protocols::ndn::interest(&name, 64).to_bytes(b"rq").unwrap(),
+            session.packet(b"payload", 1, 64).to_bytes(b"payload").unwrap(),
+        ];
+        for shards in [0, 1] {
+            let shard = FlowShard::new(shards);
+            for p in &packets {
+                for cut in 0..=p.len() {
+                    assert_eq!(shard.shard_of(&p[..cut]), 0, "{shards} shards, {cut} bytes");
+                }
+            }
+            assert_eq!(shard.shard_of(&[0xff; 64]), 0);
+        }
     }
 }

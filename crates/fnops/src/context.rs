@@ -46,6 +46,38 @@ impl MacSchedule {
     }
 }
 
+/// The last MAC schedule a packet expanded, with the `(choice, key)` it
+/// was expanded from. `F_MAC` and `F_mark` both MAC under the packet's
+/// dynamic key, so the key schedule is expanded once per packet: it is
+/// reused while `choice` and `key` equal the ones it was expanded from, and
+/// re-expanded otherwise.
+#[derive(Default)]
+pub(crate) struct MacMemo {
+    last: Option<(MacChoice, Block, MacSchedule)>,
+    /// How many times a key schedule was expanded.
+    #[cfg(test)]
+    pub(crate) expansions: u32,
+}
+
+impl MacMemo {
+    /// The `choice` CBC-MAC of `data` under `key`.
+    fn mac(&mut self, choice: MacChoice, key: &Block, data: &[u8]) -> Block {
+        match &self.last {
+            Some((c, k, schedule)) if *c == choice && k == key => schedule.mac(data),
+            _ => {
+                #[cfg(test)]
+                {
+                    self.expansions += 1;
+                }
+                let schedule = MacSchedule::new(choice, key);
+                let tag = schedule.mac(data);
+                self.last = Some((choice, *key, schedule));
+                tag
+            }
+        }
+    }
+}
+
 /// The forwarding state of one DIP-capable node that operation modules act
 /// on. One instance per router; the router pipeline passes it to every op.
 pub struct RouterState {
@@ -255,12 +287,9 @@ pub struct PacketCtx<'a> {
     pub pass_verified: bool,
     /// Source address recorded by `F_source`.
     pub source_addr: Option<SourceAddr>,
-    /// The last MAC schedule [`PacketCtx::mac`] expanded, with the
-    /// `(choice, key)` it was expanded from.
-    mac_memo: Option<(MacChoice, Block, MacSchedule)>,
-    /// How many times [`PacketCtx::mac`] expanded a key schedule.
-    #[cfg(test)]
-    pub(crate) mac_expansions: u32,
+    /// The MAC schedule [`PacketCtx::mac`] and [`PacketCtx::mac_field`]
+    /// share.
+    pub(crate) mac_memo: MacMemo,
 }
 
 impl<'a> PacketCtx<'a> {
@@ -278,9 +307,7 @@ impl<'a> PacketCtx<'a> {
             source_key: None,
             pass_verified: false,
             source_addr: None,
-            mac_memo: None,
-            #[cfg(test)]
-            mac_expansions: 0,
+            mac_memo: MacMemo::default(),
         }
     }
 
@@ -330,24 +357,33 @@ impl<'a> PacketCtx<'a> {
         )
     }
 
-    /// The `choice` CBC-MAC of `data` under `key`. `F_MAC` and `F_mark`
-    /// both MAC under the packet's dynamic key, so the key schedule is
-    /// expanded once per packet: it is reused while `choice` and `key` equal
-    /// the ones it was expanded from, and re-expanded otherwise.
+    /// The `choice` CBC-MAC of `data` under `key`, through the packet's
+    /// [`MacMemo`].
     pub(crate) fn mac(&mut self, choice: MacChoice, key: &Block, data: &[u8]) -> Block {
-        match &self.mac_memo {
-            Some((c, k, schedule)) if *c == choice && k == key => schedule.mac(data),
-            _ => {
-                #[cfg(test)]
-                {
-                    self.mac_expansions += 1;
-                }
-                let schedule = MacSchedule::new(choice, key);
-                let tag = schedule.mac(data);
-                self.mac_memo = Some((choice, *key, schedule));
-                tag
-            }
+        self.mac_memo.mac(choice, key, data)
+    }
+
+    /// The `choice` CBC-MAC of `triple`'s target field (left-aligned bytes,
+    /// as [`PacketCtx::read_field`] reads it) under `key`, without a heap
+    /// allocation: a byte-aligned field is MACed where it lies, any other is
+    /// read onto the stack first.
+    pub(crate) fn mac_field(
+        &mut self,
+        choice: MacChoice,
+        key: &Block,
+        triple: &dip_wire::triple::FnTriple,
+    ) -> Result<Block, dip_wire::WireError> {
+        use dip_wire::bits::{check_range, is_byte_aligned};
+        let (off, len) = (usize::from(triple.field_loc), usize::from(triple.field_len));
+        check_range(self.locations.len(), off, len)?;
+        if is_byte_aligned(off, len) {
+            let field = &self.locations[off / 8..(off + len) / 8];
+            return Ok(self.mac_memo.mac(choice, key, field));
         }
+        // The widest field a triple can name: 65 535 bits.
+        let mut buf = [0u8; (u16::MAX as usize).div_ceil(8)];
+        let n = self.read_field_into(triple, &mut buf)?;
+        Ok(self.mac_memo.mac(choice, key, &buf[..n]))
     }
 
     /// Writes the target field of `triple`.

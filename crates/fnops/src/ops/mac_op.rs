@@ -43,10 +43,9 @@ impl FieldOp for MacOp {
         let Some(key) = ctx.dynamic_key else {
             return Action::Drop(DropReason::MissingDynamicKey);
         };
-        let Ok(coverage) = ctx.read_field(triple) else {
+        let Ok(tag) = ctx.mac_field(state.mac_choice, &key, triple) else {
             return Action::Drop(DropReason::MalformedField);
         };
-        let tag = ctx.mac(state.mac_choice, &key, &coverage);
         // Deposit after the covered field.
         let tag_triple = FnTriple::router(
             triple.field_loc.saturating_add(triple.field_len),
@@ -101,6 +100,30 @@ mod tests {
         assert_eq!(&c.locations[field::OPV], &expected);
         // Coverage bytes untouched.
         assert_eq!(&c.locations[..52], &coverage[..]);
+    }
+
+    #[test]
+    fn tags_read_in_place_equal_tags_of_the_copied_field() {
+        // F_MAC reads its coverage without a heap copy: in place when the
+        // field is byte-aligned, through a stack buffer otherwise. The tag
+        // must equal the MAC of what `read_field` returns, pad bits zeroed,
+        // at an unaligned offset and at a length that is not whole bytes.
+        let key = [7u8; 16];
+        for (loc, len) in [(0, 416), (3, 416), (0, 413), (5, 100), (8, 0), (13, 1)] {
+            for choice in [MacChoice::TwoRoundEm, MacChoice::Aes] {
+                let mut st = state();
+                st.mac_choice = choice;
+                let mut locs: Vec<u8> = (0..80u8).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+                let mut c = ctx(&mut locs, &[]);
+                c.dynamic_key = Some(key);
+                let t = FnTriple::router(loc, len, FnKey::Mac);
+                let expected = mac_bytes(choice, &key, &c.read_field(&t).unwrap());
+                assert_eq!(c.mac_field(choice, &key, &t), Ok(expected), "({loc}, {len})");
+                assert_eq!(MacOp.execute(&t, &mut st, &mut c), Action::Continue);
+                let tag = FnTriple::router(loc + len, TAG_BITS, FnKey::Mac);
+                assert_eq!(c.read_field(&tag).unwrap(), expected, "({loc}, {len}) {choice:?}");
+            }
+        }
     }
 
     #[test]
@@ -172,11 +195,11 @@ mod tests {
             let pvf = c.locations[field::PVF].to_vec();
             assert_eq!(MarkOp.execute(&mark, st, c), Action::Continue);
             assert_eq!(c.locations[field::PVF], mac_bytes(st.mac_choice, &key, &pvf));
-            c.mac_expansions
+            c.mac_memo.expansions
         };
 
         assert_eq!(ParmOp.execute(&parm, &mut st, &mut c), Action::Continue);
-        assert_eq!(c.mac_expansions, 0, "F_parm derives the key, it does not expand it");
+        assert_eq!(c.mac_memo.expansions, 0, "F_parm derives the key, it does not expand it");
         assert_eq!(mac_then_mark(&mut st, &mut c), 1, "F_MAC expands, F_mark reuses");
 
         // A new session id in between: a new dynamic key, a new schedule.

@@ -11,7 +11,9 @@
 #             E3–E11's outcome tables), and the pins on dipstat's output,
 #             the small fat-tree scenario report, BENCH_scenarios.json's
 #             fields and the seeded traces' PISA prices all run here and
-#             nowhere else
+#             nowhere else; then dip-crypto's own tests again in release
+#             (the kernel-vs-byte-model differential and the known-answer
+#             digests, where the AES-NI intrinsics actually inline)
 #   oracle  — the 1M-route oracle and the route levels/bytes ratchet in
 #             release (debug runs both at 20k)
 #   lint    — the diplint binary over the real repo (RouteSnapshot,
@@ -35,6 +37,7 @@ cargo clippy --all-targets --offline -- -D warnings
 
 echo "== cargo test -q --workspace"
 cargo test -q --workspace --offline
+cargo test -q -p dip-crypto --release --offline
 
 echo "== routes: 1M-route oracle and levels/bytes ratchet (release)"
 cargo test -q -p dip-routes --release --offline --test million_oracle \

@@ -11,7 +11,10 @@
 //! * every NDN interest kind — a first interest (PIT insert + FIB match),
 //!   an aggregated one (a face added to the entry), a re-interest the
 //!   content store answers: none;
-//! * NDN data: at most one, the payload the content store keeps.
+//! * NDN data: at most one, the payload the content store keeps;
+//! * an OPT router hop (`F_parm` → `F_MAC` → `F_mark`) over many sessions:
+//!   none — the key derivation, the schedule, both MACs and the tag writes
+//!   all stay on the stack.
 //!
 //! A change that puts a heap allocation back on one of these paths — a
 //! per-packet parse vector, a one-port `Vec` verdict, a field copy, a
@@ -21,6 +24,7 @@ use dip::core::{parse_packet_into, DipRouter, ParsedPacket, Verdict};
 use dip::crypto::DetRng;
 use dip::dataplane::{Admission, ProgramCache};
 use dip::fnops::RouteStore;
+use dip::protocols::opt::OptSession;
 use dip::protocols::{ip, ndn};
 use dip::tables::fib::NextHop;
 use dip::tables::Port;
@@ -267,4 +271,49 @@ fn ndn_interests_allocate_nothing_and_data_at_most_the_cached_payload() {
         snap.get("dip_router_verdicts_total"),
         (4 * PER_ROUND * (WARM_ROUNDS + MEASURED_ROUNDS)) as u64
     );
+}
+
+#[test]
+fn opt_packets_allocate_nothing_per_packet() {
+    const SECRET: [u8; 16] = [7; 16];
+    const PAYLOAD: [u8; 70] = [0x5a; 70];
+    // Sessions through this router, so every packet derives its own
+    // dynamic key and expands its own MAC schedule.
+    let mut rng = DetRng::seed_from_u64(0xc059);
+    let mut block = || {
+        let mut b = [0u8; 16];
+        rng.fill_bytes(&mut b);
+        b
+    };
+    let sessions: Vec<OptSession> =
+        (0..64).map(|_| OptSession::establish(block(), &block(), &[SECRET])).collect();
+    let packets = |n: usize| -> Vec<Packet> {
+        (0..n)
+            .map(|i| {
+                let repr = sessions[i % sessions.len()].packet(&PAYLOAD, i as u32, 64);
+                (repr.to_bytes(&PAYLOAD).unwrap(), 0)
+            })
+            .collect()
+    };
+    // Both derivations of the dynamic key: dipopt's hoisted `SessionKdf`
+    // (the dataplane's programs) and the per-packet one.
+    for optimize in [true, false] {
+        let mut router = DipRouter::new(0, SECRET);
+        router.config_mut().default_port = Some(1);
+        router.config_mut().optimize = optimize;
+        let registry = Registry::new();
+        let mut worker = Worker::new(router, &registry);
+        let mut warm = packets(4 * BATCH);
+        worker.run(&mut warm);
+
+        let mut measured = packets(64 * BATCH);
+        let n = measured.len();
+        let spent = worker.run(&mut measured);
+        assert_eq!(spent, 0, "{spent} allocations over {n} OPT packets, optimize = {optimize}");
+        let forwarded = Verdict::Forward(dip::tables::Ports::one(1));
+        assert!(worker.verdicts.iter().all(|v| *v == forwarded));
+        // The hop rewrote the tags: no packet left as it came.
+        assert!(measured.iter().zip(packets(n)).all(|((hop, _), (sent, _))| *hop != sent));
+        assert_eq!(registry.snapshot().get("dip_router_verdicts_total"), (n + 4 * BATCH) as u64);
+    }
 }

@@ -200,6 +200,30 @@ fn unjustified_unsafe_in_the_ring_is_flagged() {
 }
 
 #[test]
+fn unsafe_in_crypto_is_admitted_only_in_the_aes_ni_kernel() {
+    let call = format!("fn cbc(&self) -> Block {{ {UNSAFE} {{ cbc_em(&self.0) }} }}\n");
+    let justified = format!("// SAFETY: built only with an `Ni`, after the CPU check.\n{call}");
+    let rule = format!("{UNSAFE}-containment");
+
+    let bare = Scratch::new("unsafe_ni_bare");
+    bare.file("crates/crypto/src/ni.rs", &call);
+    expect_violation(&bare, &rule);
+
+    let ok = Scratch::new("unsafe_ni_ok");
+    ok.file("crates/crypto/src/ni.rs", &justified);
+    expect_clean(&ok);
+
+    // Every other crypto file stays free of it, justified or not.
+    for other in
+        ["crates/crypto/src/aes.rs", "crates/crypto/src/mac.rs", "crates/crypto/src/ni/x.rs"]
+    {
+        let s = Scratch::new("unsafe_crypto_other");
+        s.file(other, &justified);
+        expect_violation(&s, &rule);
+    }
+}
+
+#[test]
 fn unsafe_in_tests_is_admitted_only_in_the_cost_ratchet() {
     let allocator = format!("{UNSAFE} impl GlobalAlloc for Counting {{}}\n");
     let justified = format!("// SAFETY: forwards to System.\n{allocator}");
