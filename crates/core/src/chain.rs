@@ -13,7 +13,7 @@
 //! * [`parse_packet`] — the per-packet half of lines 1–3 of Algorithm 1;
 //! * [`CompiledChain::compile`] — resolution into a *plan*: one step per
 //!   FN triple, with registry lookups pinned to `Arc<dyn FieldOp>`s,
-//!   pre-computed [`OpCost`]s, the unknown-FN policy decision and, for
+//!   declared [`OpCost`]s and table reads, the unknown-FN policy decision and, for
 //!   parallel-flagged packets, the plan depth from
 //!   [`dip_fnops::parallel::plan`];
 //! * [`DipRouter::process_parsed`] — the one walk that executes every plan.
@@ -32,10 +32,13 @@
 //! [`DipRouter::process_parsed`]: crate::router::DipRouter::process_parsed
 
 use crate::router::{RouterConfig, UnknownFnPolicy};
+use dip_fnops::ops::match_addr::destination;
 use dip_fnops::parallel::plan;
-use dip_fnops::{FieldOp, FnRegistry, HoistState, OpCost, RouteKey};
+use dip_fnops::{Effects, FieldOp, FnRegistry, HoistState, OpCost, Resource, Resources, RouteKey};
 use dip_verify::opt::{analyze, ProgramFacts, Rewrite};
 use dip_verify::{FnProgram, ResourceBudget};
+use dip_wire::ipv4::Ipv4Addr;
+use dip_wire::ipv6::Ipv6Addr;
 use dip_wire::triple::FnTriple;
 use dip_wire::{DipPacket, BASIC_HEADER_LEN, FN_TRIPLE_LEN};
 use std::sync::{Arc, OnceLock};
@@ -128,6 +131,8 @@ pub(crate) enum Step {
         cost: OpCost,
         /// Index into the chain's hoist slots when setup was hoisted.
         hoist: Option<usize>,
+        /// The slots and tables the op declares it reads (the route family).
+        reads: Resources,
     },
 }
 
@@ -142,7 +147,7 @@ pub struct OptSummary {
     pub hoists: u32,
 }
 
-/// A fully resolved FN program: one plan of [`Step`]s computed once for all
+/// A fully resolved FN program: one plan of steps computed once for all
 /// packets carrying the same program.
 ///
 /// A chain is only valid for the `(registry, config)` pair it was compiled
@@ -192,8 +197,8 @@ impl CompiledChain {
                 }
                 match registry.get(t.key) {
                     Some(op) => {
-                        let cost = op.cost(t.field_len);
-                        Step::Run { triple: *t, op: Arc::clone(op), cost, hoist: None }
+                        let Effects { cost, reads, .. } = op.effects(t);
+                        Step::Run { triple: *t, op: Arc::clone(op), cost, hoist: None, reads }
                     }
                     None => {
                         let key = t.key.to_wire();
@@ -296,13 +301,19 @@ impl CompiledChain {
     }
 
     /// The route lookups this chain's operations will make on a packet
-    /// whose FN locations area is `locations`, in step order (see
-    /// [`FieldOp::route_key`]). A batching runtime walks a batch's keys
-    /// together before executing it; execution still makes every lookup
-    /// itself, so this is a hint, never a decision.
+    /// whose FN locations area is `locations`, in step order: the target
+    /// field of each step that reads the IPv4 or IPv6 routes, decoded as the
+    /// match ops decode it. A batching runtime walks a batch's keys together
+    /// before executing it; execution still makes every lookup itself, so
+    /// this is a hint, never a decision.
     pub fn route_keys<'a>(&'a self, locations: &'a [u8]) -> impl Iterator<Item = RouteKey> + 'a {
         self.steps.iter().filter_map(move |step| match step {
-            Step::Run { triple, op, .. } => op.route_key(triple, locations),
+            Step::Run { triple, reads, .. } if reads.contains(Resource::V4Routes) => {
+                destination(triple, locations).map(|a| RouteKey::V4(Ipv4Addr(a)))
+            }
+            Step::Run { triple, reads, .. } if reads.contains(Resource::V6Routes) => {
+                destination(triple, locations).map(|a| RouteKey::V6(Ipv6Addr(a)))
+            }
             _ => None,
         })
     }
@@ -465,12 +476,8 @@ mod tests {
         assert_eq!((chain.stop, chain.budget), (None, config.budget));
         for i in [0, 2] {
             match &chain.steps[i] {
-                Step::Run { triple, op, cost, hoist } => {
-                    assert_eq!(
-                        *cost,
-                        op.cost(triple.field_len),
-                        "the identity plan runs as written"
-                    );
+                Step::Run { triple, op, cost, hoist, .. } => {
+                    assert_eq!(*cost, op.effects(triple).cost, "the identity plan runs as written");
                     assert!(hoist.is_none());
                 }
                 _ => panic!("step {i} must run"),
@@ -675,8 +682,8 @@ mod tests {
                 CompiledChain::compile(&program(fns, loc_len, parallel), &registry, &config, true);
             assert!(chain.opt_summary().is_none(), "{} must not optimize", case.name);
             assert!(chain.steps.iter().all(|s| match s {
-                Step::Run { triple, op, cost, hoist } => {
-                    *cost == op.cost(triple.field_len) && hoist.is_none()
+                Step::Run { triple, op, cost, hoist, .. } => {
+                    *cost == op.effects(triple).cost && hoist.is_none()
                 }
                 _ => true,
             }));

@@ -388,7 +388,7 @@ impl DipRouter {
                     stats.skipped_unsupported += 1;
                     continue;
                 }
-                Step::Run { triple, op, cost, hoist } => (triple, op, *cost, *hoist),
+                Step::Run { triple, op, cost, hoist, .. } => (triple, op, *cost, *hoist),
             };
             stats.fns_executed += 1;
             stats.cost = stats.cost + cost;

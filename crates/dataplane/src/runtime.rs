@@ -439,15 +439,18 @@ impl Dataplane {
                 }
             },
             Backpressure::Block => {
+                let Err(back) = w.producer.try_push(job) else { return Some(seq) };
+                job = back;
+                // The ring is full: wake the worker once for this wait. std's
+                // park token makes its next `park` return at once, so waking
+                // it again on every retry would only cost a running worker.
+                w.thread.unpark();
                 let mut waiter = Waiter::new();
                 loop {
+                    waiter.wait();
                     match w.producer.try_push(job) {
                         Ok(()) => return Some(seq),
-                        Err(back) => {
-                            job = back;
-                            w.thread.unpark();
-                            waiter.wait();
-                        }
+                        Err(back) => job = back,
                     }
                 }
             }

@@ -246,21 +246,13 @@ impl std::fmt::Debug for RouterState {
     }
 }
 
-/// A source address as `F_source` records it: the 32- or 128-bit target
-/// field, held inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceAddr {
-    /// A 32-bit source.
-    V4(Ipv4Addr),
-    /// A 128-bit source.
-    V6(Ipv6Addr),
-}
-
 /// Per-packet scratch context threaded through the FN chain.
 ///
 /// Operations communicate *only* through this context and the locations
 /// area — e.g. `F_parm` deposits the dynamic key that `F_MAC` and `F_mark`
-/// consume (§3), which is also the dependency the parallel planner tracks.
+/// consume (§3). Each slot another op reads is a
+/// [`Resource`](crate::Resource) that ops declare in their
+/// [`Effects`](crate::Effects), so the parallel planner orders them.
 pub struct PacketCtx<'a> {
     /// The packet's FN locations area (mutable: authentication ops update
     /// tags in place).
@@ -285,8 +277,6 @@ pub struct PacketCtx<'a> {
     pub source_key: Option<Block>,
     /// Set by `F_pass` on success; `F_PIT` may require it before caching.
     pub pass_verified: bool,
-    /// Source address recorded by `F_source`.
-    pub source_addr: Option<SourceAddr>,
     /// The MAC schedule [`PacketCtx::mac`] and [`PacketCtx::mac_field`]
     /// share.
     pub(crate) mac_memo: MacMemo,
@@ -306,7 +296,6 @@ impl<'a> PacketCtx<'a> {
             path_keys: Vec::new(),
             source_key: None,
             pass_verified: false,
-            source_addr: None,
             mac_memo: MacMemo::default(),
         }
     }

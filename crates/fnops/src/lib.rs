@@ -29,25 +29,28 @@
 //! | 12 | `F_pass` | [`ops::pass::PassOp`] |
 //!
 //! [`registry::FnRegistry`] maps operation keys to modules (the bootstrap
-//! mechanism of §2.3 advertises its contents), and [`parallel`] implements
-//! the modular-parallelism planner behind the packet parameter's parallel
-//! flag (§2.2).
+//! mechanism of §2.3 advertises its contents). Each module declares what
+//! it touches for a given triple as one [`Effects`] value — bits, per-packet
+//! slots, router tables, fate, cost — and [`parallel`] plans the packet
+//! parameter's parallel flag (§2.2) from those declarations.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod context;
 pub mod cost;
+pub mod effects;
 pub mod ops;
 pub mod parallel;
 pub mod registry;
 
-pub use context::{Action, DropReason, PacketCtx, RouterState, SourceAddr};
+pub use context::{Action, DropReason, PacketCtx, RouterState};
 pub use cost::OpCost;
 /// `RouterState::routes` is a `RouteTables`; re-exported with the store
 /// that builds it so crates above this one install routes without their
 /// own dependency on `dip-routes`.
 pub use dip_routes::{RouteKey, RouteStore, RouteTables};
+pub use effects::{Dependency, Effects, Resource, Resources};
 pub use registry::FnRegistry;
 
 use dip_wire::triple::FnTriple;
@@ -56,8 +59,9 @@ use dip_wire::triple::FnTriple;
 ///
 /// Implementations must be pure with respect to everything except the
 /// explicitly passed state: the same `(triple, locations, state, ctx)`
-/// produces the same result, which is what lets the planner reorder
-/// non-conflicting operations.
+/// produces the same result, and an op touches only what its
+/// [`effects`](FieldOp::effects) declare — which is what lets the planner
+/// reorder non-conflicting operations.
 pub trait FieldOp: Send + Sync {
     /// The operation key this module serves.
     fn key(&self) -> dip_wire::triple::FnKey;
@@ -74,76 +78,15 @@ pub trait FieldOp: Send + Sync {
         ctx: &mut PacketCtx<'_>,
     ) -> Action;
 
-    /// Hardware cost of one invocation on a field of `field_bits` bits, for
-    /// the PISA pipeline timing model (§4.1 / Figure 2).
-    fn cost(&self, field_bits: u16) -> OpCost;
-
-    /// The bit range this operation *writes* in the locations area, given
-    /// its triple, or `None` for read-only operations. Used by the parallel
-    /// planner for conflict analysis.
-    fn write_range(&self, _triple: &FnTriple) -> Option<(usize, usize)> {
-        None
-    }
-
-    /// The route lookup this operation will make for `triple` on a packet
-    /// whose FN locations area is `locations`, or `None` when it makes
-    /// none. A batching runtime uses it to walk a whole batch's route keys
-    /// together before executing; a wrong answer only costs speed, because
-    /// [`execute`](FieldOp::execute) still makes its own lookup.
-    fn route_key(&self, _triple: &FnTriple, _locations: &[u8]) -> Option<RouteKey> {
-        None
-    }
-
-    /// Whether this operation reads the per-packet dynamic-key slot.
-    fn reads_dynamic_key(&self) -> bool {
-        false
-    }
-
-    /// Whether this operation writes the per-packet dynamic-key slot.
-    fn writes_dynamic_key(&self) -> bool {
-        false
-    }
-
-    /// Whether this operation's only job is to *publish* a parsed structure
-    /// into the per-packet scratch context (e.g. `F_DAG` parsing the packet's
-    /// DAG into `ctx.dag`) without touching router tables, the packet, or the
-    /// verdict. Such a hop is eliminable when its immediate consumer re-parses
-    /// the same span on a scratch miss (see
-    /// [`consumes_parsed_dag_with_fallback`](FieldOp::consumes_parsed_dag_with_fallback)).
-    fn writes_parsed_dag(&self) -> bool {
-        false
-    }
-
-    /// Whether this operation consumes the scratch DAG slot and, when it is
-    /// empty, falls back to parsing its *own* target span with semantics
-    /// identical to the publisher (same decode, same malformed-field drop).
-    /// This is the contract that makes `F_DAG → F_intent` elimination an
-    /// exact rewrite when — and only when — the two triples select the same
-    /// span.
-    fn consumes_parsed_dag_with_fallback(&self) -> bool {
-        false
-    }
-
-    /// Whether, for `triple`, `execute` always returns [`Action::Continue`]
-    /// provided the target field is in bounds (which admission's structural
-    /// pass and `parse_packet` both guarantee). Operations that can drop,
-    /// forward, or deliver must return `false`; dipopt only dead-write
-    /// eliminates hops that are infallible in this sense.
-    fn infallible_for(&self, _triple: &FnTriple) -> bool {
-        false
-    }
-
-    /// Whether per-packet-invariant setup of this operation can be hoisted
-    /// to once per compiled chain via [`hoist`](FieldOp::hoist).
-    fn hoistable(&self) -> bool {
-        false
-    }
+    /// What `execute` touches for `triple`, and what it costs.
+    fn effects(&self, triple: &FnTriple) -> Effects;
 
     /// Precomputes the packet-invariant part of this operation from router
     /// state (e.g. the OPT key schedule from `state.local_secret`). Returns
-    /// `None` when nothing is hoistable for this router. The result is cached
+    /// `None` when nothing can be hoisted for this router. The result is cached
     /// on the compiled chain, so it must stay valid for as long as the state
-    /// it was derived from (the router's secrets) is unchanged.
+    /// it was derived from (the router's secrets) is unchanged. dipopt only
+    /// hoists ops whose [`Effects::residue`] is set.
     fn hoist(&self, _state: &RouterState) -> Option<HoistState> {
         None
     }
@@ -158,12 +101,6 @@ pub trait FieldOp: Send + Sync {
         _hoisted: &HoistState,
     ) -> Action {
         self.execute(triple, state, ctx)
-    }
-
-    /// Hardware cost of one invocation when the hoisted setup has already
-    /// run — the per-packet residue. Defaults to the full cost.
-    fn hoisted_cost(&self, field_bits: u16) -> OpCost {
-        self.cost(field_bits)
     }
 }
 

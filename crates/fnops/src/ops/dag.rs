@@ -7,7 +7,7 @@
 
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
-use crate::FieldOp;
+use crate::{Effects, FieldOp, Resource};
 use dip_wire::triple::{FnKey, FnTriple};
 use dip_wire::xia::Dag;
 
@@ -38,17 +38,13 @@ impl FieldOp for DagOp {
         }
     }
 
-    fn cost(&self, field_bits: u16) -> OpCost {
-        // Parsing cost grows with the number of nodes (28B each).
-        let nodes = (usize::from(field_bits) / 8).saturating_sub(6) / 28;
-        OpCost::stages(1 + nodes as u32)
-    }
-
-    fn writes_parsed_dag(&self) -> bool {
-        // F_DAG's only effect is publishing the parsed DAG into ctx.dag (or
-        // dropping on a malformed field) — the contract dipopt's redundant-
-        // parse elimination relies on.
-        true
+    fn effects(&self, triple: &FnTriple) -> Effects {
+        // Parsing cost grows with the number of nodes (28B each). The only
+        // effect is publishing the parsed DAG into ctx.dag (or dropping on a
+        // malformed field) — the contract dipopt's redundant-parse
+        // elimination relies on.
+        let nodes = (usize::from(triple.field_len) / 8).saturating_sub(6) / 28;
+        Effects::new(triple, OpCost::stages(1 + nodes as u32)).writing(Resource::ParsedDag)
     }
 }
 

@@ -12,7 +12,7 @@
 
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
-use crate::FieldOp;
+use crate::{Effects, FieldOp, Resource};
 use dip_tables::pit::{PitError, PitOutcome};
 use dip_wire::ndn::Name;
 use dip_wire::triple::{FnKey, FnTriple};
@@ -102,11 +102,15 @@ impl FieldOp for FibOp {
         }
     }
 
-    fn cost(&self, field_bits: u16) -> OpCost {
+    fn effects(&self, triple: &FnTriple) -> Effects {
         // One PIT write + one FIB lookup; hierarchical names burn an extra
-        // stage for TLV parsing.
-        let parse_stages = if field_bits > 32 { 2 } else { 1 };
-        OpCost::lookup(parse_stages, 2)
+        // stage for TLV parsing. A content-store hit refreshes its LRU rank.
+        let parse_stages = if triple.field_len > 32 { 2 } else { 1 };
+        Effects::new(triple, OpCost::lookup(parse_stages, 2))
+            .writing(Resource::ContentStore)
+            .writing(Resource::Pit)
+            .reading(Resource::NameRoutes)
+            .deciding()
     }
 }
 

@@ -14,7 +14,7 @@
 
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
-use crate::FieldOp;
+use crate::{Effects, FieldOp, Resource};
 use dip_tables::XiaNextHop;
 use dip_wire::triple::{FnKey, FnTriple};
 use dip_wire::xia::Dag;
@@ -87,21 +87,18 @@ impl FieldOp for IntentOp {
         result
     }
 
-    fn cost(&self, field_bits: u16) -> OpCost {
-        // Up to one route lookup per candidate edge.
-        let nodes = ((usize::from(field_bits) / 8).saturating_sub(6) / 28).max(1);
-        OpCost::lookup(2, nodes as u32)
-    }
-
-    fn write_range(&self, triple: &FnTriple) -> Option<(usize, usize)> {
-        Some((usize::from(triple.field_loc), triple.field_end()))
-    }
-
-    fn consumes_parsed_dag_with_fallback(&self) -> bool {
-        // On a ctx.dag miss, F_intent parses its own span with the same
-        // decode and the same MalformedField drop as F_DAG — eliminating a
-        // same-span F_DAG immediately before it is an exact rewrite.
-        true
+    fn effects(&self, triple: &FnTriple) -> Effects {
+        // Up to one route lookup per candidate edge. On a ctx.dag miss,
+        // F_intent parses its own span with the same decode and the same
+        // MalformedField drop as F_DAG; it leaves the walked DAG in ctx.dag.
+        let nodes = ((usize::from(triple.field_len) / 8).saturating_sub(6) / 28).max(1);
+        let e = Effects::new(triple, OpCost::lookup(2, nodes as u32))
+            .writing_field()
+            .reading(Resource::ParsedDag)
+            .writing(Resource::ParsedDag)
+            .reading(Resource::XiaRoutes)
+            .deciding();
+        Effects { dag_fallback: true, ..e }
     }
 }
 

@@ -10,7 +10,7 @@
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::context::{MacChoice, MacSchedule};
 use crate::cost::OpCost;
-use crate::FieldOp;
+use crate::{Effects, FieldOp, Resource};
 use dip_crypto::mac::cbc_mac_blocks;
 use dip_crypto::Block;
 use dip_wire::bits::byte_len;
@@ -61,21 +61,16 @@ impl FieldOp for MacOp {
         }
     }
 
-    fn cost(&self, field_bits: u16) -> OpCost {
+    fn effects(&self, triple: &FnTriple) -> Effects {
         // The coverage is read as whole bytes, pad bits included.
-        let blocks = cbc_mac_blocks(byte_len(usize::from(field_bits))) as u32;
+        let blocks = cbc_mac_blocks(byte_len(usize::from(triple.field_len))) as u32;
         // Resubmission cost is applied by the pipeline model per the
         // router's cipher choice; report blocks here.
-        OpCost::cipher(2, blocks, 0)
-    }
-
-    fn write_range(&self, triple: &FnTriple) -> Option<(usize, usize)> {
-        let start = usize::from(triple.field_loc) + usize::from(triple.field_len);
-        Some((start, start + usize::from(TAG_BITS)))
-    }
-
-    fn reads_dynamic_key(&self) -> bool {
-        true
+        let tag = triple.field_end();
+        Effects {
+            write: Some((tag, tag + usize::from(TAG_BITS))),
+            ..Effects::new(triple, OpCost::cipher(2, blocks, 0)).reading(Resource::DynamicKey)
+        }
     }
 }
 
@@ -163,17 +158,20 @@ mod tests {
         assert_ne!(em, aes);
     }
 
+    /// `F_MAC`'s cost over a `bits`-bit field at offset 0.
+    fn cost(bits: u16) -> OpCost {
+        MacOp.effects(&FnTriple::router(0, bits, FnKey::Mac)).cost
+    }
+
     #[test]
-    fn write_range_is_after_field() {
+    fn the_tag_is_written_after_the_field() {
         let t = FnTriple::router(32, 416, FnKey::Mac);
-        assert_eq!(MacOp.write_range(&t), Some((448, 576)));
+        assert_eq!(MacOp.effects(&t).write, Some((448, 576)));
     }
 
     #[test]
     fn cost_scales_with_coverage() {
-        let small = MacOp.cost(128);
-        let large = MacOp.cost(416);
-        assert!(large.cipher_blocks > small.cipher_blocks);
+        assert!(cost(416).cipher_blocks > cost(128).cipher_blocks);
     }
 
     #[test]
@@ -217,7 +215,7 @@ mod tests {
     #[test]
     fn cost_counts_the_padded_final_byte() {
         // 129 bits are read as 17 bytes, which CBC-MAC runs as 3 blocks.
-        assert_eq!(MacOp.cost(129).cipher_blocks, cbc_mac_blocks(17) as u32);
-        assert_eq!(MacOp.cost(128).cipher_blocks, cbc_mac_blocks(16) as u32);
+        assert_eq!(cost(129).cipher_blocks, cbc_mac_blocks(17) as u32);
+        assert_eq!(cost(128).cipher_blocks, cbc_mac_blocks(16) as u32);
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
-use crate::FieldOp;
+use crate::{Effects, FieldOp, Resource};
 use dip_wire::triple::{FnKey, FnTriple};
 
 /// Mark-update op.
@@ -47,17 +47,9 @@ impl FieldOp for MarkOp {
         }
     }
 
-    fn cost(&self, _field_bits: u16) -> OpCost {
+    fn effects(&self, triple: &FnTriple) -> Effects {
         // One 16-byte CBC-MAC: 2 cipher blocks.
-        OpCost::cipher(1, 2, 0)
-    }
-
-    fn write_range(&self, triple: &FnTriple) -> Option<(usize, usize)> {
-        Some((usize::from(triple.field_loc), triple.field_end()))
-    }
-
-    fn reads_dynamic_key(&self) -> bool {
-        true
+        Effects::new(triple, OpCost::cipher(1, 2, 0)).writing_field().reading(Resource::DynamicKey)
     }
 }
 

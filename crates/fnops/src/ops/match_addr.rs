@@ -8,8 +8,7 @@
 
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
-use crate::FieldOp;
-use dip_routes::RouteKey;
+use crate::{Effects, FieldOp, Resource};
 use dip_tables::fib::NextHop;
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
@@ -17,9 +16,10 @@ use dip_wire::triple::{FnKey, FnTriple};
 
 /// The destination a match op looks up: the target field decoded into an
 /// `N`-byte address, or `None` when the triple is not exactly `N * 8` bits
-/// wide or the field lies outside `locations`. Both `execute` and
-/// `route_key` decode through here, so they always agree on the key.
-fn destination<const N: usize>(triple: &FnTriple, locations: &[u8]) -> Option<[u8; N]> {
+/// wide or the field lies outside `locations`. Both `execute` and a
+/// compiled chain's route phase decode through here, so they always agree
+/// on the key.
+pub fn destination<const N: usize>(triple: &FnTriple, locations: &[u8]) -> Option<[u8; N]> {
     if usize::from(triple.field_len) != N * 8 {
         return None;
     }
@@ -62,12 +62,8 @@ impl FieldOp for Match32Op {
         forward(destination(triple, ctx.locations).map(|a| state.lookup_v4(Ipv4Addr(a))))
     }
 
-    fn route_key(&self, triple: &FnTriple, locations: &[u8]) -> Option<RouteKey> {
-        destination(triple, locations).map(|a| RouteKey::V4(Ipv4Addr(a)))
-    }
-
-    fn cost(&self, _field_bits: u16) -> OpCost {
-        OpCost::lookup(1, 1)
+    fn effects(&self, triple: &FnTriple) -> Effects {
+        Effects::new(triple, OpCost::lookup(1, 1)).reading(Resource::V4Routes).deciding()
     }
 }
 
@@ -89,13 +85,9 @@ impl FieldOp for Match128Op {
         forward(destination(triple, ctx.locations).map(|a| state.lookup_v6(Ipv6Addr(a))))
     }
 
-    fn route_key(&self, triple: &FnTriple, locations: &[u8]) -> Option<RouteKey> {
-        destination(triple, locations).map(|a| RouteKey::V6(Ipv6Addr(a)))
-    }
-
-    fn cost(&self, _field_bits: u16) -> OpCost {
+    fn effects(&self, triple: &FnTriple) -> Effects {
         // Wider key: costs an extra stage on PISA (two 64-bit slices).
-        OpCost::lookup(2, 1)
+        Effects::new(triple, OpCost::lookup(2, 1)).reading(Resource::V6Routes).deciding()
     }
 }
 
@@ -160,28 +152,36 @@ mod tests {
     }
 
     #[test]
-    fn route_key_names_the_lookup_execute_makes() {
+    fn destination_decodes_the_lookup_execute_makes() {
         let dst = Ipv6Addr::new([0xfdaa, 0, 0, 0, 0, 0, 0, 0x100]);
         let mut locs = dst.0.to_vec();
         locs.extend_from_slice(&[10, 1, 2, 3]);
         let v4 = FnTriple::router(128, 32, FnKey::Match32);
         let v6 = FnTriple::router(0, 128, FnKey::Match128);
-        assert_eq!(Match32Op.route_key(&v4, &locs), Some(RouteKey::V4(Ipv4Addr::new(10, 1, 2, 3))));
-        assert_eq!(Match128Op.route_key(&v6, &locs), Some(RouteKey::V6(dst)));
-        // Wrong width, field past the end: no key, and execute drops.
+        assert_eq!(destination::<4>(&v4, &locs), Some([10, 1, 2, 3]));
+        assert_eq!(destination::<16>(&v6, &locs), Some(dst.0));
+        assert!(Match32Op.effects(&v4).reads.contains(Resource::V4Routes));
+        assert!(Match128Op.effects(&v6).reads.contains(Resource::V6Routes));
+        // Wrong width, field past the end: no destination, and execute drops.
         let mut st = state();
         for (op, t) in [
             (&Match32Op as &dyn FieldOp, FnTriple::router(0, 64, FnKey::Match32)),
             (&Match32Op, FnTriple::router(136, 32, FnKey::Match32)),
-            (&Match128Op, FnTriple::router(0, 32, FnKey::Match128)),
-            (&Match128Op, FnTriple::router(64, 128, FnKey::Match128)),
         ] {
-            assert_eq!(op.route_key(&t, &locs), None, "{t:?}");
+            assert_eq!(destination::<4>(&t, &locs), None, "{t:?}");
             let mut c = ctx(&mut locs, &[]);
             assert_eq!(op.execute(&t, &mut st, &mut c), Action::Drop(DropReason::MalformedField));
         }
-        // Ops that look nothing up name no key.
-        assert_eq!(crate::ops::source::SourceOp.route_key(&v4, &locs), None);
+        for t in
+            [FnTriple::router(0, 32, FnKey::Match128), FnTriple::router(64, 128, FnKey::Match128)]
+        {
+            assert_eq!(destination::<16>(&t, &locs), None, "{t:?}");
+            let mut c = ctx(&mut locs, &[]);
+            assert_eq!(
+                Match128Op.execute(&t, &mut st, &mut c),
+                Action::Drop(DropReason::MalformedField)
+            );
+        }
     }
 
     #[test]

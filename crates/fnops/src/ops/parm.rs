@@ -7,7 +7,7 @@
 
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
-use crate::{FieldOp, HoistState};
+use crate::{Effects, FieldOp, HoistState, Resource};
 use dip_crypto::{derive_session_key, SessionKdf};
 use dip_wire::triple::{FnKey, FnTriple};
 
@@ -37,23 +37,17 @@ impl FieldOp for ParmOp {
         Action::Continue
     }
 
-    fn cost(&self, _field_bits: u16) -> OpCost {
-        // One PRF = one short CBC-MAC: ~3 cipher blocks.
-        OpCost::cipher(1, 3, 0)
-    }
-
-    fn writes_dynamic_key(&self) -> bool {
-        true
-    }
-
-    fn infallible_for(&self, triple: &FnTriple) -> bool {
-        // With a 128-bit field and the span in bounds, execute() cannot take
-        // either MalformedField path: it always derives and continues.
-        triple.field_len == 128
-    }
-
-    fn hoistable(&self) -> bool {
-        true
+    fn effects(&self, triple: &FnTriple) -> Effects {
+        // One PRF = one short CBC-MAC: ~3 cipher blocks. With a 128-bit
+        // field and the span in bounds, execute() cannot take either
+        // MalformedField path: it always derives and continues. Hoisting
+        // folds the length-prefix block of the PRF: 2 cipher blocks per
+        // packet instead of 3.
+        Effects {
+            may_drop: triple.field_len != 128,
+            residue: Some(OpCost::cipher(1, 2, 0)),
+            ..Effects::new(triple, OpCost::cipher(1, 3, 0)).writing(Resource::DynamicKey)
+        }
     }
 
     fn hoist(&self, state: &RouterState) -> Option<HoistState> {
@@ -77,12 +71,6 @@ impl FieldOp for ParmOp {
         }
         ctx.dynamic_key = Some(kdf.derive(&session_id));
         Action::Continue
-    }
-
-    fn hoisted_cost(&self, _field_bits: u16) -> OpCost {
-        // The length-prefix block of the CBC-MAC PRF is folded at hoist
-        // time: 2 cipher blocks per packet instead of 3.
-        OpCost::cipher(1, 2, 0)
     }
 }
 
@@ -123,7 +111,7 @@ mod tests {
     #[test]
     fn hoisted_execution_is_byte_identical() {
         let mut st = state();
-        let hoisted = ParmOp.hoist(&st).expect("parm is hoistable");
+        let hoisted = ParmOp.hoist(&st).expect("parm hoists its key schedule");
         let t = FnTriple::router(128, 128, FnKey::Parm);
         for fill in [0x00u8, 0x5a, 0xaa, 0xff] {
             let mut locs_a = vec![0u8; 68];
@@ -138,7 +126,8 @@ mod tests {
             assert_eq!(key_plain, cb.dynamic_key);
         }
         // And the hoisted model is strictly cheaper in cipher blocks.
-        assert!(ParmOp.hoisted_cost(128).cipher_blocks < ParmOp.cost(128).cipher_blocks);
+        let e = ParmOp.effects(&t);
+        assert!(e.residue.expect("parm hoists").cipher_blocks < e.cost.cipher_blocks);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
-use crate::FieldOp;
+use crate::{Effects, FieldOp, Resource};
 use dip_crypto::ct_eq;
 use dip_crypto::kdf::derive_pass_key;
 use dip_wire::triple::{FnKey, FnTriple};
@@ -61,10 +61,10 @@ impl FieldOp for PassOp {
         }
     }
 
-    fn cost(&self, _field_bits: u16) -> OpCost {
+    fn effects(&self, triple: &FnTriple) -> Effects {
         // One PRF over ~32 bytes: expensive relative to a match, which is
         // why the paper gates it behind dynamic policy.
-        OpCost::cipher(2, 4, 0)
+        Effects::new(triple, OpCost::cipher(2, 4, 0)).writing(Resource::PassVerdict)
     }
 }
 

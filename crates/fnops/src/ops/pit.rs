@@ -14,7 +14,7 @@
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
 use crate::ops::fib::read_names;
-use crate::FieldOp;
+use crate::{Effects, FieldOp, Resource};
 use dip_tables::PitConsume;
 use dip_wire::triple::{FnKey, FnTriple};
 use std::sync::Arc;
@@ -54,9 +54,13 @@ impl FieldOp for PitOp {
         }
     }
 
-    fn cost(&self, field_bits: u16) -> OpCost {
-        let parse_stages = if field_bits > 32 { 2 } else { 1 };
-        OpCost::lookup(parse_stages, 1)
+    fn effects(&self, triple: &FnTriple) -> Effects {
+        let parse_stages = if triple.field_len > 32 { 2 } else { 1 };
+        Effects::new(triple, OpCost::lookup(parse_stages, 1))
+            .writing(Resource::Pit)
+            .writing(Resource::ContentStore)
+            .reading(Resource::PassVerdict)
+            .deciding()
     }
 }
 

@@ -1,21 +1,17 @@
-//! `F_source` (key 3): source address handling.
+//! `F_source` (key 3): the source address field.
 //!
 //! §3: IP forwarding "uses F_source to specify the source address" — the
 //! triple marks which bits of the locations area carry the source. The
-//! router records it in the packet context (for control messages such as
-//! FN-unsupported notifications, §2.4) and, when a reverse route exists,
-//! performs a unicast reverse-path sanity check (drop-free: a failed check
-//! is only recorded, matching IP's permissive default; strict uRPF is the
-//! operator's policy choice).
+//! router checks that the field is a 32- or 128-bit address inside the
+//! locations area and drops the packet as malformed otherwise. It records
+//! nothing, looks nothing up and never decides the packet's fate.
 
-use crate::context::{Action, DropReason, PacketCtx, RouterState, SourceAddr};
+use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
-use crate::FieldOp;
-use dip_wire::ipv4::Ipv4Addr;
-use dip_wire::ipv6::Ipv6Addr;
+use crate::{Effects, FieldOp};
 use dip_wire::triple::{FnKey, FnTriple};
 
-/// Source-address recording op.
+/// Source-address check op.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SourceOp;
 
@@ -31,17 +27,15 @@ impl FieldOp for SourceOp {
         ctx: &mut PacketCtx<'_>,
     ) -> Action {
         let mut bytes = [0u8; 16];
-        let addr = match (triple.field_len, ctx.read_field_into(triple, &mut bytes)) {
-            (32, Ok(_)) => SourceAddr::V4(Ipv4Addr([bytes[0], bytes[1], bytes[2], bytes[3]])),
-            (128, Ok(_)) => SourceAddr::V6(Ipv6Addr(bytes)),
-            _ => return Action::Drop(DropReason::MalformedField),
-        };
-        ctx.source_addr = Some(addr);
-        Action::Continue
+        match (triple.field_len, ctx.read_field_into(triple, &mut bytes)) {
+            (32 | 128, Ok(_)) => Action::Continue,
+            _ => Action::Drop(DropReason::MalformedField),
+        }
     }
 
-    fn cost(&self, _field_bits: u16) -> OpCost {
-        OpCost::stages(1)
+    fn effects(&self, triple: &FnTriple) -> Effects {
+        let may_drop = !matches!(triple.field_len, 32 | 128);
+        Effects { may_drop, ..Effects::new(triple, OpCost::stages(1)) }
     }
 }
 
@@ -51,33 +45,31 @@ mod tests {
     use crate::ops::testutil::{ctx, state};
 
     #[test]
-    fn records_source_in_ctx() {
+    fn accepts_32_and_128_bit_sources() {
         let mut st = state();
         // DIP-32 layout (§3): dst at bits [0,32), src at bits [32,64).
         let mut locs = vec![192, 168, 0, 1, 10, 0, 0, 9];
         let mut c = ctx(&mut locs, &[]);
         let t = FnTriple::router(32, 32, FnKey::Source);
         assert_eq!(SourceOp.execute(&t, &mut st, &mut c), Action::Continue);
-        assert_eq!(c.source_addr, Some(SourceAddr::V4(Ipv4Addr::new(10, 0, 0, 9))));
-    }
-
-    #[test]
-    fn records_128bit_source() {
-        let mut st = state();
         let mut locs = vec![0u8; 32];
         locs[16] = 0xfd;
         let mut c = ctx(&mut locs, &[]);
         let t = FnTriple::router(128, 128, FnKey::Source);
         assert_eq!(SourceOp.execute(&t, &mut st, &mut c), Action::Continue);
-        assert!(matches!(c.source_addr, Some(SourceAddr::V6(a)) if a.0[0] == 0xfd));
+        assert_eq!(c.locations[16], 0xfd, "the field is left as it was");
     }
 
     #[test]
-    fn rejects_odd_widths() {
+    fn rejects_odd_widths_and_fields_past_the_end() {
         let mut st = state();
         let mut locs = vec![0u8; 8];
         let mut c = ctx(&mut locs, &[]);
-        let t = FnTriple::router(0, 48, FnKey::Source);
-        assert_eq!(SourceOp.execute(&t, &mut st, &mut c), Action::Drop(DropReason::MalformedField));
+        for t in [FnTriple::router(0, 48, FnKey::Source), FnTriple::router(64, 32, FnKey::Source)] {
+            assert_eq!(
+                SourceOp.execute(&t, &mut st, &mut c),
+                Action::Drop(DropReason::MalformedField)
+            );
+        }
     }
 }

@@ -17,7 +17,7 @@
 use crate::context::{Action, DropReason, PacketCtx, RouterState};
 use crate::cost::OpCost;
 use crate::ops::mac_op::mac_bytes;
-use crate::FieldOp;
+use crate::{Effects, FieldOp};
 use dip_crypto::{ct_eq, mmo_hash};
 use dip_wire::opt::OptRepr;
 use dip_wire::triple::{FnKey, FnTriple};
@@ -83,10 +83,10 @@ impl FieldOp for VerOp {
         Action::Deliver
     }
 
-    fn cost(&self, field_bits: u16) -> OpCost {
+    fn effects(&self, triple: &FnTriple) -> Effects {
         // Host-side; charged per path hop. The pipeline model never runs
         // this on routers, but report a representative cost.
-        OpCost::cipher(2, u32::from(field_bits / 128) + 2, 0)
+        Effects::new(triple, OpCost::cipher(2, u32::from(triple.field_len / 128) + 2, 0)).deciding()
     }
 }
 

@@ -5,13 +5,12 @@
 //! speed when the modular parallelism technique \[31, 32\] is used". This
 //! module computes *which* operations may overlap: it partitions the FN
 //! chain into sequential **waves** such that within a wave no two
-//! operations conflict. Two operations conflict when
-//!
-//! * one writes a bit range the other reads or writes (the read range is
-//!   the triple's target field, write ranges come from
-//!   [`crate::FieldOp::write_range`]); or
-//! * one writes the per-packet dynamic key and the other reads or writes
-//!   it (the `F_parm` → `F_MAC`/`F_mark` dependency of §3).
+//! operations conflict. Two operations conflict when their declared
+//! [`Effects`] depend on each other ([`Effects::dependency`]): one writes
+//! bits the other reads or writes, or one writes a per-packet slot or a
+//! router table the other reads or writes (the `F_parm` → `F_MAC`/`F_mark`
+//! dynamic key of §3, `F_pass`'s verdict that `F_PIT` reads, `F_DAG`'s
+//! parse that `F_intent` walks, two ops that both update the PIT).
 //!
 //! Program order is preserved across conflicting pairs, so executing the
 //! waves in order is observably equivalent to sequential execution. The
@@ -19,80 +18,8 @@
 //! instead of the sum (experiment E5).
 
 use crate::registry::FnRegistry;
+use crate::Effects;
 use dip_wire::triple::FnTriple;
-
-/// Read/write footprint of one FN in the chain.
-///
-/// This is the *single* definition of "what bits does this operation
-/// touch" shared by the planner here and by the static verifier in
-/// `dip-verify` — exporting it keeps the two analyses provably aligned
-/// (a hazard the verifier reports is exactly an edge the planner
-/// serializes, and vice versa).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Footprint {
-    /// Bits read: the triple's target field, as a half-open bit range
-    /// `[start, end)` in the FN-locations area.
-    pub read: (usize, usize),
-    /// Bits written, from [`crate::FieldOp::write_range`]; `None` for pure
-    /// readers.
-    pub write: Option<(usize, usize)>,
-    /// Reads the per-packet dynamic key (e.g. `F_MAC`, `F_mark`).
-    pub reads_key: bool,
-    /// Writes the per-packet dynamic key (e.g. `F_parm`).
-    pub writes_key: bool,
-}
-
-/// The footprint of `triple` under `registry`, or `None` when the key has
-/// no installed operation (callers treat that as a total barrier).
-pub fn footprint(triple: &FnTriple, registry: &FnRegistry) -> Option<Footprint> {
-    registry.get(triple.key).map(|op| Footprint {
-        read: (usize::from(triple.field_loc), triple.field_end()),
-        write: op.write_range(triple),
-        reads_key: op.reads_dynamic_key(),
-        writes_key: op.writes_dynamic_key(),
-    })
-}
-
-/// Whether two half-open bit ranges `[start, end)` share at least one bit.
-///
-/// Zero-length (empty) ranges overlap **nothing** — including when an
-/// empty range sits strictly inside a non-empty one. Without the explicit
-/// emptiness guards the pure interval test `a.0 < b.1 && b.0 < a.1` would
-/// claim `(5, 5)` overlaps `(0, 10)`. An op with a zero-length field
-/// touches no bits, so it cannot be part of a field-level data hazard.
-pub fn ranges_overlap(a: (usize, usize), b: (usize, usize)) -> bool {
-    a.0 < b.1 && b.0 < a.1 && a.0 != a.1 && b.0 != b.1
-}
-
-/// Whether two footprints conflict — i.e. must execute sequentially, in
-/// program order. True when one writes bits the other reads or writes, or
-/// when one writes the dynamic key the other reads or writes.
-pub fn conflicts(a: &Footprint, b: &Footprint) -> bool {
-    // Field-level: write/read, read/write, write/write.
-    if let Some(wa) = a.write {
-        if ranges_overlap(wa, b.read) {
-            return true;
-        }
-        if let Some(wb) = b.write {
-            if ranges_overlap(wa, wb) {
-                return true;
-            }
-        }
-    }
-    if let Some(wb) = b.write {
-        if ranges_overlap(wb, a.read) {
-            return true;
-        }
-    }
-    // Dynamic-key dependency.
-    if a.writes_key && (b.reads_key || b.writes_key) {
-        return true;
-    }
-    if b.writes_key && a.reads_key {
-        return true;
-    }
-    false
-}
 
 /// An execution plan: triple indices grouped into sequential waves.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,12 +30,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// A fully sequential plan (one wave per op) — what routers run when
-    /// the parallel flag is clear.
-    pub fn sequential(n: usize) -> Plan {
-        Plan { waves: (0..n).map(|i| vec![i]).collect() }
-    }
-
     /// Number of sequential steps.
     pub fn depth(&self) -> usize {
         self.waves.len()
@@ -120,16 +41,16 @@ impl Plan {
 /// router skips them anyway). Unknown keys are treated as full-barrier
 /// operations (conservatively conflicting with everything).
 pub fn plan(triples: &[FnTriple], registry: &FnRegistry) -> Plan {
-    let feet: Vec<Option<Footprint>> = triples.iter().map(|t| footprint(t, registry)).collect();
+    let effects: Vec<Option<Effects>> = triples.iter().map(|t| registry.effects(t)).collect();
 
     // Greedy list scheduling: place each op in the earliest wave after all
     // conflicting predecessors.
     let mut wave_of: Vec<usize> = Vec::with_capacity(triples.len());
-    for i in 0..triples.len() {
+    for (i, a) in effects.iter().enumerate() {
         let mut earliest = 0;
-        for j in 0..i {
-            let conflict = match (&feet[i], &feet[j]) {
-                (Some(a), Some(b)) => conflicts(b, a),
+        for (j, b) in effects[..i].iter().enumerate() {
+            let conflict = match (a, b) {
+                (Some(a), Some(b)) => b.dependency(a).is_some(),
                 // Unknown op: total barrier.
                 _ => true,
             };
@@ -150,6 +71,7 @@ pub fn plan(triples: &[FnTriple], registry: &FnRegistry) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Resource;
     use dip_wire::opt::triple_bits;
     use dip_wire::triple::FnKey;
 
@@ -210,55 +132,47 @@ mod tests {
     }
 
     #[test]
-    fn sequential_plan_helper() {
-        let p = Plan::sequential(3);
-        assert_eq!(p.depth(), 3);
-        assert_eq!(p.waves, vec![vec![0], vec![1], vec![2]]);
-    }
-
-    #[test]
     fn empty_chain() {
         let p = plan(&[], &registry());
         assert_eq!(p.depth(), 0);
     }
 
     #[test]
-    fn ranges_overlap_zero_length_semantics() {
-        // Non-empty overlapping.
-        assert!(ranges_overlap((0, 10), (5, 15)));
-        assert!(ranges_overlap((5, 15), (0, 10)));
-        assert!(ranges_overlap((0, 10), (0, 10)));
-        // Touching-but-disjoint half-open ranges.
-        assert!(!ranges_overlap((0, 10), (10, 20)));
-        // Empty ranges overlap nothing — even strictly inside the other.
-        assert!(!ranges_overlap((5, 5), (0, 10)));
-        assert!(!ranges_overlap((0, 10), (5, 5)));
-        assert!(!ranges_overlap((5, 5), (5, 5)));
-        assert!(!ranges_overlap((0, 0), (0, 10)));
-    }
-
-    #[test]
-    fn zero_length_field_never_conflicts_at_field_level() {
-        // A zero-length Source write inside another op's field must not
-        // serialize: it touches no bits.
-        let a =
-            Footprint { read: (5, 5), write: Some((5, 5)), reads_key: false, writes_key: false };
-        let b =
-            Footprint { read: (0, 32), write: Some((0, 32)), reads_key: false, writes_key: false };
-        assert!(!conflicts(&a, &b));
-        assert!(!conflicts(&b, &a));
-    }
-
-    #[test]
-    fn footprint_helper_matches_registry_ops() {
+    fn effects_of_mac_name_the_tag_and_the_key() {
         let reg = registry();
         let t = FnTriple::router(32, 416, FnKey::Mac);
-        let f = footprint(&t, &reg).expect("Mac installed in standard registry");
-        assert_eq!(f.read, (32, 32 + 416));
+        let e = reg.effects(&t).expect("Mac installed in standard registry");
+        assert_eq!(e.read, (32, 32 + 416));
         // F_MAC deposits its 128-bit tag immediately after the covered field.
-        assert_eq!(f.write, Some((32 + 416, 32 + 416 + 128)));
-        assert!(f.reads_key && !f.writes_key);
-        assert!(footprint(&FnTriple::router(0, 8, FnKey::Other(0x300)), &reg).is_none());
+        assert_eq!(e.write, Some((32 + 416, 32 + 416 + 128)));
+        assert!(e.reads.contains(Resource::DynamicKey));
+        assert!(!e.writes.contains(Resource::DynamicKey));
+        assert!(reg.effects(&FnTriple::router(0, 8, FnKey::Other(0x300))).is_none());
+    }
+
+    #[test]
+    fn pass_verdict_orders_pass_before_pit() {
+        // F_PIT reads the verdict F_pass writes (under
+        // `require_pass_for_cache`): disjoint fields, still two waves.
+        let triples =
+            vec![FnTriple::router(0, 160, FnKey::Pass), FnTriple::router(160, 32, FnKey::Pit)];
+        assert_eq!(plan(&triples, &registry()).waves, vec![vec![0], vec![1]]);
+    }
+
+    #[test]
+    fn parsed_dag_orders_dag_before_intent_on_disjoint_spans() {
+        // F_intent walks whatever DAG an earlier F_DAG left in the packet
+        // context, whatever that op's span.
+        let triples =
+            vec![FnTriple::router(0, 720, FnKey::Dag), FnTriple::router(720, 720, FnKey::Intent)];
+        assert_eq!(plan(&triples, &registry()).waves, vec![vec![0], vec![1]]);
+    }
+
+    #[test]
+    fn two_pit_writers_keep_their_order() {
+        let triples =
+            vec![FnTriple::router(0, 32, FnKey::Fib), FnTriple::router(32, 32, FnKey::Fib)];
+        assert_eq!(plan(&triples, &registry()).depth(), 2);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! (heterogeneous configuration, §2.4).
 
 use crate::ops;
-use crate::FieldOp;
-use dip_wire::triple::FnKey;
+use crate::{Effects, FieldOp};
+use dip_wire::triple::{FnKey, FnTriple};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -82,6 +82,12 @@ impl FnRegistry {
     /// Looks up the module for a key.
     pub fn get(&self, key: FnKey) -> Option<&Arc<dyn FieldOp>> {
         self.ops.get(&key.to_wire())
+    }
+
+    /// The effects of `triple` under its installed module, or `None` when
+    /// the key has none (callers treat that as unknown semantics).
+    pub fn effects(&self, triple: &FnTriple) -> Option<Effects> {
+        self.get(triple.key).map(|op| op.effects(triple))
     }
 
     /// Whether a key is supported.

@@ -22,7 +22,7 @@
 //! ```
 
 use dip_crypto::{ct_eq, derive_session_key, mmo_hash, Block, CbcMac, MacAlgorithm};
-use dip_fnops::{Action, DropReason, FieldOp, OpCost, PacketCtx, RouterState};
+use dip_fnops::{Action, DropReason, Effects, FieldOp, OpCost, PacketCtx, RouterState};
 use dip_wire::packet::DipRepr;
 use dip_wire::triple::{FnKey, FnTriple};
 
@@ -154,16 +154,13 @@ impl FieldOp for EpicOp {
         Action::Continue
     }
 
-    fn cost(&self, field_bits: u16) -> OpCost {
+    fn effects(&self, triple: &FnTriple) -> Effects {
         // Key derivation + one short MAC + the payload hash. The payload
         // hash is the expensive part EPIC's real design replaces with a
         // per-packet MAC over a short header; we report the conservative
         // cost.
-        OpCost::cipher(3, 6 + u32::from(field_bits / 512), 0)
-    }
-
-    fn write_range(&self, triple: &FnTriple) -> Option<(usize, usize)> {
-        Some((usize::from(triple.field_loc), triple.field_end()))
+        Effects::new(triple, OpCost::cipher(3, 6 + u32::from(triple.field_len / 512), 0))
+            .writing_field()
     }
 }
 

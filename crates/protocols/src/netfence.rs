@@ -29,7 +29,7 @@
 //!   exceeding the current rate ([`DropReason::RateLimited`]).
 
 use dip_crypto::{ct_eq, Block, CbcMac, MacAlgorithm};
-use dip_fnops::{Action, DropReason, FieldOp, OpCost, PacketCtx, RouterState};
+use dip_fnops::{Action, DropReason, Effects, FieldOp, OpCost, PacketCtx, Resource, RouterState};
 use dip_tables::Ticks;
 use dip_wire::packet::DipRepr;
 use dip_wire::triple::{FnKey, FnTriple};
@@ -198,13 +198,10 @@ impl FieldOp for CongestionOp {
         Action::Continue
     }
 
-    fn cost(&self, _field_bits: u16) -> OpCost {
+    fn effects(&self, triple: &FnTriple) -> Effects {
         // One flow-table access plus (when marking) a short MAC.
-        OpCost { stages: 2, table_lookups: 1, cipher_blocks: 2, resubmits: 0 }
-    }
-
-    fn write_range(&self, triple: &FnTriple) -> Option<(usize, usize)> {
-        Some((usize::from(triple.field_loc), triple.field_end()))
+        let cost = OpCost { stages: 2, table_lookups: 1, cipher_blocks: 2, resubmits: 0 };
+        Effects::new(triple, cost).writing_field().writing(Resource::Ext)
     }
 }
 

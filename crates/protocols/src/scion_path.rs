@@ -23,7 +23,7 @@
 //! splice them into a new one.
 
 use dip_crypto::{ct_eq, Block, CbcMac, MacAlgorithm};
-use dip_fnops::{Action, DropReason, FieldOp, OpCost, PacketCtx, RouterState};
+use dip_fnops::{Action, DropReason, Effects, FieldOp, OpCost, PacketCtx, RouterState};
 use dip_wire::packet::DipRepr;
 use dip_wire::triple::{FnKey, FnTriple};
 
@@ -170,14 +170,11 @@ impl FieldOp for HopFieldOp {
         Action::Forward(u32::from(egress))
     }
 
-    fn cost(&self, _field_bits: u16) -> OpCost {
-        // One short MAC verification, no table lookup at all.
-        OpCost { stages: 2, table_lookups: 0, cipher_blocks: 3, resubmits: 0 }
-    }
-
-    fn write_range(&self, triple: &FnTriple) -> Option<(usize, usize)> {
-        // Only the index byte is written, but report the field for safety.
-        Some((usize::from(triple.field_loc), triple.field_end()))
+    fn effects(&self, triple: &FnTriple) -> Effects {
+        // One short MAC verification, no table lookup at all. Only the
+        // index byte is written, but declare the field for safety.
+        let cost = OpCost { stages: 2, table_lookups: 0, cipher_blocks: 3, resubmits: 0 };
+        Effects::new(triple, cost).writing_field().deciding()
     }
 }
 

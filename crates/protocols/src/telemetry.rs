@@ -20,7 +20,7 @@
 //! high bit of `count` is set as an overflow marker (telemetry must never
 //! break the dataplane).
 
-use dip_fnops::{Action, DropReason, FieldOp, OpCost, PacketCtx, RouterState};
+use dip_fnops::{Action, DropReason, Effects, FieldOp, OpCost, PacketCtx, RouterState};
 use dip_wire::packet::DipRepr;
 use dip_wire::triple::{FnKey, FnTriple};
 
@@ -89,12 +89,8 @@ impl FieldOp for TelemetryOp {
         Action::Continue
     }
 
-    fn cost(&self, _field_bits: u16) -> OpCost {
-        OpCost::stages(1)
-    }
-
-    fn write_range(&self, triple: &FnTriple) -> Option<(usize, usize)> {
-        Some((usize::from(triple.field_loc), triple.field_end()))
+    fn effects(&self, triple: &FnTriple) -> Effects {
+        Effects::new(triple, OpCost::stages(1)).writing_field()
     }
 }
 

@@ -44,7 +44,7 @@
 //! [`CompressedLpm::lookup_depth`] counts the levels a walk visits.
 //!
 //! Updates never mutate published state. The authoritative routes live
-//! in a [`PrefixStore`] (two ordered maps, short/long); applying a delta
+//! in a `PrefixStore` (two ordered maps, short/long); applying a delta
 //! copies the spine (2 048 page pointers), rebuilds only the touched
 //! chunks from the store, recomputes only the slot leaves covered by
 //! changed short prefixes, and copies only the pages holding either

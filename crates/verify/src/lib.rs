@@ -16,8 +16,9 @@
 //!    at hop k* diagnostics (the static form of §2.3's planning);
 //! 3. **data-flow** ([`passes::dataflow`]) — the `F_parm` →
 //!    `F_MAC`/`F_mark` def-use order, MAC-coverage invalidation, and
-//!    parallel-flag hazards, built on the *same* footprint/conflict
-//!    machinery as the runtime planner ([`dip_fnops::parallel`]);
+//!    parallel-flag hazards, built on the *same* declared
+//!    [`Effects`](dip_fnops::Effects) as the runtime planner
+//!    ([`dip_fnops::parallel`]);
 //! 4. **resource** ([`passes::resource`]) — summed pipeline costs against
 //!    a deployment target's [`ResourceBudget`] (§4.1's Tofino limits).
 //!
@@ -80,7 +81,7 @@ use dip_wire::packet::DipRepr;
 
 /// The composed verifier: runs all four passes over a program.
 pub struct Checker {
-    /// Operation semantics (footprints, costs) used by the data-flow and
+    /// Operation semantics (declared effects) used by the data-flow and
     /// resource passes, and the installation set `check` lints against.
     semantics: FnRegistry,
     /// Pipeline capacity for the resource pass.
@@ -100,7 +101,7 @@ impl Checker {
     }
 
     /// Replaces the semantics registry (e.g. to teach the verifier about
-    /// custom operation modules and their footprints).
+    /// custom operation modules and their effects).
     pub fn with_semantics(mut self, registry: FnRegistry) -> Self {
         self.semantics = registry;
         self
@@ -139,7 +140,7 @@ pub fn dipcheck(repr: &DipRepr) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dip_fnops::parallel::{footprint, plan};
+    use dip_fnops::parallel::plan;
     use dip_wire::triple::{FnKey, FnTriple};
 
     #[test]
@@ -192,8 +193,7 @@ mod tests {
                         .collect();
                     debug_assert!(fns
                         .iter()
-                        .all(|t| footprint(t, &semantics)
-                            .is_some_and(|f| !f.reads_key && !f.writes_key)));
+                        .all(|t| semantics.effects(t).is_some_and(|e| !e.in_key_chain())));
                     let depth = plan(&fns, &semantics).depth();
                     let program = FnProgram::new(fns, 16, true);
                     let report = checker.check(&program);
@@ -224,5 +224,17 @@ mod tests {
         assert!(plan(&fns, &FnRegistry::standard()).depth() > 1);
         let report = Checker::new().check(&FnProgram::new(fns, 68, true));
         assert!(report.is_clean(), "{report}");
+    }
+
+    /// Slot and table dependencies diverge the same way: `F_PIT` reads the
+    /// verdict `F_pass` writes, so the planner serializes them, and the
+    /// flag stays safe to set.
+    #[test]
+    fn slot_dependencies_are_serialized_but_not_hazards() {
+        let fns =
+            vec![FnTriple::router(0, 256, FnKey::Pass), FnTriple::router(256, 32, FnKey::Pit)];
+        assert_eq!(plan(&fns, &FnRegistry::standard()).depth(), 2);
+        let report = Checker::new().check(&FnProgram::new(fns, 36, true));
+        assert!(!report.has_code(DiagCode::ParallelHazard), "{report}");
     }
 }

@@ -1,7 +1,7 @@
 //! # dipopt — abstract-interpretation optimizer passes over FN programs.
 //!
 //! Runs *after* the four admission passes and emits a [`ProgramFacts`]
-//! artifact: per-hop def/use footprints on header bit ranges plus a small
+//! artifact: per-hop def/use facts on header bit ranges plus a small
 //! constant lattice ([`AbstractVal`]) over FN operands, and a list of
 //! [`Rewrite`]s each proven safe by that analysis. The dataplane's
 //! `CompiledChain::compile` (in `dip-core`) applies the rewrites in place
@@ -22,44 +22,41 @@
 //!
 //! ## Rewrite legality
 //!
+//! Every precondition reads the hops' declared [`Effects`]:
+//!
 //! * **Redundant-parse elimination** — a hop whose only effect is
-//!   publishing a parsed structure into per-packet scratch
-//!   ([`FieldOp::writes_parsed_dag`]) may be deleted when the next router
-//!   hop consumes that scratch *and* re-parses the same span with
-//!   identical semantics on a miss
-//!   ([`FieldOp::consumes_parsed_dag_with_fallback`]) — the triples must
-//!   select byte-for-byte the same span, otherwise the pair is
+//!   publishing the parsed DAG into per-packet scratch (it writes
+//!   [`Resource::ParsedDag`] and nothing else) may be deleted when the next
+//!   router hop consumes that scratch *and* re-parses the same span with
+//!   identical semantics on a miss ([`Effects::dag_fallback`]) — the
+//!   triples must select byte-for-byte the same span, otherwise the pair is
 //!   order-sensitive and dipopt bails ([`BailReason::SpanMismatch`]).
 //! * **Dead-key-write elimination** — a hop that only writes the dynamic
-//!   key slot, cannot drop ([`FieldOp::infallible_for`]), and has no
-//!   later reader of the key is effect-free and deleted.
-//! * **Fusion** — adjacent router hops whose footprints do not conflict
-//!   (per the *same* [`dip_fnops::parallel::conflicts`] predicate the
-//!   planner and the data-flow pass use) share pipeline stages; this is a
-//!   pure cost rewrite — execution order is untouched.
+//!   key slot, can neither drop nor decide ([`Effects::may_drop`],
+//!   [`Effects::may_decide`]), and has no later reader of the key is
+//!   effect-free and deleted.
+//! * **Fusion** — adjacent router hops with no [`Effects::dependency`]
+//!   (the rule the planner and the data-flow pass use) share pipeline
+//!   stages; this is a pure cost rewrite — execution order is untouched.
 //! * **Hoisting** — packet-invariant setup (the OPT key schedule) moves
-//!   to once-per-compiled-chain via [`FieldOp::hoist`]; the per-packet
-//!   residue must be byte-identical ([`FieldOp::execute_hoisted`]).
+//!   to once-per-compiled-chain via [`FieldOp::hoist`] when the hop
+//!   declares a cheaper [`Effects::residue`]; the per-packet work must be
+//!   byte-identical ([`FieldOp::execute_hoisted`]).
 //!
-//! Budget accounting is *replayed*, not optimized: the compiled plan
-//! charges the original cost of every hop (eliminated hops become
-//! charge-only steps) so the budget meter's drop decisions are identical
-//! in both plans. Only the timing-model cost shrinks.
+//! The §2.4 budget stop is not optimized: `CompiledChain::compile` decides
+//! it once from every hop's as-written cost, eliminated hops included, so
+//! both plans drop at the same hop. Only the timing-model cost shrinks.
 //!
 //! Programs dipopt refuses to touch get a [`Bail`] with the reason and
 //! run as their identity plan. The
 //! [`optimization_corpus`] pins admissible-but-unoptimizable programs.
 //!
-//! [`FieldOp::writes_parsed_dag`]: dip_fnops::FieldOp::writes_parsed_dag
-//! [`FieldOp::consumes_parsed_dag_with_fallback`]: dip_fnops::FieldOp::consumes_parsed_dag_with_fallback
-//! [`FieldOp::infallible_for`]: dip_fnops::FieldOp::infallible_for
 //! [`FieldOp::hoist`]: dip_fnops::FieldOp::hoist
 //! [`FieldOp::execute_hoisted`]: dip_fnops::FieldOp::execute_hoisted
 
 use crate::program::FnProgram;
-use dip_fnops::parallel::{conflicts, footprint, Footprint};
-use dip_fnops::{FnRegistry, OpCost};
-use dip_wire::triple::FnKey;
+use dip_fnops::{Dependency, Effects, FnRegistry, OpCost, Resource, Resources};
+use dip_wire::triple::{FnKey, FnTriple};
 
 /// A value in dipopt's three-level lattice: `Unknown ⊒ Interval ⊒ Const`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,16 +117,9 @@ pub struct HopFacts {
     pub host: bool,
     /// Whether the registry has a module for the key.
     pub installed: bool,
-    /// Bits read in the locations area, `[start, end)`.
-    pub read_bits: (usize, usize),
-    /// Bits written, or `None` for pure readers.
-    pub write_bits: Option<(usize, usize)>,
-    /// Reads the per-packet dynamic key.
-    pub reads_key: bool,
-    /// Writes the per-packet dynamic key.
-    pub writes_key: bool,
-    /// Unoptimized per-packet cost under the standard model.
-    pub model: OpCost,
+    /// What the hop touches and costs when a router runs it, unoptimized;
+    /// `None` for a host hop (routers skip it) or an uninstalled key.
+    pub effects: Option<Effects>,
     /// Folded field offset (always `Const`: triples are program text).
     pub field_loc: AbstractVal,
     /// Folded field width (always `Const`).
@@ -186,7 +176,7 @@ pub enum BailReason {
     /// The program requests parallel execution; the wave planner owns it.
     ParallelProgram,
     /// A router hop's key has no installed module — its semantics (and
-    /// footprint) are unknown, so the whole program is left alone.
+    /// effects) are unknown, so the whole program is left alone.
     UninstalledKey(FnKey),
     /// A parse/consume pair selects different bit spans; eliminating the
     /// parse would change which bytes the consumer walks.
@@ -200,6 +190,9 @@ pub enum BailReason {
     OrderDependentWrites,
     /// The pair is linked through the dynamic-key slot.
     KeyDependency,
+    /// One hop writes another per-packet slot or a router table the other
+    /// reads or writes (e.g. both update the PIT).
+    SharedState(Resource),
 }
 
 /// A declined opportunity: which hop(s), and why.
@@ -265,27 +258,21 @@ pub fn dag_nodes_cap(field_len: u16) -> usize {
     (usize::from(field_len) / 8).saturating_sub(6) / 28
 }
 
-fn hop_facts(index: usize, program: &FnProgram, registry: &FnRegistry) -> HopFacts {
-    let t = &program.fns[index];
-    let fp = if t.host { None } else { footprint(t, registry) };
-    let op = registry.get(t.key);
-    let model = match (&op, t.host) {
-        (Some(op), false) => op.cost(t.field_len),
-        _ => OpCost::default(),
-    };
-    let dag_shaped =
-        op.as_ref().is_some_and(|o| o.writes_parsed_dag() || o.consumes_parsed_dag_with_fallback());
+/// Hop facts for `t` at `index`, whose installed module declares
+/// `declared` (routers skip a host hop, so it touches and costs nothing).
+fn hop_facts(index: usize, t: &FnTriple, declared: Option<&Effects>) -> HopFacts {
+    let effects = declared.filter(|_| !t.host).copied();
+    let cipher_blocks = effects.map_or(0, |e| e.cost.cipher_blocks);
+    let dag_shaped = declared.is_some_and(|e| {
+        e.reads.contains(Resource::ParsedDag) || e.writes.contains(Resource::ParsedDag)
+    });
     let cap = dag_nodes_cap(t.field_len);
     HopFacts {
         index,
         key: t.key,
         host: t.host,
-        installed: op.is_some(),
-        read_bits: fp.as_ref().map(|f| f.read).unwrap_or((usize::from(t.field_loc), t.field_end())),
-        write_bits: fp.as_ref().and_then(|f| f.write),
-        reads_key: fp.as_ref().is_some_and(|f| f.reads_key),
-        writes_key: fp.as_ref().is_some_and(|f| f.writes_key),
-        model,
+        installed: declared.is_some(),
+        effects,
         field_loc: AbstractVal::Const(u64::from(t.field_loc)),
         field_len: AbstractVal::Const(u64::from(t.field_len)),
         field_value: AbstractVal::Unknown,
@@ -294,27 +281,22 @@ fn hop_facts(index: usize, program: &FnProgram, registry: &FnRegistry) -> HopFac
         } else {
             AbstractVal::Unknown
         },
-        cipher_blocks: if model.cipher_blocks > 0 {
-            AbstractVal::Const(u64::from(model.cipher_blocks))
+        cipher_blocks: if cipher_blocks > 0 {
+            AbstractVal::Const(u64::from(cipher_blocks))
         } else {
             AbstractVal::Unknown
         },
     }
 }
 
-fn classify_conflict(a: &Footprint, b: &Footprint) -> BailReason {
-    use dip_fnops::parallel::ranges_overlap;
-    if let (Some(wa), Some(wb)) = (a.write, b.write) {
-        if ranges_overlap(wa, wb) {
-            return BailReason::AliasingWrites;
-        }
+/// The reason fusion of a dependent pair is declined.
+fn bail_reason(dependency: Dependency) -> BailReason {
+    match dependency {
+        Dependency::AliasingWrites => BailReason::AliasingWrites,
+        Dependency::WriteRead => BailReason::OrderDependentWrites,
+        Dependency::Shared(Resource::DynamicKey) => BailReason::KeyDependency,
+        Dependency::Shared(r) => BailReason::SharedState(r),
     }
-    let write_read = a.write.is_some_and(|wa| ranges_overlap(wa, b.read))
-        || b.write.is_some_and(|wb| ranges_overlap(wb, a.read));
-    if write_read {
-        return BailReason::OrderDependentWrites;
-    }
-    BailReason::KeyDependency
 }
 
 /// Runs the dipopt passes over `program` against `registry`.
@@ -322,8 +304,15 @@ fn classify_conflict(a: &Footprint, b: &Footprint) -> BailReason {
 /// Always total: a program that cannot be optimized comes back with an
 /// empty rewrite list and the reasons recorded in `bails`, never an error.
 pub fn analyze(program: &FnProgram, registry: &FnRegistry) -> ProgramFacts {
+    let declared: Vec<Option<Effects>> = program.fns.iter().map(|t| registry.effects(t)).collect();
     let mut facts = ProgramFacts {
-        hops: (0..program.fns.len()).map(|i| hop_facts(i, program, registry)).collect(),
+        hops: program
+            .fns
+            .iter()
+            .zip(&declared)
+            .enumerate()
+            .map(|(i, (t, e))| hop_facts(i, t, e.as_ref()))
+            .collect(),
         rewrites: Vec::new(),
         bails: Vec::new(),
     };
@@ -343,7 +332,7 @@ pub fn analyze(program: &FnProgram, registry: &FnRegistry) -> ProgramFacts {
     // chain; every rewrite's legality argument assumes it knows all effects.
     let mut blocked = false;
     for &i in &router {
-        if registry.get(program.fns[i].key).is_none() {
+        if declared[i].is_none() {
             facts.bails.push(Bail {
                 first: Some(i),
                 second: None,
@@ -355,19 +344,21 @@ pub fn analyze(program: &FnProgram, registry: &FnRegistry) -> ProgramFacts {
     if blocked {
         return facts;
     }
+    let fx = |i: usize| declared[i].expect("checked installed");
 
     let mut eliminated = vec![false; program.fns.len()];
 
     // Pass 1: redundant-parse elimination (publisher → adjacent consumer).
+    let publishes_only_the_dag = |e: Effects| {
+        e.writes == Resources::NONE.with(Resource::ParsedDag) && e.write.is_none() && !e.may_decide
+    };
     for w in router.windows(2) {
         let (i, j) = (w[0], w[1]);
         let (ti, tj) = (&program.fns[i], &program.fns[j]);
-        let pi = registry.get(ti.key).expect("checked installed");
-        let pj = registry.get(tj.key).expect("checked installed");
-        if !pi.writes_parsed_dag() {
+        if !publishes_only_the_dag(fx(i)) {
             continue;
         }
-        if pj.consumes_parsed_dag_with_fallback() {
+        if fx(j).dag_fallback {
             if ti.field_loc == tj.field_loc && ti.field_len == tj.field_len {
                 // Constant-folded from the triple: the consumer's walk visits
                 // at most cap nodes and resolves a route in at most cap−1
@@ -387,12 +378,7 @@ pub fn analyze(program: &FnProgram, registry: &FnRegistry) -> ProgramFacts {
                     reason: BailReason::SpanMismatch,
                 });
             }
-        } else if router.iter().any(|&k| {
-            k > j
-                && registry
-                    .get(program.fns[k].key)
-                    .is_some_and(|o| o.consumes_parsed_dag_with_fallback())
-        }) {
+        } else if router.iter().any(|&k| k > j && fx(k).dag_fallback) {
             facts.bails.push(Bail {
                 first: Some(i),
                 second: None,
@@ -403,18 +389,13 @@ pub fn analyze(program: &FnProgram, registry: &FnRegistry) -> ProgramFacts {
 
     // Pass 2: dead-key-write elimination.
     for (pos, &i) in router.iter().enumerate() {
-        if eliminated[i] {
-            continue;
-        }
-        let t = &program.fns[i];
-        let op = registry.get(t.key).expect("checked installed");
-        let fp = footprint(t, registry).expect("checked installed");
-        let dead = fp.writes_key
-            && fp.write.is_none()
-            && op.infallible_for(t)
-            && !router[pos + 1..]
-                .iter()
-                .any(|&k| footprint(&program.fns[k], registry).is_some_and(|f| f.reads_key));
+        let e = fx(i);
+        let dead = !eliminated[i]
+            && e.writes == Resources::NONE.with(Resource::DynamicKey)
+            && e.write.is_none()
+            && !e.may_drop
+            && !e.may_decide
+            && !router[pos + 1..].iter().any(|&k| fx(k).reads.contains(Resource::DynamicKey));
         if dead {
             facts.rewrites.push(Rewrite::EliminateDeadKeyWrite { index: i });
             eliminated[i] = true;
@@ -423,16 +404,9 @@ pub fn analyze(program: &FnProgram, registry: &FnRegistry) -> ProgramFacts {
 
     // Pass 3: hoist packet-invariant setup on surviving hops.
     for &i in &router {
-        if eliminated[i] {
-            continue;
-        }
-        let t = &program.fns[i];
-        let op = registry.get(t.key).expect("checked installed");
-        if op.hoistable() {
-            let hoisted_model = op.hoisted_cost(t.field_len);
-            if hoisted_model != op.cost(t.field_len) {
-                facts.rewrites.push(Rewrite::HoistKeySchedule { index: i, hoisted_model });
-            }
+        let e = fx(i);
+        if let Some(hoisted_model) = e.residue.filter(|&r| !eliminated[i] && r != e.cost) {
+            facts.rewrites.push(Rewrite::HoistKeySchedule { index: i, hoisted_model });
         }
     }
 
@@ -447,18 +421,15 @@ pub fn analyze(program: &FnProgram, registry: &FnRegistry) -> ProgramFacts {
         if group.is_empty() {
             group.push(i);
         }
-        let fj = footprint(&program.fns[j], registry).expect("checked installed");
-        let clash = group.iter().any(|&g| {
-            let fg = footprint(&program.fns[g], registry).expect("checked installed");
-            conflicts(&fg, &fj)
-        });
-        if clash {
-            let fi = footprint(&program.fns[i], registry).expect("checked installed");
-            let reason = if conflicts(&fi, &fj) {
-                classify_conflict(&fi, &fj)
-            } else {
-                // The clash is with an earlier group member.
-                BailReason::OrderDependentWrites
+        if let Some(clash) = group.iter().find_map(|&g| fx(g).dependency(&fx(j))) {
+            let reason = match (fx(i).dependency(&fx(j)), clash) {
+                (Some(dependency), _) => bail_reason(dependency),
+                // The clash is with an earlier group member: named by the
+                // slot or table they share, else as an ordering.
+                (None, Dependency::Shared(r)) if r != Resource::DynamicKey => {
+                    BailReason::SharedState(r)
+                }
+                (None, _) => BailReason::OrderDependentWrites,
             };
             facts.bails.push(Bail { first: Some(i), second: Some(j), reason });
             group.clear();
@@ -488,7 +459,6 @@ pub struct OptCorpusCase {
 /// but that dipopt must provably refuse to optimize. The pinned contract:
 /// `analyze` returns **zero rewrites** and records the expected bail.
 pub fn optimization_corpus() -> Vec<OptCorpusCase> {
-    use dip_wire::triple::FnTriple;
     vec![
         OptCorpusCase {
             name: "aliasing-spans",
@@ -554,7 +524,6 @@ pub fn optimization_corpus() -> Vec<OptCorpusCase> {
 mod tests {
     use super::*;
     use crate::Checker;
-    use dip_wire::triple::FnTriple;
 
     #[test]
     fn lattice_join_laws() {
@@ -650,6 +619,21 @@ mod tests {
     }
 
     #[test]
+    fn two_pit_writers_never_fuse() {
+        // F_FIB records the interest, F_PIT consumes it: both update the
+        // PIT, so sharing a stage would race on it although they only read
+        // their (identical) fields.
+        let p = FnProgram::new(
+            vec![FnTriple::router(0, 32, FnKey::Fib), FnTriple::router(0, 32, FnKey::Pit)],
+            4,
+            false,
+        );
+        let facts = analyze(&p, &FnRegistry::standard());
+        assert_eq!(facts.fusions(), 0);
+        assert!(facts.bailed(BailReason::SharedState(Resource::Pit)), "{:?}", facts.bails);
+    }
+
+    #[test]
     fn fusion_groups_require_mutual_compatibility() {
         // a reads 0..32, b reads 64..96, c rewrites 0..720: c conflicts with
         // a (already in the group) even though it could pair with b alone —
@@ -738,7 +722,7 @@ mod tests {
         assert_eq!(mac.field_value, AbstractVal::Unknown);
         // 52 bytes of coverage → 1 length block + 4 message blocks.
         assert_eq!(mac.cipher_blocks, AbstractVal::Const(5));
-        assert!(mac.reads_key && !mac.writes_key);
-        assert!(facts.hops[1].host);
+        assert!(mac.effects.is_some_and(|e| e.reads.contains(Resource::DynamicKey)));
+        assert!(facts.hops[1].host && facts.hops[1].effects.is_none());
     }
 }

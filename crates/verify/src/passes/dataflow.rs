@@ -1,10 +1,8 @@
 //! Pass 3 — data-flow checks over the router-executed chain.
 //!
-//! This pass shares its notion of "what bits does an operation touch"
-//! with the runtime parallel planner — both are built on
-//! [`dip_fnops::parallel::footprint`] and
-//! [`dip_fnops::parallel::conflicts`] — so a hazard reported here is
-//! exactly an edge the planner would serialize. Three properties are
+//! This pass reads each operation's declared [`Effects`], the value the
+//! runtime parallel planner reads, so a hazard reported here is exactly a
+//! field-level edge the planner would serialize. Three properties are
 //! checked:
 //!
 //! * **Dynamic-key def-use** (§3's `F_parm` → `F_MAC`/`F_mark` chain): an
@@ -18,22 +16,28 @@
 //! * **Parallel-flag hazards** (§2.2): when the packet requests modular
 //!   parallelism, two conflicting operations are only safe if the planner
 //!   serializes them — which it does for dynamic-key chain members. A
-//!   conflict where *either* side is outside the chain means the flag was
-//!   set on a program that cannot actually parallelize safely.
+//!   field conflict where *either* side is outside the chain means the flag
+//!   was set on a program that cannot actually parallelize safely. Slot and
+//!   table dependencies (a shared PIT, `F_pass`'s verdict) are edges the
+//!   planner serializes too, so they are not hazards.
 
 use crate::diag::{DiagCode, Diagnostic};
 use crate::program::FnProgram;
-use dip_fnops::parallel::{conflicts, footprint, ranges_overlap, Footprint};
-use dip_fnops::FnRegistry;
+use dip_fnops::effects::ranges_overlap;
+use dip_fnops::Dependency::{AliasingWrites, WriteRead};
+use dip_fnops::{Effects, FnRegistry, Resource};
 use dip_wire::triple::{FnKey, FnTriple};
 
+/// A router-executed triple with its position and its effects, `None`
+/// when no module is installed for its key.
+type Hop<'a> = (usize, &'a FnTriple, Option<Effects>);
+
 /// Runs the data-flow pass. `semantics` supplies operation behavior
-/// (footprints); keys it does not know are skipped here — the registry
+/// (effects); keys it does not know are skipped here — the registry
 /// pass owns "unknown key" reporting.
 pub fn check(program: &FnProgram, semantics: &FnRegistry) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let chain: Vec<(usize, &FnTriple, Option<Footprint>)> =
-        program.router_fns().map(|(i, t)| (i, t, footprint(t, semantics))).collect();
+    let chain: Vec<Hop> = program.router_fns().map(|(i, t)| (i, t, semantics.effects(t))).collect();
 
     check_key_def_use(&chain, &mut diags);
     check_mac_then_mutate(&chain, &mut diags);
@@ -43,17 +47,11 @@ pub fn check(program: &FnProgram, semantics: &FnRegistry) -> Vec<Diagnostic> {
     diags
 }
 
-/// Member of the dynamic-key chain: serialized by the planner and
-/// sanctioned to cooperate on the authentication block.
-fn in_key_chain(f: &Footprint) -> bool {
-    f.reads_key || f.writes_key
-}
-
-fn check_key_def_use(chain: &[(usize, &FnTriple, Option<Footprint>)], diags: &mut Vec<Diagnostic>) {
+fn check_key_def_use(chain: &[Hop], diags: &mut Vec<Diagnostic>) {
     let mut key_defined = false;
-    for (i, t, fp) in chain {
-        let Some(fp) = fp else { continue };
-        if fp.reads_key && !key_defined {
+    for (i, t, e) in chain {
+        let Some(e) = e else { continue };
+        if e.reads.contains(Resource::DynamicKey) && !key_defined {
             diags.push(
                 Diagnostic::error(
                     DiagCode::KeyUseBeforeDef,
@@ -65,28 +63,25 @@ fn check_key_def_use(chain: &[(usize, &FnTriple, Option<Footprint>)], diags: &mu
                 .at_triple(*i),
             );
         }
-        if fp.writes_key {
+        if e.writes.contains(Resource::DynamicKey) {
             key_defined = true;
         }
     }
 }
 
-fn check_mac_then_mutate(
-    chain: &[(usize, &FnTriple, Option<Footprint>)],
-    diags: &mut Vec<Diagnostic>,
-) {
-    for (mac_pos, (mac_i, mac_t, mac_fp)) in chain.iter().enumerate() {
+fn check_mac_then_mutate(chain: &[Hop], diags: &mut Vec<Diagnostic>) {
+    for (mac_pos, (mac_i, mac_t, mac_e)) in chain.iter().enumerate() {
         if mac_t.key != FnKey::Mac {
             continue;
         }
-        let Some(mac_fp) = mac_fp else { continue };
+        let Some(mac_e) = mac_e else { continue };
         // Protected bits: the covered field plus the deposited tag slot.
-        let coverage = mac_fp.read;
-        let tag = mac_fp.write;
-        for (j, t, fp) in &chain[mac_pos + 1..] {
-            let Some(fp) = fp else { continue };
-            let Some(w) = fp.write else { continue };
-            if fp.reads_key {
+        let coverage = mac_e.read;
+        let tag = mac_e.write;
+        for (j, t, e) in &chain[mac_pos + 1..] {
+            let Some(e) = e else { continue };
+            let Some(w) = e.write else { continue };
+            if e.reads.contains(Resource::DynamicKey) {
                 // F_mark (and any further MAC) participates in the same
                 // chain; its writes are part of the protocol, not damage.
                 continue;
@@ -113,20 +108,17 @@ fn check_mac_then_mutate(
     }
 }
 
-fn check_parallel_hazards(
-    chain: &[(usize, &FnTriple, Option<Footprint>)],
-    diags: &mut Vec<Diagnostic>,
-) {
-    for (pos, (i, ti, fi)) in chain.iter().enumerate() {
-        let Some(fi) = fi else { continue };
-        for (j, tj, fj) in &chain[pos + 1..] {
-            let Some(fj) = fj else { continue };
-            if !conflicts(fi, fj) {
+fn check_parallel_hazards(chain: &[Hop], diags: &mut Vec<Diagnostic>) {
+    for (pos, (i, ti, ei)) in chain.iter().enumerate() {
+        let Some(ei) = ei else { continue };
+        for (j, tj, ej) in &chain[pos + 1..] {
+            let Some(ej) = ej else { continue };
+            if !matches!(ei.dependency(ej), Some(AliasingWrites | WriteRead)) {
                 continue;
             }
             // Both ends inside the dynamic-key chain: the planner
             // serializes them (key dependency), so the flag is honest.
-            if in_key_chain(fi) && in_key_chain(fj) {
+            if ei.in_key_chain() && ej.in_key_chain() {
                 continue;
             }
             diags.push(

@@ -9,8 +9,8 @@
 //! 2. [`registry`] — installation: is every router-executed key present in
 //!    each traversed AS's `FnRegistry`?
 //! 3. [`dataflow`] — ordering: dynamic-key def-use, MAC-coverage
-//!    invalidation, parallel-flag hazards. Reuses the *same* footprint and
-//!    conflict machinery as the runtime planner in `dip_fnops::parallel`.
+//!    invalidation, parallel-flag hazards. Reads the *same* declared
+//!    effects as the runtime planner in `dip_fnops::parallel`.
 //! 4. [`resource`] — feasibility: summed pipeline costs against a
 //!    [`crate::ResourceBudget`].
 

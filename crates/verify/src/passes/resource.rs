@@ -3,8 +3,9 @@
 //! §4.1's Tofino mapping pre-writes operation modules into match-action
 //! stages and unrolls the FN loop; a chain that wants more stages, lookups
 //! or cipher math than the pipeline has cannot be deployed at all. This
-//! pass sums the per-operation [`OpCost`]s the modules themselves report
-//! (the same numbers the `dip-sim` timing model consumes) and compares
+//! pass sums the per-operation [`OpCost`]s the modules themselves declare
+//! in their [`Effects`](dip_fnops::Effects) (the same numbers the `dip-sim`
+//! timing model consumes) and compares
 //! them against a [`ResourceBudget`].
 //!
 //! Stage accounting honors the parallel flag: modular parallelism packs
@@ -27,7 +28,7 @@ pub fn check(
 ) -> Vec<Diagnostic> {
     let router: Vec<FnTriple> = program.router_fns().map(|(_, t)| *t).collect();
     let costs: Vec<Option<OpCost>> =
-        router.iter().map(|t| semantics.get(t.key).map(|op| op.cost(t.field_len))).collect();
+        router.iter().map(|t| semantics.effects(t).map(|e| e.cost)).collect();
 
     let mut total = OpCost::default();
     for c in costs.iter().flatten() {
@@ -75,7 +76,7 @@ pub fn check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dip_fnops::{Action, FieldOp, PacketCtx, RouterState};
+    use dip_fnops::{Action, Effects, FieldOp, PacketCtx, RouterState};
     use dip_wire::triple::FnKey;
 
     fn std() -> FnRegistry {
@@ -160,8 +161,8 @@ mod tests {
         fn execute(&self, _t: &FnTriple, _s: &mut RouterState, _c: &mut PacketCtx<'_>) -> Action {
             Action::Continue
         }
-        fn cost(&self, _field_bits: u16) -> OpCost {
-            OpCost::cipher(1, 1, 1)
+        fn effects(&self, t: &FnTriple) -> Effects {
+            Effects::new(t, OpCost::cipher(1, 1, 1))
         }
     }
 

@@ -476,7 +476,7 @@ impl WorkloadSpec {
     }
 
     /// A router pre-seeded with everything this spec's traces assume: the
-    /// routes of [`WorkloadSpec::route_store`] and `pit_preseed` pending
+    /// routes of `WorkloadSpec::route_store` and `pit_preseed` pending
     /// NDN+OPT exchanges.
     ///
     /// A threaded run calls this once per worker; every worker gets the

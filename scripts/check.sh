@@ -3,6 +3,8 @@
 #
 #   fmt     — formatting matches rustfmt.toml
 #   clippy  — all targets, warnings are errors
+#   doc     — rustdoc over the workspace, warnings are errors (a broken or
+#             private intra-doc link fails here)
 #   test    — the full workspace suite, offline, once: determinism,
 #             accounting, model check, control plane, dipopt equivalence,
 #             the reference-model differential, diplint's own contract,
@@ -34,6 +36,9 @@ cargo fmt --check
 
 echo "== cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
+
+echo "== cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo test -q --workspace"
 cargo test -q --workspace --offline

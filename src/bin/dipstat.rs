@@ -3,7 +3,7 @@
 //! Runs the abstract-interpretation optimizer (`dip_verify::opt`) over the
 //! six protocol programs the repo ships (DIP-32, DIP-128, NDN, OPT, XIA,
 //! NDN+OPT) — or over any subset — and prints one JSON object per program:
-//! the per-hop bit-span footprints and folded operands, every rewrite the
+//! the per-hop declared effects and folded operands, every rewrite the
 //! optimizer proved safe, and every opportunity it declined with the
 //! reason. This is the human-readable face of the `ProgramFacts` artifact
 //! the dataplane consumes.
@@ -18,7 +18,7 @@
 
 use dip::prelude::*;
 use dip::verify::{analyze, AbstractVal, Bail, BailReason, ProgramFacts, Rewrite};
-use dip_fnops::OpCost;
+use dip_fnops::{Effects, OpCost, Resource, Resources};
 use dip_wire::ipv4::Ipv4Addr;
 use dip_wire::ipv6::Ipv6Addr;
 
@@ -104,6 +104,7 @@ fn bail_json(b: &Bail) -> String {
         BailReason::AliasingWrites => "aliasing_writes".to_string(),
         BailReason::OrderDependentWrites => "order_dependent_writes".to_string(),
         BailReason::KeyDependency => "key_dependency".to_string(),
+        BailReason::SharedState(r) => format!("shared_state:{}", format!("{r:?}").to_lowercase()),
     };
     let hop = |h: Option<usize>| h.map_or("null".to_string(), |i| i.to_string());
     format!("{{\"first\":{},\"second\":{},\"reason\":\"{reason}\"}}", hop(b.first), hop(b.second))
@@ -127,18 +128,24 @@ fn facts_json(name: &str, facts: &ProgramFacts, with_hops: bool) -> String {
             .hops
             .iter()
             .map(|h| {
-                let write = h.write_bits.map_or("null".to_string(), |(a, b)| format!("[{a},{b}]"));
+                let e = h.effects;
+                let write = e
+                    .and_then(|e| e.write)
+                    .map_or("null".to_string(), |(a, b)| format!("[{a},{b}]"));
+                let key = |rs: fn(&Effects) -> Resources| {
+                    e.is_some_and(|e| rs(&e).contains(Resource::DynamicKey))
+                };
                 format!(
                     "{{\"index\":{},\"key\":\"{}\",\"host\":{},\"installed\":{},\"read_bits\":[{},{}],\"write_bits\":{write},\"reads_key\":{},\"writes_key\":{},\"model\":{},\"field_loc\":{},\"field_len\":{},\"field_value\":{},\"dag_nodes\":{},\"cipher_blocks\":{}}}",
                     h.index,
                     key_name(h.key),
                     h.host,
                     h.installed,
-                    h.read_bits.0,
-                    h.read_bits.1,
-                    h.reads_key,
-                    h.writes_key,
-                    cost_json(h.model),
+                    h.field_loc.as_const().unwrap_or(0),
+                    h.field_loc.as_const().unwrap_or(0) + h.field_len.as_const().unwrap_or(0),
+                    key(|e| e.reads),
+                    key(|e| e.writes),
+                    cost_json(e.map_or(OpCost::default(), |e| e.cost)),
                     aval_json(&h.field_loc),
                     aval_json(&h.field_len),
                     aval_json(&h.field_value),

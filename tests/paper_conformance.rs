@@ -363,7 +363,10 @@ fn fig2_stats(series: &str, size: usize, mac: MacChoice) -> ProcessStats {
         return ProcessStats {
             fns_executed: 1,
             plan_depth: 1,
-            cost: FnRegistry::standard().get(key).expect("a standard op").cost(bits),
+            cost: FnRegistry::standard()
+                .effects(&FnTriple::router(0, bits, key))
+                .expect("a standard op")
+                .cost,
             ..Default::default()
         };
     }

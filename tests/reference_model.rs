@@ -2,7 +2,7 @@
 //!
 //! [`Reference`] re-derives everything per packet. It parses with the
 //! `DipPacket` accessors, looks every triple up in the registry, applies
-//! the §2.4 participation policy, charges each op's `cost` to a budget
+//! the §2.4 participation policy, charges each op's declared cost to a budget
 //! meter of its own, calls `execute` (never `execute_hoisted`), keeps the first
 //! routing decision and falls back to the default port. It uses no
 //! compiled chain, parse cache, plan or program cache, so it shares
@@ -138,7 +138,7 @@ impl Reference {
                 counts.skipped_unsupported += 1;
                 continue;
             };
-            if !meter.charge(&self.config.budget, op.cost(t.field_len)) {
+            if !meter.charge(&self.config.budget, op.effects(t).cost) {
                 return (Verdict::Drop(DropReason::ProcessingBudgetExceeded), counts);
             }
             counts.executed += 1;
